@@ -121,31 +121,25 @@ def fixed_point_precisions(
     the recursion contracts geometrically; hitting it indicates a bug, not
     a hard instance, hence the RuntimeError.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    engine.check_tolerance(tolerance)
+    compiled = engine.compile_model(graph, model)
     state = engine.init_messages(graph, model, init or engine.InitStrategy.lower_bound())
+    prec, mean = engine.state_arrays(state, graph.fv_edges)
     iterations = 0
     while True:
-        new = engine.sweep(graph, model, state)
+        new_prec, mean = engine.sweep_arrays(compiled, prec, mean)
         iterations += 1
-        delta = 0.0
-        for edge, precision in new.precisions.items():
-            dp = abs(precision - state.precisions[edge])
-            if dp > delta:
-                delta = dp
-        state = new
+        delta = engine.max_delta(prec, new_prec)
+        prec = new_prec
         if delta < tolerance:
             break
         if iterations >= max_iters:
             raise RuntimeError("precision fixed point did not settle within the budget")
 
-    vf = {
-        edge: engine.variable_to_factor(graph, model, state, edge)[0]
-        for edge in graph.vf_edges
-    }
+    vf_prec, _ = engine.vf_messages(compiled, prec, mean)
     return FixedPoint(
-        factor_to_variable=dict(state.precisions),
-        variable_to_factor=vf,
+        factor_to_variable=dict(zip(graph.fv_edges, prec.tolist())),
+        variable_to_factor=dict(zip(graph.vf_edges, vf_prec.tolist())),
         iterations=iterations,
     )
 
@@ -162,34 +156,34 @@ def build_mean_system(
         M_{k,j}     = noise_var_k + sum over z of c_{k,z}^2 / J*_{z->f_k}
         b[row]      = sum over those f_k of c_{k,j} * obs_k / (J*_{j->f_n} * M_{k,j})
     """
-    edges = graph.vf_edges
-    index = {edge: k for k, edge in enumerate(edges)}
-    dim = len(edges)
+    compiled = engine.compile_model(graph, model)
+    tables = compiled.tables
+    vf_star = engine.values(fixed_point.variable_to_factor, graph.vf_edges)
+    # M_{k,j} on every factor-to-variable edge f_k -> j, then a pad slot.
+    padded_star = np.append(vf_star, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_kj, _ = engine._factor_sums(
+            ((compiled.vf_coeff[z], (padded_star[z], 0.0)) for z in tables.fv_reads.T),
+            compiled.noise_var,
+            compiled.obs,
+        )
+    m_kj = np.append(m_kj, 1.0)
+    coeff = np.append(compiled.coeff, 0.0)
+    obs = np.append(compiled.obs, 0.0)
+    fv_reads = np.vstack([tables.fv_reads, np.full(tables.fv_reads.shape[1], tables.pad)])
+
+    dim = len(graph.vf_edges)
     matrix = np.zeros((dim, dim))
     offset = np.zeros(dim)
-    vf_star = fixed_point.variable_to_factor
-
-    for row_edge in edges:
-        j, fn = row_edge
-        row = index[row_edge]
-        inv_out = 1.0 / vf_star[row_edge]
-        for fk in graph.variable_neighbors[j]:
-            if fk == fn:
-                continue
-            factor = model.factors_by_id[fk]
-            m_kj = factor.noise_var
-            for z in graph.factor_neighbors[fk]:
-                if z == j:
-                    continue
-                coeff = factor.coeffs[z]
-                m_kj += coeff * coeff / vf_star[(z, fk)]
-            scale = inv_out * factor.coeffs[j] / m_kj
-            offset[row] += scale * factor.obs
-            for z in graph.factor_neighbors[fk]:
-                if z == j:
-                    continue
-                matrix[row, index[(z, fk)]] = scale * factor.coeffs[z]
-    return MeanUpdateSystem(matrix=matrix, offset=offset, edges=edges)
+    rows = np.arange(dim)
+    inv_out = 1.0 / vf_star
+    for k in tables.vf_reads.T:  # each other factor f_k of the row's variable j
+        scale = inv_out * coeff[k] / m_kj[k]
+        offset += scale * obs[k]
+        for z in fv_reads[k].T:  # each other variable z of f_k
+            real = z != tables.pad
+            matrix[rows[real], z[real]] = (scale * compiled.vf_coeff[z])[real]
+    return MeanUpdateSystem(matrix=matrix, offset=offset, edges=graph.vf_edges)
 
 
 def _nonzero_pattern_acyclic(matrix: np.ndarray) -> bool:
@@ -259,9 +253,14 @@ def part_metric(x: Mapping[Edge, float], y: Mapping[Edge, float]) -> float:
     """
     if set(x) != set(y):
         raise ValueError("edge sets differ")
+    return _part_distance(x, x.values(), map(y.__getitem__, x))
+
+
+def _part_distance(edges, xs, ys) -> float:
+    # math.log per entry: np.log is not guaranteed to match libm to the
+    # last bit, and the trace's stop test compares distances near 1e-14.
     distance = 0.0
-    for edge, xv in x.items():
-        yv = y[edge]
+    for edge, xv, yv in zip(edges, xs, ys):
         if xv <= 0 or yv <= 0:
             raise ValueError(f"nonpositive entry at {edge}")
         gap = abs(math.log(xv / yv))
@@ -284,22 +283,22 @@ def rate_trace(
     iterated to a much tighter delta than requested so that distances
     near the 1e-14 floor are still meaningful.  The trace stops once the
     distance drops below the requested tolerance or below the floor,
-    whichever is larger.
+    whichever is larger; a tolerance of 0 or below means the floor.
     """
+    # max() keeps a NaN first argument, so NaN is refused here.
+    stop = engine.check_tolerance(max(tolerance, TRACE_FLOOR))
     reference = fixed_point_precisions(graph, model, tolerance=1e-15)
-    stop = max(tolerance, TRACE_FLOOR)
+    target = engine.values(reference.factor_to_variable, graph.fv_edges).tolist()
+    compiled = engine.compile_model(graph, model)
     state = engine.init_messages(graph, model, strategy or engine.InitStrategy.zero())
+    prec, mean = engine.state_arrays(state, graph.fv_edges)
     points: list[TracePoint] = []
-    for _ in range(max_iters):
-        new = engine.sweep(graph, model, state)
-        mean_delta = 0.0
-        for edge, mean in new.means.items():
-            dm = abs(mean - state.means[edge])
-            if dm > mean_delta:
-                mean_delta = dm
-        distance = part_metric(new.precisions, reference.factor_to_variable)
-        points.append(TracePoint(iteration=new.iteration, distance=distance, mean_delta=mean_delta))
-        state = new
+    for iteration in range(1, max_iters + 1):
+        prec, new_mean = engine.sweep_arrays(compiled, prec, mean)
+        mean_delta = engine.max_delta(mean, new_mean)
+        mean = new_mean
+        distance = _part_distance(graph.fv_edges, prec.tolist(), target)
+        points.append(TracePoint(iteration=iteration, distance=distance, mean_delta=mean_delta))
         if distance < stop:
             break
     return points

@@ -2,7 +2,7 @@
 
 Subcommands: solve, analyze, trace, generate, simulate.  ``analyze`` maps
 its verdict onto the exit code (0 converges, 2 diverges, 3 inconclusive)
-so CI scripts can gate on it; every command exits 1 on a file or
+so CI scripts can gate on it; every command exits 1 on a usage, file or
 validation problem.
 """
 from __future__ import annotations
@@ -31,16 +31,21 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", type=Path, help="model file to read")
-    parser.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance")
-    parser.add_argument("--max-iters", type=int, default=10000, help="sweep/tick budget")
-    parser.add_argument("--init", choices=sorted(_INIT_CHOICES), default="zero",
-                        help="initial message precisions")
-    parser.add_argument("--seed", type=int, help="seed for randomized commands")
-    parser.add_argument("--out", type=Path, help="output file path")
-    parser.add_argument("--oracle", action="store_true",
-                        help="also print the dense solution and deviations")
+_SHARED_FLAGS = {
+    "--model": dict(type=Path, help="model file to read"),
+    "--tol": dict(type=float, default=1e-10, help="convergence tolerance"),
+    "--max-iters": dict(type=int, default=10000, help="sweep/tick budget"),
+    "--init": dict(choices=sorted(_INIT_CHOICES), default="zero",
+                   help="initial message precisions"),
+    "--seed": dict(type=int, help="seed for randomized commands"),
+    "--out": dict(type=Path, help="output file path"),
+    "--oracle": dict(action="store_true", help="also print the dense solution and deviations"),
+}
+
+
+def _shared_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,21 +56,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run message passing and print beliefs")
-    _common_flags(p)
+    _shared_flags(p, "--model", "--tol", "--max-iters", "--init", "--oracle")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("analyze", help="print a convergence certificate")
-    _common_flags(p)
+    _shared_flags(p, "--model", "--tol")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("trace", help="write per-sweep convergence-rate CSV")
-    _common_flags(p)
+    _shared_flags(p, "--model", "--tol", "--max-iters", "--init", "--out")
     p.add_argument("--compare-inits", action="store_true",
                    help="write one trace per init in {zero, L, U}")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("generate", help="write a random model file")
-    _common_flags(p)
+    _shared_flags(p, "--seed", "--out")
     p.add_argument("--kind", choices=generate.KINDS, required=True)
     p.add_argument("--size", type=int, required=True, help="number of variables")
     p.add_argument("--coeff-range", type=float, nargs=2, default=(-2.0, 2.0),
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="run the agent network")
-    _common_flags(p)
+    _shared_flags(p, "--model", "--tol", "--max-iters", "--seed", "--oracle")
     p.add_argument("--schedule", choices=(network.SCHEDULE_SYNCHRONOUS,
                                           network.SCHEDULE_RANDOM_SEQUENTIAL),
                    default=network.SCHEDULE_SYNCHRONOUS)
@@ -207,8 +212,11 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, which is analyze's certified-diverges code.
+        return EXIT_OK if not stop.code else EXIT_ERROR
     try:
         return args.func(args)
     except InvalidModelError as err:

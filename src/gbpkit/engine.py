@@ -11,17 +11,24 @@ are derived from the stored factor-to-variable state each sweep:
                               scope variables of c_j^2 / prec_{j->f});
                               mean = (obs - sum c_j * mean_{j->f}) / c_i.
 
-All arithmetic is plain-float and walks the graph's canonical edge order,
-so two runs over the same model are identical bit for bit.  The
-distributed simulator reuses these kernels; keep them dependency-free.
+The two kernels below are the only place these formulas live.  They take
+Python floats (the per-edge functions and the simulator's agents) or
+float64 arrays: the engine feeds them one column of the graph's edge
+tables at a time, so every message still adds its terms one at a time in
+canonical neighbour order, and padded slots add exact zeros.  Array and
+float evaluation therefore agree bit for bit, and two runs over the same
+model are identical.  Array passes silence numpy's overflow and
+invalid-value warnings: Python floats reach the same inf and NaN silently.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .model import FactorGraph, LinearGaussianModel
+import numpy as np
+
+from .model import EdgeTables, FactorGraph, LinearGaussianModel
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
@@ -46,8 +53,8 @@ class InitStrategy:
 
     ``lower``/``upper`` start from the closed-form envelope of the
     precision recursion (see :func:`edge_bound_dicts`); ``explicit`` takes
-    per-edge values, nonnegative precisions required, missing edges
-    defaulting to zero.
+    per-edge values, finite nonnegative precisions and finite means
+    required, missing edges defaulting to zero.
     """
 
     kind: str
@@ -100,7 +107,19 @@ class RunResult:
     status: str
 
 
-def _variable_message(prior_var: float, incoming: Sequence[ScalarMessage]) -> ScalarMessage:
+def check_tolerance(tolerance: float) -> float:
+    """Return ``tolerance``, or raise unless it is positive (NaN is not)."""
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    return tolerance
+
+
+def _variable_message(prior_var, incoming: Iterable[ScalarMessage]) -> ScalarMessage:
+    """Prior combined with the incoming (precision, mean) pairs.
+
+    Over a variable's other factors this is its message to the remaining
+    one; over all of them, the belief's precision and mean.
+    """
     precision = 1.0 / prior_var
     weighted = 0.0
     for msg_precision, msg_mean in incoming:
@@ -109,28 +128,123 @@ def _variable_message(prior_var: float, incoming: Sequence[ScalarMessage]) -> Sc
     return precision, weighted / precision
 
 
-def _factor_message(
-    target_coeff: float,
-    other_coeffs: Sequence[float],
-    other_messages: Sequence[ScalarMessage],
-    noise_var: float,
-    obs: float,
-) -> ScalarMessage:
+def _factor_sums(others: Iterable[tuple[float, ScalarMessage]], noise_var, obs):
+    """Observation variance and residual given the other scope variables.
+
+    ``others`` yields (coeff, (precision, mean)) per other variable.  The
+    arguments are never updated in place.
+    """
     total_var = noise_var
     residual = obs
-    for coeff, (msg_precision, msg_mean) in zip(other_coeffs, other_messages):
-        total_var += coeff * coeff / msg_precision
-        residual -= coeff * msg_mean
+    for coeff, (msg_precision, msg_mean) in others:
+        total_var = total_var + coeff * coeff / msg_precision
+        residual = residual - coeff * msg_mean
+    return total_var, residual
+
+
+def _factor_message(
+    target_coeff, others: Iterable[tuple[float, ScalarMessage]], noise_var, obs
+) -> ScalarMessage:
+    total_var, residual = _factor_sums(others, noise_var, obs)
     return target_coeff * target_coeff / total_var, residual / target_coeff
 
 
-def _belief_params(prior_var: float, incoming: Sequence[ScalarMessage]) -> tuple[float, float]:
-    precision = 1.0 / prior_var
-    weighted = 0.0
-    for msg_precision, msg_mean in incoming:
-        precision += msg_precision
-        weighted += msg_precision * msg_mean
-    return 1.0 / precision, weighted / precision
+@dataclass(frozen=True)
+class CompiledModel:
+    """A model's parameters along its graph's edge tables.
+
+    ``prior_var`` is per variable, ``vf_*`` per variable-to-factor edge
+    (``vf_coeff`` with a 0.0 pad slot), the rest per factor-to-variable edge.
+    """
+
+    tables: EdgeTables
+    prior_var: np.ndarray
+    vf_prior_var: np.ndarray
+    vf_coeff: np.ndarray
+    coeff: np.ndarray
+    noise_var: np.ndarray
+    obs: np.ndarray
+
+
+def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
+    """``model``'s parameters in ``graph``'s canonical edge orders."""
+    factors = model.factors_by_id
+    return CompiledModel(
+        tables=graph.edge_tables,
+        prior_var=np.array([model.prior_var(v) for v in graph.variable_ids], dtype=float),
+        vf_prior_var=np.array([model.prior_var(v) for v, _ in graph.vf_edges], dtype=float),
+        vf_coeff=np.array([factors[f].coeffs[v] for v, f in graph.vf_edges] + [0.0]),
+        coeff=np.array([factors[f].coeffs[v] for f, v in graph.fv_edges], dtype=float),
+        noise_var=np.array([factors[f].noise_var for f, _ in graph.fv_edges], dtype=float),
+        obs=np.array([factors[f].obs for f, _ in graph.fv_edges], dtype=float),
+    )
+
+
+def _variable_pass(prior_var, reads: np.ndarray, fv_prec: np.ndarray, fv_mean: np.ndarray):
+    """The variable-side kernel for every row of ``reads``."""
+    prec, mean = np.append(fv_prec, 0.0), np.append(fv_mean, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _variable_message(prior_var, ((prec[k], mean[k]) for k in reads.T))
+
+
+def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray):
+    """All variable-to-factor (precisions, means), in ``vf_edges`` order."""
+    return _variable_pass(compiled.vf_prior_var, compiled.tables.vf_reads, fv_prec, fv_mean)
+
+
+def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray):
+    """:func:`sweep` on factor-to-variable (precisions, means) arrays."""
+    vf_prec, vf_mean = vf_messages(compiled, fv_prec, fv_mean)
+    prec, mean = np.append(vf_prec, 1.0), np.append(vf_mean, 0.0)
+    others = ((compiled.vf_coeff[k], (prec[k], mean[k])) for k in compiled.tables.fv_reads.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _factor_message(compiled.coeff, others, compiled.noise_var, compiled.obs)
+
+
+def max_delta(old: np.ndarray, new: np.ndarray) -> float:
+    """Largest |new - old| entry, NaN entries skipped, 0.0 when empty."""
+    with np.errstate(invalid="ignore"):
+        return float(np.fmax.reduce(np.abs(new - old), initial=0.0))
+
+
+def _diverged(means: np.ndarray) -> bool:
+    return not np.all(np.abs(means) <= DIVERGENCE_GUARD)
+
+
+def _status(old_prec, old_mean, new_prec, new_mean, tolerance: float) -> str | None:
+    if _diverged(new_mean):
+        return STATUS_DIVERGED
+    if max(max_delta(old_prec, new_prec), max_delta(old_mean, new_mean)) < tolerance:
+        return STATUS_CONVERGED
+    return None
+
+
+def values(mapping: Mapping, keys) -> np.ndarray:
+    """``mapping``'s values for ``keys``, in that order, as a float64 array."""
+    return np.fromiter(map(mapping.__getitem__, keys), dtype=float, count=len(keys))
+
+
+def state_arrays(state: MessageState, edges) -> tuple[np.ndarray, np.ndarray]:
+    return values(state.precisions, edges), values(state.means, edges)
+
+
+def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: int) -> MessageState:
+    return MessageState(
+        precisions=dict(zip(graph.fv_edges, prec.tolist())),
+        means=dict(zip(graph.fv_edges, mean.tolist())),
+        iteration=iteration,
+    )
+
+
+def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
+    precision, belief_mean = _variable_pass(
+        compiled.prior_var, compiled.tables.belief_reads, prec, mean
+    )
+    return BeliefSet(
+        variances=dict(zip(graph.variable_ids, (1.0 / precision).tolist())),
+        means=dict(zip(graph.variable_ids, belief_mean.tolist())),
+        iteration=iteration,
+    )
 
 
 def edge_bound_dicts(
@@ -144,20 +258,31 @@ def edge_bound_dicts(
     nothing else has been learned.  Every post-first-sweep iterate lies in
     between regardless of initialization.
     """
-    lower: dict[Edge, float] = {}
-    upper: dict[Edge, float] = {}
-    for fid, vid in graph.fv_edges:
-        factor = model.factors_by_id[fid]
-        target = factor.coeffs[vid]
-        upper[(fid, vid)] = target * target / factor.noise_var
-        denom = factor.noise_var
-        for other in graph.factor_neighbors[fid]:
-            if other == vid:
-                continue
-            coeff = factor.coeffs[other]
-            denom += coeff * coeff * model.prior_var(other)
-        lower[(fid, vid)] = target * target / denom
-    return lower, upper
+    compiled = compile_model(graph, model)
+    prior_var = np.append(compiled.vf_prior_var, 0.0)
+    denom = compiled.noise_var
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in compiled.tables.fv_reads.T:
+            coeff = compiled.vf_coeff[k]
+            denom = denom + coeff * coeff * prior_var[k]
+        target = compiled.coeff * compiled.coeff
+        lower, upper = target / denom, target / compiled.noise_var
+    return dict(zip(graph.fv_edges, lower.tolist())), dict(zip(graph.fv_edges, upper.tolist()))
+
+
+def _explicit_values(
+    graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float
+) -> dict[Edge, float]:
+    unknown = set(given) - set(graph.fv_edges)
+    if unknown:
+        raise ValueError(f"explicit init references unknown edges: {sorted(unknown)}")
+    bad = sorted(
+        edge for edge, value in given.items() if not (math.isfinite(value) and value >= low)
+    )
+    if bad:
+        raise ValueError(f"explicit init has invalid {name} at {bad}: precisions must be "
+                         "finite and nonnegative, means finite")
+    return {edge: float(given.get(edge, 0.0)) for edge in graph.fv_edges}
 
 
 def init_messages(
@@ -170,25 +295,22 @@ def init_messages(
         lower, upper = edge_bound_dicts(graph, model)
         precisions = lower if strategy.kind == INIT_LOWER else upper
     elif strategy.kind == INIT_EXPLICIT:
-        given = dict(strategy.precisions or {})
-        unknown = set(given) - set(graph.fv_edges)
-        if unknown:
-            raise ValueError(f"explicit init references unknown edges: {sorted(unknown)}")
-        negative = [edge for edge, value in given.items() if value < 0]
-        if negative:
-            raise ValueError(f"explicit init has negative precisions at {sorted(negative)}")
-        precisions = {edge: float(given.get(edge, 0.0)) for edge in graph.fv_edges}
+        precisions = _explicit_values(graph, strategy.precisions or {}, "precisions", 0.0)
     else:
         raise ValueError(f"unknown init strategy kind {strategy.kind!r}")
 
     if strategy.kind == INIT_EXPLICIT and strategy.means is not None:
-        unknown = set(strategy.means) - set(graph.fv_edges)
-        if unknown:
-            raise ValueError(f"explicit init references unknown edges: {sorted(unknown)}")
-        means = {edge: float(strategy.means.get(edge, 0.0)) for edge in graph.fv_edges}
+        means = _explicit_values(graph, strategy.means, "means", -math.inf)
     else:
         means = {edge: 0.0 for edge in graph.fv_edges}
     return MessageState(precisions=precisions, means=means, iteration=0)
+
+
+def _vf_message_at(graph, model, state: MessageState, position: int) -> ScalarMessage:
+    reads = graph.edge_tables.vf_reads[position]
+    edges = [graph.fv_edges[k] for k in reads if k < len(graph.fv_edges)]
+    incoming = [(state.precisions[edge], state.means[edge]) for edge in edges]
+    return _variable_message(model.prior_var(graph.vf_edges[position][0]), incoming)
 
 
 def variable_to_factor(
@@ -198,13 +320,7 @@ def variable_to_factor(
     edge: Edge,
 ) -> ScalarMessage:
     """Message for a directed (variable, factor) edge from the current state."""
-    vid, fid = edge
-    incoming = [
-        (state.precisions[(other, vid)], state.means[(other, vid)])
-        for other in graph.variable_neighbors[vid]
-        if other != fid
-    ]
-    return _variable_message(model.prior_var(vid), incoming)
+    return _vf_message_at(graph, model, state, graph.edge_tables.vf_position[edge])
 
 
 def factor_to_variable(
@@ -221,39 +337,19 @@ def factor_to_variable(
     """
     fid, vid = edge
     factor = model.factors_by_id[fid]
-    others = [v for v in graph.factor_neighbors[fid] if v != vid]
-    other_msgs = [variable_to_factor(graph, model, state, (v, fid)) for v in others]
-    return _factor_message(
-        factor.coeffs[vid],
-        [factor.coeffs[v] for v in others],
-        other_msgs,
-        factor.noise_var,
-        factor.obs,
-    )
+    others = [
+        (factor.coeffs[graph.vf_edges[k][0]], _vf_message_at(graph, model, state, k))
+        for k in graph.edge_tables.fv_reads[graph.edge_tables.fv_position[edge]]
+        if k < len(graph.vf_edges)
+    ]
+    return _factor_message(factor.coeffs[vid], others, factor.noise_var, factor.obs)
 
 
 def sweep(graph: FactorGraph, model: LinearGaussianModel, state: MessageState) -> MessageState:
     """One synchronous round: all variable-to-factor messages from the
     previous state, then all factor-to-variable messages from those."""
-    vf: dict[Edge, ScalarMessage] = {}
-    for vid, fid in graph.vf_edges:
-        vf[(vid, fid)] = variable_to_factor(graph, model, state, (vid, fid))
-
-    precisions: dict[Edge, float] = {}
-    means: dict[Edge, float] = {}
-    for fid, vid in graph.fv_edges:
-        factor = model.factors_by_id[fid]
-        others = [v for v in graph.factor_neighbors[fid] if v != vid]
-        precision, mean = _factor_message(
-            factor.coeffs[vid],
-            [factor.coeffs[v] for v in others],
-            [vf[(v, fid)] for v in others],
-            factor.noise_var,
-            factor.obs,
-        )
-        precisions[(fid, vid)] = precision
-        means[(fid, vid)] = mean
-    return MessageState(precisions=precisions, means=means, iteration=state.iteration + 1)
+    prec, mean = sweep_arrays(compile_model(graph, model), *state_arrays(state, graph.fv_edges))
+    return _state(graph, prec, mean, state.iteration + 1)
 
 
 def compute_beliefs(
@@ -265,37 +361,13 @@ def compute_beliefs(
     once messages have settled; on loopy graphs the means are exact at
     convergence while the variances are approximations.
     """
-    variances: dict[str, float] = {}
-    means: dict[str, float] = {}
-    for vid in graph.variable_ids:
-        incoming = [
-            (state.precisions[(fid, vid)], state.means[(fid, vid)])
-            for fid in graph.variable_neighbors[vid]
-        ]
-        variance, mean = _belief_params(model.prior_var(vid), incoming)
-        variances[vid] = variance
-        means[vid] = mean
-    return BeliefSet(variances=variances, means=means, iteration=state.iteration)
-
-
-def max_message_delta(old: MessageState, new: MessageState) -> float:
-    """Max-norm change across precisions and means, 0.0 for an edgeless graph."""
-    delta = 0.0
-    for edge, precision in new.precisions.items():
-        dp = abs(precision - old.precisions[edge])
-        if dp > delta:
-            delta = dp
-        dm = abs(new.means[edge] - old.means[edge])
-        if dm > delta:
-            delta = dm
-    return delta
+    prec, mean = state_arrays(state, graph.fv_edges)
+    return _beliefs(graph, compile_model(graph, model), prec, mean, state.iteration)
 
 
 def state_diverged(state: MessageState) -> bool:
-    for mean in state.means.values():
-        if not math.isfinite(mean) or abs(mean) > DIVERGENCE_GUARD:
-            return True
-    return False
+    """True when any mean is non-finite or beyond ``DIVERGENCE_GUARD``."""
+    return _diverged(values(state.means, state.means.keys()))
 
 
 def step_status(old: MessageState, new: MessageState, tolerance: float) -> str | None:
@@ -304,11 +376,8 @@ def step_status(old: MessageState, new: MessageState, tolerance: float) -> str |
     The simulator calls this with its own mirrored states; engine and
     simulator must share the exact comparison sequence.
     """
-    if state_diverged(new):
-        return STATUS_DIVERGED
-    if max_message_delta(old, new) < tolerance:
-        return STATUS_CONVERGED
-    return None
+    edges = new.precisions.keys()
+    return _status(*state_arrays(old, edges), *state_arrays(new, edges), tolerance)
 
 
 def run(
@@ -319,17 +388,22 @@ def run(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RunResult:
     """Sweep until messages settle, the guard trips, or the budget runs out."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tolerance)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    state = init_messages(graph, model, strategy or InitStrategy.zero())
+    compiled = compile_model(graph, model)
+    init = init_messages(graph, model, strategy or InitStrategy.zero())
+    prec, mean = state_arrays(init, graph.fv_edges)
     status = STATUS_MAX_ITERS
-    for _ in range(max_iters):
-        new = sweep(graph, model, state)
-        outcome = step_status(state, new, tolerance)
-        state = new
+    for iteration in range(1, max_iters + 1):
+        new_prec, new_mean = sweep_arrays(compiled, prec, mean)
+        outcome = _status(prec, mean, new_prec, new_mean, tolerance)
+        prec, mean = new_prec, new_mean
         if outcome is not None:
             status = outcome
             break
-    return RunResult(beliefs=compute_beliefs(graph, model, state), state=state, status=status)
+    return RunResult(
+        beliefs=_beliefs(graph, compiled, prec, mean, iteration),
+        state=_state(graph, prec, mean, iteration),
+        status=status,
+    )

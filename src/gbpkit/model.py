@@ -68,6 +68,28 @@ class LinearGaussianModel:
 
 
 @dataclass(frozen=True)
+class EdgeTables:
+    """Which messages each message reads, as arrays of edge positions.
+
+    Row k of ``vf_reads`` holds the ``fv_edges`` positions read by
+    ``vf_edges[k]`` (its variable's other factors), row k of ``fv_reads``
+    the ``vf_edges`` positions read by ``fv_edges[k]`` (its factor's other
+    variables), row i of ``belief_reads`` the ``fv_edges`` positions into
+    variable i.  Rows keep canonical neighbour order and are padded on the
+    right with ``pad``, one past the last edge: a slot callers fill with a
+    value that contributes nothing.  ``fv_position`` and ``vf_position``
+    map each directed edge to its position.
+    """
+
+    pad: int
+    fv_position: Mapping[tuple[str, str], int]
+    vf_position: Mapping[tuple[str, str], int]
+    vf_reads: np.ndarray
+    fv_reads: np.ndarray
+    belief_reads: np.ndarray
+
+
+@dataclass(frozen=True)
 class FactorGraph:
     """Bipartite variable/factor graph with frozen canonical orderings.
 
@@ -87,6 +109,28 @@ class FactorGraph:
     factor_neighbors: Mapping[str, tuple[str, ...]]
     fv_edges: tuple[tuple[str, str], ...]
     vf_edges: tuple[tuple[str, str], ...]
+
+    @cached_property
+    def edge_tables(self) -> EdgeTables:
+        """Integer form of the graph, built on first use and kept."""
+        fv = {edge: k for k, edge in enumerate(self.fv_edges)}
+        vf = {edge: k for k, edge in enumerate(self.vf_edges)}
+        pad = len(fv)
+
+        def table(rows: list[list[int]]) -> np.ndarray:
+            width = max(map(len, rows), default=0)
+            padded = [row + [pad] * (width - len(row)) for row in rows]
+            return np.array(padded, dtype=np.intp).reshape(len(rows), width)
+
+        by_v, by_f = self.variable_neighbors, self.factor_neighbors
+        return EdgeTables(
+            pad=pad,
+            fv_position=fv,
+            vf_position=vf,
+            vf_reads=table([[fv[g, v] for g in by_v[v] if g != f] for v, f in self.vf_edges]),
+            fv_reads=table([[vf[z, f] for z in by_f[f] if z != v] for f, v in self.fv_edges]),
+            belief_reads=table([[fv[g, v] for g in by_v[v]] for v in self.variable_ids]),
+        )
 
 
 @dataclass(frozen=True)

@@ -86,22 +86,21 @@ class Agent:
         out = []
         for factor in self.hosted_factors:
             for k, target in enumerate(factor.scope):
-                other_coeffs = []
-                other_msgs = []
-                for v, coeff in zip(factor.scope, factor.coeffs):
-                    if v == target:
-                        continue
-                    other_coeffs.append(coeff)
-                    other_msgs.append(self.vf_inbox[(v, factor.id)])
+                others = [
+                    (coeff, self.vf_inbox[(v, factor.id)])
+                    for v, coeff in zip(factor.scope, factor.coeffs)
+                    if v != target
+                ]
                 message = engine._factor_message(
-                    factor.coeffs[k], other_coeffs, other_msgs, factor.noise_var, factor.obs
+                    factor.coeffs[k], others, factor.noise_var, factor.obs
                 )
                 out.append(((factor.id, target), message))
         return out
 
     def belief(self) -> tuple[float, float]:
         incoming = [self.fv_inbox[fid] for fid in self.factor_neighbors]
-        return engine._belief_params(self.prior_var, incoming)
+        precision, mean = engine._variable_message(self.prior_var, incoming)
+        return 1.0 / precision, mean
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,9 @@ def simulate(
     messages; the run is converged once every agent has taken a turn
     without moving any message by the tolerance or more.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    engine.check_tolerance(tolerance)
+    if max_ticks < 1:
+        raise ValueError("max_ticks must be at least 1")
     graph = build_factor_graph(model)
     log_rows: list | None = [] if log_path is not None else None
     agents, variable_host, factor_host = build_agents(graph, model)

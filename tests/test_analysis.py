@@ -144,6 +144,10 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             fixed_point_precisions(loop_graph, loop_model, tolerance=0.0)
 
+    def test_nan_tolerance_rejected(self, loop_graph, loop_model):
+        with pytest.raises(ValueError, match="tolerance"):
+            fixed_point_precisions(loop_graph, loop_model, tolerance=math.nan)
+
 
 class TestMeanSystem:
     def test_loop_zero_pattern(self, loop_graph, loop_model):
@@ -342,6 +346,10 @@ class TestRateTrace:
         points = rate_trace(loop_graph, loop_model, tolerance=0.0)
         assert points[-1].distance < 1e-14
         assert points[-2].distance >= 1e-14
+
+    def test_nan_tolerance_rejected(self, loop_graph, loop_model):
+        with pytest.raises(ValueError, match="tolerance"):
+            rate_trace(loop_graph, loop_model, tolerance=math.nan)
 
     def test_lower_start_no_slower_than_zero(self, loop_graph, loop_model):
         from_zero = rate_trace(loop_graph, loop_model, InitStrategy.zero())

@@ -77,6 +77,10 @@ class TestAnalyze:
         assert "(not walk-summable)" in out
         assert "verdict: certified-converges (topology)" in out
 
+    def test_nan_tolerance(self, model_file, capsys):
+        assert main(["analyze", "--model", str(model_file), "--tol", "nan"]) == EXIT_ERROR
+        assert "tolerance" in capsys.readouterr().err
+
     def test_divergent_model_exit_code(self, divergent_file, capsys):
         assert main(["analyze", "--model", str(divergent_file)]) == EXIT_DIVERGES
         assert "verdict: certified-diverges" in capsys.readouterr().out
@@ -149,6 +153,10 @@ class TestSimulate:
         assert "status: converged after" in out
         assert "messages)" in out
 
+    def test_init_flag_refused(self, model_file, capsys):
+        assert main(["simulate", "--model", str(model_file), "--init", "U"]) == EXIT_ERROR
+        assert "unrecognized arguments: --init" in capsys.readouterr().err
+
     def test_random_sequential_needs_seed(self, model_file, capsys):
         code = main([
             "simulate", "--model", str(model_file), "--schedule", "random-sequential",
@@ -177,6 +185,16 @@ class TestErrorPaths:
         code = main(["solve", "--model", str(tmp_path / "nope.json")])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_usage_error_exits_one(self, model_file, capsys):
+        # argparse would exit 2, the code analyze reserves for certified-diverges
+        code = main(["analyze", "--model", str(model_file), "--tol", "abc"])
+        assert code == EXIT_ERROR
+        assert "invalid float value" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["solve", "--help"]) == EXIT_OK
+        assert "--model" in capsys.readouterr().out
 
     def test_model_flag_required(self, capsys):
         assert main(["solve"]) == EXIT_ERROR

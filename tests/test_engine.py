@@ -23,6 +23,7 @@ from gbpkit import (
     compute_beliefs,
     dense_posterior,
     factor_to_variable,
+    generate_model,
     generate_random_loopy,
     init_messages,
     run,
@@ -30,6 +31,7 @@ from gbpkit import (
     variable_to_factor,
     with_observations,
 )
+from gbpkit.generate import KINDS
 
 import helpers
 
@@ -76,6 +78,14 @@ class TestInitStrategies:
         with pytest.raises(ValueError, match="unknown edges"):
             init_messages(loop_graph, loop_model, InitStrategy.explicit({("f9", "x1"): 1.0}))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_explicit_non_finite_rejected(self, loop_graph, loop_model, value):
+        edge = ("f2", "x1")
+        with pytest.raises(ValueError, match="invalid precisions"):
+            init_messages(loop_graph, loop_model, InitStrategy.explicit({edge: value}))
+        with pytest.raises(ValueError, match="invalid means"):
+            init_messages(loop_graph, loop_model, InitStrategy.explicit({edge: 1.0}, {edge: value}))
+
 
 class TestSingleEdgeMessages:
     def test_leaf_variable_message(self):
@@ -104,16 +114,21 @@ class TestSingleEdgeMessages:
         assert precision == 0.5
         assert mean == 3.0
 
-    def test_sweep_equals_composed_map_bitwise(self, loop_graph, loop_model):
-        state = init_messages(loop_graph, loop_model, InitStrategy.zero())
-        for _ in range(3):
-            new = sweep(loop_graph, loop_model, state)
-            for edge in loop_graph.fv_edges:
-                assert factor_to_variable(loop_graph, loop_model, state, edge) == (
-                    new.precisions[edge],
-                    new.means[edge],
-                )
-            state = new
+    def test_sweep_equals_composed_map_bitwise(self, loop_model):
+        # The generated models reach higher degrees, so the sweep's padded
+        # table columns are compared with the unpadded single-edge path.
+        models = [loop_model] + [generate_model(kind, 200, seed=5) for kind in KINDS]
+        for model in models:
+            graph = build_factor_graph(model)
+            state = init_messages(graph, model, InitStrategy.zero())
+            for _ in range(3):
+                new = sweep(graph, model, state)
+                for edge in graph.fv_edges:
+                    assert factor_to_variable(graph, model, state, edge) == (
+                        new.precisions[edge],
+                        new.means[edge],
+                    )
+                state = new
 
 
 class TestSweepProperties:
@@ -207,6 +222,10 @@ class TestRun:
             run(loop_graph, loop_model, tolerance=0.0)
         with pytest.raises(ValueError):
             run(loop_graph, loop_model, max_iters=0)
+
+    def test_nan_tolerance_rejected(self, loop_graph, loop_model):
+        with pytest.raises(ValueError, match="tolerance"):
+            run(loop_graph, loop_model, tolerance=math.nan)
 
     def test_loop_means_match_oracle(self, loop_graph, loop_model):
         result = run(loop_graph, loop_model)

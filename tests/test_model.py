@@ -16,12 +16,14 @@ from gbpkit import (
     build_factor_graph,
     classify_topology,
     find_violations,
+    generate_model,
     lingauss_to_gmrf,
     load_model,
     save_model,
     validate_model,
     with_observations,
 )
+from gbpkit.generate import KINDS
 from gbpkit.model import dumps_model, loads_model
 
 import helpers
@@ -123,6 +125,34 @@ class TestFactorGraph:
     def test_invalid_model_rejected(self):
         with pytest.raises(InvalidModelError):
             build_factor_graph(tiny_model(prior_var=-2.0))
+
+    def test_edge_tables_built_on_first_use_only(self, loop_model):
+        graph = build_factor_graph(loop_model)
+        assert "edge_tables" not in vars(graph)
+        assert graph.edge_tables is graph.edge_tables
+
+    @pytest.mark.parametrize("kind", ["loop", *KINDS])
+    def test_edge_tables_match_neighbor_walk(self, loop_model, kind):
+        model = loop_model if kind == "loop" else generate_model(kind, 60, seed=4)
+        graph = build_factor_graph(model)
+        tables = graph.edge_tables
+
+        def named(edges, row):
+            real = [k for k in row if k != tables.pad]
+            assert list(row[len(real):]) == [tables.pad] * (len(row) - len(real))
+            return [edges[k] for k in real]
+
+        for k, (vid, fid) in enumerate(graph.vf_edges):
+            others = [(g, vid) for g in graph.variable_neighbors[vid] if g != fid]
+            assert named(graph.fv_edges, tables.vf_reads[k]) == others
+            assert tables.vf_position[(vid, fid)] == k
+        for k, (fid, vid) in enumerate(graph.fv_edges):
+            others = [(z, fid) for z in graph.factor_neighbors[fid] if z != vid]
+            assert named(graph.vf_edges, tables.fv_reads[k]) == others
+            assert tables.fv_position[(fid, vid)] == k
+        for i, vid in enumerate(graph.variable_ids):
+            into = [(g, vid) for g in graph.variable_neighbors[vid]]
+            assert named(graph.fv_edges, tables.belief_reads[i]) == into
 
 
 class TestInformationForm:

@@ -170,6 +170,14 @@ class TestEdgesAndValidation:
         with pytest.raises(ValueError):
             simulate(loop_model, Schedule.synchronous(), tolerance=0.0)
 
+    def test_nan_tolerance_rejected(self, loop_model):
+        with pytest.raises(ValueError, match="tolerance"):
+            simulate(loop_model, Schedule.synchronous(), tolerance=float("nan"))
+
+    def test_tick_budget_must_be_positive(self, loop_model):
+        with pytest.raises(ValueError, match="max_ticks"):
+            simulate(loop_model, Schedule.synchronous(), max_ticks=0)
+
     def test_empty_model(self):
         model = LinearGaussianModel((), ())
         for schedule in (Schedule.synchronous(), Schedule.random_sequential(seed=0)):
