@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import engine
 from .model import (
@@ -186,31 +188,12 @@ def build_mean_system(
     return MeanUpdateSystem(matrix=matrix, offset=offset, edges=graph.vf_edges)
 
 
-def _nonzero_pattern_acyclic(matrix: np.ndarray) -> bool:
-    """Kahn peel of the nonzero digraph; True when no directed cycle exists."""
-    dim = matrix.shape[0]
-    succ = [np.flatnonzero(matrix[row]) for row in range(dim)]
-    indegree = np.zeros(dim, dtype=int)
-    for row in range(dim):
-        for col in succ[row]:
-            indegree[col] += 1
-    stack = [node for node in range(dim) if indegree[node] == 0]
-    removed = 0
-    while stack:
-        node = stack.pop()
-        removed += 1
-        for col in succ[node]:
-            indegree[col] -= 1
-            if indegree[col] == 0:
-                stack.append(col)
-    return removed == dim
-
-
 def spectral_radius(matrix) -> float:
     """Largest eigenvalue magnitude of a real square matrix.
 
-    Dense nonsymmetric eigensolve, with one exact shortcut: when the
-    nonzero pattern is acyclic the matrix is structurally nilpotent and
+    Dense nonsymmetric eigensolve, with one exact shortcut: a zero
+    diagonal and single-node strong components of the nonzero digraph
+    mean no directed cycle, so the matrix is structurally nilpotent and
     the radius is exactly 0.  The shortcut matters because numerically
     computed eigenvalues of a defective nilpotent matrix can be as large
     as eps**(1/m) for nilpotency index m, a wildly wrong answer for the
@@ -221,25 +204,42 @@ def spectral_radius(matrix) -> float:
         raise ValueError("expected a square matrix")
     if array.size == 0:
         return 0.0
-    if not np.all(np.isfinite(array)):
+    # Non-finite entries are nonzero, so checking the nonzeros suffices.
+    nonzero = np.flatnonzero(array != 0)
+    if not np.all(np.isfinite(array.flat[nonzero])):
         raise ValueError("matrix has non-finite entries")
-    if _nonzero_pattern_acyclic(array):
-        return 0.0
+    if not np.any(np.diagonal(array)):
+        ends = np.divmod(nonzero, len(array))  # (row, column) of each nonzero
+        pattern = csr_matrix((np.ones(nonzero.size), ends), shape=array.shape)
+        if connected_components(pattern, connection="strong")[0] == len(array):
+            return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(array))))
 
 
 def walk_summability(gmrf: GMRFModel) -> WalkSummability:
-    """Spectral radius of |I - J| after normalizing J to unit diagonal."""
+    """Spectral radius of |I - R|, R being J normalized to unit diagonal.
+
+    |I - R| is symmetric and nonnegative: its radius is its Perron root,
+    the largest |eigenvalue| from a symmetric eigensolve.  That solve
+    reads one triangle only, so a non-symmetric J is refused.
+    """
     info = gmrf.information_matrix
     dim = info.shape[0]
     if dim == 0:
         return WalkSummability(radius=0.0, is_walk_summable=True)
+    if not np.all(np.isfinite(info)):
+        raise ValueError("information matrix has non-finite entries")
+    if not np.array_equal(info, info.T):
+        raise ValueError("information matrix is not symmetric")
     diag = np.diag(info)
     if np.any(diag <= 0):
         raise ValueError("information matrix has a nonpositive diagonal entry")
     scale = 1.0 / np.sqrt(diag)
-    normalized = info * scale[:, None] * scale[None, :]
-    radius = spectral_radius(np.abs(np.eye(dim) - normalized))
+    walk = info * scale[:, None]
+    walk *= -scale[None, :]
+    walk.flat[:: dim + 1] += 1.0
+    np.abs(walk, out=walk)
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(walk))))
     return WalkSummability(radius=radius, is_walk_summable=radius < 1.0)
 
 

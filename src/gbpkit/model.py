@@ -112,24 +112,30 @@ class FactorGraph:
 
     @cached_property
     def edge_tables(self) -> EdgeTables:
-        """Integer form of the graph, built on first use and kept."""
-        fv = {edge: k for k, edge in enumerate(self.fv_edges)}
-        vf = {edge: k for k, edge in enumerate(self.vf_edges)}
-        pad = len(fv)
+        """Integer form of the graph, built on first use without per-edge objects."""
+        pad = len(self.fv_edges)
+        fv_f = np.fromiter((self.factor_order[f] for f, _ in self.fv_edges), np.intp, pad)
+        fv_v = np.fromiter((self.variable_order[v] for _, v in self.fv_edges), np.intp, pad)
+        vf_to_fv = np.lexsort((fv_f, fv_v))  # vf_edges order: variable, then factor
 
-        def table(rows: list[list[int]]) -> np.ndarray:
-            width = max(map(len, rows), default=0)
-            padded = [row + [pad] * (width - len(row)) for row in rows]
-            return np.array(padded, dtype=np.intp).reshape(len(rows), width)
+        def reads(group, members, count):
+            """Each sorted group's members padded, and per member the others."""
+            sizes = np.bincount(group, minlength=count)
+            slot = np.arange(pad) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            table = np.full((count, sizes.max(initial=0)), pad, dtype=np.intp)
+            table[group, slot] = members
+            cols = np.arange(max(table.shape[1] - 1, 0))
+            return table, table[group[:, None], cols + (cols >= slot[:, None])]
 
-        by_v, by_f = self.variable_neighbors, self.factor_neighbors
+        belief_reads, vf_reads = reads(fv_v[vf_to_fv], vf_to_fv, len(self.variable_ids))
+        _, fv_reads = reads(fv_f, np.argsort(vf_to_fv), len(self.factor_ids))
         return EdgeTables(
             pad=pad,
-            fv_position=fv,
-            vf_position=vf,
-            vf_reads=table([[fv[g, v] for g in by_v[v] if g != f] for v, f in self.vf_edges]),
-            fv_reads=table([[vf[z, f] for z in by_f[f] if z != v] for f, v in self.fv_edges]),
-            belief_reads=table([[fv[g, v] for g in by_v[v]] for v in self.variable_ids]),
+            fv_position={edge: k for k, edge in enumerate(self.fv_edges)},
+            vf_position={edge: k for k, edge in enumerate(self.vf_edges)},
+            vf_reads=vf_reads,
+            fv_reads=fv_reads,
+            belief_reads=belief_reads,
         )
 
 
@@ -249,32 +255,31 @@ def lingauss_to_gmrf(model: LinearGaussianModel) -> GMRFModel:
     """Information form of the posterior.
 
     J = C^T diag(1/noise_var) C + diag(1/prior_var) and
-    h = C^T diag(1/noise_var) obs, where C stacks the factor coefficient
-    rows in canonical order.  J is symmetrized explicitly to scrub the
-    ulp-level asymmetry a BLAS product can introduce.
+    h = C^T diag(1/noise_var) obs, C stacking the factor coefficient rows.
+    Factors add (c_i * c_j) / noise_var over their scope to J, and
+    c_i * (obs / noise_var) to h, in canonical order, so J[i, j] and
+    J[j, i] sum the same terms in the same order: J is exactly symmetric.
     """
     validate_model(model)
     n_vars = len(model.variables)
-    n_factors = len(model.factors)
     variable_order = {v.id: k for k, v in enumerate(model.variables)}
 
-    coeff_matrix = np.zeros((n_factors, n_vars))
-    noise = np.empty(n_factors)
-    obs = np.empty(n_factors)
-    for n, f in enumerate(model.factors):
-        noise[n] = f.noise_var
-        obs[n] = f.obs
-        for vid, c in f.coeffs.items():
-            coeff_matrix[n, variable_order[vid]] = c
+    cells, terms, rows, shares = [], [], [], []
+    for f in model.factors:
+        scope = [(variable_order[vid], c) for vid, c in f.coeffs.items()]
+        for i, ci in scope:
+            rows.append(i)
+            shares.append(ci * (f.obs / f.noise_var))
+            for j, cj in scope:
+                cells.append(i * n_vars + j)
+                terms.append((ci * cj) / f.noise_var)
 
-    prior_prec = np.array([1.0 / v.prior_var for v in model.variables])
-    if n_factors:
-        info = coeff_matrix.T @ (coeff_matrix / noise[:, None]) + np.diag(prior_prec)
-        potential = coeff_matrix.T @ (obs / noise)
-    else:
-        info = np.diag(prior_prec)
-        potential = np.zeros(n_vars)
-    info = (info + info.T) / 2.0
+    # add.at is unbuffered: repeated cells accumulate in list order.
+    info = np.zeros((n_vars, n_vars))
+    np.add.at(info.reshape(-1), cells, terms)
+    info.flat[:: n_vars + 1] += [1.0 / v.prior_var for v in model.variables]
+    potential = np.zeros(n_vars)
+    np.add.at(potential, rows, shares)
     return GMRFModel(
         information_matrix=info,
         potential=potential,

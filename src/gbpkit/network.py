@@ -118,41 +118,37 @@ def build_agents(
     """Agents plus the variable->agent and factor->agent assignment."""
     variable_host = {vid: k for k, vid in enumerate(graph.variable_ids)}
     factor_host: dict[str, int] = {}
-    for k, fid in enumerate(graph.factor_ids):
+    hosted: dict[int, list[HostedFactor]] = {}
+    for k, (fid, factor) in enumerate(zip(graph.factor_ids, model.factors)):
+        # Scopes are in canonical variable order: scope[0] is the lowest.
+        scope = graph.factor_neighbors[fid]
         if k < len(graph.variable_ids):
-            factor_host[fid] = k
-        elif graph.factor_neighbors[fid]:
-            lowest = min(graph.factor_neighbors[fid], key=graph.variable_order.__getitem__)
-            factor_host[fid] = variable_host[lowest]
+            host = k
+        elif scope:
+            host = variable_host[scope[0]]
         else:
-            factor_host[fid] = 0
-
-    agents: list[Agent] = []
-    for k, vid in enumerate(graph.variable_ids):
-        hosted = []
-        for fid in graph.factor_ids:
-            if factor_host[fid] != k:
-                continue
-            factor = model.factors_by_id[fid]
-            scope = graph.factor_neighbors[fid]
-            hosted.append(
-                HostedFactor(
-                    id=fid,
-                    scope=scope,
-                    coeffs=tuple(factor.coeffs[v] for v in scope),
-                    noise_var=factor.noise_var,
-                    obs=factor.obs,
-                )
-            )
-        agents.append(
-            Agent(
-                variable_id=vid,
-                prior_var=model.prior_var(vid),
-                factor_neighbors=graph.variable_neighbors[vid],
-                hosted_factors=tuple(hosted),
-                fv_inbox={fid: (0.0, 0.0) for fid in graph.variable_neighbors[vid]},
+            host = 0
+        factor_host[fid] = host
+        hosted.setdefault(host, []).append(
+            HostedFactor(
+                id=fid,
+                scope=scope,
+                coeffs=tuple(factor.coeffs[v] for v in scope),
+                noise_var=factor.noise_var,
+                obs=factor.obs,
             )
         )
+
+    agents = [
+        Agent(
+            variable_id=vid,
+            prior_var=model.prior_var(vid),
+            factor_neighbors=graph.variable_neighbors[vid],
+            hosted_factors=tuple(hosted.get(k, ())),
+            fv_inbox={fid: (0.0, 0.0) for fid in graph.variable_neighbors[vid]},
+        )
+        for k, vid in enumerate(graph.variable_ids)
+    ]
     return agents, variable_host, factor_host
 
 

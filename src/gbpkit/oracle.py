@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -19,17 +20,15 @@ class ExactPosterior:
     covariance: np.ndarray
     variable_ids: tuple[str, ...]
 
-    def _index(self, var_id: str) -> int:
-        try:
-            return self.variable_ids.index(var_id)
-        except ValueError:
-            raise KeyError(var_id) from None
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {vid: k for k, vid in enumerate(self.variable_ids)}
 
     def mean_of(self, var_id: str) -> float:
-        return float(self.mean[self._index(var_id)])
+        return float(self.mean[self._positions[var_id]])
 
     def variance_of(self, var_id: str) -> float:
-        k = self._index(var_id)
+        k = self._positions[var_id]
         return float(self.covariance[k, k])
 
 

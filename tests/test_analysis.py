@@ -29,6 +29,7 @@ from gbpkit import (
     certify,
     classify_topology,
     fixed_point_precisions,
+    generate_model,
     generate_random_loopy,
     init_messages,
     lingauss_to_gmrf,
@@ -42,6 +43,7 @@ from gbpkit import (
     variable_to_factor,
     walk_summability,
 )
+from gbpkit.generate import KINDS
 
 import helpers
 
@@ -233,11 +235,38 @@ class TestSpectralRadius:
         triangular = np.triu(np.ones((6, 6)), k=1)
         assert spectral_radius(triangular) == 0.0
 
+    def test_permuted_strictly_triangular_is_exactly_zero(self):
+        rng = np.random.default_rng(11)
+        matrix = np.triu(rng.uniform(-1.0, 1.0, size=(300, 300)), k=1)
+        order = rng.permutation(300)
+        assert spectral_radius(matrix[np.ix_(order, order)]) == 0.0
+
+    def test_self_loops_are_not_nilpotent(self):
+        rng = np.random.default_rng(12)
+        matrix = np.triu(rng.uniform(-1.0, 1.0, size=(30, 30)))
+        expected = np.max(np.abs(np.diag(matrix)))
+        assert spectral_radius(matrix) == pytest.approx(expected, rel=1e-12)
+        single = np.diag(np.full(8, 0.3), k=1)
+        single[5, 5] = -0.7
+        assert spectral_radius(single) == pytest.approx(0.7, rel=1e-12)
+
+    def test_one_cyclic_block_decides(self):
+        # Strictly upper triangular apart from a 2x2 cyclic diagonal block,
+        # whose eigenvalues +-sqrt(a*b) are the only nonzero ones.
+        rng = np.random.default_rng(13)
+        matrix = np.triu(rng.uniform(-1.0, 1.0, size=(40, 40)), k=1)
+        matrix[20, 21], matrix[21, 20] = 0.5, 0.8
+        order = rng.permutation(40)
+        permuted = matrix[np.ix_(order, order)]
+        assert spectral_radius(permuted) == pytest.approx(math.sqrt(0.4), rel=1e-12)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             spectral_radius(np.ones((2, 3)))
         with pytest.raises(ValueError):
             spectral_radius([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):  # off the diagonal of a nilpotent pattern
+            spectral_radius([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(ValueError):
             spectral_radius(np.ones(4))
 
@@ -258,6 +287,19 @@ class TestWalkSummability:
         expected = float(np.max(np.abs(np.linalg.eigvalsh(absolute))))
         assert walk_summability(gmrf).radius == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_general_eigensolve(self, kind):
+        # The general nonsymmetric solve of |I - R| is the reference.
+        for seed in (1, 2, 3):
+            info = lingauss_to_gmrf(generate_model(kind, 200, seed)).information_matrix
+            scale = 1.0 / np.sqrt(np.diag(info))
+            normalized = info * scale[:, None] * scale[None, :]
+            absolute = np.abs(np.eye(len(info)) - normalized)
+            expected = float(np.max(np.abs(np.linalg.eigvals(absolute))))
+            walk = walk_summability(GMRFModel(info, np.zeros(len(info)), ()))
+            assert abs(walk.radius - expected) <= 1e-12 * max(1.0, expected)
+            assert walk.is_walk_summable == (expected < 1.0)
+
     def test_chain_is_walk_summable(self):
         gmrf = lingauss_to_gmrf(helpers.chain_model(6))
         walk = walk_summability(gmrf)
@@ -273,6 +315,23 @@ class TestWalkSummability:
         info = np.array([[0.0, 0.1], [0.1, 1.0]])
         gmrf = GMRFModel(information_matrix=info, potential=np.zeros(2), variable_ids=("a", "b"))
         with pytest.raises(ValueError, match="diagonal"):
+            walk_summability(gmrf)
+
+    def test_non_symmetric_rejected(self):
+        info = np.array([[1.0, 0.1], [0.2, 1.0]])
+        gmrf = GMRFModel(information_matrix=info, potential=np.zeros(2), variable_ids=("a", "b"))
+        with pytest.raises(ValueError, match="symmetric"):
+            walk_summability(gmrf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        info = np.array([[1.0, bad], [bad, 1.0]])
+        gmrf = GMRFModel(information_matrix=info, potential=np.zeros(2), variable_ids=("a", "b"))
+        with pytest.raises(ValueError, match="non-finite"):
+            walk_summability(gmrf)
+        info = np.array([[bad, 0.1], [0.1, 1.0]])
+        gmrf = GMRFModel(information_matrix=info, potential=np.zeros(2), variable_ids=("a", "b"))
+        with pytest.raises(ValueError, match="non-finite"):
             walk_summability(gmrf)
 
     def test_empty_model(self):

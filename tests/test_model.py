@@ -192,6 +192,26 @@ class TestInformationForm:
         info = lingauss_to_gmrf(loop_model).information_matrix
         assert np.array_equal(info, info.T)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_models_match_dense_formula(self, kind):
+        # Reference: J = C^T diag(1/noise) C + diag(1/prior), h = C^T (obs/noise).
+        for seed in (1, 2, 3):
+            model = generate_model(kind, 200, seed)
+            gmrf = lingauss_to_gmrf(model)
+            order = {v.id: k for k, v in enumerate(model.variables)}
+            coeff = np.zeros((len(model.factors), len(model.variables)))
+            for n, f in enumerate(model.factors):
+                for vid, c in f.coeffs.items():
+                    coeff[n, order[vid]] = c
+            noise = np.array([f.noise_var for f in model.factors])
+            obs = np.array([f.obs for f in model.factors])
+            prior = np.array([1.0 / v.prior_var for v in model.variables])
+            info = coeff.T @ (coeff / noise[:, None]) + np.diag(prior)
+            potential = coeff.T @ (obs / noise)
+            assert np.array_equal(gmrf.information_matrix, gmrf.information_matrix.T)
+            np.testing.assert_allclose(gmrf.information_matrix, info, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(gmrf.potential, potential, rtol=1e-13, atol=0)
+
 
 class TestTopology:
     def test_loop_model_single_loop(self, loop_graph):

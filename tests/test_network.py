@@ -9,9 +9,11 @@ from gbpkit import (
     Variable,
     build_factor_graph,
     dense_posterior,
+    generate_model,
     run,
     simulate,
 )
+from gbpkit.generate import KINDS
 from gbpkit.network import _Network, build_agents
 
 import helpers
@@ -49,6 +51,26 @@ class TestAgentAssignment:
         )
         assert hosted.coeffs == expected
         assert hosted.noise_var == 1.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hosting_matches_per_agent_scan(self, kind):
+        # Reference: the host rule applied factor by factor, then every
+        # factor scanned for each agent, canonical order kept.
+        model = generate_model(kind, 60, seed=4)
+        extra = tuple(
+            Factor(f"g{k}", {model.variables[k].id: 1.0, model.variables[k - 7].id: -0.5}, 1.0, 0.0)
+            for k in range(len(model.variables) - 1, 20, -3)
+        )
+        model = LinearGaussianModel(model.variables, model.factors + extra)
+        graph = build_factor_graph(model)
+        agents, _, factor_host = build_agents(graph, model)
+        for k, fid in enumerate(graph.factor_ids):
+            scope = graph.factor_neighbors[fid]
+            lowest = min(scope, key=graph.variable_order.__getitem__)
+            assert factor_host[fid] == (k if k < len(agents) else graph.variable_order[lowest])
+        for k, agent in enumerate(agents):
+            expected = [fid for fid in graph.factor_ids if factor_host[fid] == k]
+            assert [f.id for f in agent.hosted_factors] == expected
 
     def test_agents_know_only_neighbors(self, loop_graph, loop_model):
         agents, _, _ = build_agents(loop_graph, loop_model)
