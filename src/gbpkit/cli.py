@@ -33,8 +33,8 @@ def _fmt(value: float) -> str:
 
 _SHARED_FLAGS = {
     "--model": dict(type=Path, help="model file to read"),
-    "--tol": dict(type=float, default=1e-10, help="convergence tolerance"),
-    "--max-iters": dict(type=int, default=10000, help="sweep/tick budget"),
+    "--tol": dict(type=float, default=engine.DEFAULT_TOLERANCE, help="convergence tolerance"),
+    "--max-iters": dict(type=int, default=engine.DEFAULT_MAX_ITERS, help="sweep/tick budget"),
     "--init": dict(choices=sorted(_INIT_CHOICES), default="zero",
                    help="initial message precisions"),
     "--seed": dict(type=int, help="seed for randomized commands"),

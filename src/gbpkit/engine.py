@@ -12,8 +12,8 @@ are derived from the stored factor-to-variable state each sweep:
                               mean = (obs - sum c_j * mean_{j->f}) / c_i.
 
 The two kernels below are the only place these formulas live.  They take
-Python floats (the per-edge functions and the simulator's agents) or
-float64 arrays: the engine feeds them one column of the graph's edge
+Python floats (the per-edge functions) or float64 arrays: the engine, the
+analysis and the simulator feed them one column of the graph's edge
 tables at a time, so every message still adds its terms one at a time in
 canonical neighbour order, and padded slots add exact zeros.  Array and
 float evaluation therefore agree bit for bit, and two runs over the same
@@ -187,18 +187,33 @@ def _variable_pass(prior_var, reads: np.ndarray, fv_prec: np.ndarray, fv_mean: n
         return _variable_message(prior_var, ((prec[k], mean[k]) for k in reads.T))
 
 
-def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray):
-    """All variable-to-factor (precisions, means), in ``vf_edges`` order."""
-    return _variable_pass(compiled.vf_prior_var, compiled.tables.vf_reads, fv_prec, fv_mean)
+def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray,
+                rows=slice(None)):
+    """Variable-to-factor (precisions, means) of the ``vf_edges`` positions ``rows``.
+
+    A subset of rows keeps the full table's padding, here and in
+    :func:`fv_messages`, so a row's bits do not depend on which rows are
+    computed with it.
+    """
+    return _variable_pass(
+        compiled.vf_prior_var[rows], compiled.tables.vf_reads[rows], fv_prec, fv_mean
+    )
+
+
+def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray,
+                rows=slice(None)):
+    """Factor-to-variable (precisions, means) of the ``fv_edges`` positions ``rows``."""
+    prec, mean = np.append(vf_prec, 1.0), np.append(vf_mean, 0.0)
+    others = ((compiled.vf_coeff[k], (prec[k], mean[k])) for k in compiled.tables.fv_reads[rows].T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _factor_message(
+            compiled.coeff[rows], others, compiled.noise_var[rows], compiled.obs[rows]
+        )
 
 
 def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray):
     """:func:`sweep` on factor-to-variable (precisions, means) arrays."""
-    vf_prec, vf_mean = vf_messages(compiled, fv_prec, fv_mean)
-    prec, mean = np.append(vf_prec, 1.0), np.append(vf_mean, 0.0)
-    others = ((compiled.vf_coeff[k], (prec[k], mean[k])) for k in compiled.tables.fv_reads.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _factor_message(compiled.coeff, others, compiled.noise_var, compiled.obs)
+    return fv_messages(compiled, *vf_messages(compiled, fv_prec, fv_mean))
 
 
 def max_delta(old: np.ndarray, new: np.ndarray) -> float:
@@ -365,16 +380,11 @@ def compute_beliefs(
     return _beliefs(graph, compile_model(graph, model), prec, mean, state.iteration)
 
 
-def state_diverged(state: MessageState) -> bool:
-    """True when any mean is non-finite or beyond ``DIVERGENCE_GUARD``."""
-    return _diverged(values(state.means, state.means.keys()))
-
-
 def step_status(old: MessageState, new: MessageState, tolerance: float) -> str | None:
     """Outcome of one sweep: diverged, converged, or None to continue.
 
-    The simulator calls this with its own mirrored states; engine and
-    simulator must share the exact comparison sequence.
+    The test :func:`run` applies between sweeps, on dict-keyed states, so a
+    caller composing :func:`sweep` itself stops where ``run`` does.
     """
     edges = new.precisions.keys()
     return _status(*state_arrays(old, edges), *state_arrays(new, edges), tolerance)

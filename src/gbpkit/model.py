@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 TOPOLOGY_FOREST = "forest"
 TOPOLOGY_SINGLE_LOOP = "forest-plus-single-loop"
@@ -292,33 +293,18 @@ def classify_topology(graph: FactorGraph) -> TopologyReport:
 
     All components at c = 0 is a forest; a single extra independent cycle
     across the whole graph (total c = 1) leaves every other component a
-    tree; anything beyond that is multi-loop.
+    tree; anything beyond that is multi-loop.  Components are listed by
+    their lowest node, variables numbered before factors.
     """
-    nodes: list[tuple[str, str]] = [("v", vid) for vid in graph.variable_ids]
-    nodes += [("f", fid) for fid in graph.factor_ids]
-    adjacency: dict[tuple[str, str], list[tuple[str, str]]] = {n: [] for n in nodes}
-    for fid, vid in graph.fv_edges:
-        adjacency[("f", fid)].append(("v", vid))
-        adjacency[("v", vid)].append(("f", fid))
-
-    cycles: list[int] = []
-    visited: set[tuple[str, str]] = set()
-    for start in nodes:
-        if start in visited:
-            continue
-        comp_nodes = 0
-        comp_edge_ends = 0
-        queue = deque([start])
-        visited.add(start)
-        while queue:
-            node = queue.popleft()
-            comp_nodes += 1
-            comp_edge_ends += len(adjacency[node])
-            for peer in adjacency[node]:
-                if peer not in visited:
-                    visited.add(peer)
-                    queue.append(peer)
-        cycles.append(comp_edge_ends // 2 - comp_nodes + 1)
+    n_vars, n_edges = len(graph.variable_ids), len(graph.fv_edges)
+    n_nodes = n_vars + len(graph.factor_ids)
+    var = np.fromiter((graph.variable_order[v] for _, v in graph.fv_edges), np.intp, n_edges)
+    fac = np.fromiter((graph.factor_order[f] for f, _ in graph.fv_edges), np.intp, n_edges)
+    adjacency = csr_matrix((np.ones(n_edges), (var, n_vars + fac)), shape=(n_nodes, n_nodes))
+    count, labels = connected_components(adjacency, directed=False)
+    edges, nodes = np.bincount(labels[var], minlength=count), np.bincount(labels, minlength=count)
+    first_node = np.unique(labels, return_index=True)[1]
+    cycles = (edges - nodes + 1)[np.argsort(first_node)].tolist()
 
     total = sum(cycles)
     if total == 0:

@@ -1,4 +1,4 @@
-"""Bit-for-bit pin of engine and analysis results on generated models.
+"""Bit-for-bit pin of engine, analysis and simulator results on generated models.
 
 Each digest hashes the ``float.hex`` of every number ``run``,
 ``fixed_point_precisions`` and ``precision_bounds`` return, in canonical
@@ -6,18 +6,28 @@ edge and variable order, plus the raw bytes of the mean-update system.
 The expected values were recorded before the engine moved from per-edge
 dict walks to the compiled edge tables; any change to the arithmetic or
 its order shows up here as a different digest.
+
+The simulate digests cover both schedules: state, beliefs, tick count,
+status, message count and the bytes of the event log.  They were recorded
+while every agent still evaluated its messages with Python floats from
+per-agent inboxes.
 """
 import hashlib
 
 import pytest
 
 from gbpkit import (
+    Factor,
+    LinearGaussianModel,
+    Schedule,
     build_factor_graph,
     build_mean_system,
     fixed_point_precisions,
     generate_model,
     precision_bounds,
     run,
+    simulate,
+    with_observations,
 )
 from gbpkit.generate import KINDS
 
@@ -72,3 +82,116 @@ EXPECTED = {
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_results_match_recorded_digest(kind, seed):
     assert _digest(kind, seed) == EXPECTED[(kind, seed)]
+
+
+def _overflow_model():
+    """A loopy model with more factors than variables: the extra factors
+    are hosted by the agent of their lowest scope variable."""
+    model = generate_model("random-loopy", 40, 5)
+    extra = tuple(
+        Factor(f"g{k}", {model.variables[k].id: 0.5, model.variables[k - 7].id: -0.25}, 1.0, 1.0)
+        for k in range(len(model.variables) - 1, 10, -4)
+    )
+    return LinearGaussianModel(model.variables, model.factors + extra)
+
+
+def _simulate_digest(model, schedule, log_path) -> str:
+    graph = build_factor_graph(model)
+    sim = simulate(model, schedule, log_path=log_path)
+    h = hashlib.sha256()
+    for values in (
+        (sim.state.precisions[e] for e in graph.fv_edges),
+        (sim.state.means[e] for e in graph.fv_edges),
+        (sim.beliefs.variances[v] for v in graph.variable_ids),
+        (sim.beliefs.means[v] for v in graph.variable_ids),
+    ):
+        h.update(",".join(map(float.hex, values)).encode() + b";")
+    h.update(f"{sim.state.iteration}/{sim.beliefs.iteration}/{sim.ticks}/{sim.status}/"
+             f"{sim.messages_sent};".encode())
+    h.update(log_path.read_bytes())
+    return h.hexdigest()
+
+
+def _simulate_model(kind, seed):
+    if kind == "overflow":
+        return _overflow_model()
+    if kind == "divergent":  # the synchronous means grow without bound
+        return generate_model("random-loopy", 6, 113, coeff_range=(-6.0, 6.0))
+    if kind == "guard":  # means beyond DIVERGENCE_GUARD trip it on every schedule
+        model = generate_model("tree", 40, 1)
+        return with_observations(model, [f.obs * 1e11 for f in model.factors])
+    return generate_model(kind, 40, seed)
+
+
+SIMULATE_CASES = [(kind, seed) for kind in KINDS for seed in (1, 2)]
+SIMULATE_CASES += [("overflow", 0), ("divergent", 0), ("guard", 0)]
+SCHEDULES = {
+    "synchronous": Schedule.synchronous(),
+    "random-sequential-3": Schedule.random_sequential(3),
+    "random-sequential-11": Schedule.random_sequential(11),
+}
+
+SIMULATE_EXPECTED = {
+    ('tree', 1, 'random-sequential-11'):
+        'a9573dde895762d2e035bd541b42d09616278074b9f926c8a44d86ae2fa95e8b',
+    ('tree', 1, 'random-sequential-3'):
+        '743c1b72077950010cd711cc67603c9066126ad097ed700de5aad30f22bd72f5',
+    ('tree', 1, 'synchronous'):
+        'b0b2cce4a20554a82f2b9f7062937cee6ddd32bbc03d05480489c219621ce493',
+    ('tree', 2, 'random-sequential-11'):
+        'fd7567c4917f76d05043fb32afb4f253ca05160d78d37ae1afa7ba42ea1b1262',
+    ('tree', 2, 'random-sequential-3'):
+        '7534884fc60d719cd849a47b59ae62129343485c5982da67094a82c86e9f3b79',
+    ('tree', 2, 'synchronous'):
+        '53b84aee9def955e218da2624635eee22bb40fcfd213190bb52b7d2d5274e183',
+    ('single-loop-plus-forest', 1, 'random-sequential-11'):
+        '00c9332f577548a6d9159b180e938eecb5a5dc1f188ad54bb1598fc235f6af0b',
+    ('single-loop-plus-forest', 1, 'random-sequential-3'):
+        'c181ad9a1c8d61276cc8d085c4165aceab353e9111d336209b3a7c303b9ced74',
+    ('single-loop-plus-forest', 1, 'synchronous'):
+        '3e61ff34ba8d9aec2cecbc912ca74764049439915c44dcb310e529a854a3e734',
+    ('single-loop-plus-forest', 2, 'random-sequential-11'):
+        '34afc35f3f71c2ce47c819e9ad5fd15e18c174ead739c328a151fcc17bd67982',
+    ('single-loop-plus-forest', 2, 'random-sequential-3'):
+        '26b543018aa0f6a8dd288534d730332b110cf4a0cbca4916fe1cedb75b681d4b',
+    ('single-loop-plus-forest', 2, 'synchronous'):
+        '5ae79bb2b55b219b5925f107ff4b7c3ac6375765b5c352e49a47fe2da3b32edb',
+    ('random-loopy', 1, 'random-sequential-11'):
+        '65b2b057f153d521c7705d92e9ec4e3433fc4a4774db6c5fc9b9605a3cc210ca',
+    ('random-loopy', 1, 'random-sequential-3'):
+        '0bff08e59e1fdc723b83048a1c81cd16db57e4082fe100e69d43d6ba7c19a165',
+    ('random-loopy', 1, 'synchronous'):
+        'b31191a1ab683efa2837d50ed5122733ab97b9a899bac88abbc750417a1bcf00',
+    ('random-loopy', 2, 'random-sequential-11'):
+        '2950e2b977d2c0b433f4f8fb3e3fc217714777f810a71852e1f87ba0fddde73e',
+    ('random-loopy', 2, 'random-sequential-3'):
+        'f24be8df282ff0701243bafd337f7b30de08e03632bf6d576cdfb43dfa377e99',
+    ('random-loopy', 2, 'synchronous'):
+        '8a5309974d98495a013f67f8759782f1e2ace13dd6b851f0c8e6af920578ffa6',
+    ('overflow', 0, 'random-sequential-11'):
+        'b4f732a014013745598d56a4be306b39d4992c3d0b437340d104e2dd0003c2f3',
+    ('overflow', 0, 'random-sequential-3'):
+        '2f379b1835c36c0ecdc7fa7c7c90c64bf1616c2a44af17044a7292a55cae1f1e',
+    ('overflow', 0, 'synchronous'):
+        'a4305cb767eb20c56740a737ccdf914adf6c6e337e12573d4dbfae5d2a295604',
+    ('divergent', 0, 'random-sequential-11'):
+        '53458600a8ebe4a7984529df2aeeb73828c9e2d57529c741ae20b2491223fec6',
+    ('divergent', 0, 'random-sequential-3'):
+        '0f62dedbd7263b64f37cf2b8e4c56416d726ced6d01e0fa8f851e6c7285faa49',
+    ('divergent', 0, 'synchronous'):
+        '992b806eaa986243ec29e03886fe1f1def192fc00a019d3a2aea1ad7f30ef669',
+    ('guard', 0, 'random-sequential-11'):
+        'fe566936c8659f8aad427abe712f34ee35384183c3787fa63f5137d88384e244',
+    ('guard', 0, 'random-sequential-3'):
+        'ba11f24fad92c628ac9c23762abcb77c76bedd0a35e8cab6702f37223dcea428',
+    ('guard', 0, 'synchronous'):
+        'acb8f5b2eb791abae7298f817e5081d9724c296d1144189ede99a8f811c37525',
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("kind,seed", SIMULATE_CASES)
+def test_simulate_matches_recorded_digest(kind, seed, schedule, tmp_path):
+    model = _simulate_model(kind, seed)
+    digest = _simulate_digest(model, SCHEDULES[schedule], tmp_path / "traffic.csv")
+    assert digest == SIMULATE_EXPECTED[(kind, seed, schedule)]

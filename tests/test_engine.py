@@ -31,6 +31,7 @@ from gbpkit import (
     variable_to_factor,
     with_observations,
 )
+from gbpkit import engine
 from gbpkit.generate import KINDS
 
 import helpers
@@ -129,6 +130,26 @@ class TestSingleEdgeMessages:
                         new.means[edge],
                     )
                 state = new
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_subsets_match_full_pass_bitwise(self, kind):
+        # A subset of table rows keeps the full table's padding, so each
+        # row's message is the same whichever rows are computed with it.
+        model = generate_model(kind, 120, seed=6)
+        graph = build_factor_graph(model)
+        compiled = engine.compile_model(graph, model)
+        rng = np.random.default_rng(6)
+        fv = rng.uniform(0.1, 2.0, len(graph.fv_edges)), rng.normal(size=len(graph.fv_edges))
+        vf = engine.vf_messages(compiled, *fv)
+        full_fv = engine.fv_messages(compiled, *vf)
+        swept = engine.sweep_arrays(compiled, *fv)
+        assert all(np.array_equal(a, b) for a, b in zip(swept, full_fv))
+        for size in (0, 1, 7, len(graph.fv_edges)):
+            rows = rng.permutation(len(graph.fv_edges))[:size]
+            for part, whole in zip(engine.vf_messages(compiled, *fv, rows), vf):
+                assert np.array_equal(part, whole[rows])
+            for part, whole in zip(engine.fv_messages(compiled, *vf, rows), full_fv):
+                assert np.array_equal(part, whole[rows])
 
 
 class TestSweepProperties:

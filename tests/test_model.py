@@ -250,6 +250,31 @@ class TestTopology:
         assert sorted(report.component_cycles) == [0, 1]
         assert report.total_cycles == 1
 
+    def test_isolated_variable_and_empty_scope_factor_are_components(self):
+        # Components come in the order of their lowest node, variables
+        # numbered before factors: {x1}, {x2, x3, f1, f2, f3}, {f0}.
+        model = LinearGaussianModel(
+            (Variable("x1", 1.0), Variable("x2", 1.0), Variable("x3", 1.0)),
+            (
+                Factor("f0", {}, 1.0, 0.0),
+                Factor("f1", {"x2": 1.0}, 1.0, 0.0),
+                Factor("f2", {"x2": 1.0, "x3": 1.0}, 1.0, 0.0),
+                Factor("f3", {"x3": 1.0, "x2": 1.0}, 1.0, 0.0),
+            ),
+        )
+        report = classify_topology(build_factor_graph(model))
+        assert report.kind == TOPOLOGY_SINGLE_LOOP
+        assert report.component_cycles == (0, 1, 0)
+
+    def test_empty_and_edgeless_graphs(self):
+        empty = classify_topology(build_factor_graph(LinearGaussianModel((), ())))
+        assert (empty.kind, empty.component_cycles) == (TOPOLOGY_FOREST, ())
+        model = LinearGaussianModel(
+            (Variable("x1", 1.0), Variable("x2", 1.0)), (Factor("f1", {}, 1.0, 0.0),)
+        )
+        report = classify_topology(build_factor_graph(model))
+        assert (report.kind, report.component_cycles) == (TOPOLOGY_FOREST, (0, 0, 0))
+
 
 class TestObservationSwap:
     def test_sequence_replaces_in_order(self, loop_model):

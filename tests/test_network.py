@@ -1,4 +1,4 @@
-"""Agent simulation: assignment, routing guards, schedules, engine parity."""
+"""Agent simulation: assignment, locality, schedules, engine parity."""
 import pytest
 
 from gbpkit import (
@@ -14,9 +14,23 @@ from gbpkit import (
     simulate,
 )
 from gbpkit.generate import KINDS
-from gbpkit.network import _Network, build_agents
+from gbpkit.network import build_agents
 
 import helpers
+
+
+def _with_overflow(model):
+    """``model`` plus factors beyond the variable count, so some agents host
+    more than one factor."""
+    extra = tuple(
+        Factor(f"g{k}", {model.variables[k].id: 1.0, model.variables[k - 7].id: -0.5}, 1.0, 0.0)
+        for k in range(len(model.variables) - 1, 20, -3)
+    )
+    return LinearGaussianModel(model.variables, model.factors + extra)
+
+
+def _hosting_models(loop_model):
+    return [loop_model] + [_with_overflow(generate_model(k, 60, seed=4)) for k in KINDS]
 
 
 class TestAgentAssignment:
@@ -26,7 +40,7 @@ class TestAgentAssignment:
         assert variable_host == {"x1": 0, "x2": 1, "x3": 2, "x4": 3}
         # three factors, four variables: each factor rides with its position
         assert factor_host == {"f1": 0, "f2": 1, "f3": 2}
-        assert [f.id for f in agents[0].hosted_factors] == ["f1"]
+        assert agents[0].hosted_factors == ("f1",)
         assert agents[3].hosted_factors == ()
 
     def test_overflow_factor_lands_on_lowest_scope_variable(self):
@@ -42,26 +56,25 @@ class TestAgentAssignment:
         _, _, factor_host = build_agents(graph, model)
         assert factor_host == {"f1": 0, "f2": 1, "f3": 0}
 
-    def test_hosted_factor_mirrors_canonical_scope(self, loop_graph, loop_model):
-        agents, _, _ = build_agents(loop_graph, loop_model)
-        hosted = agents[0].hosted_factors[0]
-        assert hosted.scope == loop_graph.factor_neighbors["f1"]
-        expected = tuple(
-            loop_model.factors_by_id["f1"].coeffs[v] for v in hosted.scope
-        )
-        assert hosted.coeffs == expected
-        assert hosted.noise_var == 1.0
+    def test_hosted_factor_mirrors_canonical_scope(self, loop_model):
+        for model in _hosting_models(loop_model):
+            graph = build_factor_graph(model)
+            agents, _, _ = build_agents(graph, model)
+            for agent in agents:
+                expected = [
+                    k for fid in agent.hosted_factors
+                    for k, edge in enumerate(graph.fv_edges) if edge[0] == fid
+                ]
+                assert agent.fv_rows.tolist() == expected
+                assert agent.vf_rows.tolist() == [
+                    k for k, (vid, _) in enumerate(graph.vf_edges) if vid == agent.variable_id
+                ]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_hosting_matches_per_agent_scan(self, kind):
         # Reference: the host rule applied factor by factor, then every
         # factor scanned for each agent, canonical order kept.
-        model = generate_model(kind, 60, seed=4)
-        extra = tuple(
-            Factor(f"g{k}", {model.variables[k].id: 1.0, model.variables[k - 7].id: -0.5}, 1.0, 0.0)
-            for k in range(len(model.variables) - 1, 20, -3)
-        )
-        model = LinearGaussianModel(model.variables, model.factors + extra)
+        model = _with_overflow(generate_model(kind, 60, seed=4))
         graph = build_factor_graph(model)
         agents, _, factor_host = build_agents(graph, model)
         for k, fid in enumerate(graph.factor_ids):
@@ -70,31 +83,24 @@ class TestAgentAssignment:
             assert factor_host[fid] == (k if k < len(agents) else graph.variable_order[lowest])
         for k, agent in enumerate(agents):
             expected = [fid for fid in graph.factor_ids if factor_host[fid] == k]
-            assert [f.id for f in agent.hosted_factors] == expected
+            assert list(agent.hosted_factors) == expected
 
-    def test_agents_know_only_neighbors(self, loop_graph, loop_model):
-        agents, _, _ = build_agents(loop_graph, loop_model)
-        for agent in agents:
-            assert agent.factor_neighbors == loop_graph.variable_neighbors[agent.variable_id]
-            assert set(agent.fv_inbox) == set(agent.factor_neighbors)
-
-
-class TestRoutingGuard:
-    def test_non_neighbor_delivery_rejected(self, loop_graph, loop_model):
-        agents, variable_host, factor_host = build_agents(loop_graph, loop_model)
-        network = _Network(loop_graph, agents, variable_host, factor_host, None)
-        # x2 is not in f1's scope
-        with pytest.raises(RuntimeError, match="non-neighbors"):
-            network.deliver_vf(1, ("x2", "f1"), (1.0, 0.0))
-        with pytest.raises(RuntimeError, match="non-neighbors"):
-            network.deliver_fv(1, ("f1", "x2"), (1.0, 0.0))
-
-    def test_neighbor_delivery_lands_in_inbox(self, loop_graph, loop_model):
-        agents, variable_host, factor_host = build_agents(loop_graph, loop_model)
-        network = _Network(loop_graph, agents, variable_host, factor_host, None)
-        network.deliver_fv(1, ("f2", "x1"), (0.25, -1.0))
-        assert agents[0].fv_inbox["f2"] == (0.25, -1.0)
-        assert network.sent == 1
+    def test_agents_know_only_neighbors(self, loop_model):
+        # An agent's rows read only edges into its own variable and its own
+        # hosted factors, and every row of both tables has exactly one owner.
+        for model in _hosting_models(loop_model):
+            graph = build_factor_graph(model)
+            tables = graph.edge_tables
+            agents, _, _ = build_agents(graph, model)
+            for agent in agents:
+                assert agent.factor_neighbors == graph.variable_neighbors[agent.variable_id]
+                for k in tables.vf_reads[agent.vf_rows].ravel():
+                    assert k == tables.pad or graph.fv_edges[k][1] == agent.variable_id
+                for k in tables.fv_reads[agent.fv_rows].ravel():
+                    assert k == tables.pad or graph.vf_edges[k][1] in agent.hosted_factors
+            for rows, edges in (("vf_rows", graph.vf_edges), ("fv_rows", graph.fv_edges)):
+                owned = sorted(k for agent in agents for k in getattr(agent, rows).tolist())
+                assert owned == list(range(len(edges)))
 
 
 class TestSynchronousSchedule:
