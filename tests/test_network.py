@@ -1,4 +1,5 @@
 """Agent simulation: assignment, locality, schedules, engine parity."""
+import numpy as np
 import pytest
 
 from gbpkit import (
@@ -13,6 +14,7 @@ from gbpkit import (
     run,
     simulate,
 )
+from gbpkit.engine import compile_model, fv_messages, vf_messages
 from gbpkit.generate import KINDS
 from gbpkit.network import build_agents
 
@@ -101,6 +103,43 @@ class TestAgentAssignment:
             for rows, edges in (("vf_rows", graph.vf_edges), ("fv_rows", graph.fv_edges)):
                 owned = sorted(k for agent in agents for k in getattr(agent, rows).tolist())
                 assert owned == list(range(len(edges)))
+
+
+class TestRoutingGuard:
+    """A message reaches an agent only along a graph edge into its nodes."""
+
+    def test_non_neighbor_delivery_rejected(self, loop_graph, loop_model):
+        compiled = compile_model(loop_graph, loop_model)
+        agents, _, _ = build_agents(loop_graph, loop_model)
+        x1 = agents[0]  # variable x1, hosting f1
+        fv_prec, fv_mean = np.full(len(loop_graph.fv_edges), 0.5), np.ones(len(loop_graph.fv_edges))
+        vf_prec, vf_mean = np.full(len(loop_graph.vf_edges), 0.5), np.ones(len(loop_graph.vf_edges))
+        before_vf = vf_messages(compiled, fv_prec, fv_mean, x1.vf_rows)
+        before_fv = fv_messages(compiled, vf_prec, vf_mean, x1.fv_rows)
+        # x2 is not in f1's scope and no factor message into x1 comes from x2's edges
+        for k, (_, receiver) in enumerate(loop_graph.fv_edges):
+            if receiver != "x1":
+                fv_prec[k], fv_mean[k] = 7.0, -3.0
+        for k, (_, receiver) in enumerate(loop_graph.vf_edges):
+            if receiver != "f1":
+                vf_prec[k], vf_mean[k] = 7.0, -3.0
+        after_vf = vf_messages(compiled, fv_prec, fv_mean, x1.vf_rows)
+        after_fv = fv_messages(compiled, vf_prec, vf_mean, x1.fv_rows)
+        for before, after in ((before_vf, after_vf), (before_fv, after_fv)):
+            assert [a.tolist() for a in after] == [b.tolist() for b in before]
+
+    def test_neighbor_delivery_lands_in_inbox(self, loop_graph, loop_model):
+        compiled = compile_model(loop_graph, loop_model)
+        agents, _, factor_host = build_agents(loop_graph, loop_model)
+        fv_prec, fv_mean = np.zeros(len(loop_graph.fv_edges)), np.zeros(len(loop_graph.fv_edges))
+        edge = loop_graph.fv_edges.index(("f2", "x1"))
+        assert edge in agents[factor_host["f2"]].fv_rows.tolist()
+        fv_prec[edge], fv_mean[edge] = 0.25, -1.0
+        # x1's message to f1 reads f2's message: prior precision 1/6 plus 0.25
+        to_f1 = [loop_graph.vf_edges[k] for k in agents[0].vf_rows].index(("x1", "f1"))
+        prec, mean = vf_messages(compiled, fv_prec, fv_mean, agents[0].vf_rows)
+        assert prec[to_f1] == pytest.approx(1 / 6 + 0.25)
+        assert mean[to_f1] == pytest.approx(-0.25 / (1 / 6 + 0.25))
 
 
 class TestSynchronousSchedule:
