@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from . import engine
@@ -63,15 +64,22 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class MeanUpdateSystem:
-    """Linear system v <- -matrix @ v + offset over variable-to-factor means.
+    """Linear system v <- -Q @ v + offset over variable-to-factor means.
 
+    Q is held as ``sparse``, a CSR array with sorted indices and no
+    stored zeros; ``matrix`` is its dense view, built on first read.
     Row/column order is ``edges``, the canonical variable-to-factor edge
-    list.  The fixed point solves (I + matrix) v = offset.
+    list.  The fixed point solves (I + Q) v = offset.
     """
 
-    matrix: np.ndarray
+    sparse: csr_array
     offset: np.ndarray
     edges: tuple[Edge, ...]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Q as a dense E x E array (8 E^2 bytes, kept once built)."""
+        return self.sparse.toarray()
 
 
 @dataclass(frozen=True)
@@ -149,10 +157,11 @@ def fixed_point_precisions(
 def build_mean_system(
     graph: FactorGraph, model: LinearGaussianModel, fixed_point: FixedPoint
 ) -> MeanUpdateSystem:
-    """Assemble Q and b for the mean recursion at the precision fixed point.
+    """Assemble Q, as CSR, and b for the mean recursion at the precision fixed point.
 
     Entry (row j->f_n, column z->f_k) is nonzero when f_k is another
-    factor of j and z another variable of f_k:
+    factor of j and z another variable of f_k; each such (k, z) pair
+    occurs once per row, so no entry is written twice:
 
         Q[row, col] = c_{k,j} * c_{k,z} / (J*_{j->f_n} * M_{k,j})
         M_{k,j}     = noise_var_k + sum over z of c_{k,z}^2 / J*_{z->f_k}
@@ -175,45 +184,62 @@ def build_mean_system(
     fv_reads = np.vstack([tables.fv_reads, np.full(tables.fv_reads.shape[1], tables.pad)])
 
     dim = len(graph.vf_edges)
-    matrix = np.zeros((dim, dim))
     offset = np.zeros(dim)
     rows = np.arange(dim)
     inv_out = 1.0 / vf_star
+    # (row, column, value) triplets, each list seeded empty so that a graph
+    # with no couplings still concatenates.
+    row, col, value = [rows[:0]], [rows[:0]], [offset[:0]]
     for k in tables.vf_reads.T:  # each other factor f_k of the row's variable j
         scale = inv_out * coeff[k] / m_kj[k]
         offset += scale * obs[k]
         for z in fv_reads[k].T:  # each other variable z of f_k
-            real = z != tables.pad
-            matrix[rows[real], z[real]] = (scale * compiled.vf_coeff[z])[real]
-    return MeanUpdateSystem(matrix=matrix, offset=offset, edges=graph.vf_edges)
+            entry = scale * compiled.vf_coeff[z]
+            keep = (z != tables.pad) & (entry != 0)
+            row.append(rows[keep])
+            col.append(z[keep])
+            value.append(entry[keep])
+    sparse = csr_array(
+        (np.concatenate(value), (np.concatenate(row), np.concatenate(col))), shape=(dim, dim)
+    )
+    return MeanUpdateSystem(sparse=sparse, offset=offset, edges=graph.vf_edges)
 
 
 def spectral_radius(matrix) -> float:
-    """Largest eigenvalue magnitude of a real square matrix.
+    """Largest eigenvalue magnitude of a real square matrix, dense or sparse.
 
-    Dense nonsymmetric eigensolve, with one exact shortcut: a zero
-    diagonal and single-node strong components of the nonzero digraph
-    mean no directed cycle, so the matrix is structurally nilpotent and
-    the radius is exactly 0.  The shortcut matters because numerically
-    computed eigenvalues of a defective nilpotent matrix can be as large
-    as eps**(1/m) for nilpotency index m, a wildly wrong answer for the
-    tree-structured systems this module builds.
+    Either form becomes the same sorted CSR with no stored zeros.  Its
+    strong components make it block triangular, and the spectrum of a
+    block-triangular matrix is the union of its diagonal blocks' spectra.
+    So the radius is the largest of |diagonal| over single-node
+    components and of a dense eigensolve of each multi-node block, taken
+    in ascending index order: a matrix and its CSR give the same bits.
+    With no directed cycle and a zero diagonal the radius is exactly 0,
+    where a whole-matrix eigensolve of a defective nilpotent matrix can
+    return eps**(1/m) for nilpotency index m.
     """
-    array = np.asarray(matrix, dtype=float)
-    if array.ndim != 2 or array.shape[0] != array.shape[1]:
+    csr = csr_array(matrix, dtype=float, copy=True)  # never edit the caller's arrays
+    if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
         raise ValueError("expected a square matrix")
-    if array.size == 0:
-        return 0.0
-    # Non-finite entries are nonzero, so checking the nonzeros suffices.
-    nonzero = np.flatnonzero(array != 0)
-    if not np.all(np.isfinite(array.flat[nonzero])):
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    if not np.all(np.isfinite(csr.data)):
         raise ValueError("matrix has non-finite entries")
-    if not np.any(np.diagonal(array)):
-        ends = np.divmod(nonzero, len(array))  # (row, column) of each nonzero
-        pattern = csr_matrix((np.ones(nonzero.size), ends), shape=array.shape)
-        if connected_components(pattern, connection="strong")[0] == len(array):
-            return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(array))))
+    _, labels = connected_components(csr, connection="strong")
+    sizes = np.bincount(labels)
+    single = sizes[labels] == 1
+    radius = float(np.max(np.abs(csr.diagonal()[single]), initial=0.0))
+    # A stable sort by label puts each component's nodes in one run, in
+    # ascending index order; only the multi-node runs are kept.
+    cyclic = sizes > 1
+    nodes = np.argsort(labels, kind="stable")
+    nodes = nodes[cyclic[labels[nodes]]]
+    grouped = csr[nodes][:, nodes]
+    stops = np.cumsum(sizes[cyclic])
+    for start, stop in zip(stops - sizes[cyclic], stops):
+        block = grouped[start:stop, start:stop].toarray()
+        radius = max(radius, float(np.max(np.abs(np.linalg.eigvals(block)))))
+    return radius
 
 
 def walk_summability(gmrf: GMRFModel) -> WalkSummability:
@@ -328,7 +354,7 @@ def certify(
     bounds = precision_bounds(graph, model)
     fixed_point = fixed_point_precisions(graph, model, tolerance)
     mean_system = build_mean_system(graph, model, fixed_point)
-    rho = spectral_radius(mean_system.matrix)
+    rho = spectral_radius(mean_system.sparse)
     walk = walk_summability(lingauss_to_gmrf(model))
 
     if topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP):

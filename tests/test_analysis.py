@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from gbpkit import (
     Factor,
@@ -58,6 +59,21 @@ def char_poly_radius(matrix):
         m = a @ (m + coeffs[-1] * np.eye(n)) if k > 1 else a.copy()
         coeffs.append(-np.trace(m) / k)
     return float(np.max(np.abs(np.roots(coeffs))))
+
+
+def generated_mean_systems():
+    """Q of every generator kind at n=60, seeds 1-3, coefficients +-2 and +-6,
+    plus the divergent random-loopy instance criterion 9 searches out."""
+    models = [
+        generate_model(kind, 60, seed, coeff_range=(-c, c))
+        for kind in KINDS
+        for seed in (1, 2, 3)
+        for c in (2.0, 6.0)
+    ]
+    models.append(generate_random_loopy(6, seed=113, coeff_range=(-6.0, 6.0)))
+    for model in models:
+        graph = build_factor_graph(model)
+        yield build_mean_system(graph, model, fixed_point_precisions(graph, model))
 
 
 def alpha_scan(x, y, iters=120):
@@ -176,6 +192,22 @@ class TestMeanSystem:
             }
             assert nonzero == cols
 
+    def test_sparse_q_is_canonical_and_its_dense_view_matches(self):
+        # The pattern has two couplings; through f1's coefficients of
+        # 1e-200 one of them underflows to 0.0, which the CSR must not store.
+        tiny = LinearGaussianModel(
+            (Variable("x1", 1.0), Variable("x2", 1.0), Variable("x3", 1.0)),
+            (Factor("f1", {"x1": 1e-200, "x2": 1e-200}, 1.0, 1.0),
+             Factor("f2", {"x2": 1.0, "x3": 1.0}, 1.0, 2.0)),
+        )
+        graph = build_factor_graph(tiny)
+        underflow = build_mean_system(graph, tiny, fixed_point_precisions(graph, tiny))
+        assert np.count_nonzero(underflow.matrix) == 1
+        for system in [underflow, *generated_mean_systems()]:
+            assert system.sparse.has_canonical_format
+            assert system.matrix.tobytes() == system.sparse.toarray().tobytes()
+            assert system.sparse.nnz == np.count_nonzero(system.matrix)
+
     def test_tree_system_structurally_nilpotent(self):
         model = helpers.chain_model(5)
         graph = build_factor_graph(model)
@@ -223,6 +255,14 @@ class TestSpectralRadius:
             expected = char_poly_radius(matrix)
             assert spectral_radius(matrix) == pytest.approx(expected, abs=1e-8)
 
+    def test_matches_whole_matrix_eigensolve(self):
+        for system in generated_mean_systems():
+            dense = system.matrix
+            radius = spectral_radius(system.sparse)
+            expected = float(np.max(np.abs(np.linalg.eigvals(dense))))
+            assert abs(radius - expected) <= 1e-12 * max(1.0, radius)
+            assert spectral_radius(dense) == radius  # same blocks, same bits
+
     def test_exact_cases(self):
         assert spectral_radius(np.diag([3.0, -5.0])) == 5.0
         assert spectral_radius([[0.0, -1.0], [1.0, 0.0]]) == pytest.approx(1.0, abs=1e-12)
@@ -234,6 +274,24 @@ class TestSpectralRadius:
         assert spectral_radius(shift) == 0.0
         triangular = np.triu(np.ones((6, 6)), k=1)
         assert spectral_radius(triangular) == 0.0
+
+    def test_stored_zeros_add_no_edges(self):
+        # A stored 0.0 that would close the cycle 0 -> 1 -> 0 is no edge.
+        stored = csr_array(([0.4, 0.0], ([0, 1], [1, 0])), shape=(2, 2))
+        assert spectral_radius(stored) == 0.0
+        assert stored.nnz == 2  # the caller's matrix is left as it was
+        # Stored zeros that would merge two 5-node components into one
+        # block leave the blocks, and so the bits, of the dense form.
+        rng = np.random.default_rng(14)
+        dense = rng.uniform(-1.0, 1.0, size=(10, 10))
+        dense[5:, :5] = 0.0
+        rows, cols = np.nonzero(dense)
+        with_zeros = csr_array(
+            (np.r_[dense[rows, cols], np.zeros(5)],
+             (np.r_[rows, np.arange(5, 10)], np.r_[cols, np.arange(5)])),
+            shape=(10, 10),
+        )
+        assert spectral_radius(with_zeros) == spectral_radius(dense)
 
     def test_permuted_strictly_triangular_is_exactly_zero(self):
         rng = np.random.default_rng(11)
@@ -269,6 +327,11 @@ class TestSpectralRadius:
             spectral_radius([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(ValueError):
             spectral_radius(np.ones(4))
+        with pytest.raises(ValueError):
+            spectral_radius(csr_array(np.ones((2, 3))))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                spectral_radius(csr_array(([bad], ([0], [1])), shape=(2, 2)))
 
 
 class TestWalkSummability:
@@ -471,3 +534,7 @@ class TestCertify:
         assert set(cert.fixed_point.factor_to_variable) == set(loop_graph.fv_edges)
         assert cert.mean_system.edges == loop_graph.vf_edges
         assert cert.mean_spectral_radius == spectral_radius(cert.mean_system.matrix)
+
+    def test_certify_never_builds_the_dense_q(self, loop_graph, loop_model):
+        cert = certify(loop_graph, loop_model)
+        assert "matrix" not in vars(cert.mean_system)
