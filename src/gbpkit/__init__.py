@@ -66,6 +66,7 @@ from .model import (
     model_from_dict,
     model_to_dict,
     save_model,
+    sparse_gmrf,
     validate_model,
     with_observations,
 )

@@ -16,8 +16,9 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, eye_array
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, cg, eigsh
 
 from . import engine
 from .model import (
@@ -28,7 +29,7 @@ from .model import (
     TOPOLOGY_SINGLE_LOOP,
     TopologyReport,
     classify_topology,
-    lingauss_to_gmrf,
+    sparse_gmrf,
 )
 
 Edge = tuple[str, str]
@@ -43,6 +44,11 @@ BASIS_SPECTRAL = "spectral"
 FIXED_POINT_MAX_ITERS = 100000
 SPECTRAL_MARGIN = 1e-9
 TRACE_FLOOR = 1e-14
+# Walk-summability: CG solves (mu I - A) x = 1 at mu = theta (1 + WALK_SHIFT).
+# Neither setting decides anything; they only set how narrow the interval is.
+WALK_SHIFT = 1e-13
+WALK_CG_RTOL = 1e-10
+WALK_CG_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,15 @@ class MeanUpdateSystem:
 
 @dataclass(frozen=True)
 class WalkSummability:
+    """Radius of |I - R| inside a proven interval [lower, upper].
+
+    ``is_walk_summable`` is None when the interval contains 1.
+    """
+
     radius: float
-    is_walk_summable: bool
+    lower: float
+    upper: float
+    is_walk_summable: bool | None
 
 
 @dataclass(frozen=True)
@@ -243,30 +256,81 @@ def spectral_radius(matrix) -> float:
 
 
 def walk_summability(gmrf: GMRFModel) -> WalkSummability:
-    """Spectral radius of |I - R|, R being J normalized to unit diagonal.
+    """Spectral radius of A = |I - R|, R being J scaled to unit diagonal.
 
-    |I - R| is symmetric and nonnegative: its radius is its Perron root,
-    the largest |eigenvalue| from a symmetric eigensolve.  That solve
-    reads one triangle only, so a non-symmetric J is refused.
+    J may be dense or CSR: either becomes the same canonical CSR (summed
+    duplicates, no stored zeros), so both give the same bits.  Non-finite
+    or non-symmetric J and a nonpositive diagonal are refused.  With no
+    off-diagonal coupling the radius is exactly 0.
+
+    A is symmetric, nonnegative and has a zero diagonal, so its radius is
+    its Perron root, and any positive x bounds it from both sides (see
+    :func:`_perron_interval`).  x solves (mu I - A) x = 1 by conjugate
+    gradients with mu just above theta, ARPACK's largest eigenvalue of A:
+    that pulls x towards the Perron vector and narrows the interval, but
+    the bounds hold whatever ARPACK and CG return.  If ARPACK fails or x
+    is not positive, x = 1 (max row sum above, mean row sum below).
+    ``radius`` is theta clamped into [lower, upper] (lower if ARPACK
+    failed); ``is_walk_summable`` is True when upper < 1, False when
+    lower >= 1 and None, undecided, in between.
     """
-    info = gmrf.information_matrix
-    dim = info.shape[0]
-    if dim == 0:
-        return WalkSummability(radius=0.0, is_walk_summable=True)
-    if not np.all(np.isfinite(info)):
+    info = csr_array(gmrf.information_matrix, dtype=float, copy=True)
+    info.sum_duplicates()
+    info.eliminate_zeros()
+    if not np.all(np.isfinite(info.data)):
         raise ValueError("information matrix has non-finite entries")
-    if not np.array_equal(info, info.T):
+    dim = info.shape[0]
+    if info.shape[1] != dim or (info != info.T).nnz:
         raise ValueError("information matrix is not symmetric")
-    diag = np.diag(info)
+    diag = info.diagonal()
     if np.any(diag <= 0):
         raise ValueError("information matrix has a nonpositive diagonal entry")
+    rows = np.repeat(np.arange(dim), np.diff(info.indptr))
+    off = rows != info.indices
+    if not off.any():
+        return WalkSummability(radius=0.0, lower=0.0, upper=0.0, is_walk_summable=True)
+    rows, cols = rows[off], info.indices[off]
     scale = 1.0 / np.sqrt(diag)
-    walk = info * scale[:, None]
-    walk *= -scale[None, :]
-    walk.flat[:: dim + 1] += 1.0
-    np.abs(walk, out=walk)
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(walk))))
-    return WalkSummability(radius=radius, is_walk_summable=radius < 1.0)
+    walk = csr_array(
+        (np.abs(info.data[off]) * scale[rows] * scale[cols], (rows, cols)), shape=(dim, dim)
+    )
+
+    ones = np.ones(dim)
+    try:
+        theta = float(eigsh(walk, k=1, which="LA", v0=ones, tol=0, return_eigenvectors=False)[0])
+    except ArpackError:
+        theta = None
+    x = ones
+    if theta is not None and theta > 0:
+        shifted = theta * (1.0 + WALK_SHIFT) * eye_array(dim, format="csr") - walk
+        solution, _ = cg(shifted, ones, rtol=WALK_CG_RTOL, maxiter=WALK_CG_MAX_ITERS)
+        if np.all(solution > 0) and np.all(np.isfinite(solution)):
+            x = solution
+    lower, upper = _perron_interval(walk, x)
+    radius = lower if theta is None else min(max(theta, lower), upper)
+    decided = True if upper < 1.0 else False if lower >= 1.0 else None
+    return WalkSummability(radius=radius, lower=lower, upper=upper, is_walk_summable=decided)
+
+
+def _perron_interval(walk: csr_array, x: np.ndarray) -> tuple[float, float]:
+    """Proven bounds on the Perron root of |I - R| from a positive vector x.
+
+    ``walk`` is |I - R| as computed: each entry |J_ij| * s_i * s_j, with
+    s = 1 / sqrt(diag J), lies within 7 unit roundoffs (relative) of the
+    exact one, and the Perron root is monotone in the entries.  For the
+    computed matrix A, max_i (Ax)_i / x_i bounds it from above
+    (Collatz-Wielandt) and x'Ax / x'x from below (Rayleigh).  Every sum
+    here is of nonnegative terms, so a sum of m rounded products is within
+    m unit roundoffs (relative) of the exact sum in any order; each bound
+    is widened by that, by the entries' error and by its own roundings.
+    """
+    unit = np.finfo(float).eps / 2  # unit roundoff
+    y = walk @ x  # row i sums terms[i] products
+    terms = np.diff(walk.indptr)
+    upper = float(np.max(y / x * (1.0 + unit * (2 * terms + 16))))
+    quotient = float((x @ y) / (x @ x))  # two sums of len(x) products
+    lower = float(quotient * (1.0 - unit * (2 * len(x) + int(terms.max()) + 16)))
+    return lower, upper
 
 
 def part_metric(x: Mapping[Edge, float], y: Mapping[Edge, float]) -> float:
@@ -355,7 +419,7 @@ def certify(
     fixed_point = fixed_point_precisions(graph, model, tolerance)
     mean_system = build_mean_system(graph, model, fixed_point)
     rho = spectral_radius(mean_system.sparse)
-    walk = walk_summability(lingauss_to_gmrf(model))
+    walk = walk_summability(sparse_gmrf(model))
 
     if topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP):
         verdict, basis = VERDICT_CONVERGES, BASIS_TOPOLOGY

@@ -144,8 +144,10 @@ def cmd_analyze(args) -> int:
               f"upper in [{_fmt(min(hi))}, {_fmt(max(hi))}]")
     print(f"fixed point reached in {cert.fixed_point.iterations} iterations")
     print(f"mean-update spectral radius: {_fmt(cert.mean_spectral_radius)}")
-    kind = "walk-summable" if cert.walk_summability.is_walk_summable else "not walk-summable"
-    print(f"walk-summability radius: {_fmt(cert.walk_summability.radius)} ({kind})")
+    walk = cert.walk_summability
+    kind = {True: "walk-summable", False: "not walk-summable", None: "undecided"}
+    print(f"walk-summability radius: {_fmt(walk.radius)} in [{_fmt(walk.lower)}, "
+          f"{_fmt(walk.upper)}] ({kind[walk.is_walk_summable]})")
     print(f"verdict: {cert.describe()}")
     if cert.verdict == analysis.VERDICT_CONVERGES:
         return EXIT_OK

@@ -5,9 +5,10 @@ A model is a set of scalar variables x_i with zero-mean Gaussian priors
 
     obs_n = sum_i coeff_{n,i} * x_i + noise_n,    noise_n ~ N(0, noise_var_n).
 
-The posterior over x is Gaussian; :func:`lingauss_to_gmrf` builds its
-information form and :func:`build_factor_graph` the bipartite graph that
-message passing runs on.
+The posterior over x is Gaussian; :func:`sparse_gmrf` builds its
+information form with a CSR precision matrix, :func:`lingauss_to_gmrf`
+the same with a dense one, and :func:`build_factor_graph` the bipartite
+graph that message passing runs on.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 TOPOLOGY_FOREST = "forest"
@@ -142,15 +143,17 @@ class FactorGraph:
 
 @dataclass(frozen=True)
 class GMRFModel:
-    """Information form of the posterior: precision matrix and potential.
+    """Information form of the posterior: precision matrix J and potential h.
 
-    ``information_matrix`` is symmetric positive definite for any valid
-    model (positive definiteness is exercised by the dense oracle's
+    ``information_matrix`` is J, a dense array (:func:`lingauss_to_gmrf`)
+    or a canonical CSR array with no stored zeros (:func:`sparse_gmrf`);
+    both hold the same bits.  J is symmetric positive definite for any
+    valid model (positive definiteness is exercised by the dense oracle's
     Cholesky factorization).  Row/column order is the canonical variable
     order.
     """
 
-    information_matrix: np.ndarray
+    information_matrix: np.ndarray | csr_array
     potential: np.ndarray
     variable_ids: tuple[str, ...]
 
@@ -230,16 +233,19 @@ def build_factor_graph(model: LinearGaussianModel) -> FactorGraph:
     factor_neighbors = {
         f.id: tuple(sorted(f.coeffs, key=variable_order.__getitem__)) for f in model.factors
     }
-    var_adj: dict[str, list[str]] = {vid: [] for vid in variable_ids}
-    for fid in factor_ids:
-        for vid in factor_neighbors[fid]:
-            var_adj[vid].append(fid)
-    variable_neighbors = {
-        vid: tuple(sorted(adj, key=factor_order.__getitem__)) for vid, adj in var_adj.items()
-    }
-
     fv_edges = tuple((fid, vid) for fid in factor_ids for vid in factor_neighbors[fid])
-    vf_edges = tuple((vid, fid) for vid in variable_ids for fid in variable_neighbors[vid])
+
+    # A stable sort of fv_edges by variable keeps each variable's factors in
+    # canonical order; no per-variable list outlives a statement.
+    edge_var = np.fromiter((variable_order[v] for _, v in fv_edges), np.intp, len(fv_edges))
+    by_var = np.argsort(edge_var, kind="stable").tolist()
+    vf_edges = tuple((fv_edges[k][1], fv_edges[k][0]) for k in by_var)
+    factors_by_var = [fv_edges[k][0] for k in by_var]
+    stops = np.cumsum(np.bincount(edge_var, minlength=len(variable_ids))).tolist()
+    variable_neighbors = {
+        vid: tuple(factors_by_var[start:stop])
+        for vid, start, stop in zip(variable_ids, [0] + stops[:-1], stops)
+    }
     return FactorGraph(
         variable_ids=variable_ids,
         factor_ids=factor_ids,
@@ -252,14 +258,16 @@ def build_factor_graph(model: LinearGaussianModel) -> FactorGraph:
     )
 
 
-def lingauss_to_gmrf(model: LinearGaussianModel) -> GMRFModel:
-    """Information form of the posterior.
+def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
+    """Information form of the posterior, J as a canonical CSR array.
 
     J = C^T diag(1/noise_var) C + diag(1/prior_var) and
     h = C^T diag(1/noise_var) obs, C stacking the factor coefficient rows.
     Factors add (c_i * c_j) / noise_var over their scope to J, and
     c_i * (obs / noise_var) to h, in canonical order, so J[i, j] and
     J[j, i] sum the same terms in the same order: J is exactly symmetric.
+    J holds one slot per cell some factor or prior touches, sorted by row
+    then column; slots whose terms cancel to 0.0 are dropped.
     """
     validate_model(model)
     n_vars = len(model.variables)
@@ -275,10 +283,19 @@ def lingauss_to_gmrf(model: LinearGaussianModel) -> GMRFModel:
                 cells.append(i * n_vars + j)
                 terms.append((ci * cj) / f.noise_var)
 
-    # add.at is unbuffered: repeated cells accumulate in list order.
-    info = np.zeros((n_vars, n_vars))
-    np.add.at(info.reshape(-1), cells, terms)
-    info.flat[:: n_vars + 1] += [1.0 / v.prior_var for v in model.variables]
+    # Every diagonal cell gets a slot, for its prior.  add.at is unbuffered:
+    # a slot sums its terms in list order, then the prior is added.
+    diagonal = np.arange(n_vars, dtype=np.int64) * (n_vars + 1)
+    keys, slot = np.unique(
+        np.concatenate([diagonal, np.asarray(cells, dtype=np.int64)]), return_inverse=True
+    )
+    data = np.zeros(len(keys))
+    np.add.at(data, slot[n_vars:], terms)
+    data[slot[:n_vars]] += [1.0 / v.prior_var for v in model.variables]
+    row, col = np.divmod(keys, n_vars)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_vars))])
+    info = csr_array((data, col, indptr), shape=(n_vars, n_vars))
+    info.eliminate_zeros()
     potential = np.zeros(n_vars)
     np.add.at(potential, rows, shares)
     return GMRFModel(
@@ -286,6 +303,16 @@ def lingauss_to_gmrf(model: LinearGaussianModel) -> GMRFModel:
         potential=potential,
         variable_ids=tuple(v.id for v in model.variables),
     )
+
+
+def lingauss_to_gmrf(model: LinearGaussianModel) -> GMRFModel:
+    """Information form of the posterior with J dense (n x n, 8 n^2 bytes).
+
+    J is the dense view of :func:`sparse_gmrf`'s CSR, entry for entry the
+    same bits; h is the same array.
+    """
+    gmrf = sparse_gmrf(model)
+    return replace(gmrf, information_matrix=gmrf.information_matrix.toarray())
 
 
 def classify_topology(graph: FactorGraph) -> TopologyReport:

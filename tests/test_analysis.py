@@ -38,12 +38,14 @@ from gbpkit import (
     precision_bounds,
     rate_trace,
     run,
+    sparse_gmrf,
     spectral_radius,
     sweep,
     trace_to_csv,
     variable_to_factor,
     walk_summability,
 )
+from gbpkit import analysis
 from gbpkit.generate import KINDS
 
 import helpers
@@ -404,6 +406,159 @@ class TestWalkSummability:
         walk = walk_summability(gmrf)
         assert walk.radius == 0.0
         assert walk.is_walk_summable
+
+
+def dense_walk_matrix(info):
+    """|I - R| as a dense array, its diagonal exactly zero."""
+    scale = 1.0 / np.sqrt(np.diag(info))
+    absolute = np.abs(np.eye(len(info)) - info * scale[:, None] * scale[None, :])
+    np.fill_diagonal(absolute, 0.0)
+    return absolute
+
+
+def dense_walk_radius(info):
+    """max |eigvalsh| of the dense |I - R|, the symmetric solve the interval must contain."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(dense_walk_matrix(info)))))
+
+
+def walk_of(info):
+    return walk_summability(GMRFModel(info, np.zeros(info.shape[0]), ()))
+
+
+class TestWalkInterval:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("coeff", [2.0, 6.0])
+    def test_interval_contains_dense_radius(self, kind, coeff):
+        for seed in (1, 2, 3):
+            gmrf = sparse_gmrf(generate_model(kind, 200, seed, (-coeff, coeff)))
+            expected = dense_walk_radius(gmrf.information_matrix.toarray())
+            walk = walk_summability(gmrf)
+            assert walk.lower <= expected <= walk.upper
+            assert walk.lower <= walk.radius <= walk.upper
+            assert walk.upper - walk.lower <= 1e-12 * max(1.0, expected)
+            # A decision needs the whole interval on one side of 1.
+            assert walk.is_walk_summable == (walk.upper < 1.0)
+            assert walk.is_walk_summable is not None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_and_sparse_j_agree_bit_for_bit(self, kind):
+        for seed in (1, 2, 3):
+            model = generate_model(kind, 120, seed, (-6.0, 6.0))
+            sparse = walk_summability(sparse_gmrf(model))
+            dense = walk_summability(lingauss_to_gmrf(model))
+            assert sparse == dense
+            assert np.array([sparse.radius, sparse.lower, sparse.upper]).tobytes() == (
+                np.array([dense.radius, dense.lower, dense.upper]).tobytes()
+            )
+
+    def test_forest_takes_the_larger_component(self):
+        # A 3-chain with couplings 0.5 (radius 0.5 * sqrt 2) beside a pair
+        # coupled at 0.3 (radius 0.3), listed first.
+        info = np.eye(5)
+        info[0, 1] = info[1, 0] = 0.3
+        for i in (2, 3):
+            info[i, i + 1] = info[i + 1, i] = -0.5
+        walk = walk_of(info)
+        expected = 0.5 * math.sqrt(2.0)
+        assert walk.lower <= expected <= walk.upper
+        assert walk.radius == pytest.approx(expected, abs=1e-15)
+        assert walk.is_walk_summable is True
+
+    def test_radius_exactly_one_is_undecided(self):
+        walk = walk_of(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert walk.lower <= 1.0 <= walk.upper
+        assert walk.is_walk_summable is None
+
+    @pytest.mark.parametrize("info", [np.eye(1) * 3.0, np.diag([0.5, 2.0, 7.0])])
+    def test_no_coupling_is_exactly_zero(self, info, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("no solver should run without couplings")
+
+        monkeypatch.setattr(analysis, "eigsh", no_solver)
+        monkeypatch.setattr(analysis, "cg", no_solver)
+        for matrix in (info, csr_array(info)):
+            walk = walk_of(matrix)
+            assert (walk.radius, walk.lower, walk.upper) == (0.0, 0.0, 0.0)
+            assert np.array(walk.radius).tobytes() == np.array(0.0).tobytes()
+            assert walk.is_walk_summable is True
+
+    def test_failed_arpack_falls_back_to_row_sums(self, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def failing(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        gmrf = sparse_gmrf(generate_model("random-loopy", 80, 1))
+        info = gmrf.information_matrix.toarray()
+        expected = dense_walk_radius(info)
+        monkeypatch.setattr(analysis, "eigsh", failing)
+        walk = walk_summability(gmrf)
+        absolute = dense_walk_matrix(info)
+        assert walk.lower <= expected <= walk.upper
+        assert walk.upper == pytest.approx(absolute.sum(axis=1).max(), rel=1e-13)
+        assert walk.lower == pytest.approx(absolute.sum() / len(info), rel=1e-12)
+        assert walk.radius == walk.lower
+
+    def test_non_positive_cg_solution_falls_back(self, monkeypatch):
+        gmrf = sparse_gmrf(generate_model("tree", 80, 2))
+        info = gmrf.information_matrix.toarray()
+        expected = dense_walk_radius(info)
+        tight = walk_summability(gmrf)
+        # One negative entry: the solution is not used, x = 1 is.
+        flipped = lambda a, b, **kwargs: (np.where(np.arange(len(b)) == 3, -1.0, 1.0) * b, 0)
+        monkeypatch.setattr(analysis, "cg", flipped)
+        walk = walk_summability(gmrf)
+        absolute = dense_walk_matrix(info)
+        assert walk.upper == pytest.approx(absolute.sum(axis=1).max(), rel=1e-13)
+        assert walk.lower == pytest.approx(absolute.sum() / len(info), rel=1e-12)
+        assert walk.lower <= expected <= walk.upper
+        assert walk.upper - walk.lower > tight.upper - tight.lower
+        assert walk.lower <= walk.radius <= walk.upper
+
+    @pytest.mark.parametrize("factor", [0.5, 1.5])
+    def test_a_wrong_arpack_value_decides_nothing(self, factor, monkeypatch):
+        gmrf = sparse_gmrf(generate_model("random-loopy", 80, 3))
+        expected = dense_walk_radius(gmrf.information_matrix.toarray())
+        monkeypatch.setattr(
+            analysis, "eigsh", lambda *args, **kwargs: np.array([factor * expected])
+        )
+        walk = walk_summability(gmrf)
+        assert walk.lower <= expected <= walk.upper
+        assert walk.lower <= walk.radius <= walk.upper
+        # A shift below the radius may leave the interval wide, never wrong.
+        assert walk.is_walk_summable is (False if walk.lower >= 1.0 else None)
+        assert all(type(v) is float for v in (walk.radius, walk.lower, walk.upper))
+
+    def test_decisions_rest_on_the_bounds(self):
+        # Scaling one off-diagonal pair moves the radius across 1.
+        for coupling, decided in ((0.999, True), (1.001, False)):
+            walk = walk_of(np.array([[1.0, coupling], [coupling, 1.0]]))
+            assert walk.is_walk_summable is decided
+            if decided:
+                assert walk.upper < 1.0
+            else:
+                assert walk.lower >= 1.0
+
+    def test_certify_never_builds_the_dense_j(self, monkeypatch):
+        from gbpkit import model as model_module
+
+        def refuse(model):
+            raise AssertionError("certify must not build the dense information matrix")
+
+        monkeypatch.setattr(model_module, "lingauss_to_gmrf", refuse)
+        monkeypatch.setattr(analysis, "lingauss_to_gmrf", refuse, raising=False)
+        seen = []
+        real = analysis.walk_summability
+
+        def spy(gmrf):
+            seen.append(type(gmrf.information_matrix))
+            return real(gmrf)
+
+        monkeypatch.setattr(analysis, "walk_summability", spy)
+        model = generate_model("tree", 300, 4)
+        cert = certify(build_factor_graph(model), model)
+        assert seen == [csr_array]
+        assert cert.walk_summability == real(lingauss_to_gmrf(model))
 
 
 class TestPartMetric:

@@ -1,6 +1,7 @@
 """Command-line interface, driven in process through main()."""
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -76,6 +77,29 @@ class TestAnalyze:
         assert "mean-update spectral radius:" in out
         assert "(not walk-summable)" in out
         assert "verdict: certified-converges (topology)" in out
+
+    def test_walk_summability_line_reports_the_interval(self, model_file, capsys):
+        assert main(["analyze", "--model", str(model_file)]) == EXIT_OK
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("walk-"))
+        match = re.fullmatch(
+            r"walk-summability radius: (\S+) in \[(\S+), (\S+)\] \(not walk-summable\)", line
+        )
+        assert match
+        radius, lower, upper = map(float, match.groups())
+        assert 1.0 <= lower <= radius <= upper
+        assert radius == pytest.approx(1.0753662600622516, abs=1e-11)
+
+    def test_undecided_walk_summability_leaves_the_exit_code(self, model_file, capsys,
+                                                             monkeypatch):
+        from gbpkit import analysis, build_factor_graph
+
+        model = load_model(model_file)
+        real = analysis.certify(build_factor_graph(model), model)
+        walk = analysis.WalkSummability(radius=1.0, lower=0.9, upper=1.1, is_walk_summable=None)
+        fake = dataclasses.replace(real, walk_summability=walk)
+        monkeypatch.setattr(analysis, "certify", lambda *a, **k: fake)
+        assert main(["analyze", "--model", str(model_file)]) == EXIT_OK
+        assert "walk-summability radius: 1 in [0.9, 1.1] (undecided)" in capsys.readouterr().out
 
     def test_nan_tolerance(self, model_file, capsys):
         assert main(["analyze", "--model", str(model_file), "--tol", "nan"]) == EXIT_ERROR

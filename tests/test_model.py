@@ -20,6 +20,7 @@ from gbpkit import (
     lingauss_to_gmrf,
     load_model,
     save_model,
+    sparse_gmrf,
     validate_model,
     with_observations,
 )
@@ -213,6 +214,61 @@ class TestInformationForm:
             np.testing.assert_allclose(gmrf.potential, potential, rtol=1e-13, atol=0)
 
 
+class TestSparseInformationForm:
+    @staticmethod
+    def dense_scatter(model):
+        """J scattered straight into a dense n x n array: the reference layout."""
+        n_vars = len(model.variables)
+        order = {v.id: k for k, v in enumerate(model.variables)}
+        cells, terms = [], []
+        for f in model.factors:
+            scope = [(order[vid], c) for vid, c in f.coeffs.items()]
+            for i, ci in scope:
+                for j, cj in scope:
+                    cells.append(i * n_vars + j)
+                    terms.append((ci * cj) / f.noise_var)
+        info = np.zeros((n_vars, n_vars))
+        np.add.at(info.reshape(-1), cells, terms)
+        info.flat[:: n_vars + 1] += [1.0 / v.prior_var for v in model.variables]
+        return info
+
+    def cancelling_model(self):
+        # f1 and f2 add +1 and -1 to J[x1, x2]: the cell sums to exactly 0.0.
+        return LinearGaussianModel(
+            (Variable("x1", 1.0), Variable("x2", 2.0), Variable("x3", 0.5)),
+            (
+                Factor("f1", {"x1": 1.0, "x2": 1.0}, 1.0, 0.5),
+                Factor("f2", {"x2": -1.0, "x1": 1.0}, 1.0, -0.5),
+                Factor("f3", {"x3": 3.0, "x2": 0.25}, 2.0, 1.0),
+            ),
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sparse_j_is_canonical_and_its_dense_view_has_the_scatter_bytes(self, kind):
+        models = [generate_model(kind, 200, seed, coeff) for seed in (1, 2, 3)
+                  for coeff in ((-2.0, 2.0), (-6.0, 6.0))]
+        models += [self.cancelling_model(), LinearGaussianModel((), ()),
+                   LinearGaussianModel((Variable("x1", 4.0),), ())]
+        for model in models:
+            expected = self.dense_scatter(model)
+            sparse = sparse_gmrf(model)
+            dense = lingauss_to_gmrf(model)
+            info = sparse.information_matrix
+            assert info.format == "csr" and info.has_canonical_format
+            assert np.all(info.data != 0)
+            assert info.nnz == np.count_nonzero(expected)
+            assert info.toarray().tobytes() == expected.tobytes()
+            assert dense.information_matrix.tobytes() == expected.tobytes()
+            assert sparse.potential.tobytes() == dense.potential.tobytes()
+            assert sparse.variable_ids == dense.variable_ids
+
+    def test_cancelled_cell_is_not_stored(self):
+        info = sparse_gmrf(self.cancelling_model()).information_matrix
+        assert info.toarray()[0, 1] == 0.0
+        assert info.indices[info.indptr[0]:info.indptr[1]].tolist() == [0]
+        assert info.nnz == 5
+
+
 class TestTopology:
     def test_loop_model_single_loop(self, loop_graph):
         report = classify_topology(loop_graph)
@@ -349,3 +405,4 @@ class TestFileFormat:
         graph = build_factor_graph(loads_model(text))
         assert graph.variable_ids == ("z", "a")
         assert graph.factor_ids == ("g", "b")
+
