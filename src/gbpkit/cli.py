@@ -117,6 +117,8 @@ def _print_beliefs(beliefs: engine.BeliefSet, posterior=None) -> None:
 
 def cmd_solve(args) -> int:
     model = _require_model(args)
+    # Before the run, so a model over the oracle's size cap fails fast.
+    posterior = dense_posterior(model) if args.oracle else None
     graph = build_factor_graph(model)
     result = engine.run(
         graph, model,
@@ -124,7 +126,7 @@ def cmd_solve(args) -> int:
         tolerance=args.tol,
         max_iters=args.max_iters,
     )
-    _print_beliefs(result.beliefs, dense_posterior(model) if args.oracle else None)
+    _print_beliefs(result.beliefs, posterior)
     print(f"status: {result.status} after {result.state.iteration} sweeps")
     return EXIT_OK
 
@@ -201,11 +203,13 @@ def cmd_simulate(args) -> int:
         schedule = network.Schedule.random_sequential(args.seed)
     else:
         schedule = network.Schedule.synchronous()
+    # Before the run, so a model over the oracle's size cap fails fast.
+    posterior = dense_posterior(model) if args.oracle else None
     result = network.simulate(
         model, schedule, tolerance=args.tol, max_ticks=args.max_iters,
         log_path=args.log,
     )
-    _print_beliefs(result.beliefs, dense_posterior(model) if args.oracle else None)
+    _print_beliefs(result.beliefs, posterior)
     print(f"status: {result.status} after {result.ticks} ticks "
           f"({result.messages_sent} messages)")
     if args.log is not None:

@@ -8,8 +8,10 @@ import pytest
 from gbpkit import (
     VERDICT_INCONCLUSIVE,
     dense_posterior,
+    engine,
     generate_tree,
     load_model,
+    network,
     save_model,
 )
 from gbpkit.cli import EXIT_DIVERGES, EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, main
@@ -235,6 +237,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error: invalid model" in err
         assert "  - " in err
+
+    @pytest.mark.parametrize("command, module, stage", [
+        ("solve", engine, "run"), ("simulate", network, "simulate"),
+    ])
+    def test_oracle_cap_fails_before_the_run(self, command, module, stage, tmp_path, capsys,
+                                             monkeypatch):
+        path = tmp_path / "big.json"
+        save_model(generate_tree(2001, seed=1), path)
+        monkeypatch.setattr(module, stage, lambda *a, **k: pytest.fail(f"{stage} ran"))
+        assert main([command, "--model", str(path), "--oracle"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "2000" in captured.err
+        assert captured.out == ""
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -1,14 +1,21 @@
 """Dense reference solver: closed forms, residual invariants, and limits."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from gbpkit import (
     Factor,
     LinearGaussianModel,
     Variable,
     dense_posterior,
+    generate_model,
+    generate_tree,
     lingauss_to_gmrf,
+    oracle,
 )
+from gbpkit.generate import KINDS
 
 import helpers
 
@@ -54,6 +61,37 @@ class TestConsistency:
             assert posterior.variance_of(vid) == posterior.covariance[k, k]
 
 
+@pytest.mark.parametrize("bound", [2.0, 6.0])
+@pytest.mark.parametrize("kind", KINDS)
+class TestGeneratedModels:
+    """One Cholesky factor gives the mean by solve and the covariance by potri."""
+
+    @pytest.fixture
+    def case(self, kind, bound):
+        model = generate_model(kind, 300, seed=5, coeff_range=(-bound, bound))
+        return lingauss_to_gmrf(model), dense_posterior(model)
+
+    def test_covariance_matches_the_inverse(self, case):
+        gmrf, posterior = case
+        inverse = np.linalg.inv(gmrf.information_matrix)
+        error = np.max(np.abs(posterior.covariance - inverse))
+        assert error <= 1e-12 * np.max(np.abs(inverse))
+
+    def test_covariance_exactly_symmetric(self, case):
+        _, posterior = case
+        assert np.array_equal(posterior.covariance, posterior.covariance.T)
+
+    def test_variances_are_the_diagonal(self, case):
+        _, posterior = case
+        variances = [posterior.variance_of(vid) for vid in posterior.variable_ids]
+        assert np.array_equal(variances, np.diag(posterior.covariance))
+
+    def test_mean_is_the_cholesky_solve(self, case):
+        gmrf, posterior = case
+        expected = cho_solve(cho_factor(gmrf.information_matrix), gmrf.potential)
+        assert np.array_equal(posterior.mean, expected)
+
+
 class TestLimits:
     def test_empty_model(self):
         posterior = dense_posterior(LinearGaussianModel((), ()))
@@ -69,6 +107,22 @@ class TestLimits:
         variables = tuple(Variable(f"x{k}", 1.0) for k in range(2001))
         with pytest.raises(ValueError, match="2000"):
             dense_posterior(LinearGaussianModel(variables, ()))
+
+    def test_size_cap_checked_before_dense_allocation(self):
+        model = generate_tree(2500, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2000"):
+                dense_posterior(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_inversion_failure_raises(self, loop_model, monkeypatch):
+        monkeypatch.setattr(oracle, "dpotri", lambda c, **flags: (c, 1))
+        with pytest.raises(LinAlgError):
+            dense_posterior(loop_model)
 
     def test_unknown_variable_lookup(self, loop_model):
         posterior = dense_posterior(loop_model)

@@ -1,8 +1,10 @@
-"""Property tests of the paper's first and third results on generated models.
+"""Property tests of the paper's three results on generated models.
 
   * The precision recursion has one fixed point, reached from every
     nonnegative start, and every iterate after the first sweep lies inside
     the closed-form envelope (``precision_bounds``).
+  * The means converge exactly when the mean-update spectral radius is
+    below one, so a certified verdict predicts what ``run`` does.
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
@@ -13,12 +15,15 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gbpkit import (
     InitStrategy,
     STATUS_CONVERGED,
+    VERDICT_CONVERGES,
+    VERDICT_DIVERGES,
     build_factor_graph,
+    certify,
     dense_posterior,
     engine,
     fixed_point_precisions,
@@ -28,7 +33,7 @@ from gbpkit import (
     precision_bounds,
     run,
 )
-from gbpkit.generate import KIND_SINGLE_LOOP, KIND_TREE, KINDS
+from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
 
 SEEDS = st.integers(0, 2**32 - 1)
 COEFF_BOUNDS = st.floats(0.5, 6.0)
@@ -88,6 +93,19 @@ def test_iterates_after_the_first_sweep_stay_in_the_envelope(model, start, seed)
         prec, mean = engine.sweep_arrays(compiled, prec, mean)
         assert np.all(prec >= lower * (1.0 - ENVELOPE_RTOL))
         assert np.all(prec <= upper * (1.0 + ENVELOPE_RTOL))
+
+
+@given(size=st.integers(2, 60), seed=SEEDS, bound=COEFF_BOUNDS)
+@example(size=6, seed=113, bound=6.0)  # certified to diverge
+def test_certified_verdict_predicts_mean_convergence(size, seed, bound):
+    model = generate_model(KIND_RANDOM_LOOPY, size, seed, (-bound, bound))
+    graph = build_factor_graph(model)
+    verdict = certify(graph, model).verdict
+    status = run(graph, model).status
+    if verdict == VERDICT_CONVERGES:
+        assert status == STATUS_CONVERGED
+    if verdict == VERDICT_DIVERGES:
+        assert status != STATUS_CONVERGED
 
 
 @given(size=st.integers(2, 60), seed=SEEDS, bound=COEFF_BOUNDS)
