@@ -5,13 +5,16 @@ closed-form envelope, so it has a unique fixed point reachable from any
 nonnegative start.  Mean convergence is a separate linear question: with
 precisions pinned at the fixed point, the stacked variable-to-factor means
 evolve as v <- -Q v + b, so the means settle if and only if the spectral
-radius of Q is below one.  ``certify`` packages both facts, short-circuited
-by graph topology where that already decides the outcome.
+radius of Q is below one.  ``certify`` packages both facts and does the
+least work that decides: topology on forests and single-loop graphs, else
+a Collatz-Wielandt upper bound on rho(|Q|) >= rho(Q), and only when that
+bound cannot decide, a dense eigensolve.  A radius the verdict did not
+need is computed on first read of ``mean_spectral_radius``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping
 
@@ -43,12 +46,16 @@ BASIS_SPECTRAL = "spectral"
 
 FIXED_POINT_MAX_ITERS = 100000
 SPECTRAL_MARGIN = 1e-9
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 TRACE_FLOOR = 1e-14
 # Walk-summability: CG solves (mu I - A) x = 1 at mu = theta (1 + WALK_SHIFT).
 # Neither setting decides anything; they only set how narrow the interval is.
 WALK_SHIFT = 1e-13
 WALK_CG_RTOL = 1e-10
 WALK_CG_MAX_ITERS = 1000
+# Power iterations the mean-update bound may take before the dense
+# eigensolve decides instead.
+BOUND_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -108,16 +115,55 @@ class TracePoint:
     mean_delta: float
 
 
+class _LazyRadius:
+    """Field descriptor: rho(Q) as given, else computed once on first read.
+
+    The value lives in the instance ``__dict__`` under the field's name,
+    None until computed.  Read on the class, it gives the field's default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, cert, owner=None):
+        if cert is None:
+            return None
+        radius = cert.__dict__[self.name]
+        if radius is None:
+            radius = cert.__dict__[self.name] = spectral_radius(cert.mean_system.sparse)
+        return radius
+
+    def __set__(self, cert, radius):
+        cert.__dict__[self.name] = radius
+
+
 @dataclass(frozen=True)
 class ConvergenceCertificate:
+    """What ``certify`` found, and which path decided the verdict.
+
+    ``mean_radius_bound`` is the Collatz-Wielandt upper bound on rho(Q)
+    when one was computed (multi-loop graphs only).
+    ``mean_spectral_radius`` is rho(Q): given at construction, or computed
+    on first read (``certify`` gives it only when the dense path decided).
+    ``dataclasses.replace`` reads it unless it is passed, as None to keep
+    the copy lazy.
+    """
+
     topology: TopologyReport
     bounds: Bounds
     fixed_point: FixedPoint
     mean_system: MeanUpdateSystem
-    mean_spectral_radius: float
     walk_summability: WalkSummability
     verdict: str
     basis: str | None
+    mean_spectral_radius: float = _LazyRadius()
+    mean_radius_bound: float | None = None
+
+    def __repr__(self) -> str:
+        # The generated repr would read, and so compute, the lazy radius;
+        # this one shows every field as stored (an uncomputed radius as None).
+        shown = ", ".join(f"{f.name}={vars(self)[f.name]!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({shown})"
 
     def describe(self) -> str:
         if self.basis is None:
@@ -324,13 +370,55 @@ def _perron_interval(walk: csr_array, x: np.ndarray) -> tuple[float, float]:
     m unit roundoffs (relative) of the exact sum in any order; each bound
     is widened by that, by the entries' error and by its own roundings.
     """
-    unit = np.finfo(float).eps / 2  # unit roundoff
-    y = walk @ x  # row i sums terms[i] products
+    y = walk @ x
+    upper = _collatz_wielandt(walk, x, y)
     terms = np.diff(walk.indptr)
-    upper = float(np.max(y / x * (1.0 + unit * (2 * terms + 16))))
     quotient = float((x @ y) / (x @ x))  # two sums of len(x) products
-    lower = float(quotient * (1.0 - unit * (2 * len(x) + int(terms.max()) + 16)))
+    lower = float(quotient * (1.0 - UNIT_ROUNDOFF * (2 * len(x) + int(terms.max()) + 16)))
     return lower, upper
+
+
+def _collatz_wielandt(matrix: csr_array, x: np.ndarray, y: np.ndarray) -> float:
+    """max_i y_i / x_i, widened by its rounding: bounds the Perron root of ``matrix``.
+
+    ``matrix`` is nonnegative, x > 0, and y is ``matrix @ x`` as computed;
+    row i sums terms_i nonnegative products, so y_i is within 2 terms_i
+    unit roundoffs (relative) of the exact sum, in any order.  The slack
+    of 2 terms_i + 16 covers that, up to 7 roundoffs of error in the
+    entries themselves (see :func:`_perron_interval`), and the division
+    and the widening product.  An empty matrix gives 0.
+    """
+    terms = np.diff(matrix.indptr)
+    return float(np.max(y / x * (1.0 + UNIT_ROUNDOFF * (2 * terms + 16)), initial=0.0))
+
+
+def _radius_bound(matrix: csr_array) -> float:
+    """Proven upper bound on rho(|Q|), hence on rho(Q), by Collatz-Wielandt.
+
+    Any x > 0 gives max_i (|Q| x)_i / x_i >= rho(|Q|) >= rho(Q).  x starts
+    at 1 and follows power iterations of I + |Q|, which has the Perron
+    vector of |Q| but does not oscillate where |Q| is periodic; after each
+    step x is scaled to a largest entry of 1 and floored at the smallest
+    normal double, so it stays strictly positive and finite (rows of |Q|
+    may be empty).  Returns the first bound below 1 - SPECTRAL_MARGIN, or
+    the smallest of BOUND_MAX_ITERS bounds; inf when |Q| x overflows or
+    Q has a non-finite entry.
+    """
+    walk = abs(matrix)
+    x = np.ones(walk.shape[0])
+    best = math.inf
+    with np.errstate(over="ignore"):  # a ratio over a floored x_i may be inf: a valid bound
+        for _ in range(BOUND_MAX_ITERS):
+            y = walk @ x
+            if not np.all(np.isfinite(y)):
+                break
+            best = min(best, _collatz_wielandt(walk, x, y))
+            if best < 1.0 - SPECTRAL_MARGIN:
+                break
+            x += y
+            x /= x.max()
+            np.maximum(x, np.finfo(float).tiny, out=x)
+    return best
 
 
 def part_metric(x: Mapping[Edge, float], y: Mapping[Edge, float]) -> float:
@@ -409,21 +497,33 @@ def certify(
 ) -> ConvergenceCertificate:
     """Full convergence certificate for a model.
 
-    Precisions always settle, so the verdict is about the means: forests
-    and single-loop graphs converge by structure alone; otherwise the
-    spectral radius of the mean-update matrix decides, with a 1e-9
-    numerical margin around 1 mapped to "inconclusive".
+    Precisions always settle, so the verdict is about the means, decided
+    by the first of three paths that can:
+
+      * forests and single-loop graphs converge by structure alone, and
+        neither the bound nor the radius is computed;
+      * otherwise a Collatz-Wielandt upper bound on rho(Q) (see
+        :func:`_radius_bound`) below 1 - 1e-9 certifies convergence, with
+        the spectral basis, and is kept as ``mean_radius_bound``;
+      * otherwise the dense ``spectral_radius`` of Q decides, with a 1e-9
+        numerical margin around 1 mapped to "inconclusive".
+
+    The bound is never below rho(Q), so the verdict is the one the dense
+    radius gives.  A radius the verdict did not need is computed on first
+    read of ``mean_spectral_radius``.
     """
     topology = classify_topology(graph)
     bounds = precision_bounds(graph, model)
     fixed_point = fixed_point_precisions(graph, model, tolerance)
     mean_system = build_mean_system(graph, model, fixed_point)
-    rho = spectral_radius(mean_system.sparse)
     walk = walk_summability(sparse_gmrf(model))
 
+    rho = bound = None
     if topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP):
         verdict, basis = VERDICT_CONVERGES, BASIS_TOPOLOGY
-    elif rho < 1.0 - SPECTRAL_MARGIN:
+    elif (bound := _radius_bound(mean_system.sparse)) < 1.0 - SPECTRAL_MARGIN:
+        verdict, basis = VERDICT_CONVERGES, BASIS_SPECTRAL
+    elif (rho := spectral_radius(mean_system.sparse)) < 1.0 - SPECTRAL_MARGIN:
         verdict, basis = VERDICT_CONVERGES, BASIS_SPECTRAL
     elif rho > 1.0 + SPECTRAL_MARGIN:
         verdict, basis = VERDICT_DIVERGES, None
@@ -435,8 +535,9 @@ def certify(
         bounds=bounds,
         fixed_point=fixed_point,
         mean_system=mean_system,
-        mean_spectral_radius=rho,
         walk_summability=walk,
         verdict=verdict,
         basis=basis,
+        mean_spectral_radius=rho,
+        mean_radius_bound=bound,
     )

@@ -145,7 +145,7 @@ def cmd_analyze(args) -> int:
         print(f"precision bounds: lower in [{_fmt(min(lo))}, {_fmt(max(lo))}], "
               f"upper in [{_fmt(min(hi))}, {_fmt(max(hi))}]")
     print(f"fixed point reached in {cert.fixed_point.iterations} iterations")
-    print(f"mean-update spectral radius: {_fmt(cert.mean_spectral_radius)}")
+    print(f"mean-update spectral radius: {_radius_line(cert)}")
     walk = cert.walk_summability
     kind = {True: "walk-summable", False: "not walk-summable", None: "undecided"}
     print(f"walk-summability radius: {_fmt(walk.radius)} in [{_fmt(walk.lower)}, "
@@ -156,6 +156,16 @@ def cmd_analyze(args) -> int:
     if cert.verdict == analysis.VERDICT_DIVERGES:
         return EXIT_DIVERGES
     return EXIT_INCONCLUSIVE
+
+
+def _radius_line(cert: analysis.ConvergenceCertificate) -> str:
+    """The path that decided the verdict, without computing a radius it did not need."""
+    if cert.basis == analysis.BASIS_TOPOLOGY:
+        return "not computed (topology decides)"
+    bound = cert.mean_radius_bound
+    if bound is not None and bound < 1.0 - analysis.SPECTRAL_MARGIN:
+        return f"<= {_fmt(bound)} (Collatz-Wielandt bound)"
+    return f"{_fmt(cert.mean_spectral_radius)} (dense eigensolve)"
 
 
 def cmd_trace(args) -> int:

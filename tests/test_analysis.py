@@ -1,4 +1,5 @@
-"""Convergence analysis: bounds, fixed points, mean-update systems, metrics.
+"""Convergence analysis: bounds, fixed points, mean-update systems, metrics,
+certificates and which path decides them.
 
 Independent oracles used here:
   * spectral_radius is cross-checked against characteristic-polynomial
@@ -7,6 +8,7 @@ Independent oracles used here:
   * part_metric is cross-checked against a bisection scan for the
     smallest admissible scaling factor, the metric's defining property.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from gbpkit import (
     VERDICT_DIVERGES,
     BASIS_SPECTRAL,
     BASIS_TOPOLOGY,
+    ConvergenceCertificate,
     Variable,
     build_factor_graph,
     build_mean_system,
@@ -693,3 +696,127 @@ class TestCertify:
     def test_certify_never_builds_the_dense_q(self, loop_graph, loop_model):
         cert = certify(loop_graph, loop_model)
         assert "matrix" not in vars(cert.mean_system)
+
+
+class TestRadiusBound:
+    """``_radius_bound``: a Collatz-Wielandt upper bound on rho(|Q|) >= rho(Q)."""
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.0, 1.0], [0.25, 0.0]],  # periodic |Q|: plain power iteration would stall at 1
+        [[0.0, 5.0], [0.0, 0.0]],  # nilpotent, with an empty row
+        [[0.0, -0.9, 0.0], [0.9, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ])
+    def test_decides_below_one_and_stays_above_the_radius(self, matrix):
+        q = csr_array(np.array(matrix))
+        bound = analysis._radius_bound(q)
+        assert spectral_radius(q) <= bound < 1.0 - analysis.SPECTRAL_MARGIN
+
+    def test_sign_cancellation_leaves_it_undecided(self):
+        # rho(Q) = 0.6 sqrt 2 < 1, but |Q| has radius 1.2: only the dense path decides.
+        q = csr_array(np.array([[0.6, 0.6], [-0.6, 0.6]]))
+        assert analysis._radius_bound(q) >= 1.2
+        assert spectral_radius(q) == pytest.approx(0.6 * math.sqrt(2.0), rel=1e-12)
+
+    def test_edge_cases(self):
+        assert analysis._radius_bound(csr_array((0, 0))) == 0.0
+        assert analysis._radius_bound(csr_array(np.array([[np.nan, 1.0], [1.0, 0.0]]))) == math.inf
+        huge = csr_array(np.array([[0.0, 1e300], [1e300, 0.0]]))
+        assert analysis._radius_bound(huge) >= 1e300
+
+    def test_bounds_every_generated_mean_system(self):
+        for system in generated_mean_systems():
+            assert analysis._radius_bound(system.sparse) >= spectral_radius(system.sparse)
+
+
+def refuse_eigensolve(matrix):
+    raise AssertionError("the dense eigensolve must not run")
+
+
+def count_eigensolves(monkeypatch):
+    """Wrap ``analysis.spectral_radius``; returns the list of matrices it is called on."""
+    real = analysis.spectral_radius
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(analysis, "spectral_radius", counting)
+    return calls
+
+
+def loopy_certificate():
+    """A ``random-loopy`` certificate that the Collatz-Wielandt bound decides."""
+    model = generate_model("random-loopy", 200, 7)
+    return certify(build_factor_graph(model), model)
+
+
+class TestLazyCertificate:
+    """``certify`` runs the dense eigensolve only when nothing cheaper decides."""
+
+    @pytest.mark.parametrize("kind, basis", [
+        ("random-loopy", BASIS_SPECTRAL),
+        ("tree", BASIS_TOPOLOGY),
+        ("single-loop-plus-forest", BASIS_TOPOLOGY),
+    ])
+    def test_no_eigensolve_when_the_bound_or_topology_decides(self, kind, basis, monkeypatch):
+        model = generate_model(kind, 200, 7)
+        monkeypatch.setattr(analysis, "spectral_radius", refuse_eigensolve)
+        cert = certify(build_factor_graph(model), model)
+        assert (cert.verdict, cert.basis) == (VERDICT_CONVERGES, basis)
+        assert vars(cert)["mean_spectral_radius"] is None
+        if basis == BASIS_SPECTRAL:
+            assert cert.mean_radius_bound < 1.0 - analysis.SPECTRAL_MARGIN
+        else:
+            assert cert.mean_radius_bound is None
+
+    def test_radius_is_computed_once_on_first_read(self, monkeypatch):
+        real = analysis.spectral_radius
+        calls = count_eigensolves(monkeypatch)
+        cert = loopy_certificate()
+        assert calls == []
+        first = cert.mean_spectral_radius
+        assert cert.mean_spectral_radius is first
+        assert len(calls) == 1 and calls[0] is cert.mean_system.sparse
+        expected = real(cert.mean_system.matrix)
+        assert np.float64(first).tobytes() == np.float64(expected).tobytes()
+        assert first <= cert.mean_radius_bound
+
+    def test_construction_replace_and_repr_need_no_eigensolve(self, monkeypatch):
+        cert = loopy_certificate()
+        monkeypatch.setattr(analysis, "spectral_radius", refuse_eigensolve)
+        pieces = {f.name: vars(cert)[f.name] for f in dataclasses.fields(cert)}
+        assert pieces["mean_spectral_radius"] is None
+        assert "mean_spectral_radius=None" in repr(cert)
+        assert ConvergenceCertificate.mean_spectral_radius is None  # the field's default
+        given = ConvergenceCertificate(**{**pieces, "mean_spectral_radius": 0.25})
+        assert given.mean_spectral_radius == 0.25
+        assert "mean_spectral_radius=0.25" in repr(given)
+        moved = dataclasses.replace(given, verdict=VERDICT_DIVERGES, basis=None)
+        assert (moved.mean_spectral_radius, moved.verdict) == (0.25, VERDICT_DIVERGES)
+        # Passing the radius keeps replace from reading it, so it stays lazy.
+        lazy = dataclasses.replace(cert, basis=None, mean_spectral_radius=None)
+        assert vars(lazy)["mean_spectral_radius"] is None
+        bare = {k: v for k, v in pieces.items() if k not in ("mean_spectral_radius",
+                                                              "mean_radius_bound")}
+        assert ConvergenceCertificate(**bare).mean_radius_bound is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.mean_spectral_radius = 0.5
+
+    def test_replace_of_a_lazy_certificate_reads_the_radius(self):
+        cert = loopy_certificate()
+        moved = dataclasses.replace(cert, verdict=VERDICT_DIVERGES)
+        assert vars(moved)["mean_spectral_radius"] == spectral_radius(cert.mean_system.sparse)
+
+    def test_diverging_model_takes_the_dense_path(self, monkeypatch):
+        model = generate_random_loopy(6, seed=113, coeff_range=(-6.0, 6.0))
+        real = analysis.spectral_radius
+        calls = count_eigensolves(monkeypatch)
+        cert = certify(build_factor_graph(model), model)
+        assert len(calls) == 1
+        assert cert.verdict == VERDICT_DIVERGES and cert.basis is None
+        radius = vars(cert)["mean_spectral_radius"]
+        assert radius == real(cert.mean_system.matrix) > 1.0 + analysis.SPECTRAL_MARGIN
+        assert cert.mean_radius_bound >= radius
+        assert cert.mean_spectral_radius == radius
+        assert len(calls) == 1

@@ -111,6 +111,39 @@ class TestAnalyze:
         assert main(["analyze", "--model", str(divergent_file)]) == EXIT_DIVERGES
         assert "verdict: certified-diverges" in capsys.readouterr().out
 
+    def test_topology_decides_without_a_radius(self, model_file, capsys):
+        assert main(["analyze", "--model", str(model_file)]) == EXIT_OK
+        assert "mean-update spectral radius: not computed (topology decides)\n" in (
+            capsys.readouterr().out)
+
+    def test_bound_decides_without_reading_the_radius(self, tmp_path, capsys, monkeypatch):
+        from gbpkit import analysis, generate_model
+
+        path = tmp_path / "loopy.json"
+        save_model(generate_model("random-loopy", 200, 7), path)
+
+        def refuse(matrix):
+            raise AssertionError("analyze must not read the lazy radius")
+
+        monkeypatch.setattr(analysis, "spectral_radius", refuse)
+        assert main(["analyze", "--model", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        match = re.search(r"^mean-update spectral radius: <= (\S+) \(Collatz-Wielandt bound\)$",
+                          out, re.MULTILINE)
+        assert match and float(match.group(1)) < 1.0
+        assert "verdict: certified-converges (spectral)" in out
+
+    def test_dense_path_prints_the_radius(self, divergent_file, capsys):
+        from gbpkit import analysis, build_factor_graph
+
+        assert main(["analyze", "--model", str(divergent_file)]) == EXIT_DIVERGES
+        out = capsys.readouterr().out
+        match = re.search(r"^mean-update spectral radius: (\S+) \(dense eigensolve\)$",
+                          out, re.MULTILINE)
+        model = load_model(divergent_file)
+        radius = analysis.certify(build_factor_graph(model), model).mean_spectral_radius
+        assert match and match.group(1) == format(radius, ".12g")
+
     def test_inconclusive_exit_code(self, model_file, capsys, monkeypatch):
         from gbpkit import analysis, build_factor_graph
 

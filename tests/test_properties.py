@@ -8,6 +8,12 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
+Two more properties guard how the package gets there: the certificate's
+cheap Collatz-Wielandt bound never undercuts the dense radius, so it
+decides as the dense rule would; and relabelling or reordering the
+variables and factors changes beliefs by a few ulps at most and the
+certificate not at all.
+
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
 """
@@ -18,10 +24,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st
 
 from gbpkit import (
+    BASIS_SPECTRAL,
+    BASIS_TOPOLOGY,
+    Factor,
     InitStrategy,
+    LinearGaussianModel,
     STATUS_CONVERGED,
+    TOPOLOGY_FOREST,
+    TOPOLOGY_SINGLE_LOOP,
     VERDICT_CONVERGES,
     VERDICT_DIVERGES,
+    VERDICT_INCONCLUSIVE,
+    Variable,
     build_factor_graph,
     certify,
     dense_posterior,
@@ -32,7 +46,9 @@ from gbpkit import (
     part_metric,
     precision_bounds,
     run,
+    spectral_radius,
 )
+from gbpkit import analysis
 from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -117,3 +133,67 @@ def test_single_loop_means_converge_to_the_exact_means(size, seed, bound):
     exact = dense_posterior(model)
     for vid in graph.variable_ids:
         assert abs(result.beliefs.means[vid] - exact.mean_of(vid)) <= 1e-8
+
+
+def dense_rule(topology, rho):
+    """The verdict rule with the dense radius as the only spectral path."""
+    if topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP):
+        return VERDICT_CONVERGES, BASIS_TOPOLOGY
+    if rho < 1.0 - analysis.SPECTRAL_MARGIN:
+        return VERDICT_CONVERGES, BASIS_SPECTRAL
+    if rho > 1.0 + analysis.SPECTRAL_MARGIN:
+        return VERDICT_DIVERGES, None
+    return VERDICT_INCONCLUSIVE, None
+
+
+@given(size=st.integers(2, 60), seed=SEEDS, bound=st.sampled_from([2.0, 6.0]))
+@example(size=6, seed=113, bound=6.0)  # certified to diverge: the bound cannot decide
+def test_radius_bound_never_undercuts_the_dense_radius(size, seed, bound):
+    model = generate_model(KIND_RANDOM_LOOPY, size, seed, (-bound, bound))
+    cert = certify(build_factor_graph(model), model)
+    rho = spectral_radius(cert.mean_system.sparse)
+    if cert.mean_radius_bound is not None:
+        # The bound is proven for the computed Q; eigvals itself rounds.
+        assert rho <= cert.mean_radius_bound * (1.0 + 1e-12)
+    assert (cert.verdict, cert.basis) == dense_rule(cert.topology, rho)
+
+
+def relabelled(model, seed):
+    """The model with variables and factors renamed, shuffled, and each
+    factor's coefficients listed in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    new_variable = {v.id: f"w{k}" for k, v in zip(rng.permutation(len(model.variables)),
+                                                    model.variables)}
+    new_factor = {f.id: f"g{k}" for k, f in zip(rng.permutation(len(model.factors)), model.factors)}
+    variables = [Variable(new_variable[v.id], v.prior_var) for v in model.variables]
+    factors = []
+    for f in model.factors:
+        items = list(f.coeffs.items())
+        coeffs = {new_variable[items[k][0]]: items[k][1] for k in rng.permutation(len(items))}
+        factors.append(Factor(new_factor[f.id], coeffs, f.noise_var, f.obs))
+    variables = tuple(variables[k] for k in rng.permutation(len(variables)))
+    factors = tuple(factors[k] for k in rng.permutation(len(factors)))
+    return LinearGaussianModel(variables, factors), new_variable
+
+
+# A reordered graph sums the same messages in another order; the contracting
+# recursion keeps the difference at a few ulps of the largest mean.
+RELABEL_ULPS = 16
+
+
+@given(model=models(), seed=SEEDS)
+def test_relabelling_changes_beliefs_by_ulps_and_the_certificate_not_at_all(model, seed):
+    other, rename = relabelled(model, seed)
+    graph, other_graph = build_factor_graph(model), build_factor_graph(other)
+    result, other_result = run(graph, model), run(other_graph, other)
+    assert (result.status, result.state.iteration) == (
+        other_result.status, other_result.state.iteration)
+    if result.status == STATUS_CONVERGED:
+        means, variances = result.beliefs.means, result.beliefs.variances
+        scale = np.spacing(max(map(abs, means.values())))
+        for vid in graph.variable_ids:
+            assert abs(other_result.beliefs.means[rename[vid]] - means[vid]) <= RELABEL_ULPS * scale
+            assert abs(other_result.beliefs.variances[rename[vid]] - variances[vid]) <= (
+                RELABEL_ULPS * np.spacing(variances[vid]))
+    cert, other_cert = certify(graph, model), certify(other_graph, other)
+    assert (cert.verdict, cert.basis) == (other_cert.verdict, other_cert.basis)

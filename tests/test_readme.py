@@ -1,0 +1,23 @@
+"""The README's Python API example runs as written."""
+import re
+from pathlib import Path
+
+from gbpkit.cli import EXIT_OK, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def api_snippet() -> str:
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_api_example_runs_on_a_generated_tree(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--kind", "tree", "--size", "20", "--seed", "7",
+                 "--out", "tree.json"]) == EXIT_OK
+    capsys.readouterr()
+    exec(compile(api_snippet(), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["certified-converges (topology)", "None", "0.0"]
+    assert len(lines) == 3 + 20
