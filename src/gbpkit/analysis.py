@@ -60,18 +60,20 @@ BOUND_MAX_ITERS = 200
 
 @dataclass(frozen=True)
 class Bounds:
-    """Closed-form per-edge envelope of factor-to-variable precisions."""
+    """Closed-form per-edge envelope of factor-to-variable precisions, as
+    :class:`~gbpkit.engine.ArrayMapping` views keyed by ``fv_edges``."""
 
-    lower: dict[Edge, float]
-    upper: dict[Edge, float]
+    lower: engine.ArrayMapping
+    upper: engine.ArrayMapping
 
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """Converged message precisions, keyed by directed edge."""
+    """Converged message precisions: :class:`~gbpkit.engine.ArrayMapping` views
+    keyed by ``fv_edges`` and ``vf_edges`` (:func:`build_mean_system` reads the arrays)."""
 
-    factor_to_variable: dict[Edge, float]
-    variable_to_factor: dict[Edge, float]
+    factor_to_variable: engine.ArrayMapping
+    variable_to_factor: engine.ArrayMapping
     iterations: int
 
 
@@ -172,8 +174,9 @@ class ConvergenceCertificate:
 
 
 def precision_bounds(graph: FactorGraph, model: LinearGaussianModel) -> Bounds:
-    lower, upper = engine.edge_bound_dicts(graph, model)
-    return Bounds(lower=lower, upper=upper)
+    lower, upper = engine.edge_bounds(engine.compile_model(graph, model))
+    positions = graph.edge_tables.fv_position
+    return Bounds(engine.ArrayMapping(lower, positions), engine.ArrayMapping(upper, positions))
 
 
 def fixed_point_precisions(
@@ -193,7 +196,7 @@ def fixed_point_precisions(
     engine.check_tolerance(tolerance)
     compiled = engine.compile_model(graph, model)
     state = engine.init_messages(graph, model, init or engine.InitStrategy.lower_bound())
-    prec, mean = engine.state_arrays(state, graph.fv_edges)
+    prec, mean = state.precisions.array, state.means.array
     iterations = 0
     while True:
         new_prec, mean = engine.sweep_arrays(compiled, prec, mean)
@@ -207,8 +210,8 @@ def fixed_point_precisions(
 
     vf_prec, _ = engine.vf_messages(compiled, prec, mean)
     return FixedPoint(
-        factor_to_variable=dict(zip(graph.fv_edges, prec.tolist())),
-        variable_to_factor=dict(zip(graph.vf_edges, vf_prec.tolist())),
+        factor_to_variable=engine.ArrayMapping(prec, graph.edge_tables.fv_position),
+        variable_to_factor=engine.ArrayMapping(vf_prec, graph.edge_tables.vf_position),
         iterations=iterations,
     )
 
@@ -228,7 +231,7 @@ def build_mean_system(
     """
     compiled = engine.compile_model(graph, model)
     tables = compiled.tables
-    vf_star = engine.values(fixed_point.variable_to_factor, graph.vf_edges)
+    vf_star = fixed_point.variable_to_factor.array
     # M_{k,j} on every factor-to-variable edge f_k -> j, then a pad slot.
     padded_star = np.append(vf_star, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -465,11 +468,13 @@ def rate_trace(
     """
     # max() keeps a NaN first argument, so NaN is refused here.
     stop = engine.check_tolerance(max(tolerance, TRACE_FLOOR))
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     reference = fixed_point_precisions(graph, model, tolerance=1e-15)
-    target = engine.values(reference.factor_to_variable, graph.fv_edges).tolist()
+    target = reference.factor_to_variable.array.tolist()
     compiled = engine.compile_model(graph, model)
     state = engine.init_messages(graph, model, strategy or engine.InitStrategy.zero())
-    prec, mean = engine.state_arrays(state, graph.fv_edges)
+    prec, mean = state.precisions.array, state.means.array
     points: list[TracePoint] = []
     for iteration in range(1, max_iters + 1):
         prec, new_mean = engine.sweep_arrays(compiled, prec, mean)

@@ -94,25 +94,21 @@ def _require_model(args):
 
 
 def _print_beliefs(beliefs: engine.BeliefSet, posterior=None) -> None:
-    if posterior is None:
-        print(f"{'variable':<12} {'mean':>20} {'variance':>20}")
-        for vid in beliefs.means:
-            print(f"{vid:<12} {_fmt(beliefs.means[vid]):>20} {_fmt(beliefs.variances[vid]):>20}")
-        return
-    print(f"{'variable':<12} {'mean':>20} {'variance':>20} {'oracle_mean':>20} {'oracle_var':>20}")
+    oracle = "" if posterior is None else f" {'oracle_mean':>20} {'oracle_var':>20}"
+    print(f"{'variable':<12} {'mean':>20} {'variance':>20}{oracle}")
     worst_mean = 0.0
     worst_var = 0.0
     for vid in beliefs.means:
-        exact_mean = posterior.mean_of(vid)
-        exact_var = posterior.variance_of(vid)
-        worst_mean = max(worst_mean, abs(beliefs.means[vid] - exact_mean))
-        worst_var = max(worst_var, abs(beliefs.variances[vid] - exact_var))
-        print(
-            f"{vid:<12} {_fmt(beliefs.means[vid]):>20} {_fmt(beliefs.variances[vid]):>20}"
-            f" {_fmt(exact_mean):>20} {_fmt(exact_var):>20}"
-        )
-    print(f"max |mean - oracle_mean|: {_fmt(worst_mean)}")
-    print(f"max |variance - oracle_var|: {_fmt(worst_var)}")
+        mean, variance = beliefs.means[vid], beliefs.variances[vid]
+        if posterior is not None:
+            exact_mean, exact_var = posterior.mean_of(vid), posterior.variance_of(vid)
+            worst_mean = max(worst_mean, abs(mean - exact_mean))
+            worst_var = max(worst_var, abs(variance - exact_var))
+            oracle = f" {_fmt(exact_mean):>20} {_fmt(exact_var):>20}"
+        print(f"{vid:<12} {_fmt(mean):>20} {_fmt(variance):>20}{oracle}")
+    if posterior is not None:
+        print(f"max |mean - oracle_mean|: {_fmt(worst_mean)}")
+        print(f"max |variance - oracle_var|: {_fmt(worst_var)}")
 
 
 def cmd_solve(args) -> int:
@@ -172,24 +168,16 @@ def cmd_trace(args) -> int:
     model = _require_model(args)
     graph = build_factor_graph(model)
     out = args.out if args.out is not None else Path("trace.csv")
-    if args.compare_inits:
-        for name in ("zero", "L", "U"):
-            points = analysis.rate_trace(
-                graph, model, _INIT_CHOICES[name](), tolerance=args.tol,
-                max_iters=args.max_iters,
-            )
+    for name in ("zero", "L", "U") if args.compare_inits else (args.init,):
+        points = analysis.rate_trace(
+            graph, model, _INIT_CHOICES[name](), tolerance=args.tol, max_iters=args.max_iters
+        )
+        path = out
+        if args.compare_inits:
             path = out.with_name(f"{out.stem}_{name}{out.suffix or '.csv'}")
-            path.write_text(analysis.trace_to_csv(points), encoding="utf-8")
-            print(f"wrote {path} ({len(points)} rows, init {name}, "
-                  f"final distance {_fmt(points[-1].distance)})")
-        return EXIT_OK
-    points = analysis.rate_trace(
-        graph, model, _INIT_CHOICES[args.init](), tolerance=args.tol,
-        max_iters=args.max_iters,
-    )
-    out.write_text(analysis.trace_to_csv(points), encoding="utf-8")
-    print(f"wrote {out} ({len(points)} rows, init {args.init}, "
-          f"final distance {_fmt(points[-1].distance)})")
+        path.write_text(analysis.trace_to_csv(points), encoding="utf-8")
+        print(f"wrote {path} ({len(points)} rows, init {name}, "
+              f"final distance {_fmt(points[-1].distance)})")
     return EXIT_OK
 
 
@@ -240,10 +228,7 @@ def main(argv=None) -> int:
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, RuntimeError) as err:
+    except (FileNotFoundError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class InitStrategy:
     """Initial factor-to-variable message assignment.
 
     ``lower``/``upper`` start from the closed-form envelope of the
-    precision recursion (see :func:`edge_bound_dicts`); ``explicit`` takes
+    precision recursion (see :func:`edge_bounds`); ``explicit`` takes
     per-edge values, finite nonnegative precisions and finite means
     required, missing edges defaulting to zero.
     """
@@ -82,21 +82,55 @@ class InitStrategy:
         return cls(INIT_EXPLICIT, precisions=precisions, means=means)
 
 
+class ArrayMapping(Mapping):
+    """Read-only mapping: ``positions[key]`` indexes a non-writeable float64 array.
+
+    ``positions`` is one of the graph's own maps (``edge_tables.fv_position``,
+    ``edge_tables.vf_position`` or ``variable_order``), so keys iterate in
+    canonical order; values are Python floats, so a view equals the dict of
+    its items.  ``array`` is copied first unless it owns its data.
+    """
+
+    __slots__ = ("array", "positions")
+
+    def __init__(self, array, positions: Mapping):
+        self.array = np.require(array, dtype=float, requirements="O")
+        self.array.flags.writeable = False
+        self.positions = positions
+
+    def __getitem__(self, key) -> float:
+        return self.array.item(self.positions[key])
+
+    def __iter__(self) -> Iterator:
+        return iter(self.positions)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+    def __reduce__(self):  # copies and unpickled views are read-only too
+        return type(self), (self.array, self.positions)
+
+
 @dataclass
 class MessageState:
-    """Factor-to-variable messages after ``iteration`` sweeps."""
+    """Factor-to-variable messages after ``iteration`` sweeps, as
+    :class:`ArrayMapping` views keyed by ``fv_edges`` (the engine reads their arrays)."""
 
-    precisions: dict[Edge, float]
-    means: dict[Edge, float]
+    precisions: ArrayMapping
+    means: ArrayMapping
     iteration: int = 0
 
 
 @dataclass(frozen=True)
 class BeliefSet:
-    """Per-variable marginal estimates at some sweep."""
+    """Per-variable marginal estimates at some sweep: :class:`ArrayMapping` views
+    keyed by ``variable_ids`` from the engine, though any such mapping is accepted."""
 
-    variances: dict[str, float]
-    means: dict[str, float]
+    variances: Mapping[str, float]
+    means: Mapping[str, float]
     iteration: int
 
 
@@ -167,9 +201,17 @@ class CompiledModel:
 
 
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
-    """``model``'s parameters in ``graph``'s canonical edge orders."""
+    """``model``'s parameters in ``graph``'s canonical edge orders.
+
+    The graph keeps the last result, returned again while the same model
+    object (``is``) is passed, so a pipeline compiles once.  Models must
+    not be mutated in place; build a new one (e.g. ``with_observations``).
+    """
+    cached = vars(graph).get("_compiled")
+    if cached is not None and cached[0] is model:
+        return cached[1]
     factors = model.factors_by_id
-    return CompiledModel(
+    compiled = CompiledModel(
         tables=graph.edge_tables,
         prior_var=np.array([model.prior_var(v) for v in graph.variable_ids], dtype=float),
         vf_prior_var=np.array([model.prior_var(v) for v, _ in graph.vf_edges], dtype=float),
@@ -178,6 +220,8 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
         noise_var=np.array([factors[f].noise_var for f, _ in graph.fv_edges], dtype=float),
         obs=np.array([factors[f].obs for f, _ in graph.fv_edges], dtype=float),
     )
+    vars(graph)["_compiled"] = (model, compiled)
+    return compiled
 
 
 def _variable_pass(prior_var, reads: np.ndarray, fv_prec: np.ndarray, fv_mean: np.ndarray):
@@ -234,21 +278,9 @@ def _status(old_prec, old_mean, new_prec, new_mean, tolerance: float) -> str | N
     return None
 
 
-def values(mapping: Mapping, keys) -> np.ndarray:
-    """``mapping``'s values for ``keys``, in that order, as a float64 array."""
-    return np.fromiter(map(mapping.__getitem__, keys), dtype=float, count=len(keys))
-
-
-def state_arrays(state: MessageState, edges) -> tuple[np.ndarray, np.ndarray]:
-    return values(state.precisions, edges), values(state.means, edges)
-
-
 def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: int) -> MessageState:
-    return MessageState(
-        precisions=dict(zip(graph.fv_edges, prec.tolist())),
-        means=dict(zip(graph.fv_edges, mean.tolist())),
-        iteration=iteration,
-    )
+    positions = graph.edge_tables.fv_position
+    return MessageState(ArrayMapping(prec, positions), ArrayMapping(mean, positions), iteration)
 
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
@@ -256,16 +288,14 @@ def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> Beli
         compiled.prior_var, compiled.tables.belief_reads, prec, mean
     )
     return BeliefSet(
-        variances=dict(zip(graph.variable_ids, (1.0 / precision).tolist())),
-        means=dict(zip(graph.variable_ids, belief_mean.tolist())),
+        variances=ArrayMapping(1.0 / precision, graph.variable_order),
+        means=ArrayMapping(belief_mean, graph.variable_order),
         iteration=iteration,
     )
 
 
-def edge_bound_dicts(
-    graph: FactorGraph, model: LinearGaussianModel
-) -> tuple[dict[Edge, float], dict[Edge, float]]:
-    """Per-edge envelope of the factor-to-variable precision recursion.
+def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge envelope (lower, upper) of the factor-to-variable precision recursion.
 
     Upper: c_i^2 / noise_var, the precision when the other scope variables
     are known exactly.  Lower: c_i^2 divided by the noise variance plus the
@@ -273,7 +303,6 @@ def edge_bound_dicts(
     nothing else has been learned.  Every post-first-sweep iterate lies in
     between regardless of initialization.
     """
-    compiled = compile_model(graph, model)
     prior_var = np.append(compiled.vf_prior_var, 0.0)
     denom = compiled.noise_var
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,14 +310,12 @@ def edge_bound_dicts(
             coeff = compiled.vf_coeff[k]
             denom = denom + coeff * coeff * prior_var[k]
         target = compiled.coeff * compiled.coeff
-        lower, upper = target / denom, target / compiled.noise_var
-    return dict(zip(graph.fv_edges, lower.tolist())), dict(zip(graph.fv_edges, upper.tolist()))
+        return target / denom, target / compiled.noise_var
 
 
-def _explicit_values(
-    graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float
-) -> dict[Edge, float]:
-    unknown = set(given) - set(graph.fv_edges)
+def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float):
+    positions = graph.edge_tables.fv_position
+    unknown = [edge for edge in given if edge not in positions]
     if unknown:
         raise ValueError(f"explicit init references unknown edges: {sorted(unknown)}")
     bad = sorted(
@@ -297,7 +324,7 @@ def _explicit_values(
     if bad:
         raise ValueError(f"explicit init has invalid {name} at {bad}: precisions must be "
                          "finite and nonnegative, means finite")
-    return {edge: float(given.get(edge, 0.0)) for edge in graph.fv_edges}
+    return np.array([given.get(edge, 0.0) for edge in positions], dtype=float)
 
 
 def init_messages(
@@ -305,9 +332,9 @@ def init_messages(
 ) -> MessageState:
     """Message state at iteration 0 under the given strategy."""
     if strategy.kind == INIT_ZERO:
-        precisions = {edge: 0.0 for edge in graph.fv_edges}
+        precisions = np.zeros(len(graph.fv_edges))
     elif strategy.kind in (INIT_LOWER, INIT_UPPER):
-        lower, upper = edge_bound_dicts(graph, model)
+        lower, upper = edge_bounds(compile_model(graph, model))
         precisions = lower if strategy.kind == INIT_LOWER else upper
     elif strategy.kind == INIT_EXPLICIT:
         precisions = _explicit_values(graph, strategy.precisions or {}, "precisions", 0.0)
@@ -317,14 +344,14 @@ def init_messages(
     if strategy.kind == INIT_EXPLICIT and strategy.means is not None:
         means = _explicit_values(graph, strategy.means, "means", -math.inf)
     else:
-        means = {edge: 0.0 for edge in graph.fv_edges}
-    return MessageState(precisions=precisions, means=means, iteration=0)
+        means = np.zeros(len(graph.fv_edges))
+    return _state(graph, precisions, means, 0)
 
 
 def _vf_message_at(graph, model, state: MessageState, position: int) -> ScalarMessage:
+    prec, mean = state.precisions.array, state.means.array
     reads = graph.edge_tables.vf_reads[position]
-    edges = [graph.fv_edges[k] for k in reads if k < len(graph.fv_edges)]
-    incoming = [(state.precisions[edge], state.means[edge]) for edge in edges]
+    incoming = [(prec.item(k), mean.item(k)) for k in reads if k < len(prec)]
     return _variable_message(model.prior_var(graph.vf_edges[position][0]), incoming)
 
 
@@ -363,7 +390,8 @@ def factor_to_variable(
 def sweep(graph: FactorGraph, model: LinearGaussianModel, state: MessageState) -> MessageState:
     """One synchronous round: all variable-to-factor messages from the
     previous state, then all factor-to-variable messages from those."""
-    prec, mean = sweep_arrays(compile_model(graph, model), *state_arrays(state, graph.fv_edges))
+    compiled = compile_model(graph, model)
+    prec, mean = sweep_arrays(compiled, state.precisions.array, state.means.array)
     return _state(graph, prec, mean, state.iteration + 1)
 
 
@@ -376,18 +404,18 @@ def compute_beliefs(
     once messages have settled; on loopy graphs the means are exact at
     convergence while the variances are approximations.
     """
-    prec, mean = state_arrays(state, graph.fv_edges)
-    return _beliefs(graph, compile_model(graph, model), prec, mean, state.iteration)
+    return _beliefs(graph, compile_model(graph, model), state.precisions.array,
+                    state.means.array, state.iteration)
 
 
 def step_status(old: MessageState, new: MessageState, tolerance: float) -> str | None:
     """Outcome of one sweep: diverged, converged, or None to continue.
 
-    The test :func:`run` applies between sweeps, on dict-keyed states, so a
-    caller composing :func:`sweep` itself stops where ``run`` does.
+    The test :func:`run` applies between sweeps, on the states' arrays, so
+    a caller composing :func:`sweep` itself stops where ``run`` does.
     """
-    edges = new.precisions.keys()
-    return _status(*state_arrays(old, edges), *state_arrays(new, edges), tolerance)
+    return _status(old.precisions.array, old.means.array, new.precisions.array,
+                   new.means.array, tolerance)
 
 
 def run(
@@ -403,7 +431,7 @@ def run(
         raise ValueError("max_iters must be at least 1")
     compiled = compile_model(graph, model)
     init = init_messages(graph, model, strategy or InitStrategy.zero())
-    prec, mean = state_arrays(init, graph.fv_edges)
+    prec, mean = init.precisions.array, init.means.array
     status = STATUS_MAX_ITERS
     for iteration in range(1, max_iters + 1):
         new_prec, new_mean = sweep_arrays(compiled, prec, mean)

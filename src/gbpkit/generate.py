@@ -52,6 +52,11 @@ def _draw_variables(rng: np.random.Generator, size: int) -> list[Variable]:
     ]
 
 
+def _tree_scopes(rng: np.random.Generator, size: int) -> list[tuple[str, str]]:
+    """Pairwise scopes attaching each variable after the first to a random earlier one."""
+    return [(f"x{int(rng.integers(1, k))}", f"x{k}") for k in range(2, size + 1)]
+
+
 def generate_tree(size: int, seed: int, coeff_range=(-2.0, 2.0)) -> LinearGaussianModel:
     """Random tree: each new variable attaches to an earlier one through a
     pairwise factor; a single variable gets one unary factor instead."""
@@ -60,13 +65,7 @@ def generate_tree(size: int, seed: int, coeff_range=(-2.0, 2.0)) -> LinearGaussi
     _check_coeff_range(*coeff_range)
     rng = np.random.default_rng(seed)
     variables = _draw_variables(rng, size)
-    if size == 1:
-        scopes = [("x1",)]
-    else:
-        scopes = []
-        for k in range(2, size + 1):
-            parent = int(rng.integers(1, k))
-            scopes.append((f"x{parent}", f"x{k}"))
+    scopes = [("x1",)] if size == 1 else _tree_scopes(rng, size)
     return _finish(rng, variables, scopes, coeff_range)
 
 
@@ -77,10 +76,7 @@ def generate_single_loop(size: int, seed: int, coeff_range=(-2.0, 2.0)) -> Linea
     _check_coeff_range(*coeff_range)
     rng = np.random.default_rng(seed)
     variables = _draw_variables(rng, size)
-    scopes = []
-    for k in range(2, size + 1):
-        parent = int(rng.integers(1, k))
-        scopes.append((f"x{parent}", f"x{k}"))
+    scopes = _tree_scopes(rng, size)
     first, second = (int(v) + 1 for v in rng.choice(size, size=2, replace=False))
     scopes.append((f"x{first}", f"x{second}"))
     return _finish(rng, variables, scopes, coeff_range)

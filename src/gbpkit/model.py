@@ -355,17 +355,10 @@ def with_observations(
         unknown = set(observations) - {f.id for f in model.factors}
         if unknown:
             raise KeyError(f"unknown factor ids: {sorted(unknown)}")
-        new_factors = tuple(
-            replace(f, obs=float(observations.get(f.id, f.obs))) for f in model.factors
-        )
-    else:
-        if len(observations) != len(model.factors):
-            raise ValueError(
-                f"expected {len(model.factors)} observations, got {len(observations)}"
-            )
-        new_factors = tuple(
-            replace(f, obs=float(y)) for f, y in zip(model.factors, observations)
-        )
+        observations = [observations.get(f.id, f.obs) for f in model.factors]
+    elif len(observations) != len(model.factors):
+        raise ValueError(f"expected {len(model.factors)} observations, got {len(observations)}")
+    new_factors = tuple(replace(f, obs=float(y)) for f, y in zip(model.factors, observations))
     return replace(model, factors=new_factors)
 
 
@@ -421,7 +414,7 @@ def model_from_dict(data: dict) -> LinearGaussianModel:
         if not isinstance(item, dict) or set(item) != {"id", "prior_var"}:
             problems.append(f"variables[{k}]: expected keys id, prior_var")
             continue
-        variables.append(Variable(id=item["id"], prior_var=item["prior_var"]))
+        variables.append(Variable(**item))
 
     factors: list[Factor] = []
     raw_factors = data.get("factors")
@@ -435,14 +428,7 @@ def model_from_dict(data: dict) -> LinearGaussianModel:
         if not isinstance(item["coeffs"], dict):
             problems.append(f"factors[{k}]: 'coeffs' must be an object")
             continue
-        factors.append(
-            Factor(
-                id=item["id"],
-                coeffs=item["coeffs"],
-                noise_var=item["noise_var"],
-                obs=item["obs"],
-            )
-        )
+        factors.append(Factor(**item))
     if problems:
         raise InvalidModelError(problems)
     return validate_model(LinearGaussianModel(tuple(variables), tuple(factors)))

@@ -631,6 +631,10 @@ class TestRateTrace:
         with pytest.raises(ValueError, match="tolerance"):
             rate_trace(loop_graph, loop_model, tolerance=math.nan)
 
+    def test_zero_budget_rejected(self, loop_graph, loop_model):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            rate_trace(loop_graph, loop_model, max_iters=0)
+
     def test_lower_start_no_slower_than_zero(self, loop_graph, loop_model):
         from_zero = rate_trace(loop_graph, loop_model, InitStrategy.zero())
         from_lower = rate_trace(loop_graph, loop_model, InitStrategy.lower_bound())

@@ -1,5 +1,6 @@
 """Command-line interface, driven in process through main()."""
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -9,6 +10,7 @@ from gbpkit import (
     VERDICT_INCONCLUSIVE,
     dense_posterior,
     engine,
+    generate_model,
     generate_tree,
     load_model,
     network,
@@ -179,6 +181,49 @@ class TestTrace:
         for suffix in ("zero", "L", "U"):
             assert (tmp_path / f"rate_{suffix}.csv").exists()
         assert capsys.readouterr().out.count("wrote") == 3
+
+    # Recorded with one code path per mode; the stdout lines (with the
+    # directory shown as DIR) and the sha256 of every CSV must not change.
+    ZERO_CSV = "96da651e7228d0fd14ab3c84b8d8eaf4cc48dd3ca05bdd5f9e5df9a514d17b07"
+    L_CSV = "22fbebf826d6c278726926e4199b47f78329d1611f293f2baa8bc275302dbc40"
+    U_CSV = "3cbe9bedfafca667224e74bc6fe725d535af1519bf727d3b39347ed3e900834c"
+    ZERO_LINE = "(19 rows, init zero, final distance 3.60491636548e-11)"
+    L_LINE = "(18 rows, init L, final distance 3.60491636548e-11)"
+    U_LINE = "(18 rows, init U, final distance 4.05708799881e-11)"
+
+    @pytest.mark.parametrize("out, flags, expected", [
+        ("rate.csv", [], [("rate.csv", ZERO_CSV, ZERO_LINE)]),
+        ("rate", ["--init", "U"], [("rate", U_CSV, U_LINE)]),
+        ("rate.csv", ["--compare-inits"], [
+            ("rate_zero.csv", ZERO_CSV, ZERO_LINE),
+            ("rate_L.csv", L_CSV, L_LINE),
+            ("rate_U.csv", U_CSV, U_LINE),
+        ]),
+        ("rate", ["--compare-inits", "--init", "U"], [
+            ("rate_zero.csv", ZERO_CSV, ZERO_LINE),
+            ("rate_L.csv", L_CSV, L_LINE),
+            ("rate_U.csv", U_CSV, U_LINE),
+        ]),
+    ])
+    def test_output_is_pinned(self, out, flags, expected, tmp_path, capsys):
+        save_model(generate_model("random-loopy", 40, 5), tmp_path / "model.json")
+        code = main(["trace", "--model", str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / out), *flags])
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "DIR")
+        assert stdout.splitlines() == [f"wrote DIR/{name} {line}" for name, _, line in expected]
+        written = sorted(p.name for p in tmp_path.iterdir() if p.name != "model.json")
+        assert written == sorted(name for name, _, _ in expected)
+        for name, digest, _ in expected:
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_zero_budget_writes_nothing(self, model_file, tmp_path, capsys):
+        out_path = tmp_path / "rate.csv"
+        code = main(["trace", "--model", str(model_file), "--out", str(out_path),
+                     "--max-iters", "0"])
+        assert code == EXIT_ERROR
+        assert "max_iters must be at least 1" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestGenerate:

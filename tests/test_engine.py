@@ -6,7 +6,10 @@ Hand-derived checks along the way:
   with mean (3 - 0)/1 = 3; beliefs are variance 1/(1 + 1/2) = 2/3 and
   mean (2/3)*(1/2)*3 = 1, matching the dense solve of [[2,1],[1,2]].
 """
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,15 +21,21 @@ from gbpkit import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_MAX_ITERS,
+    Schedule,
     Variable,
     build_factor_graph,
+    certify,
     compute_beliefs,
     dense_posterior,
     factor_to_variable,
+    fixed_point_precisions,
     generate_model,
     generate_random_loopy,
     init_messages,
+    precision_bounds,
+    rate_trace,
     run,
+    simulate,
     sweep,
     variable_to_factor,
     with_observations,
@@ -260,3 +269,129 @@ class TestRun:
         second = run(loop_graph, loop_model)
         assert first.state == second.state
         assert first.beliefs == second.beliefs
+
+
+def _run_bits(result) -> tuple:
+    """Every array behind a run result, as bytes, plus its counters."""
+    return (
+        result.state.precisions.array.tobytes(), result.state.means.array.tobytes(),
+        result.beliefs.variances.array.tobytes(), result.beliefs.means.array.tobytes(),
+        result.state.iteration, result.status,
+    )
+
+
+class TestCompileOnce:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every CompiledModel built while the test runs."""
+        made = []
+        real = engine.CompiledModel
+
+        def counting(**fields):
+            made.append(real(**fields))
+            return made[-1]
+
+        monkeypatch.setattr(engine, "CompiledModel", counting)
+        return made
+
+    @staticmethod
+    def _composed(graph, model):
+        state = init_messages(graph, model, InitStrategy.upper_bound())
+        for _ in range(4):
+            new = sweep(graph, model, state)
+            engine.step_status(state, new, engine.DEFAULT_TOLERANCE)
+            compute_beliefs(graph, model, new)
+            state = new
+
+    @pytest.mark.parametrize("caller", [
+        lambda graph, model: certify(graph, model),
+        lambda graph, model: run(graph, model, InitStrategy.lower_bound()),
+        lambda graph, model: run(graph, model, InitStrategy.upper_bound()),
+        lambda graph, model: rate_trace(graph, model, InitStrategy.lower_bound()),
+        _composed,
+    ], ids=["certify", "run-L", "run-U", "rate_trace", "composed-sweeps"])
+    def test_each_caller_compiles_once(self, caller, compiled):
+        model = generate_model("random-loopy", 40, 3)
+        caller(build_factor_graph(model), model)
+        assert len(compiled) == 1
+
+    def test_one_compile_across_a_pipeline(self, compiled):
+        model = generate_model("random-loopy", 40, 3)
+        graph = build_factor_graph(model)
+        certify(graph, model)
+        run(graph, model, InitStrategy.lower_bound())
+        rate_trace(graph, model)
+        self._composed(graph, model)
+        assert len(compiled) == 1
+
+    def test_another_model_on_the_same_graph_recompiles(self, compiled):
+        model = generate_model("random-loopy", 40, 3)
+        graph = build_factor_graph(model)
+        first = run(graph, model)
+        # Compared by identity: an equal copy of the model compiles afresh.
+        assert _run_bits(run(graph, dataclasses.replace(model))) == _run_bits(first)
+        assert len(compiled) == 2
+        other = with_observations(model, [f.obs + 1.0 for f in model.factors])
+        moved = run(graph, other)
+        assert len(compiled) == 3
+        assert _run_bits(moved) == _run_bits(run(build_factor_graph(other), other))
+        assert _run_bits(moved) != _run_bits(first)
+
+
+class TestArrayMapping:
+    def test_results_are_read_only_views_in_canonical_order(self, loop_graph, loop_model):
+        result = run(loop_graph, loop_model)
+        bounds = precision_bounds(loop_graph, loop_model)
+        fixed = fixed_point_precisions(loop_graph, loop_model)
+        tables = loop_graph.edge_tables
+        fv, vf, variables = tables.fv_position, tables.vf_position, loop_graph.variable_order
+        views = [
+            (result.state.precisions, fv, loop_graph.fv_edges),
+            (result.state.means, fv, loop_graph.fv_edges),
+            (result.beliefs.variances, variables, loop_graph.variable_ids),
+            (result.beliefs.means, variables, loop_graph.variable_ids),
+            (bounds.lower, fv, loop_graph.fv_edges),
+            (bounds.upper, fv, loop_graph.fv_edges),
+            (fixed.factor_to_variable, fv, loop_graph.fv_edges),
+            (fixed.variable_to_factor, vf, loop_graph.vf_edges),
+        ]
+        for view, positions, keys in views:
+            assert view.positions is positions
+            assert list(view) == list(keys)
+            assert len(view) == len(keys)
+            key = keys[0]
+            with pytest.raises(TypeError):
+                view[key] = 1.0
+            with pytest.raises(TypeError):
+                del view[key]
+            assert not view.array.flags.writeable
+            with pytest.raises(ValueError):
+                view.array[0] = 1.0
+            assert all(type(value) is float for value in view.values())
+            assert list(view.values()) == view.array.tolist()
+            copy = dict(view)
+            assert view == copy and copy == view
+            copy[key] = math.nextafter(copy[key], math.inf)
+            assert view != copy and copy != view
+            with pytest.raises(KeyError):
+                view[("no-such", "edge")]
+
+    def test_a_borrowed_array_is_copied(self):
+        base = np.arange(4.0)
+        view = engine.ArrayMapping(base[1:3], {"a": 0, "b": 1})
+        base[1] = 9.0
+        assert view == {"a": 1.0, "b": 2.0}
+        assert base.flags.writeable
+        assert repr(view) == "ArrayMapping({'a': 1.0, 'b': 2.0})"
+        for copied in (pickle.loads(pickle.dumps(view)), copy.deepcopy(view), copy.copy(view)):
+            assert copied == view and not copied.array.flags.writeable
+
+    def test_random_sequential_state_is_not_a_live_buffer(self, loop_model):
+        sim = simulate(loop_model, Schedule.random_sequential(3), max_ticks=40)
+        graph = build_factor_graph(loop_model)
+        for view in (sim.state.precisions, sim.state.means):
+            assert view.array.flags.owndata and not view.array.flags.writeable
+            assert list(view) == list(graph.fv_edges)
+        snapshot = dict(sim.state.precisions)
+        simulate(loop_model, Schedule.random_sequential(3), max_ticks=80)
+        assert sim.state.precisions == snapshot

@@ -100,11 +100,11 @@ def test_every_nonnegative_start_reaches_one_fixed_point(model, seed):
 def test_iterates_after_the_first_sweep_stay_in_the_envelope(model, start, seed):
     graph = build_factor_graph(model)
     bounds = precision_bounds(graph, model)
-    lower = engine.values(bounds.lower, graph.fv_edges)
-    upper = engine.values(bounds.upper, graph.fv_edges)
+    lower = bounds.lower.array
+    upper = bounds.upper.array
     compiled = engine.compile_model(graph, model)
     state = init_messages(graph, model, STARTS[start](graph, seed))
-    prec, mean = engine.state_arrays(state, graph.fv_edges)
+    prec, mean = state.precisions.array, state.means.array
     for _ in range(25):
         prec, mean = engine.sweep_arrays(compiled, prec, mean)
         assert np.all(prec >= lower * (1.0 - ENVELOPE_RTOL))
