@@ -203,22 +203,28 @@ class CompiledModel:
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
     """``model``'s parameters in ``graph``'s canonical edge orders.
 
-    The graph keeps the last result, returned again while the same model
-    object (``is``) is passed, so a pipeline compiles once.  Models must
-    not be mutated in place; build a new one (e.g. ``with_observations``).
+    Gathered from ``model.columns`` by position: ``ValueError`` unless the
+    model has the graph's ids and edges (its parameters may differ, as
+    after ``with_observations``).  The graph keeps the last result, returned
+    again while the same model object (``is``) is passed, so a pipeline
+    compiles once.  Models must not be mutated in place; build a new one.
     """
     cached = vars(graph).get("_compiled")
     if cached is not None and cached[0] is model:
         return cached[1]
-    factors = model.factors_by_id
+    columns = model.columns
+    if (columns.variable_ids != graph.variable_ids or columns.factor_ids != graph.factor_ids
+            or not np.array_equal(columns.edge_factor, graph.edge_factor)
+            or not np.array_equal(columns.edge_var, graph.edge_var)):
+        raise ValueError("model does not match the graph: different ids or edges")
     compiled = CompiledModel(
         tables=graph.edge_tables,
-        prior_var=np.array([model.prior_var(v) for v in graph.variable_ids], dtype=float),
-        vf_prior_var=np.array([model.prior_var(v) for v, _ in graph.vf_edges], dtype=float),
-        vf_coeff=np.array([factors[f].coeffs[v] for v, f in graph.vf_edges] + [0.0]),
-        coeff=np.array([factors[f].coeffs[v] for f, v in graph.fv_edges], dtype=float),
-        noise_var=np.array([factors[f].noise_var for f, _ in graph.fv_edges], dtype=float),
-        obs=np.array([factors[f].obs for f, _ in graph.fv_edges], dtype=float),
+        prior_var=columns.prior_var,
+        vf_prior_var=columns.prior_var[graph.edge_var[graph.vf_to_fv]],
+        vf_coeff=np.append(columns.edge_coeff[graph.vf_to_fv], 0.0),
+        coeff=columns.edge_coeff,
+        noise_var=columns.noise_var[graph.edge_factor],
+        obs=columns.obs[graph.edge_factor],
     )
     vars(graph)["_compiled"] = (model, compiled)
     return compiled
@@ -348,11 +354,11 @@ def init_messages(
     return _state(graph, precisions, means, 0)
 
 
-def _vf_message_at(graph, model, state: MessageState, position: int) -> ScalarMessage:
+def _vf_message_at(compiled: CompiledModel, state: MessageState, position: int) -> ScalarMessage:
     prec, mean = state.precisions.array, state.means.array
-    reads = graph.edge_tables.vf_reads[position]
+    reads = compiled.tables.vf_reads[position]
     incoming = [(prec.item(k), mean.item(k)) for k in reads if k < len(prec)]
-    return _variable_message(model.prior_var(graph.vf_edges[position][0]), incoming)
+    return _variable_message(compiled.vf_prior_var.item(position), incoming)
 
 
 def variable_to_factor(
@@ -362,7 +368,8 @@ def variable_to_factor(
     edge: Edge,
 ) -> ScalarMessage:
     """Message for a directed (variable, factor) edge from the current state."""
-    return _vf_message_at(graph, model, state, graph.edge_tables.vf_position[edge])
+    compiled = compile_model(graph, model)
+    return _vf_message_at(compiled, state, compiled.tables.vf_position[edge])
 
 
 def factor_to_variable(
@@ -377,14 +384,15 @@ def factor_to_variable(
     from ``state`` first, so a single call evaluates the full composed
     update for this edge.
     """
-    fid, vid = edge
-    factor = model.factors_by_id[fid]
+    compiled = compile_model(graph, model)
+    position = compiled.tables.fv_position[edge]
     others = [
-        (factor.coeffs[graph.vf_edges[k][0]], _vf_message_at(graph, model, state, k))
-        for k in graph.edge_tables.fv_reads[graph.edge_tables.fv_position[edge]]
-        if k < len(graph.vf_edges)
+        (compiled.vf_coeff.item(k), _vf_message_at(compiled, state, k))
+        for k in compiled.tables.fv_reads[position]
+        if k < compiled.tables.pad
     ]
-    return _factor_message(factor.coeffs[vid], others, factor.noise_var, factor.obs)
+    return _factor_message(compiled.coeff.item(position), others,
+                           compiled.noise_var.item(position), compiled.obs.item(position))
 
 
 def sweep(graph: FactorGraph, model: LinearGaussianModel, state: MessageState) -> MessageState:

@@ -9,6 +9,10 @@ The posterior over x is Gaussian; :func:`sparse_gmrf` builds its
 information form with a CSR precision matrix, :func:`lingauss_to_gmrf`
 the same with a dense one, and :func:`build_factor_graph` the bipartite
 graph that message passing runs on.
+
+Every consumer reads a model's parameters and edges from one set of
+arrays, ``LinearGaussianModel.columns``, built on first use.  Building it
+is the only validation a model object gets: once per pipeline.
 """
 from __future__ import annotations
 
@@ -52,21 +56,51 @@ class Factor:
     obs: float
 
 
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
+class ModelColumns:
+    """A validated model as arrays: ``prior_var`` per variable, ``noise_var`` and
+    ``obs`` per factor, and per edge, in ``fv_edges`` order (by factor, then by
+    variable), its canonical indices ``edge_factor``, ``edge_var`` and ``edge_coeff``."""
+
+    variable_ids: tuple[str, ...]
+    factor_ids: tuple[str, ...]
+    prior_var: np.ndarray
+    noise_var: np.ndarray
+    obs: np.ndarray
+    edge_factor: np.ndarray
+    edge_var: np.ndarray
+    edge_coeff: np.ndarray
+
+
 @dataclass(frozen=True)
 class LinearGaussianModel:
     variables: tuple[Variable, ...]
     factors: tuple[Factor, ...]
 
     @cached_property
-    def variables_by_id(self) -> dict[str, Variable]:
-        return {v.id: v for v in self.variables}
-
-    @cached_property
-    def factors_by_id(self) -> dict[str, Factor]:
-        return {f.id: f for f in self.factors}
-
-    def prior_var(self, var_id: str) -> float:
-        return self.variables_by_id[var_id].prior_var
+    def columns(self) -> ModelColumns:
+        """The model's arrays, built once per model object after validation; an
+        invalid model raises InvalidModelError on every use, as nothing is cached."""
+        problems = find_violations(self)
+        if problems:
+            raise InvalidModelError(problems)
+        order = {v.id: k for k, v in enumerate(self.variables)}
+        sizes = np.fromiter((len(f.coeffs) for f in self.factors), np.intp, len(self.factors))
+        count = int(sizes.sum())
+        edge_factor = np.repeat(np.arange(len(self.factors)), sizes)
+        edge_var = np.fromiter((order[v] for f in self.factors for v in f.coeffs), np.intp, count)
+        edge_coeff = np.fromiter((c for f in self.factors for c in f.coeffs.values()), float, count)
+        fv = np.lexsort((edge_var, edge_factor))  # coeffs may list a scope in any order
+        return ModelColumns(
+            variable_ids=tuple(v.id for v in self.variables),
+            factor_ids=tuple(f.id for f in self.factors),
+            prior_var=np.array([v.prior_var for v in self.variables], dtype=float),
+            noise_var=np.array([f.noise_var for f in self.factors], dtype=float),
+            obs=np.array([f.obs for f in self.factors], dtype=float),
+            edge_factor=edge_factor,
+            edge_var=edge_var[fv],
+            edge_coeff=edge_coeff[fv],
+        )
 
 
 @dataclass(frozen=True)
@@ -80,7 +114,7 @@ class EdgeTables:
     variable i.  Rows keep canonical neighbour order and are padded on the
     right with ``pad``, one past the last edge: a slot callers fill with a
     value that contributes nothing.  ``fv_position`` and ``vf_position``
-    map each directed edge to its position.
+    map each directed edge to its position (:class:`Positions`).
     """
 
     pad: int
@@ -91,34 +125,54 @@ class EdgeTables:
     belief_reads: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class FactorGraph:
     """Bipartite variable/factor graph with frozen canonical orderings.
 
     Canonical index order is position in the model's variables/factors
-    arrays.  Neighbor tuples and the two directed edge lists are sorted by
-    those indices: ``fv_edges`` ascending first on the factor then on the
-    variable, ``vf_edges`` ascending first on the variable then on the
+    arrays.  ``edge_factor`` and ``edge_var`` index each edge of ``fv_edges``,
+    ascending first on the factor then on the variable; ``vf_to_fv`` lists
+    those positions in ``vf_edges`` order, first on the variable then on the
     factor.  Every iteration in the engine and the simulator walks these
-    orderings, which is what makes runs reproducible bit for bit.
+    orderings, which is what makes runs reproducible bit for bit.  The
+    id-keyed attributes (the edge lists, ``variable_order`` and the neighbour
+    tuples) are built from the arrays on first read.
     """
 
     variable_ids: tuple[str, ...]
     factor_ids: tuple[str, ...]
-    variable_order: Mapping[str, int]
-    factor_order: Mapping[str, int]
-    variable_neighbors: Mapping[str, tuple[str, ...]]
-    factor_neighbors: Mapping[str, tuple[str, ...]]
-    fv_edges: tuple[tuple[str, str], ...]
-    vf_edges: tuple[tuple[str, str], ...]
+    edge_factor: np.ndarray
+    edge_var: np.ndarray
+    vf_to_fv: np.ndarray
+
+    @cached_property
+    def variable_order(self) -> Mapping[str, int]:
+        return Positions(self, "variable_ids")
+
+    @cached_property
+    def fv_edges(self) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(_ids(self.factor_ids, self.edge_factor),
+                         _ids(self.variable_ids, self.edge_var)))
+
+    @cached_property
+    def vf_edges(self) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(_ids(self.variable_ids, self.edge_var[self.vf_to_fv]),
+                         _ids(self.factor_ids, self.edge_factor[self.vf_to_fv])))
+
+    @cached_property
+    def factor_neighbors(self) -> dict[str, tuple[str, ...]]:
+        return _neighbors(self.factor_ids, self.edge_factor, self.variable_ids, self.edge_var)
+
+    @cached_property
+    def variable_neighbors(self) -> dict[str, tuple[str, ...]]:
+        return _neighbors(self.variable_ids, self.edge_var[self.vf_to_fv],
+                          self.factor_ids, self.edge_factor[self.vf_to_fv])
 
     @cached_property
     def edge_tables(self) -> EdgeTables:
-        """Integer form of the graph, built on first use without per-edge objects."""
-        pad = len(self.fv_edges)
-        fv_f = np.fromiter((self.factor_order[f] for f, _ in self.fv_edges), np.intp, pad)
-        fv_v = np.fromiter((self.variable_order[v] for _, v in self.fv_edges), np.intp, pad)
-        vf_to_fv = np.lexsort((fv_f, fv_v))  # vf_edges order: variable, then factor
+        """Integer form of the graph, built on first use from the edge arrays."""
+        pad = len(self.edge_var)
+        vf_to_fv = self.vf_to_fv
 
         def reads(group, members, count):
             """Each sorted group's members padded, and per member the others."""
@@ -129,16 +183,53 @@ class FactorGraph:
             cols = np.arange(max(table.shape[1] - 1, 0))
             return table, table[group[:, None], cols + (cols >= slot[:, None])]
 
-        belief_reads, vf_reads = reads(fv_v[vf_to_fv], vf_to_fv, len(self.variable_ids))
-        _, fv_reads = reads(fv_f, np.argsort(vf_to_fv), len(self.factor_ids))
+        belief_reads, vf_reads = reads(self.edge_var[vf_to_fv], vf_to_fv, len(self.variable_ids))
+        _, fv_reads = reads(self.edge_factor, np.argsort(vf_to_fv), len(self.factor_ids))
         return EdgeTables(
             pad=pad,
-            fv_position={edge: k for k, edge in enumerate(self.fv_edges)},
-            vf_position={edge: k for k, edge in enumerate(self.vf_edges)},
+            fv_position=Positions(self, "fv_edges"),
+            vf_position=Positions(self, "vf_edges"),
             vf_reads=vf_reads,
             fv_reads=fv_reads,
             belief_reads=belief_reads,
         )
+
+
+class Positions(Mapping):
+    """Each key of ``getattr(graph, name)`` mapped to its position there, a
+    read-only map that builds nothing id-keyed until it is first read."""
+
+    def __init__(self, graph: FactorGraph, name: str):
+        self.graph, self.name = graph, name
+
+    @cached_property
+    def _index(self) -> dict:
+        return {key: k for k, key in enumerate(self)}
+
+    def __getitem__(self, key) -> int:
+        return self._index[key]
+
+    def __iter__(self):
+        return iter(getattr(self.graph, self.name))
+
+    def __len__(self) -> int:
+        return len(getattr(self.graph, self.name))
+
+
+def _ids(ids: tuple[str, ...], index: np.ndarray) -> list[str]:
+    return list(map(ids.__getitem__, index.tolist()))
+
+
+def _runs(group: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """(start, stop) of each of the groups 0 .. count-1 in ``group`` sorted stably."""
+    stops = np.cumsum(np.bincount(group, minlength=count)).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
+def _neighbors(ids, group, member_ids, members) -> dict[str, tuple[str, ...]]:
+    """Per id, the ids of its members as a tuple; ``group`` is sorted."""
+    names = _ids(member_ids, members)
+    return {key: tuple(names[start:stop]) for key, (start, stop) in zip(ids, _runs(group, len(ids)))}
 
 
 @dataclass(frozen=True)
@@ -212,50 +303,22 @@ def find_violations(model: LinearGaussianModel) -> list[str]:
 
 def validate_model(model: LinearGaussianModel) -> LinearGaussianModel:
     """Return the model unchanged, or raise InvalidModelError listing all violations."""
-    problems = find_violations(model)
-    if problems:
-        raise InvalidModelError(problems)
+    model.columns
     return model
 
 
 def build_factor_graph(model: LinearGaussianModel) -> FactorGraph:
     """Build the bipartite graph with canonical edge orderings.
 
-    The model is validated first; isolated variables are kept as nodes
-    with no edges, and the graph may be disconnected.
+    The graph shares ``model.columns``' edge arrays, so an invalid model is
+    refused here; isolated variables are kept as nodes with no edges, and
+    the graph may be disconnected.  No id-keyed object is built until read.
     """
-    validate_model(model)
-    variable_ids = tuple(v.id for v in model.variables)
-    factor_ids = tuple(f.id for f in model.factors)
-    variable_order = {vid: k for k, vid in enumerate(variable_ids)}
-    factor_order = {fid: k for k, fid in enumerate(factor_ids)}
-
-    factor_neighbors = {
-        f.id: tuple(sorted(f.coeffs, key=variable_order.__getitem__)) for f in model.factors
-    }
-    fv_edges = tuple((fid, vid) for fid in factor_ids for vid in factor_neighbors[fid])
-
-    # A stable sort of fv_edges by variable keeps each variable's factors in
-    # canonical order; no per-variable list outlives a statement.
-    edge_var = np.fromiter((variable_order[v] for _, v in fv_edges), np.intp, len(fv_edges))
-    by_var = np.argsort(edge_var, kind="stable").tolist()
-    vf_edges = tuple((fv_edges[k][1], fv_edges[k][0]) for k in by_var)
-    factors_by_var = [fv_edges[k][0] for k in by_var]
-    stops = np.cumsum(np.bincount(edge_var, minlength=len(variable_ids))).tolist()
-    variable_neighbors = {
-        vid: tuple(factors_by_var[start:stop])
-        for vid, start, stop in zip(variable_ids, [0] + stops[:-1], stops)
-    }
-    return FactorGraph(
-        variable_ids=variable_ids,
-        factor_ids=factor_ids,
-        variable_order=variable_order,
-        factor_order=factor_order,
-        variable_neighbors=variable_neighbors,
-        factor_neighbors=factor_neighbors,
-        fv_edges=fv_edges,
-        vf_edges=vf_edges,
-    )
+    columns = model.columns
+    # A stable sort by variable keeps each variable's factors in canonical order.
+    vf_to_fv = np.argsort(columns.edge_var, kind="stable")
+    return FactorGraph(columns.variable_ids, columns.factor_ids, columns.edge_factor,
+                       columns.edge_var, vf_to_fv)
 
 
 def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
@@ -269,39 +332,38 @@ def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     J holds one slot per cell some factor or prior touches, sorted by row
     then column; slots whose terms cancel to 0.0 are dropped.
     """
-    validate_model(model)
-    n_vars = len(model.variables)
-    variable_order = {v.id: k for k, v in enumerate(model.variables)}
+    columns = model.columns
+    n_vars = len(columns.variable_ids)
+    factor, var, coeff = columns.edge_factor, columns.edge_var, columns.edge_coeff
 
-    cells, terms, rows, shares = [], [], [], []
-    for f in model.factors:
-        scope = [(variable_order[vid], c) for vid, c in f.coeffs.items()]
-        for i, ci in scope:
-            rows.append(i)
-            shares.append(ci * (f.obs / f.noise_var))
-            for j, cj in scope:
-                cells.append(i * n_vars + j)
-                terms.append((ci * cj) / f.noise_var)
+    # Every edge pairs with each edge of its factor, itself included, in
+    # factor order: one term per factor and cell, so add.at below sums a
+    # cell's terms factor by factor.
+    size = np.bincount(factor, minlength=len(columns.factor_ids))
+    pairs = size[factor]
+    first = np.repeat(np.arange(len(factor)), pairs)
+    offset = (np.cumsum(size) - size)[factor] - (np.cumsum(pairs) - pairs)
+    second = np.repeat(offset, pairs) + np.arange(len(first))
+    cells = var[first] * n_vars + var[second]
+    terms = (coeff[first] * coeff[second]) / columns.noise_var[factor[first]]
 
     # Every diagonal cell gets a slot, for its prior.  add.at is unbuffered:
-    # a slot sums its terms in list order, then the prior is added.
+    # a slot sums its terms in array order, then the prior is added.
     diagonal = np.arange(n_vars, dtype=np.int64) * (n_vars + 1)
-    keys, slot = np.unique(
-        np.concatenate([diagonal, np.asarray(cells, dtype=np.int64)]), return_inverse=True
-    )
+    keys, slot = np.unique(np.concatenate([diagonal, cells]), return_inverse=True)
     data = np.zeros(len(keys))
     np.add.at(data, slot[n_vars:], terms)
-    data[slot[:n_vars]] += [1.0 / v.prior_var for v in model.variables]
+    data[slot[:n_vars]] += 1.0 / columns.prior_var
     row, col = np.divmod(keys, n_vars)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_vars))])
     info = csr_array((data, col, indptr), shape=(n_vars, n_vars))
     info.eliminate_zeros()
     potential = np.zeros(n_vars)
-    np.add.at(potential, rows, shares)
+    np.add.at(potential, var, coeff * (columns.obs / columns.noise_var)[factor])
     return GMRFModel(
         information_matrix=info,
         potential=potential,
-        variable_ids=tuple(v.id for v in model.variables),
+        variable_ids=columns.variable_ids,
     )
 
 
@@ -323,10 +385,9 @@ def classify_topology(graph: FactorGraph) -> TopologyReport:
     tree; anything beyond that is multi-loop.  Components are listed by
     their lowest node, variables numbered before factors.
     """
-    n_vars, n_edges = len(graph.variable_ids), len(graph.fv_edges)
+    n_vars, n_edges = len(graph.variable_ids), len(graph.edge_var)
     n_nodes = n_vars + len(graph.factor_ids)
-    var = np.fromiter((graph.variable_order[v] for _, v in graph.fv_edges), np.intp, n_edges)
-    fac = np.fromiter((graph.factor_order[f] for f, _ in graph.fv_edges), np.intp, n_edges)
+    var, fac = graph.edge_var, graph.edge_factor
     adjacency = csr_matrix((np.ones(n_edges), (var, n_vars + fac)), shape=(n_nodes, n_nodes))
     count, labels = connected_components(adjacency, directed=False)
     edges, nodes = np.bincount(labels[var], minlength=count), np.bincount(labels, minlength=count)

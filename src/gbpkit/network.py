@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .model import FactorGraph, LinearGaussianModel, build_factor_graph
+from .model import FactorGraph, LinearGaussianModel, _ids, _runs, build_factor_graph
 
 SCHEDULE_SYNCHRONOUS = "synchronous"
 SCHEDULE_RANDOM_SEQUENTIAL = "random-sequential"
@@ -80,36 +80,32 @@ def build_agents(
 
     Hosting depends on the graph alone; ``model`` is not read.
     """
-    variable_host = {vid: k for k, vid in enumerate(graph.variable_ids)}
-    factor_host: dict[str, int] = {}
-    hosted: dict[int, list[int]] = {}
-    for k, fid in enumerate(graph.factor_ids):
-        # Scopes are in canonical variable order: scope[0] is the lowest.
-        scope = graph.factor_neighbors[fid]
-        if k < len(graph.variable_ids):
-            host = k
-        elif scope:
-            host = variable_host[scope[0]]
-        else:
-            host = 0
-        factor_host[fid] = host
-        hosted.setdefault(host, []).append(k)
+    n_vars = len(graph.variable_ids)
+    host = np.zeros(len(graph.factor_ids), dtype=np.intp)
+    # fv_edges is sorted by factor, then variable: a factor's first edge goes
+    # to its lowest-indexed scope variable.
+    scoped, first_edge = np.unique(graph.edge_factor, return_index=True)
+    host[scoped] = graph.edge_var[first_edge]
+    host[:n_vars] = np.arange(min(n_vars, len(host)))
 
-    # Both edge lists are sorted by sending node, so a node's rows are one run.
-    fv_start = np.cumsum([0] + [len(graph.factor_neighbors[f]) for f in graph.factor_ids])
-    vf_start = np.cumsum([0] + [len(graph.variable_neighbors[v]) for v in graph.variable_ids])
-    agents = []
-    for k, vid in enumerate(graph.variable_ids):
-        factors = hosted.get(k, [])
-        fv_rows = [row for f in factors for row in range(fv_start[f], fv_start[f + 1])]
-        agents.append(Agent(
+    # Stable sorts by host keep canonical order within each agent, and both
+    # edge lists are sorted by sending node, so a node's rows are one run.
+    edge_host = host[graph.edge_factor]
+    hosted_ids = _ids(graph.factor_ids, np.argsort(host, kind="stable"))
+    fv_rows = np.argsort(edge_host, kind="stable")
+    agents = [
+        Agent(
             variable_id=vid,
             factor_neighbors=graph.variable_neighbors[vid],
-            hosted_factors=tuple(graph.factor_ids[f] for f in factors),
-            vf_rows=np.arange(vf_start[k], vf_start[k + 1]),
-            fv_rows=np.array(fv_rows, dtype=np.intp),
-        ))
-    return agents, variable_host, factor_host
+            hosted_factors=tuple(hosted_ids[f_start:f_stop]),
+            vf_rows=np.arange(vf_start, vf_stop),
+            fv_rows=fv_rows[fv_start:fv_stop],
+        )
+        for vid, (f_start, f_stop), (vf_start, vf_stop), (fv_start, fv_stop) in zip(
+            graph.variable_ids, _runs(host, n_vars), _runs(graph.edge_var, n_vars),
+            _runs(edge_host, n_vars))
+    ]
+    return agents, dict(graph.variable_order), dict(zip(graph.factor_ids, host.tolist()))
 
 
 def _write_log(path, chunks) -> None:

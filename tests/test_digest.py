@@ -14,6 +14,7 @@ per-agent inboxes.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from gbpkit import (
@@ -27,6 +28,7 @@ from gbpkit import (
     precision_bounds,
     run,
     simulate,
+    sparse_gmrf,
     with_observations,
 )
 from gbpkit.generate import KINDS
@@ -82,6 +84,33 @@ EXPECTED = {
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_results_match_recorded_digest(kind, seed):
     assert _digest(kind, seed) == EXPECTED[(kind, seed)]
+
+
+# Recorded while sparse_gmrf still walked every scope pair in Python.
+GMRF_EXPECTED = {
+    ("tree", 1): "3e0ebbe54901ca03bf40122f2ccf5c3647050ab62f0693f856cf29097816f6a6",
+    ("tree", 2): "09845e1a5ed4f5431beae3df694c7657c03806c505e632e7fc6884923331fccc",
+    ("tree", 3): "fc0bc938f31ff30ab5f4a87ed9da72c97ff032e268a7be2fd58ce97336e9cd66",
+    ("single-loop-plus-forest", 1): "a913f788373c94fa174b6dc695f75be0b7ffe86110bb886d60f4734f08cbe514",
+    ("single-loop-plus-forest", 2): "36611ef78efd8e2aadbe8f15c19d11b9d536f0363b40240044b11d7b60026563",
+    ("single-loop-plus-forest", 3): "4c6f82287676a22721123d6d8273e501fe2ad451a6300b1e5e76665d6171a863",
+    ("random-loopy", 1): "d971ce1781d1cc836b90409e9b40eeb8ea6d2c319e6681c3a1c77a3facea81fd",
+    ("random-loopy", 2): "c55a425eac2401adb48421993bda85ad2c67082f5503e96a7a66bf03e08a2698",
+    ("random-loopy", 3): "e8b0264104d78c62ae7570f41ed62f57f86a526935828cd21f7d555517b323fb",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_information_form_matches_recorded_digest(kind, seed):
+    """J's CSR arrays (indices as int64) and h, byte for byte."""
+    gmrf = sparse_gmrf(generate_model(kind, 200, seed))
+    info = gmrf.information_matrix
+    h = hashlib.sha256()
+    for array in (info.data, info.indices.astype(np.int64), info.indptr.astype(np.int64),
+                  gmrf.potential):
+        h.update(array.tobytes())
+    assert h.hexdigest() == GMRF_EXPECTED[(kind, seed)]
 
 
 def _overflow_model():

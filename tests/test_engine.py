@@ -338,6 +338,51 @@ class TestCompileOnce:
         assert _run_bits(moved) != _run_bits(first)
 
 
+
+def _move_first_coefficient(model):
+    """Same ids and sizes; factor 0's first coefficient moves to another variable."""
+    first = model.factors[0]
+    (var, coeff), *rest = first.coeffs.items()
+    spare = next(v.id for v in model.variables if v.id not in first.coeffs)
+    moved = dataclasses.replace(first, coeffs={spare: coeff, **dict(rest)})
+    return LinearGaussianModel(model.variables, (moved,) + model.factors[1:])
+
+
+def _rename_first_variable(model):
+    old = model.variables[0].id
+    factors = tuple(
+        dataclasses.replace(f, coeffs={"renamed" if v == old else v: c for v, c in f.coeffs.items()})
+        for f in model.factors
+    )
+    return LinearGaussianModel(
+        (dataclasses.replace(model.variables[0], id="renamed"),) + model.variables[1:], factors
+    )
+
+
+class TestModelMustMatchGraph:
+    @pytest.mark.parametrize("mismatch", [_move_first_coefficient, _rename_first_variable],
+                             ids=["moved-coefficient", "renamed-variable"])
+    @pytest.mark.parametrize("caller", [
+        lambda graph, model: run(graph, model),
+        lambda graph, model: certify(graph, model),
+        lambda graph, model: precision_bounds(graph, model),
+    ], ids=["run", "certify", "precision_bounds"])
+    def test_other_structure_refused(self, mismatch, caller):
+        model = generate_model("random-loopy", 40, 3)
+        graph = build_factor_graph(model)
+        other = mismatch(model)
+        assert len(other.variables) == len(model.variables)
+        assert sum(map(len, (f.coeffs for f in other.factors))) == len(graph.fv_edges)
+        with pytest.raises(ValueError, match="does not match the graph"):
+            caller(graph, other)
+
+    def test_new_observations_accepted(self):
+        model = generate_model("random-loopy", 40, 3)
+        graph = build_factor_graph(model)
+        other = with_observations(model, [2.0 * f.obs for f in model.factors])
+        assert _run_bits(run(graph, other)) == _run_bits(run(build_factor_graph(other), other))
+
+
 class TestArrayMapping:
     def test_results_are_read_only_views_in_canonical_order(self, loop_graph, loop_model):
         result = run(loop_graph, loop_model)

@@ -1,4 +1,5 @@
 """Model validation, graph construction, information form, and file I/O."""
+import gc
 import json
 import math
 
@@ -9,21 +10,26 @@ from gbpkit import (
     Factor,
     InvalidModelError,
     LinearGaussianModel,
+    Schedule,
     TOPOLOGY_FOREST,
     TOPOLOGY_MULTI_LOOP,
     TOPOLOGY_SINGLE_LOOP,
     Variable,
     build_factor_graph,
+    certify,
     classify_topology,
+    dense_posterior,
     find_violations,
     generate_model,
     lingauss_to_gmrf,
     load_model,
     save_model,
+    simulate,
     sparse_gmrf,
     validate_model,
     with_observations,
 )
+from gbpkit import model as model_module
 from gbpkit.generate import KINDS
 from gbpkit.model import dumps_model, loads_model
 
@@ -85,6 +91,60 @@ class TestValidation:
     def test_non_finite_observation(self):
         with pytest.raises(InvalidModelError, match="obs"):
             validate_model(tiny_model(obs=float("inf")))
+
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """Every find_violations call the model module makes while the test runs."""
+        calls = []
+        real = model_module.find_violations
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(model_module, "find_violations", counting)
+        return calls
+
+    def test_one_validation_per_pipeline(self, validations, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(generate_model("random-loopy", 30, 4), path)
+        validations.clear()  # the generator validates the model it builds
+        model = load_model(path)
+        certify(build_factor_graph(model), model)
+        dense_posterior(model)
+        simulate(model, Schedule.synchronous())
+        assert validations == [model]
+
+    @pytest.mark.parametrize("consumer", [build_factor_graph, sparse_gmrf, dense_posterior,
+                                          lambda model: simulate(model, Schedule.synchronous())],
+                             ids=["build_factor_graph", "sparse_gmrf", "dense_posterior",
+                                  "simulate"])
+    def test_invalid_model_refused_by_every_consumer(self, consumer):
+        model = LinearGaussianModel(
+            (Variable("x1", -1.0), Variable("x2", 1.0)),
+            (Factor("f1", {"x1": 0.0, "x3": 1.0}, 1.0, 0.0),),
+        )
+        expected = find_violations(model)
+        assert len(expected) == 3
+        for _ in range(2):  # nothing is cached: a second use is refused the same way
+            with pytest.raises(InvalidModelError) as refused:
+                consumer(model)
+            assert refused.value.violations == expected
+
+    def test_graph_build_makes_no_per_edge_objects(self):
+        model = generate_model("tree", 2000, 7)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            build_factor_graph(model)
+            made = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert made < 100
 
 
 class TestFactorGraph:
