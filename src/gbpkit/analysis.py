@@ -14,7 +14,7 @@ need is computed on first read of ``mean_spectral_radius``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping
 
@@ -84,12 +84,17 @@ class MeanUpdateSystem:
     Q is held as ``sparse``, a CSR array with sorted indices and no
     stored zeros; ``matrix`` is its dense view, built on first read.
     Row/column order is ``edges``, the canonical variable-to-factor edge
-    list.  The fixed point solves (I + Q) v = offset.
+    list, read from ``graph`` when asked for.  The fixed point solves
+    (I + Q) v = offset.
     """
 
     sparse: csr_array
     offset: np.ndarray
-    edges: tuple[Edge, ...]
+    graph: FactorGraph = field(repr=False)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return self.graph.vf_edges
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -223,7 +228,7 @@ def build_mean_system(
 
     Entry (row j->f_n, column z->f_k) is nonzero when f_k is another
     factor of j and z another variable of f_k; each such (k, z) pair
-    occurs once per row, so no entry is written twice:
+    occurs once per row, so each entry of the product below is one term:
 
         Q[row, col] = c_{k,j} * c_{k,z} / (J*_{j->f_n} * M_{k,j})
         M_{k,j}     = noise_var_k + sum over z of c_{k,z}^2 / J*_{z->f_k}
@@ -232,39 +237,29 @@ def build_mean_system(
     compiled = engine.compile_model(graph, model)
     tables = compiled.tables
     vf_star = fixed_point.variable_to_factor.array
-    # M_{k,j} on every factor-to-variable edge f_k -> j, then a pad slot.
+    # M_{k,j} on every factor-to-variable edge f_k -> j.
     padded_star = np.append(vf_star, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         m_kj, _ = engine._factor_sums(
             ((compiled.vf_coeff[z], (padded_star[z], 0.0)) for z in tables.fv_reads.T),
-            compiled.noise_var,
-            compiled.obs,
-        )
-    m_kj = np.append(m_kj, 1.0)
-    coeff = np.append(compiled.coeff, 0.0)
-    obs = np.append(compiled.obs, 0.0)
-    fv_reads = np.vstack([tables.fv_reads, np.full(tables.fv_reads.shape[1], tables.pad)])
+            compiled.noise_var, compiled.obs)
+    dim = len(graph.edge_var)
 
-    dim = len(graph.vf_edges)
-    offset = np.zeros(dim)
-    rows = np.arange(dim)
+    def incidence(reads, entry):
+        """E x E CSR whose row r holds ``entry(r, k)`` at each real position k of ``reads[r]``."""
+        real = reads != tables.pad
+        rows, cols = np.nonzero(real)[0], reads[real]
+        indptr = np.append(0, np.cumsum(np.count_nonzero(real, axis=1)))
+        return csr_array((entry(rows, cols), cols, indptr), shape=(dim, dim))
+
+    # Q = A @ B: A[row, k] = c_{k,j} / (J*_{j->f_n} M_{k,j}) over the row's
+    # other factors k, B[k, z] = c_{k,z} over f_k's other variables z.
     inv_out = 1.0 / vf_star
-    # (row, column, value) triplets, each list seeded empty so that a graph
-    # with no couplings still concatenates.
-    row, col, value = [rows[:0]], [rows[:0]], [offset[:0]]
-    for k in tables.vf_reads.T:  # each other factor f_k of the row's variable j
-        scale = inv_out * coeff[k] / m_kj[k]
-        offset += scale * obs[k]
-        for z in fv_reads[k].T:  # each other variable z of f_k
-            entry = scale * compiled.vf_coeff[z]
-            keep = (z != tables.pad) & (entry != 0)
-            row.append(rows[keep])
-            col.append(z[keep])
-            value.append(entry[keep])
-    sparse = csr_array(
-        (np.concatenate(value), (np.concatenate(row), np.concatenate(col))), shape=(dim, dim)
-    )
-    return MeanUpdateSystem(sparse=sparse, offset=offset, edges=graph.vf_edges)
+    scale = incidence(tables.vf_reads, lambda r, k: inv_out[r] * compiled.coeff[k] / m_kj[k])
+    sparse = scale @ incidence(tables.fv_reads, lambda _, z: compiled.vf_coeff[z])
+    sparse.eliminate_zeros()
+    sparse.sort_indices()
+    return MeanUpdateSystem(sparse=sparse, offset=scale @ compiled.obs, graph=graph)
 
 
 def spectral_radius(matrix) -> float:

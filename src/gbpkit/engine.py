@@ -19,6 +19,10 @@ canonical neighbour order, and padded slots add exact zeros.  Array and
 float evaluation therefore agree bit for bit, and two runs over the same
 model are identical.  Array passes silence numpy's overflow and
 invalid-value warnings: Python floats reach the same inf and NaN silently.
+
+One generator, :func:`sweeps`, owns the synchronous loop; :func:`run` and
+the synchronous simulator both iterate it.  :func:`factor_to_variable`
+keeps a per-edge Python-float path, the unpadded reference for tests.
 """
 from __future__ import annotations
 
@@ -245,9 +249,8 @@ def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarra
     :func:`fv_messages`, so a row's bits do not depend on which rows are
     computed with it.
     """
-    return _variable_pass(
-        compiled.vf_prior_var[rows], compiled.tables.vf_reads[rows], fv_prec, fv_mean
-    )
+    return _variable_pass(compiled.vf_prior_var[rows], compiled.tables.vf_reads[rows],
+                          fv_prec, fv_mean)
 
 
 def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray,
@@ -338,7 +341,7 @@ def init_messages(
 ) -> MessageState:
     """Message state at iteration 0 under the given strategy."""
     if strategy.kind == INIT_ZERO:
-        precisions = np.zeros(len(graph.fv_edges))
+        precisions = np.zeros(len(graph.edge_var))
     elif strategy.kind in (INIT_LOWER, INIT_UPPER):
         lower, upper = edge_bounds(compile_model(graph, model))
         precisions = lower if strategy.kind == INIT_LOWER else upper
@@ -350,7 +353,7 @@ def init_messages(
     if strategy.kind == INIT_EXPLICIT and strategy.means is not None:
         means = _explicit_values(graph, strategy.means, "means", -math.inf)
     else:
-        means = np.zeros(len(graph.fv_edges))
+        means = np.zeros(len(graph.edge_var))
     return _state(graph, precisions, means, 0)
 
 
@@ -426,6 +429,20 @@ def step_status(old: MessageState, new: MessageState, tolerance: float) -> str |
                    new.means.array, tolerance)
 
 
+def sweeps(compiled: CompiledModel, prec, mean, tolerance: float, max_iters: int):
+    """Sweep from factor-to-variable (precisions, means) until an outcome
+    (see :func:`step_status`) or ``max_iters`` sweeps, yielding per sweep
+    (iteration, vf_prec, vf_mean, fv_prec, fv_mean, outcome or None)."""
+    for iteration in range(1, max_iters + 1):
+        vf_prec, vf_mean = vf_messages(compiled, prec, mean)
+        new_prec, new_mean = fv_messages(compiled, vf_prec, vf_mean)
+        outcome = _status(prec, mean, new_prec, new_mean, tolerance)
+        yield iteration, vf_prec, vf_mean, new_prec, new_mean, outcome
+        if outcome is not None:
+            return
+        prec, mean = new_prec, new_mean
+
+
 def run(
     graph: FactorGraph,
     model: LinearGaussianModel,
@@ -439,17 +456,12 @@ def run(
         raise ValueError("max_iters must be at least 1")
     compiled = compile_model(graph, model)
     init = init_messages(graph, model, strategy or InitStrategy.zero())
-    prec, mean = init.precisions.array, init.means.array
-    status = STATUS_MAX_ITERS
-    for iteration in range(1, max_iters + 1):
-        new_prec, new_mean = sweep_arrays(compiled, prec, mean)
-        outcome = _status(prec, mean, new_prec, new_mean, tolerance)
-        prec, mean = new_prec, new_mean
-        if outcome is not None:
-            status = outcome
-            break
+    for iteration, _, _, prec, mean, outcome in sweeps(
+        compiled, init.precisions.array, init.means.array, tolerance, max_iters
+    ):
+        pass
     return RunResult(
         beliefs=_beliefs(graph, compiled, prec, mean, iteration),
         state=_state(graph, prec, mean, iteration),
-        status=status,
+        status=outcome or STATUS_MAX_ITERS,
     )

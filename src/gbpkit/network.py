@@ -2,18 +2,21 @@
 
 One agent per variable; an agent also hosts the factor sharing its
 position in the canonical order, with leftover factors assigned to the
-agent of their lowest-indexed scope variable.  Messages are indexed by
-graph edge, and an agent owns the rows of the compiled edge tables that
-its nodes send: its variable's ``vf_edges`` positions and its hosted
-factors' ``fv_edges`` positions.  Those rows read only edges into the
-agent's own variable and factors, so an agent sees nothing but what its
-graph neighbours sent.
+agent of their lowest-indexed scope variable (an empty-scope one to agent
+0).  Messages are indexed by graph edge, and an agent owns the rows of
+the compiled edge tables that its nodes send: one run of ``vf_edges``
+positions and one run of ``fv_order``, the ``fv_edges`` positions sorted
+stably by host.  Those rows read only edges into the agent's own variable
+and factors, so an agent sees nothing but what its graph neighbours sent.
+:func:`simulate` reads these index runs; only :func:`build_agents` wraps
+them in :class:`Agent` records.
 
-The synchronous schedule is the engine's sweep, phase by phase, with the
-engine's stop test, so its results (messages, beliefs, tick count, status)
-equal an engine run bit for bit.  The random-sequential schedule recomputes
-one seeded-random agent's rows per tick, in place, from the current
-messages.
+The synchronous schedule iterates the engine's own sweep loop
+(:func:`gbpkit.engine.sweeps`), keeping only the event log and the
+message count, so its results (messages, beliefs, tick count, status)
+equal an engine run bit for bit.  The random-sequential schedule
+recomputes one seeded-random agent's rows per tick, in place, from the
+current messages.
 """
 from __future__ import annotations
 
@@ -51,11 +54,8 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class Agent:
-    """One variable, the factors it hosts, and the edge-table rows they send.
-
-    ``hosted_factors`` and ``fv_rows`` keep canonical factor order;
-    ``vf_rows`` are the variable's ``vf_edges`` positions.
-    """
+    """One variable, the factors it hosts, and the edge-table rows they send:
+    ``vf_rows`` in ``vf_edges``, ``fv_rows`` in ``fv_edges``, canonical order."""
 
     variable_id: str
     factor_neighbors: tuple[str, ...]
@@ -73,13 +73,10 @@ class SimulationResult:
     state: engine.MessageState
 
 
-def build_agents(
-    graph: FactorGraph, model: LinearGaussianModel
-) -> tuple[list[Agent], dict[str, int], dict[str, int]]:
-    """Agents plus the variable->agent and factor->agent assignment.
-
-    Hosting depends on the graph alone; ``model`` is not read.
-    """
+def _hosting(graph: FactorGraph):
+    """Each factor's host, ``fv_order``, and per agent its (start, stop) run
+    of ``vf_edges`` and of ``fv_order``: both are sorted by sending node,
+    stably, so each run keeps canonical order."""
     n_vars = len(graph.variable_ids)
     host = np.zeros(len(graph.factor_ids), dtype=np.intp)
     # fv_edges is sorted by factor, then variable: a factor's first edge goes
@@ -87,25 +84,30 @@ def build_agents(
     scoped, first_edge = np.unique(graph.edge_factor, return_index=True)
     host[scoped] = graph.edge_var[first_edge]
     host[:n_vars] = np.arange(min(n_vars, len(host)))
-
-    # Stable sorts by host keep canonical order within each agent, and both
-    # edge lists are sorted by sending node, so a node's rows are one run.
     edge_host = host[graph.edge_factor]
+    return (host, np.argsort(edge_host, kind="stable"),
+            _runs(graph.edge_var, n_vars), _runs(edge_host, n_vars))
+
+
+def build_agents(
+    graph: FactorGraph, model: LinearGaussianModel
+) -> tuple[list[Agent], dict[str, int], dict[str, int]]:
+    """Agents plus the variable->agent and factor->agent assignment.
+
+    Hosting depends on the graph alone; ``model`` is not read.  An
+    empty-scope factor past the variable count goes to agent 0; with no
+    variables there are no agents, and no factor gets a host entry.
+    """
+    host, fv_order, vf_runs, fv_runs = _hosting(graph)
     hosted_ids = _ids(graph.factor_ids, np.argsort(host, kind="stable"))
-    fv_rows = np.argsort(edge_host, kind="stable")
     agents = [
-        Agent(
-            variable_id=vid,
-            factor_neighbors=graph.variable_neighbors[vid],
-            hosted_factors=tuple(hosted_ids[f_start:f_stop]),
-            vf_rows=np.arange(vf_start, vf_stop),
-            fv_rows=fv_rows[fv_start:fv_stop],
-        )
+        Agent(vid, graph.variable_neighbors[vid], tuple(hosted_ids[f_start:f_stop]),
+              np.arange(vf_start, vf_stop), fv_order[fv_start:fv_stop])
         for vid, (f_start, f_stop), (vf_start, vf_stop), (fv_start, fv_stop) in zip(
-            graph.variable_ids, _runs(host, n_vars), _runs(graph.edge_var, n_vars),
-            _runs(edge_host, n_vars))
+            graph.variable_ids, _runs(host, len(graph.variable_ids)), vf_runs, fv_runs)
     ]
-    return agents, dict(graph.variable_order), dict(zip(graph.factor_ids, host.tolist()))
+    factor_host = dict(zip(graph.factor_ids, host.tolist())) if agents else {}
+    return agents, dict(graph.variable_order), factor_host
 
 
 def _write_log(path, chunks) -> None:
@@ -126,9 +128,8 @@ def simulate(
 ) -> SimulationResult:
     """Run the network until quiet, divergence, or the tick budget.
 
-    Synchronous: a tick is one engine sweep (all variable messages from
-    the previous tick's factor messages, then all factor messages), with
-    the engine's stopping rule.
+    Synchronous: a tick is one sweep of the engine's own loop
+    (:func:`gbpkit.engine.sweeps`), stopping rule included.
     Random-sequential: a tick recomputes one random agent's outgoing
     messages; the run is converged once every agent has taken a turn
     without moving any message by the tolerance or more.
@@ -142,15 +143,12 @@ def simulate(
         raise ValueError("max_ticks must be at least 1")
     graph = build_factor_graph(model)
     compiled = engine.compile_model(graph, model)
-    agents, _, _ = build_agents(graph, model)
     log: list | None = [] if log_path is not None else None
 
     if schedule.kind == SCHEDULE_SYNCHRONOUS:
-        outcome = _run_synchronous(graph, compiled, agents, tolerance, max_ticks, log)
+        outcome = _run_synchronous(graph, compiled, tolerance, max_ticks, log)
     else:
-        outcome = _run_random_sequential(
-            graph, compiled, agents, schedule.seed, tolerance, max_ticks, log
-        )
+        outcome = _run_random_sequential(graph, compiled, schedule.seed, tolerance, max_ticks, log)
     prec, mean, tick, status, sent = outcome
 
     if log_path is not None:
@@ -164,24 +162,18 @@ def simulate(
     )
 
 
-def _run_synchronous(graph, compiled, agents, tolerance, max_ticks, log):
+def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
     if log is not None:  # factor messages are logged agent by agent
-        fv_order = np.concatenate([a.fv_rows for a in agents] + [np.zeros(0, np.intp)])
+        _, fv_order, _, _ = _hosting(graph)
         fv_edges = [graph.fv_edges[k] for k in fv_order]
-    prec = mean = np.zeros(len(graph.fv_edges))
-    status = engine.STATUS_MAX_ITERS
-    for tick in range(1, max_ticks + 1):
-        vf_prec, vf_mean = engine.vf_messages(compiled, prec, mean)
-        new_prec, new_mean = engine.fv_messages(compiled, vf_prec, vf_mean)
+    zeros = np.zeros(len(graph.edge_var))
+    for tick, vf_prec, vf_mean, prec, mean, outcome in engine.sweeps(
+        compiled, zeros, zeros, tolerance, max_ticks
+    ):
         if log is not None:
             log.append((tick, graph.vf_edges, vf_prec, vf_mean))
-            log.append((tick, fv_edges, new_prec[fv_order], new_mean[fv_order]))
-        outcome = engine._status(prec, mean, new_prec, new_mean, tolerance)
-        prec, mean = new_prec, new_mean
-        if outcome is not None:
-            status = outcome
-            break
-    return prec, mean, tick, status, tick * (len(graph.vf_edges) + len(graph.fv_edges))
+            log.append((tick, fv_edges, prec[fv_order], mean[fv_order]))
+    return prec, mean, tick, outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var)
 
 
 def _replace_rows(prec, mean, rows, new_prec, new_mean) -> float:
@@ -191,14 +183,15 @@ def _replace_rows(prec, mean, rows, new_prec, new_mean) -> float:
     return moved
 
 
-def _run_random_sequential(graph, compiled, agents, seed, tolerance, max_ticks, log):
-    fv_prec, fv_mean = np.zeros(len(graph.fv_edges)), np.zeros(len(graph.fv_edges))
-    if not agents:
+def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
+    fv_prec, fv_mean = np.zeros(len(graph.edge_var)), np.zeros(len(graph.edge_var))
+    if not graph.variable_ids:
         return fv_prec, fv_mean, 0, engine.STATUS_CONVERGED, 0
+    _, fv_order, vf_runs, fv_runs = _hosting(graph)
 
     # Tick 0 flush so every factor has variable messages to read.
     vf_prec, vf_mean = engine.vf_messages(compiled, fv_prec, fv_mean)
-    sent = len(graph.vf_edges)
+    sent = len(graph.edge_var)
     if log is not None:
         log.append((0, graph.vf_edges, vf_prec.copy(), vf_mean.copy()))
 
@@ -206,16 +199,16 @@ def _run_random_sequential(graph, compiled, agents, seed, tolerance, max_ticks, 
     quiet: set[int] = set()
     status = engine.STATUS_MAX_ITERS
     for tick in range(1, max_ticks + 1):
-        k = rng.randrange(len(agents))
-        agent = agents[k]
-        new_vf = engine.vf_messages(compiled, fv_prec, fv_mean, agent.vf_rows)
-        moved = _replace_rows(vf_prec, vf_mean, agent.vf_rows, *new_vf)
-        new_fv = engine.fv_messages(compiled, vf_prec, vf_mean, agent.fv_rows)
-        moved = max(moved, _replace_rows(fv_prec, fv_mean, agent.fv_rows, *new_fv))
-        sent += len(agent.vf_rows) + len(agent.fv_rows)
+        k = rng.randrange(len(vf_runs))
+        vf_rows, fv_rows = slice(*vf_runs[k]), fv_order[slice(*fv_runs[k])]
+        new_vf = engine.vf_messages(compiled, fv_prec, fv_mean, vf_rows)
+        moved = _replace_rows(vf_prec, vf_mean, vf_rows, *new_vf)
+        new_fv = engine.fv_messages(compiled, vf_prec, vf_mean, fv_rows)
+        moved = max(moved, _replace_rows(fv_prec, fv_mean, fv_rows, *new_fv))
+        sent += len(new_vf[0]) + len(fv_rows)
         if log is not None:
-            log.append((tick, [graph.vf_edges[r] for r in agent.vf_rows], *new_vf))
-            log.append((tick, [graph.fv_edges[r] for r in agent.fv_rows], *new_fv))
+            log.append((tick, graph.vf_edges[vf_rows], *new_vf))
+            log.append((tick, [graph.fv_edges[r] for r in fv_rows], *new_fv))
 
         if moved < tolerance:
             quiet.add(k)
@@ -225,7 +218,7 @@ def _run_random_sequential(graph, compiled, agents, seed, tolerance, max_ticks, 
         if engine._diverged(new_fv[1]):
             status = engine.STATUS_DIVERGED
             break
-        if len(quiet) == len(agents):
+        if len(quiet) == len(vf_runs):
             status = engine.STATUS_CONVERGED
             break
     return fv_prec, fv_mean, tick, status, sent

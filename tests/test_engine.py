@@ -270,6 +270,16 @@ class TestRun:
         assert first.state == second.state
         assert first.beliefs == second.beliefs
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_and_certify_build_no_id_keyed_edges(self, kind):
+        model = generate_model(kind, 40, seed=2)
+        graph = build_factor_graph(model)
+        run(graph, model)
+        cert = certify(graph, model)
+        assert "fv_edges" not in vars(graph) and "vf_edges" not in vars(graph)
+        assert len(cert.mean_system.edges) == len(graph.edge_var)
+        assert cert.mean_system.edges == graph.vf_edges
+
 
 def _run_bits(result) -> tuple:
     """Every array behind a run result, as bytes, plus its counters."""

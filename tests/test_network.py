@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from gbpkit import (
+    STATUS_DIVERGED,
+    STATUS_MAX_ITERS,
     Factor,
     LinearGaussianModel,
     STATUS_CONVERGED,
@@ -15,7 +17,8 @@ from gbpkit import (
     simulate,
 )
 from gbpkit.engine import compile_model, fv_messages, vf_messages
-from gbpkit.generate import KINDS
+from gbpkit import network
+from gbpkit.generate import KINDS, generate_random_loopy
 from gbpkit.network import build_agents
 
 import helpers
@@ -57,6 +60,24 @@ class TestAgentAssignment:
         graph = build_factor_graph(model)
         _, _, factor_host = build_agents(graph, model)
         assert factor_host == {"f1": 0, "f2": 1, "f3": 0}
+
+    def test_empty_scope_factor_past_the_variables_goes_to_agent_0(self):
+        model = LinearGaussianModel(
+            (Variable("x1", 1.0), Variable("x2", 1.0)),
+            (
+                Factor("f1", {"x2": 1.0}, 1.0, 0.0),
+                Factor("f2", {"x1": 1.0}, 1.0, 0.0),
+                Factor("f3", {}, 1.0, 0.0),
+            ),
+        )
+        agents, _, factor_host = build_agents(build_factor_graph(model), model)
+        assert factor_host == {"f1": 0, "f2": 1, "f3": 0}
+        assert agents[0].hosted_factors == ("f1", "f3")
+
+    def test_no_variables_means_no_hosts(self):
+        # An empty-scope factor in a variable-less model has no agent to go to.
+        model = LinearGaussianModel((), (Factor("f1", {}, 1.0, 0.5),))
+        assert build_agents(build_factor_graph(model), model) == ([], {}, {})
 
     def test_hosted_factor_mirrors_canonical_scope(self, loop_model):
         for model in _hosting_models(loop_model):
@@ -142,7 +163,35 @@ class TestRoutingGuard:
         assert mean[to_f1] == pytest.approx(-0.25 / (1 / 6 + 0.25))
 
 
+def _no_agents(*args, **kwargs):
+    raise AssertionError("simulate built an Agent record")
+
+
 class TestSynchronousSchedule:
+    @pytest.mark.parametrize("case, max_ticks, status", [
+        ("loop", 10000, STATUS_CONVERGED),
+        ("loop", 3, STATUS_MAX_ITERS),
+        ("divergent", 10000, STATUS_DIVERGED),
+    ])
+    def test_matches_run_on_every_outcome(self, case, max_ticks, status):
+        model = (helpers.loop_model() if case == "loop"
+                 else generate_random_loopy(6, seed=113, coeff_range=(-6.0, 6.0)))
+        graph = build_factor_graph(model)
+        engine_result = run(graph, model, max_iters=max_ticks)
+        sim = simulate(model, Schedule.synchronous(), max_ticks=max_ticks)
+        assert sim.status == engine_result.status == status
+        assert sim.ticks == engine_result.state.iteration
+        assert sim.state == engine_result.state
+        assert sim.beliefs == engine_result.beliefs
+        assert sim.messages_sent == sim.ticks * 2 * len(graph.edge_var)
+        assert (sim.ticks == max_ticks) == (status == STATUS_MAX_ITERS)
+
+    @pytest.mark.parametrize("schedule", [Schedule.synchronous(), Schedule.random_sequential(5)])
+    def test_builds_no_agent_records(self, monkeypatch, loop_model, schedule):
+        monkeypatch.setattr(network, "Agent", _no_agents)
+        sim = simulate(loop_model, schedule)
+        assert sim.status == STATUS_CONVERGED
+
     def test_matches_engine_bitwise(self, loop_graph, loop_model):
         engine_result = run(loop_graph, loop_model)
         sim = simulate(loop_model, Schedule.synchronous())
