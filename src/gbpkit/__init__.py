@@ -1,7 +1,7 @@
 """Gaussian belief propagation on scalar linear Gaussian models.
 
 Build a model, run message passing, certify whether the means will
-converge, and cross-check everything against a dense solver:
+converge, and cross-check everything against an exact solver:
 
     from gbpkit import build_factor_graph, certify, dense_posterior, run
 

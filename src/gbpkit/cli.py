@@ -39,7 +39,7 @@ _SHARED_FLAGS = {
                    help="initial message precisions"),
     "--seed": dict(type=int, help="seed for randomized commands"),
     "--out": dict(type=Path, help="output file path"),
-    "--oracle": dict(action="store_true", help="also print the dense solution and deviations"),
+    "--oracle": dict(action="store_true", help="also print the exact posterior and deviations"),
 }
 
 
@@ -134,12 +134,11 @@ def cmd_analyze(args) -> int:
     cycles = ", ".join(str(c) for c in cert.topology.component_cycles)
     print(f"topology: {cert.topology.kind} (cycles per component: {cycles})")
     print(f"graph: {len(graph.variable_ids)} variables, {len(graph.factor_ids)} factors, "
-          f"{len(graph.fv_edges)} edges")
+          f"{len(graph.edge_var)} edges")
     if cert.bounds.lower:
-        lo = cert.bounds.lower.values()
-        hi = cert.bounds.upper.values()
-        print(f"precision bounds: lower in [{_fmt(min(lo))}, {_fmt(max(lo))}], "
-              f"upper in [{_fmt(min(hi))}, {_fmt(max(hi))}]")
+        lo, hi = cert.bounds.lower.array, cert.bounds.upper.array
+        print(f"precision bounds: lower in [{_fmt(lo.min())}, {_fmt(lo.max())}], "
+              f"upper in [{_fmt(hi.min())}, {_fmt(hi.max())}]")
     print(f"fixed point reached in {cert.fixed_point.iterations} iterations")
     print(f"mean-update spectral radius: {_radius_line(cert)}")
     walk = cert.walk_summability

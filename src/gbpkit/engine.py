@@ -109,7 +109,7 @@ class ArrayMapping(Mapping):
         return iter(self.positions)
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.array)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"

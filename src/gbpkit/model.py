@@ -239,9 +239,8 @@ class GMRFModel:
     ``information_matrix`` is J, a dense array (:func:`lingauss_to_gmrf`)
     or a canonical CSR array with no stored zeros (:func:`sparse_gmrf`);
     both hold the same bits.  J is symmetric positive definite for any
-    valid model (positive definiteness is exercised by the dense oracle's
-    Cholesky factorization).  Row/column order is the canonical variable
-    order.
+    valid model (the oracle's LU checks it: every pivot positive, no row
+    exchange).  Row/column order is the canonical variable order.
     """
 
     information_matrix: np.ndarray | csr_array

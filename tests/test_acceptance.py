@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v`` for one pass/fail line
 per criterion (add ``-s`` to also see the ACCEPTANCE stamps).  Reference
 values come either from closed forms derived in the test body or from
-the dense solver in gbpkit.oracle; no expected number is taken from the
+the exact solver in gbpkit.oracle; no expected number is taken from the
 engine itself.
 """
 import math
@@ -187,7 +187,7 @@ def test_criterion_08_tree_exactness():
 
 def test_criterion_09_mean_system_decides(loop_model):
     # part one: wherever the mean-update radius is below 1, the linear
-    # solve and the engine agree, and belief means match the dense solver
+    # solve and the engine agree, and belief means match the exact solver
     for model in [loop_model] + _loopy_instances():
         graph = build_factor_graph(model)
         fp = fixed_point_precisions(graph, model, tolerance=1e-13)

@@ -280,6 +280,15 @@ class TestRun:
         assert len(cert.mean_system.edges) == len(graph.edge_var)
         assert cert.mean_system.edges == graph.vf_edges
 
+    def test_sizing_a_state_builds_no_id_keyed_edges(self):
+        model = generate_model("tree", 50, seed=2)
+        graph = build_factor_graph(model)
+        result = run(graph, model)
+        cert = certify(graph, model)
+        assert len(result.state.precisions) == len(graph.edge_var)
+        assert bool(cert.bounds.lower)
+        assert "fv_edges" not in vars(graph) and "vf_edges" not in vars(graph)
+
 
 def _run_bits(result) -> tuple:
     """Every array behind a run result, as bytes, plus its counters."""

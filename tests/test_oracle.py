@@ -1,9 +1,12 @@
-"""Dense reference solver: closed forms, residual invariants, and limits."""
+"""Reference solver: closed forms, residual invariants, and limits."""
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from gbpkit import (
     Factor,
@@ -44,27 +47,23 @@ class TestConsistency:
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_covariance_inverts_information_matrix(self, loop_model):
-        gmrf = lingauss_to_gmrf(loop_model)
+        # The variances are the diagonal of J^-1.
+        inverse = np.linalg.inv(lingauss_to_gmrf(loop_model).information_matrix)
         posterior = dense_posterior(loop_model)
-        product = gmrf.information_matrix @ posterior.covariance
-        assert np.max(np.abs(product - np.eye(4))) < 1e-12
-
-    def test_covariance_symmetric(self, loop_model):
-        cov = dense_posterior(loop_model).covariance
-        assert np.array_equal(cov, cov.T)
+        assert np.max(np.abs(posterior.variance - np.diag(inverse))) < 1e-12
 
     def test_variable_order_preserved(self, loop_model):
         posterior = dense_posterior(loop_model)
         assert posterior.variable_ids == ("x1", "x2", "x3", "x4")
         for k, vid in enumerate(posterior.variable_ids):
             assert posterior.mean_of(vid) == posterior.mean[k]
-            assert posterior.variance_of(vid) == posterior.covariance[k, k]
+            assert posterior.variance_of(vid) == posterior.variance[k]
 
 
 @pytest.mark.parametrize("bound", [2.0, 6.0])
 @pytest.mark.parametrize("kind", KINDS)
 class TestGeneratedModels:
-    """One Cholesky factor gives the mean by solve and the covariance by potri."""
+    """The sparse LU and the Takahashi recursion agree with dense references."""
 
     @pytest.fixture
     def case(self, kind, bound):
@@ -72,31 +71,31 @@ class TestGeneratedModels:
         return lingauss_to_gmrf(model), dense_posterior(model)
 
     def test_covariance_matches_the_inverse(self, case):
+        # The variances are the diagonal of the covariance J^-1.
         gmrf, posterior = case
         inverse = np.linalg.inv(gmrf.information_matrix)
-        error = np.max(np.abs(posterior.covariance - inverse))
+        error = np.max(np.abs(posterior.variance - np.diag(inverse)))
         assert error <= 1e-12 * np.max(np.abs(inverse))
-
-    def test_covariance_exactly_symmetric(self, case):
-        _, posterior = case
-        assert np.array_equal(posterior.covariance, posterior.covariance.T)
 
     def test_variances_are_the_diagonal(self, case):
         _, posterior = case
         variances = [posterior.variance_of(vid) for vid in posterior.variable_ids]
-        assert np.array_equal(variances, np.diag(posterior.covariance))
+        assert np.array_equal(variances, posterior.variance)
 
     def test_mean_is_the_cholesky_solve(self, case):
         gmrf, posterior = case
-        expected = cho_solve(cho_factor(gmrf.information_matrix), gmrf.potential)
-        assert np.array_equal(posterior.mean, expected)
+        for expected in (
+            cho_solve(cho_factor(gmrf.information_matrix), gmrf.potential),
+            np.linalg.solve(gmrf.information_matrix, gmrf.potential),
+        ):
+            assert np.max(np.abs(posterior.mean - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestLimits:
     def test_empty_model(self):
         posterior = dense_posterior(LinearGaussianModel((), ()))
         assert posterior.mean.shape == (0,)
-        assert posterior.covariance.shape == (0, 0)
+        assert posterior.variance.shape == (0,)
 
     def test_prior_only_model(self):
         posterior = dense_posterior(LinearGaussianModel((Variable("x1", 4.0),), ()))
@@ -119,10 +118,62 @@ class TestLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_peak_memory_is_one_work_array(self):
+        # The n x n work array is 30.5 MiB at n = 2000; a dense J or a
+        # second n x n array would take the peak past 61 MiB.
+        model = generate_tree(2000, 7)
+        model.columns
+        tracemalloc.start()
+        try:
+            dense_posterior(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34 * 2**20
+
+    @staticmethod
+    def patched_lu(monkeypatch, change):
+        """Make ``oracle.splu`` return its factorization with ``change`` applied."""
+        factor = oracle.splu
+
+        def patched(*args, **kwargs):
+            lu = factor(*args, **kwargs)
+            parts = SimpleNamespace(U=lu.U.toarray(), perm_r=lu.perm_r.copy(),
+                                    perm_c=lu.perm_c, solve=lu.solve)
+            change(parts)
+            parts.U = csc_array(parts.U)
+            return parts
+
+        monkeypatch.setattr(oracle, "splu", patched)
+
     def test_inversion_failure_raises(self, loop_model, monkeypatch):
-        monkeypatch.setattr(oracle, "dpotri", lambda c, **flags: (c, 1))
-        with pytest.raises(LinAlgError):
+        def negate_last_pivot(parts):
+            parts.U[-1, -1] = -parts.U[-1, -1]
+
+        self.patched_lu(monkeypatch, negate_last_pivot)
+        with pytest.raises(LinAlgError, match="positive definite"):
             dense_posterior(loop_model)
+
+    def test_row_exchange_raises(self, loop_model, monkeypatch):
+        def swap_two_rows(parts):
+            parts.perm_r[[0, 1]] = parts.perm_r[[1, 0]]
+
+        self.patched_lu(monkeypatch, swap_two_rows)
+        with pytest.raises(LinAlgError, match="positive definite"):
+            dense_posterior(loop_model)
+
+    def test_cancelled_fill_is_restored(self):
+        # Eliminating x0 fills (1, 3) with 0.5 - 1 * 1 / 2 = 0 exactly, so U
+        # drops the entry, yet row 0 reads Z[1, 3], which is not zero.
+        matrix = np.array([[2.0, 1, 0, 1], [1, 3, 1, 0.5], [0, 1, 3, 1], [1, 0.5, 1, 3]])
+        lu = splu(csc_array(matrix), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        upper = lu.U.tocsr()
+        assert upper.indices[upper.indptr[1]:upper.indptr[2]].tolist() == [1, 2]
+        inverse = np.linalg.inv(matrix)
+        assert inverse[1, 3] != 0
+        variance = oracle._selected_inverse_diagonal(upper)
+        assert np.max(np.abs(variance - np.diag(inverse))) <= 1e-14
 
     def test_unknown_variable_lookup(self, loop_model):
         posterior = dense_posterior(loop_model)

@@ -8,11 +8,11 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Two more properties guard how the package gets there: the certificate's
+Three more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
-decides as the dense rule would; and relabelling or reordering the
-variables and factors changes beliefs by a few ulps at most and the
-certificate not at all.
+decides as the dense rule would; relabelling or reordering the variables
+and factors changes beliefs by a few ulps at most and the certificate not
+at all; and the sparse oracle agrees with a dense inverse and solve.
 
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
@@ -43,6 +43,7 @@ from gbpkit import (
     fixed_point_precisions,
     generate_model,
     init_messages,
+    lingauss_to_gmrf,
     part_metric,
     precision_bounds,
     run,
@@ -197,3 +198,41 @@ def test_relabelling_changes_beliefs_by_ulps_and_the_certificate_not_at_all(mode
                 RELABEL_ULPS * np.spacing(variances[vid]))
     cert, other_cert = certify(graph, model), certify(other_graph, other)
     assert (cert.verdict, cert.basis) == (other_cert.verdict, other_cert.basis)
+
+
+VARIANCES = st.floats(0.5, 2.0)
+
+
+@st.composite
+def oracle_models(draw):
+    """One or two generated components at +-2 or +-6, plus up to three
+    prior-only variables, up to three unary factors and maybe a factor
+    with an empty scope, the variables in a drawn order."""
+    bound = draw(st.sampled_from([2.0, 6.0]))
+    variables, factors = [], []
+    for part in ("a", "b")[:draw(st.integers(1, 2))]:
+        kind = draw(st.sampled_from(KINDS))
+        size = draw(st.integers(1 if kind == KIND_TREE else 2, 60))  # loops need two
+        model = generate_model(kind, size, draw(SEEDS), (-bound, bound))
+        variables += [Variable(part + v.id, v.prior_var) for v in model.variables]
+        factors += [Factor(part + f.id, {part + vid: c for vid, c in f.coeffs.items()},
+                           f.noise_var, f.obs) for f in model.factors]
+    variables += [Variable(f"p{k}", draw(VARIANCES)) for k in range(draw(st.integers(0, 3)))]
+    for k in range(draw(st.integers(0, 3))):
+        coeff = draw(st.floats(0.1, bound)) * draw(st.sampled_from([-1.0, 1.0]))
+        factors.append(Factor(f"u{k}", {draw(st.sampled_from(variables)).id: coeff},
+                              draw(VARIANCES), draw(st.floats(-10.0, 10.0))))
+    if draw(st.booleans()):
+        factors.append(Factor("e", {}, 1.0, draw(st.floats(-10.0, 10.0))))
+    return LinearGaussianModel(tuple(draw(st.permutations(variables))), tuple(factors))
+
+
+@given(model=oracle_models())
+def test_oracle_matches_the_dense_inverse_and_solve(model):
+    gmrf = lingauss_to_gmrf(model)
+    posterior = dense_posterior(model)
+    inverse = np.linalg.inv(gmrf.information_matrix)
+    expected = np.linalg.solve(gmrf.information_matrix, gmrf.potential)
+    assert posterior.variable_ids == gmrf.variable_ids
+    assert np.max(np.abs(posterior.variance - np.diag(inverse))) <= 1e-12 * np.max(np.abs(inverse))
+    assert np.max(np.abs(posterior.mean - expected)) <= 1e-12 * np.max(np.abs(expected))
