@@ -198,7 +198,7 @@ def fixed_point_precisions(
     the recursion contracts geometrically; hitting it indicates a bug, not
     a hard instance, hence the RuntimeError.
     """
-    engine.check_tolerance(tolerance)
+    engine.check_limits(tolerance, max_iters)
     compiled = engine.compile_model(graph, model)
     state = engine.init_messages(graph, model, init or engine.InitStrategy.lower_bound())
     prec, mean = state.precisions.array, state.means.array
@@ -462,9 +462,7 @@ def rate_trace(
     whichever is larger; a tolerance of 0 or below means the floor.
     """
     # max() keeps a NaN first argument, so NaN is refused here.
-    stop = engine.check_tolerance(max(tolerance, TRACE_FLOOR))
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    stop = engine.check_limits(max(tolerance, TRACE_FLOOR), max_iters)
     reference = fixed_point_precisions(graph, model, tolerance=1e-15)
     target = reference.factor_to_variable.array.tolist()
     compiled = engine.compile_model(graph, model)

@@ -227,7 +227,7 @@ def main(argv=None) -> int:
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return EXIT_ERROR
-    except (FileNotFoundError, ValueError, RuntimeError) as err:
+    except (OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

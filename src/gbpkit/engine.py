@@ -145,10 +145,13 @@ class RunResult:
     status: str
 
 
-def check_tolerance(tolerance: float) -> float:
-    """Return ``tolerance``, or raise unless it is positive (NaN is not)."""
+def check_limits(tolerance: float, budget: int, budget_name: str = "max_iters") -> float:
+    """Return ``tolerance``, or raise unless it is positive (NaN is not) and
+    the budget allows at least one sweep or tick."""
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    if budget < 1:
+        raise ValueError(f"{budget_name} must be at least 1")
     return tolerance
 
 
@@ -451,9 +454,7 @@ def run(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RunResult:
     """Sweep until messages settle, the guard trips, or the budget runs out."""
-    check_tolerance(tolerance)
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    check_limits(tolerance, max_iters)
     compiled = compile_model(graph, model)
     init = init_messages(graph, model, strategy or InitStrategy.zero())
     for iteration, _, _, prec, mean, outcome in sweeps(

@@ -12,15 +12,17 @@ and factors, so an agent sees nothing but what its graph neighbours sent.
 them in :class:`Agent` records.
 
 The synchronous schedule iterates the engine's own sweep loop
-(:func:`gbpkit.engine.sweeps`), keeping only the event log and the
+(:func:`gbpkit.engine.sweeps`), adding only the event log and the
 message count, so its results (messages, beliefs, tick count, status)
 equal an engine run bit for bit.  The random-sequential schedule
 recomputes one seeded-random agent's rows per tick, in place, from the
-current messages.
+current messages.  Both schedules write each tick's messages to the
+event log as they send them; nothing of the log is kept in memory.
 """
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,13 +112,10 @@ def build_agents(
     return agents, dict(graph.variable_order), factor_host
 
 
-def _write_log(path, chunks) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tick,sender,receiver,precision,mean\n")
-        for tick, edges, precisions, means in chunks:
-            rows = zip(edges, precisions.tolist(), means.tolist())
-            for (sender, receiver), precision, mean in rows:
-                fh.write(f"{tick},{sender},{receiver},{precision:.17g},{mean:.17g}\n")
+def _log_rows(log, tick, edges, precisions, means) -> None:
+    rows = zip(edges, precisions.tolist(), means.tolist())
+    log.writelines(f"{tick},{sender},{receiver},{precision:.17g},{mean:.17g}\n"
+                   for (sender, receiver), precision, mean in rows)
 
 
 def simulate(
@@ -134,25 +133,24 @@ def simulate(
     messages; the run is converged once every agent has taken a turn
     without moving any message by the tolerance or more.
 
-    ``log_path`` receives every message sent: per tick the variable
-    messages in ``vf_edges`` order, then each agent's factor messages in
-    agent order.
+    ``log_path`` receives every message sent, written as it is sent:
+    per tick the variable messages in ``vf_edges`` order, then each
+    agent's factor messages in agent order.  The file is opened before
+    the first sweep, so an unusable path raises ``OSError`` before any
+    work; a run that raises midway leaves the rows written so far.
     """
-    engine.check_tolerance(tolerance)
-    if max_ticks < 1:
-        raise ValueError("max_ticks must be at least 1")
+    engine.check_limits(tolerance, max_ticks, "max_ticks")
     graph = build_factor_graph(model)
     compiled = engine.compile_model(graph, model)
-    log: list | None = [] if log_path is not None else None
-
-    if schedule.kind == SCHEDULE_SYNCHRONOUS:
-        outcome = _run_synchronous(graph, compiled, tolerance, max_ticks, log)
-    else:
-        outcome = _run_random_sequential(graph, compiled, schedule.seed, tolerance, max_ticks, log)
+    with nullcontext() if log_path is None else open(log_path, "w", encoding="utf-8") as log:
+        if log is not None:
+            log.write("tick,sender,receiver,precision,mean\n")
+        if schedule.kind == SCHEDULE_SYNCHRONOUS:
+            outcome = _run_synchronous(graph, compiled, tolerance, max_ticks, log)
+        else:
+            outcome = _run_random_sequential(graph, compiled, schedule.seed, tolerance,
+                                             max_ticks, log)
     prec, mean, tick, status, sent = outcome
-
-    if log_path is not None:
-        _write_log(log_path, log)
     return SimulationResult(
         beliefs=engine._beliefs(graph, compiled, prec, mean, tick),
         ticks=tick,
@@ -171,8 +169,8 @@ def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
         compiled, zeros, zeros, tolerance, max_ticks
     ):
         if log is not None:
-            log.append((tick, graph.vf_edges, vf_prec, vf_mean))
-            log.append((tick, fv_edges, prec[fv_order], mean[fv_order]))
+            _log_rows(log, tick, graph.vf_edges, vf_prec, vf_mean)
+            _log_rows(log, tick, fv_edges, prec[fv_order], mean[fv_order])
     return prec, mean, tick, outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var)
 
 
@@ -193,7 +191,7 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
     vf_prec, vf_mean = engine.vf_messages(compiled, fv_prec, fv_mean)
     sent = len(graph.edge_var)
     if log is not None:
-        log.append((0, graph.vf_edges, vf_prec.copy(), vf_mean.copy()))
+        _log_rows(log, 0, graph.vf_edges, vf_prec, vf_mean)
 
     rng = random.Random(seed)
     quiet: set[int] = set()
@@ -207,8 +205,8 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
         moved = max(moved, _replace_rows(fv_prec, fv_mean, fv_rows, *new_fv))
         sent += len(new_vf[0]) + len(fv_rows)
         if log is not None:
-            log.append((tick, graph.vf_edges[vf_rows], *new_vf))
-            log.append((tick, [graph.fv_edges[r] for r in fv_rows], *new_fv))
+            _log_rows(log, tick, graph.vf_edges[vf_rows], *new_vf)
+            _log_rows(log, tick, [graph.fv_edges[r] for r in fv_rows], *new_fv)
 
         if moved < tolerance:
             quiet.add(k)

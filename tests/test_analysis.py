@@ -171,6 +171,12 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="tolerance"):
             fixed_point_precisions(loop_graph, loop_model, tolerance=math.nan)
 
+    def test_zero_budget_rejected(self, loop_graph, loop_model):
+        edgeless = LinearGaussianModel((Variable("x1", 4.0),), ())
+        for model in (loop_model, edgeless):
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                fixed_point_precisions(build_factor_graph(model), model, max_iters=0)
+
 
 class TestMeanSystem:
     def test_loop_zero_pattern(self, loop_graph, loop_model):

@@ -296,6 +296,22 @@ class TestErrorPaths:
         assert code == EXIT_ERROR
         assert "invalid float value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--model", "{dir}"],
+        ["analyze", "--model", "{dir}"],
+        ["generate", "--kind", "tree", "--size", "5", "--seed", "1", "--out", "{dir}"],
+        ["trace", "--model", "{model}", "--out", "{dir}"],
+        ["simulate", "--model", "{model}", "--log", "{dir}"],
+    ], ids=lambda argv: argv[0])
+    def test_unusable_path_is_an_error(self, argv, model_file, tmp_path, capsys):
+        argv = [arg.format(dir=tmp_path, model=model_file) for arg in argv]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(tmp_path) in captured.err
+        if argv[0] == "simulate":  # the log is opened before the run
+            assert captured.out == ""
+
     def test_help_exits_zero(self, capsys):
         assert main(["solve", "--help"]) == EXIT_OK
         assert "--model" in capsys.readouterr().out

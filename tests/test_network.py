@@ -1,4 +1,6 @@
-"""Agent simulation: assignment, locality, schedules, engine parity."""
+"""Agent simulation: assignment, locality, schedules, engine parity, event log."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gbpkit import (
     build_factor_graph,
     dense_posterior,
     generate_model,
+    generate_tree,
     run,
     simulate,
 )
@@ -306,3 +309,50 @@ class TestEdgesAndValidation:
         sim = simulate(model, Schedule.synchronous())
         assert sim.status == STATUS_CONVERGED
         assert sim.beliefs.variances["x1"] == 4.0
+
+
+class TestEventLog:
+    @pytest.mark.parametrize("schedule", [Schedule.synchronous(), Schedule.random_sequential(7)],
+                             ids=lambda s: s.kind)
+    def test_unusable_path_refused_before_any_sweep(self, tmp_path, loop_model, schedule,
+                                                    monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the log was opened")
+
+        monkeypatch.setattr(network.engine, "sweeps", no_sweep)
+        monkeypatch.setattr(network.engine, "vf_messages", no_sweep)
+        with pytest.raises(OSError):
+            simulate(loop_model, schedule, log_path=tmp_path)
+
+    def test_failed_run_keeps_the_rows_written(self, tmp_path, loop_graph, loop_model,
+                                               monkeypatch):
+        sweeps = network.engine.sweeps
+
+        def two_then_fail(*args):
+            yield from list(sweeps(*args))[:2]
+            raise RuntimeError("node lost")
+
+        monkeypatch.setattr(network.engine, "sweeps", two_then_fail)
+        log = tmp_path / "traffic.csv"
+        with pytest.raises(RuntimeError, match="node lost"):
+            simulate(loop_model, Schedule.synchronous(), log_path=log)
+        lines = log.read_text().splitlines()
+        per_tick = len(loop_graph.vf_edges) + len(loop_graph.fv_edges)
+        assert len(lines) == 1 + 2 * per_tick
+        assert [line.split(",")[0] for line in lines[1::per_tick]] == ["1", "2"]
+
+    def test_log_adds_no_memory_that_grows_with_the_run(self, tmp_path):
+        # The log may hold one tick's rows and the file buffer, nothing per run.
+        model = generate_tree(2000, 7)
+        model.columns
+        peaks = []
+        for log_path in (None, tmp_path / "traffic.csv"):
+            tracemalloc.start()
+            try:
+                sim = simulate(model, Schedule.random_sequential(seed=1), max_ticks=20_000,
+                               log_path=log_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sim.ticks == 20_000
+        assert peaks[1] - peaks[0] < 2**20

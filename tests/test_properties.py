@@ -12,7 +12,9 @@ Three more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; relabelling or reordering the variables
 and factors changes beliefs by a few ulps at most and the certificate not
-at all; and the sparse oracle agrees with a dense inverse and solve.
+at all; scaling every observation by a power of two leaves the
+certificate as it is and scales the exact means by the same factor; and
+the sparse oracle agrees with a dense inverse and solve.
 
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
@@ -48,6 +50,7 @@ from gbpkit import (
     precision_bounds,
     run,
     spectral_radius,
+    with_observations,
 )
 from gbpkit import analysis
 from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
@@ -198,6 +201,24 @@ def test_relabelling_changes_beliefs_by_ulps_and_the_certificate_not_at_all(mode
                 RELABEL_ULPS * np.spacing(variances[vid]))
     cert, other_cert = certify(graph, model), certify(other_graph, other)
     assert (cert.verdict, cert.basis) == (other_cert.verdict, other_cert.basis)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaling_the_observations_leaves_the_certificate_and_scales_the_means(kind):
+    # A power of two scales every float exactly, so both sides compare exactly.
+    model = generate_model(kind, 200, 3)
+    cert, posterior = certify(build_factor_graph(model), model), dense_posterior(model)
+    for k in (-40, 20, 50):
+        scale = 2.0**k
+        scaled = with_observations(model, [f.obs * scale for f in model.factors])
+        scaled_cert = certify(build_factor_graph(scaled), scaled)
+        for attribute in ("verdict", "basis", "mean_radius_bound", "topology",
+                          "walk_summability"):
+            assert getattr(scaled_cert, attribute) == getattr(cert, attribute)
+        assert scaled_cert.fixed_point.iterations == cert.fixed_point.iterations
+        scaled_posterior = dense_posterior(scaled)
+        assert np.array_equal(scaled_posterior.mean, scale * posterior.mean)
+        assert np.array_equal(scaled_posterior.variance, posterior.variance)
 
 
 VARIANCES = st.floats(0.5, 2.0)
