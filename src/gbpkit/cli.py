@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import analysis, engine, generate, network
@@ -167,16 +168,30 @@ def cmd_trace(args) -> int:
     model = _require_model(args)
     graph = build_factor_graph(model)
     out = args.out if args.out is not None else Path("trace.csv")
-    for name in ("zero", "L", "U") if args.compare_inits else (args.init,):
-        points = analysis.rate_trace(
-            graph, model, _INIT_CHOICES[name](), tolerance=args.tol, max_iters=args.max_iters
-        )
-        path = out
-        if args.compare_inits:
-            path = out.with_name(f"{out.stem}_{name}{out.suffix or '.csv'}")
-        path.write_text(analysis.trace_to_csv(points), encoding="utf-8")
-        print(f"wrote {path} ({len(points)} rows, init {name}, "
-              f"final distance {_fmt(points[-1].distance)})")
+    if args.compare_inits:
+        paths = {name: out.with_name(f"{out.stem}_{name}{out.suffix or '.csv'}")
+                 for name in ("zero", "L", "U")}
+    else:
+        paths = {args.init: out}
+    # Every output is opened before the first trace, and a failure removes
+    # the files opened so far: the command writes all of them or none.
+    opened, report = [], []
+    try:
+        with ExitStack() as stack:
+            for name, path in paths.items():
+                opened.append((name, path, stack.enter_context(path.open("w", encoding="utf-8"))))
+            for name, path, file in opened:
+                points = analysis.rate_trace(
+                    graph, model, _INIT_CHOICES[name](), tolerance=args.tol, max_iters=args.max_iters
+                )
+                file.write(analysis.trace_to_csv(points))
+                report.append(f"wrote {path} ({len(points)} rows, init {name}, "
+                              f"final distance {_fmt(points[-1].distance)})")
+    except BaseException:
+        for _, path, _ in opened:
+            path.unlink(missing_ok=True)
+        raise
+    print("\n".join(report))
     return EXIT_OK
 
 

@@ -225,6 +225,22 @@ class TestTrace:
         assert "max_iters must be at least 1" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_unusable_third_path_refused_before_any_trace(self, model_file, tmp_path, capsys,
+                                                          monkeypatch):
+        from gbpkit import analysis
+
+        traced = []
+        monkeypatch.setattr(analysis, "rate_trace", lambda *a, **k: traced.append(a))
+        (tmp_path / "rate_U.csv").mkdir()
+        code = main(["trace", "--model", str(model_file), "--out", str(tmp_path / "rate.csv"),
+                     "--compare-inits"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "rate_U.csv" in captured.err
+        assert captured.out == ""
+        assert traced == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json", "rate_U.csv"]
+
 
 class TestGenerate:
     def test_round_trips_generator_output(self, tmp_path, capsys):

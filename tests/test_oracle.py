@@ -1,11 +1,13 @@
-"""Reference solver: closed forms, residual invariants, and limits."""
+"""Reference solver: closed forms, residual invariants, limits, and the
+level-by-level Takahashi recursion against a dense inverse and the row loop."""
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse import csc_array
+from scipy.sparse import block_diag, csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 from gbpkit import (
@@ -18,7 +20,8 @@ from gbpkit import (
     lingauss_to_gmrf,
     oracle,
 )
-from gbpkit.generate import KINDS
+from gbpkit.generate import KIND_TREE, KINDS
+from gbpkit.model import sparse_gmrf
 
 import helpers
 
@@ -186,3 +189,94 @@ class TestLimits:
         )
         with pytest.raises(Exception):
             dense_posterior(model)
+
+
+def row_by_row_inverse_diagonal(upper) -> np.ndarray:
+    """The Takahashi recursion one row at a time, last row first: the
+    unoptimised reference for ``oracle._selected_inverse_diagonal``."""
+    dim = upper.shape[0]
+    keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
+    while True:
+        rows, cols = np.divmod(keys, dim)
+        diagonal = np.searchsorted(keys, np.arange(dim) * (dim + 1))
+        off = cols != rows
+        need = cols[np.minimum(diagonal + 1, len(keys) - 1)][rows[off]] * dim + cols[off]
+        missing = need[keys[np.searchsorted(keys, need)] != need]
+        if not len(missing):
+            break
+        keys = np.union1d(keys, missing)
+    values = np.bincount(np.searchsorted(keys, given), upper.data, len(keys))
+    coeffs, bounds = -values / values[diagonal][rows], np.append(diagonal, len(keys)).tolist()
+    z = np.zeros((dim, dim))
+    for j in reversed(range(dim)):
+        s, u = cols[bounds[j] + 1:bounds[j + 1]], coeffs[bounds[j] + 1:bounds[j + 1]]
+        row = u @ z[s[:, None], s]
+        z[j, s] = z[s, j] = row
+        z[j, j] = 1.0 / values[bounds[j]] + u @ row
+    return np.diagonal(z).copy()
+
+
+def factor(matrix, order="MMD_AT_PLUS_A"):
+    """SuperLU factor of a symmetric matrix as ``dense_posterior`` takes it."""
+    lu = splu(csc_array(matrix), permc_spec=order, diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return lu
+
+
+@st.composite
+def sparse_precisions(draw):
+    """J of one or two generated models side by side (a forest, a forest plus
+    one loop or random scopes of 2-3), maybe with isolated variables, its
+    rows and columns in a drawn order.  At up to 120 variables the natural
+    order fills some random-scope rows past the flat step's width."""
+    bound = draw(st.sampled_from([2.0, 6.0]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(KINDS))
+        size = draw(st.integers(1 if kind == KIND_TREE else 2, 120))  # loops need two
+        model = generate_model(kind, size, draw(st.integers(0, 2**32 - 1)), (-bound, bound))
+        blocks.append(sparse_gmrf(model).information_matrix)
+    for _ in range(draw(st.integers(0, 3))):
+        blocks.append(csr_array([[draw(st.floats(0.1, 10.0))]]))
+    matrix = block_diag(blocks, format="csr")
+    order = np.array(draw(st.permutations(range(matrix.shape[0]))))
+    return matrix[order][:, order]
+
+
+class TestSelectedInverse:
+    """The level-by-level recursion against a dense inverse and the row loop."""
+
+    @given(matrix=sparse_precisions(), order=st.sampled_from(["NATURAL", "MMD_AT_PLUS_A"]))
+    def test_matches_the_dense_inverse(self, matrix, order):
+        lu = factor(matrix, order)
+        variance = oracle._selected_inverse_diagonal(lu.U.tocsr())[lu.perm_c]
+        expected = np.diag(np.linalg.inv(matrix.toarray()))
+        assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
+
+    def test_wide_and_narrow_rows_in_one_level(self):
+        # In the natural order rows 0 and 1 both have row 2 as parent: row 0
+        # spans the clique on 2..35 (wider than the flat step takes), row 1
+        # holds column 2 alone.
+        dim = oracle._FLAT_WIDTH + 4
+        rng = np.random.default_rng(3)
+        pattern = np.zeros((dim, dim), dtype=bool)
+        pattern[2:, 2:] = pattern[0, 2:] = pattern[1, 2] = True
+        pattern |= pattern.T
+        matrix = np.where(pattern, rng.uniform(-0.1, 0.1, (dim, dim)), 0.0)
+        matrix = (matrix + matrix.T) / 2
+        np.fill_diagonal(matrix, dim)
+        upper = factor(matrix, "NATURAL").U.tocsr()
+        starts, widths = upper.indptr[:2], np.diff(upper.indptr)[:2] - 1
+        assert upper.indices[starts + 1].tolist() == [2, 2]
+        assert widths[0] > oracle._FLAT_WIDTH >= widths[1]
+        variance = oracle._selected_inverse_diagonal(upper)
+        expected = np.diag(np.linalg.inv(matrix))
+        assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_the_row_loop(self, kind):
+        upper = factor(sparse_gmrf(generate_model(kind, 2000, 7)).information_matrix).U.tocsr()
+        expected = row_by_row_inverse_diagonal(upper)
+        variance = oracle._selected_inverse_diagonal(upper)
+        assert np.all(np.abs(variance - expected) <= 1e-14 * expected)
