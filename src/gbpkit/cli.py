@@ -173,25 +173,30 @@ def cmd_trace(args) -> int:
                  for name in ("zero", "L", "U")}
     else:
         paths = {args.init: out}
-    # Every output is opened before the first trace, and a failure removes
-    # the files opened so far: the command writes all of them or none.
-    opened, report = [], []
+    # Every output is opened before the first trace, in append mode so that
+    # nothing is truncated yet, and written after the last: a failure leaves
+    # the files that were there as they were and removes the ones it created.
+    created = []
     try:
         with ExitStack() as stack:
+            files = {}
             for name, path in paths.items():
-                opened.append((name, path, stack.enter_context(path.open("w", encoding="utf-8"))))
-            for name, path, file in opened:
-                points = analysis.rate_trace(
-                    graph, model, _INIT_CHOICES[name](), tolerance=args.tol, max_iters=args.max_iters
-                )
-                file.write(analysis.trace_to_csv(points))
-                report.append(f"wrote {path} ({len(points)} rows, init {name}, "
-                              f"final distance {_fmt(points[-1].distance)})")
+                if not path.exists():
+                    created.append(path)
+                files[name] = stack.enter_context(path.open("a", encoding="utf-8"))
+            traces = {name: analysis.rate_trace(graph, model, _INIT_CHOICES[name](),
+                                                tolerance=args.tol, max_iters=args.max_iters)
+                      for name in paths}
+            for name, file in files.items():
+                file.truncate(0)
+                file.write(analysis.trace_to_csv(traces[name]))
     except BaseException:
-        for _, path, _ in opened:
+        for path in created:
             path.unlink(missing_ok=True)
         raise
-    print("\n".join(report))
+    for name, points in traces.items():
+        print(f"wrote {paths[name]} ({len(points)} rows, init {name}, "
+              f"final distance {_fmt(points[-1].distance)})")
     return EXIT_OK
 
 

@@ -39,6 +39,16 @@ class ExactPosterior:
 # forests plus one loop (rows of 1-2 entries) gain the same at any cap.
 _FLAT_WIDTH = 32
 
+# A level with fewer rows than this goes one row at a time: the flat step
+# costs some twenty array operations whatever its size, about what six rows
+# of 1-2 entries cost one by one.  Measured on one core (median of 15) on
+# 2000-variable "spiders", k paths joined at one end, whose minimum-degree
+# elimination trees have about 2000/k levels of k rows: the two schedules
+# take the same time at k = 6, the flat step 1.3x longer at k = 4 and 0.78x
+# at k = 8.  A chain, whose tree has n/2 levels of 1-2 rows, took about 3x
+# the row-by-row time with every level flat.
+_FLAT_ROWS = 8
+
 
 def _ranges(starts, counts):
     """The ranges starts[i], ..., starts[i] + counts[i] - 1, end to end."""
@@ -54,10 +64,14 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     row; U drops exact cancellations, so the closure loop adds them back.
     Then S_j holds only ancestors of j in the elimination tree, whose parent
     links run from each row to its first column past the diagonal.  So the
-    rows go one tree level per step, from the roots down: narrow rows as flat
-    (row, a, b) products summed by bincount, wide ones one at a time (see
-    _FLAT_WIDTH).  The work is sum |S_j|^2 in an n x n array: O(n) when the
-    order makes no fill, in as many steps as the tree has levels.
+    rows go one tree level per step, from the roots down, with each row's
+    depth found by pointer jumping in log2(depth) array steps.  In a level of
+    at least _FLAT_ROWS rows the narrow ones go as flat (row, a, b) products
+    summed by bincount; wide rows, and every row of a smaller level, go one
+    at a time (see _FLAT_WIDTH and _FLAT_ROWS).  The work is sum |S_j|^2 in an
+    n x n array: O(n) when the order makes no fill.  A shallow tree takes a
+    few flat steps; a deep, thin one (a chain has n/2 levels) takes the
+    row-by-row loop's Python iterations, one per row.
     """
     dim = upper.shape[0]
     keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
@@ -72,22 +86,32 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
         keys = np.union1d(keys, missing)
     values = np.bincount(np.searchsorted(keys, given), upper.data, len(keys))
     coeffs, inverse_pivot = -values / values[diagonal][rows], 1.0 / values[diagonal]
-    first = diagonal + 1
+    first, bounds = diagonal + 1, np.append(diagonal, len(keys)).tolist()
     width = np.append(diagonal[1:], len(keys)) - first
-    parent = np.where(width > 0, cols[np.minimum(first, len(keys) - 1)], dim)
-    children = np.argsort(parent, kind="stable")
-    child_ptr = np.concatenate([[0], np.cumsum(np.bincount(parent, minlength=dim + 1))])
+    # Depths in the elimination tree by pointer jumping; row dim stands above the roots.
+    up = np.append(np.where(width > 0, cols[np.minimum(first, len(keys) - 1)], dim), dim)
+    depth = (up != dim).astype(np.intp)
+    while np.any(up != dim):
+        depth += depth[up]
+        up = up[up]
+    order = np.argsort(depth[:dim], kind="stable")
     z = np.zeros((dim, dim))
     flat = z.reshape(-1)
-    level = children[child_ptr[dim]:]
-    while len(level):
-        wide = width[level] > _FLAT_WIDTH
-        for j in level[wide].tolist():
-            s, u = cols[first[j]:first[j] + width[j]], coeffs[first[j]:first[j] + width[j]]
-            row = u @ flat[s[:, None] * dim + s]
+    start, rows_in_order = 0, order.tolist()
+    for stop in np.cumsum(np.bincount(depth[:dim])).tolist():
+        if stop - start < _FLAT_ROWS:
+            one, narrow = rows_in_order[start:stop], order[:0]
+        else:
+            level = order[start:stop]
+            wide = width[level] > _FLAT_WIDTH
+            one, narrow = level[wide].tolist(), level[~wide]
+        start = stop
+        for j in one:
+            s, u = cols[bounds[j] + 1:bounds[j + 1]], coeffs[bounds[j] + 1:bounds[j + 1]]
+            # Two index arrays gather a few entries faster, flat offsets many.
+            row = u @ (z[s[:, None], s] if len(s) <= _FLAT_WIDTH else flat[s[:, None] * dim + s])
             z[j, s] = z[s, j] = row
             z[j, j] = inverse_pivot[j] + u @ row
-        narrow = level[~wide]
         if len(narrow):
             # Slot k of a row pairs with each slot i of that row, i in order.
             w = width[narrow]
@@ -100,7 +124,6 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
             flat[j * dim + s] = flat[s * dim + j] = row
             flat[narrow * (dim + 1)] = inverse_pivot[narrow] + np.bincount(
                 np.repeat(np.arange(len(narrow)), w), u * row, len(narrow))
-        level = children[_ranges(child_ptr[level], child_ptr[level + 1] - child_ptr[level])]
     return np.diagonal(z).copy()
 
 

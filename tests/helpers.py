@@ -4,6 +4,10 @@ from __future__ import annotations
 import math
 from collections import deque
 
+import numpy as np
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
+
 from gbpkit import Factor, FactorGraph, LinearGaussianModel, Variable
 
 SQRT2 = math.sqrt(2.0)
@@ -78,3 +82,11 @@ def bipartite_diameter(graph: FactorGraph) -> int:
         if dist:
             diameter = max(diameter, max(dist.values()))
     return diameter
+
+
+def superlu_factor(matrix, order="MMD_AT_PLUS_A"):
+    """SuperLU factor of a symmetric matrix as ``dense_posterior`` takes it."""
+    lu = splu(csc_array(matrix), permc_spec=order, diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return lu

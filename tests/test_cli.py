@@ -242,6 +242,45 @@ class TestTrace:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json", "rate_U.csv"]
 
 
+    def test_failed_trace_keeps_an_earlier_output(self, model_file, tmp_path, capsys):
+        out_path = tmp_path / "rate.csv"
+        out_path.write_text("earlier run\n")
+        code = main(["trace", "--model", str(model_file), "--out", str(out_path),
+                     "--max-iters", "0"])
+        assert code == EXIT_ERROR
+        assert "max_iters must be at least 1" in capsys.readouterr().err
+        assert out_path.read_text() == "earlier run\n"
+
+    def test_failed_last_trace_removes_only_new_outputs(self, model_file, tmp_path, capsys,
+                                                        monkeypatch):
+        from gbpkit import analysis
+
+        trace = analysis.rate_trace
+        calls = []
+
+        def fail_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "rate_trace", fail_third)
+        (tmp_path / "rate_zero.csv").write_text("earlier run\n")
+        code = main(["trace", "--model", str(model_file), "--out", str(tmp_path / "rate.csv"),
+                     "--compare-inits"])
+        assert code == EXIT_ERROR
+        assert "interrupted" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json", "rate_zero.csv"]
+        assert (tmp_path / "rate_zero.csv").read_text() == "earlier run\n"
+
+    def test_overwrites_a_longer_earlier_output(self, model_file, tmp_path):
+        out_path = tmp_path / "rate.csv"
+        out_path.write_text("x" * 100_000)
+        assert main(["trace", "--model", str(model_file), "--out", str(out_path)]) == EXIT_OK
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "iter,part_metric_distance,mean_delta"
+        assert "x" not in "".join(lines)
+
 class TestGenerate:
     def test_round_trips_generator_output(self, tmp_path, capsys):
         out_path = tmp_path / "tree.json"

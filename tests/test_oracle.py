@@ -1,13 +1,13 @@
 """Reference solver: closed forms, residual invariants, limits, and the
-level-by-level Takahashi recursion against a dense inverse and the row loop."""
+level-by-level Takahashi recursion against a dense inverse and the row loop.
+The hypothesis property of the recursion is in ``test_properties.py``."""
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse import block_diag, csc_array, csr_array
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from gbpkit import (
@@ -20,7 +20,7 @@ from gbpkit import (
     lingauss_to_gmrf,
     oracle,
 )
-from gbpkit.generate import KIND_TREE, KINDS
+from gbpkit.generate import KINDS
 from gbpkit.model import sparse_gmrf
 
 import helpers
@@ -216,67 +216,37 @@ def row_by_row_inverse_diagonal(upper) -> np.ndarray:
     return np.diagonal(z).copy()
 
 
-def factor(matrix, order="MMD_AT_PLUS_A"):
-    """SuperLU factor of a symmetric matrix as ``dense_posterior`` takes it."""
-    lu = splu(csc_array(matrix), permc_spec=order, diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    assert np.array_equal(lu.perm_r, lu.perm_c)
-    return lu
-
-
-@st.composite
-def sparse_precisions(draw):
-    """J of one or two generated models side by side (a forest, a forest plus
-    one loop or random scopes of 2-3), maybe with isolated variables, its
-    rows and columns in a drawn order.  At up to 120 variables the natural
-    order fills some random-scope rows past the flat step's width."""
-    bound = draw(st.sampled_from([2.0, 6.0]))
-    blocks = []
-    for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(KINDS))
-        size = draw(st.integers(1 if kind == KIND_TREE else 2, 120))  # loops need two
-        model = generate_model(kind, size, draw(st.integers(0, 2**32 - 1)), (-bound, bound))
-        blocks.append(sparse_gmrf(model).information_matrix)
-    for _ in range(draw(st.integers(0, 3))):
-        blocks.append(csr_array([[draw(st.floats(0.1, 10.0))]]))
-    matrix = block_diag(blocks, format="csr")
-    order = np.array(draw(st.permutations(range(matrix.shape[0]))))
-    return matrix[order][:, order]
-
-
 class TestSelectedInverse:
     """The level-by-level recursion against a dense inverse and the row loop."""
 
-    @given(matrix=sparse_precisions(), order=st.sampled_from(["NATURAL", "MMD_AT_PLUS_A"]))
-    def test_matches_the_dense_inverse(self, matrix, order):
-        lu = factor(matrix, order)
-        variance = oracle._selected_inverse_diagonal(lu.U.tocsr())[lu.perm_c]
-        expected = np.diag(np.linalg.inv(matrix.toarray()))
-        assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
-
     def test_wide_and_narrow_rows_in_one_level(self):
-        # In the natural order rows 0 and 1 both have row 2 as parent: row 0
-        # spans the clique on 2..35 (wider than the flat step takes), row 1
-        # holds column 2 alone.
-        dim = oracle._FLAT_WIDTH + 4
+        # In the natural order rows 0 to m - 1 all have row m as parent, so
+        # they make one level of m = _FLAT_ROWS rows: row 0 spans the clique
+        # on m, m + 1, ... (wider than the flat step takes), the others hold
+        # column m alone and go through the flat step together.
+        rows = oracle._FLAT_ROWS
+        dim = rows + oracle._FLAT_WIDTH + 2
         rng = np.random.default_rng(3)
         pattern = np.zeros((dim, dim), dtype=bool)
-        pattern[2:, 2:] = pattern[0, 2:] = pattern[1, 2] = True
+        pattern[rows:, rows:] = pattern[0, rows:] = pattern[:rows, rows] = True
         pattern |= pattern.T
         matrix = np.where(pattern, rng.uniform(-0.1, 0.1, (dim, dim)), 0.0)
         matrix = (matrix + matrix.T) / 2
         np.fill_diagonal(matrix, dim)
-        upper = factor(matrix, "NATURAL").U.tocsr()
-        starts, widths = upper.indptr[:2], np.diff(upper.indptr)[:2] - 1
-        assert upper.indices[starts + 1].tolist() == [2, 2]
-        assert widths[0] > oracle._FLAT_WIDTH >= widths[1]
+        upper = helpers.superlu_factor(matrix, "NATURAL").U.tocsr()
+        starts, widths = upper.indptr[:rows], np.diff(upper.indptr)[:rows] - 1
+        assert upper.indices[starts + 1].tolist() == [rows] * rows
+        assert widths[0] > oracle._FLAT_WIDTH and widths[1:].tolist() == [1] * (rows - 1)
         variance = oracle._selected_inverse_diagonal(upper)
         expected = np.diag(np.linalg.inv(matrix))
         assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_the_row_loop(self, kind):
-        upper = factor(sparse_gmrf(generate_model(kind, 2000, 7)).information_matrix).U.tocsr()
+    @pytest.mark.parametrize("model", [*KINDS, "chain"])
+    def test_matches_the_row_loop(self, model):
+        # A chain's elimination tree has about n/2 levels of 1-2 rows, which
+        # go one row at a time; the generated kinds' levels go mostly flat.
+        model = helpers.chain_model(2000) if model == "chain" else generate_model(model, 2000, 7)
+        upper = helpers.superlu_factor(sparse_gmrf(model).information_matrix).U.tocsr()
         expected = row_by_row_inverse_diagonal(upper)
         variance = oracle._selected_inverse_diagonal(upper)
         assert np.all(np.abs(variance - expected) <= 1e-14 * expected)

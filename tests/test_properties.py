@@ -21,6 +21,7 @@ example count, so these run the same examples on every run.
 """
 import numpy as np
 import pytest
+from scipy.sparse import block_diag, csr_array
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st
@@ -52,8 +53,11 @@ from gbpkit import (
     spectral_radius,
     with_observations,
 )
-from gbpkit import analysis
+from gbpkit import analysis, oracle
 from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
+from gbpkit.model import sparse_gmrf
+
+import helpers
 
 SEEDS = st.integers(0, 2**32 - 1)
 COEFF_BOUNDS = st.floats(0.5, 6.0)
@@ -257,3 +261,31 @@ def test_oracle_matches_the_dense_inverse_and_solve(model):
     assert posterior.variable_ids == gmrf.variable_ids
     assert np.max(np.abs(posterior.variance - np.diag(inverse))) <= 1e-12 * np.max(np.abs(inverse))
     assert np.max(np.abs(posterior.mean - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@st.composite
+def sparse_precisions(draw):
+    """J of one or two generated models side by side (a forest, a forest plus
+    one loop or random scopes of 2-3), maybe with isolated variables, its
+    rows and columns in a drawn order.  At up to 120 variables the natural
+    order fills some random-scope rows past the flat step's width."""
+    bound = draw(st.sampled_from([2.0, 6.0]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(KINDS))
+        size = draw(st.integers(1 if kind == KIND_TREE else 2, 120))  # loops need two
+        model = generate_model(kind, size, draw(SEEDS), (-bound, bound))
+        blocks.append(sparse_gmrf(model).information_matrix)
+    for _ in range(draw(st.integers(0, 3))):
+        blocks.append(csr_array([[draw(st.floats(0.1, 10.0))]]))
+    matrix = block_diag(blocks, format="csr")
+    order = np.array(draw(st.permutations(range(matrix.shape[0]))))
+    return matrix[order][:, order]
+
+
+@given(matrix=sparse_precisions(), order=st.sampled_from(["NATURAL", "MMD_AT_PLUS_A"]))
+def test_selected_inverse_matches_the_dense_inverse(matrix, order):
+    lu = helpers.superlu_factor(matrix, order)
+    variance = oracle._selected_inverse_diagonal(lu.U.tocsr())[lu.perm_c]
+    expected = np.diag(np.linalg.inv(matrix.toarray()))
+    assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
