@@ -9,7 +9,10 @@ radius of Q is below one.  ``certify`` packages both facts and does the
 least work that decides: topology on forests and single-loop graphs, else
 a Collatz-Wielandt upper bound on rho(|Q|) >= rho(Q), and only when that
 bound cannot decide, a dense eigensolve.  A radius the verdict did not
-need is computed on first read of ``mean_spectral_radius``.
+need is computed on first read of ``mean_spectral_radius``.  The GMRF's
+walk-summability, a comparison with the other factorization that no
+verdict reads, is not computed by ``certify`` at all: it is computed on
+first read of ``walk_summability``.
 """
 from __future__ import annotations
 
@@ -122,26 +125,36 @@ class TracePoint:
     mean_delta: float
 
 
-class _LazyRadius:
-    """Field descriptor: rho(Q) as given, else computed once on first read.
+class _LazyField:
+    """Field descriptor: the value as given, else ``compute(instance)`` once, on first read.
 
     The value lives in the instance ``__dict__`` under the field's name,
-    None until computed.  Read on the class, it gives the field's default.
+    None until computed.  Read on the class, it gives the field's default,
+    None.
     """
+
+    def __init__(self, compute):
+        self.compute = compute
 
     def __set_name__(self, owner, name):
         self.name = name
 
-    def __get__(self, cert, owner=None):
-        if cert is None:
+    def __get__(self, instance, owner=None):
+        if instance is None:
             return None
-        radius = cert.__dict__[self.name]
-        if radius is None:
-            radius = cert.__dict__[self.name] = spectral_radius(cert.mean_system.sparse)
-        return radius
+        value = instance.__dict__[self.name]
+        if value is None:
+            value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
-    def __set__(self, cert, radius):
-        cert.__dict__[self.name] = radius
+    def __set__(self, instance, value):
+        instance.__dict__[self.name] = value
+
+
+def _model_walk(cert: "ConvergenceCertificate") -> WalkSummability:
+    if cert.model is None:
+        raise ValueError("walk_summability was not given and the certificate holds no model")
+    return walk_summability(sparse_gmrf(cert.model))
 
 
 @dataclass(frozen=True)
@@ -150,26 +163,29 @@ class ConvergenceCertificate:
 
     ``mean_radius_bound`` is the Collatz-Wielandt upper bound on rho(Q)
     when one was computed (multi-loop graphs only).
-    ``mean_spectral_radius`` is rho(Q): given at construction, or computed
-    on first read (``certify`` gives it only when the dense path decided).
-    ``dataclasses.replace`` reads it unless it is passed, as None to keep
-    the copy lazy.
+    Two fields are given at construction or computed on first read:
+    ``mean_spectral_radius``, rho(Q) (``certify`` gives it only when the
+    dense path decided), and ``walk_summability``, from ``model``
+    (``certify`` never gives it; no verdict reads it).
+    ``dataclasses.replace`` reads each unless it is passed, as None to
+    keep the copy lazy.
     """
 
     topology: TopologyReport
     bounds: Bounds
     fixed_point: FixedPoint
     mean_system: MeanUpdateSystem
-    walk_summability: WalkSummability
     verdict: str
     basis: str | None
-    mean_spectral_radius: float = _LazyRadius()
+    walk_summability: WalkSummability = _LazyField(_model_walk)
+    mean_spectral_radius: float = _LazyField(lambda cert: spectral_radius(cert.mean_system.sparse))
     mean_radius_bound: float | None = None
+    model: LinearGaussianModel | None = field(default=None, repr=False, compare=False)
 
     def __repr__(self) -> str:
-        # The generated repr would read, and so compute, the lazy radius;
-        # this one shows every field as stored (an uncomputed radius as None).
-        shown = ", ".join(f"{f.name}={vars(self)[f.name]!r}" for f in fields(self))
+        # The generated repr would read, and so compute, the lazy fields;
+        # this one shows each field as stored (an uncomputed one as None).
+        shown = ", ".join(f"{f.name}={vars(self)[f.name]!r}" for f in fields(self) if f.repr)
         return f"{type(self).__qualname__}({shown})"
 
     def describe(self) -> str:
@@ -193,6 +209,7 @@ def fixed_point_precisions(
 ) -> FixedPoint:
     """Iterate the precision recursion to its unique fixed point.
 
+    The recursion never reads the means, so only precisions are swept.
     Starts from the lower envelope by default, the fastest of the
     monotone-from-below initializations.  The budget is generous because
     the recursion contracts geometrically; hitting it indicates a bug, not
@@ -201,10 +218,10 @@ def fixed_point_precisions(
     engine.check_limits(tolerance, max_iters)
     compiled = engine.compile_model(graph, model)
     state = engine.init_messages(graph, model, init or engine.InitStrategy.lower_bound())
-    prec, mean = state.precisions.array, state.means.array
+    prec = state.precisions.array
     iterations = 0
     while True:
-        new_prec, mean = engine.sweep_arrays(compiled, prec, mean)
+        new_prec, _ = engine.sweep_arrays(compiled, prec, None)
         iterations += 1
         delta = engine.max_delta(prec, new_prec)
         prec = new_prec
@@ -213,7 +230,7 @@ def fixed_point_precisions(
         if iterations >= max_iters:
             raise RuntimeError("precision fixed point did not settle within the budget")
 
-    vf_prec, _ = engine.vf_messages(compiled, prec, mean)
+    vf_prec, _ = engine.vf_messages(compiled, prec, None)
     return FixedPoint(
         factor_to_variable=engine.ArrayMapping(prec, graph.edge_tables.fv_position),
         variable_to_factor=engine.ArrayMapping(vf_prec, graph.edge_tables.vf_position),
@@ -241,8 +258,8 @@ def build_mean_system(
     padded_star = np.append(vf_star, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         m_kj, _ = engine._factor_sums(
-            ((compiled.vf_coeff[z], (padded_star[z], 0.0)) for z in tables.fv_reads.T),
-            compiled.noise_var, compiled.obs)
+            ((compiled.vf_coeff[z], (padded_star[z], None)) for z in tables.fv_reads.T),
+            compiled.noise_var, None)
     dim = len(graph.edge_var)
 
     def incidence(reads, entry):
@@ -508,13 +525,14 @@ def certify(
 
     The bound is never below rho(Q), so the verdict is the one the dense
     radius gives.  A radius the verdict did not need is computed on first
-    read of ``mean_spectral_radius``.
+    read of ``mean_spectral_radius``.  Walk-summability is not computed
+    here: the certificate keeps ``model`` and computes it on first read
+    of ``walk_summability``, so a caller who never reads it never pays.
     """
     topology = classify_topology(graph)
     bounds = precision_bounds(graph, model)
     fixed_point = fixed_point_precisions(graph, model, tolerance)
     mean_system = build_mean_system(graph, model, fixed_point)
-    walk = walk_summability(sparse_gmrf(model))
 
     rho = bound = None
     if topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP):
@@ -533,9 +551,9 @@ def certify(
         bounds=bounds,
         fixed_point=fixed_point,
         mean_system=mean_system,
-        walk_summability=walk,
         verdict=verdict,
         basis=basis,
         mean_spectral_radius=rho,
         mean_radius_bound=bound,
+        model=model,
     )

@@ -132,6 +132,8 @@ def cmd_analyze(args) -> int:
     model = _require_model(args)
     graph = build_factor_graph(model)
     cert = analysis.certify(graph, model, tolerance=args.tol)
+    # Computed before the first line, so a model it refuses prints nothing.
+    walk = cert.walk_summability
     cycles = ", ".join(str(c) for c in cert.topology.component_cycles)
     print(f"topology: {cert.topology.kind} (cycles per component: {cycles})")
     print(f"graph: {len(graph.variable_ids)} variables, {len(graph.factor_ids)} factors, "
@@ -142,7 +144,6 @@ def cmd_analyze(args) -> int:
               f"upper in [{_fmt(hi.min())}, {_fmt(hi.max())}]")
     print(f"fixed point reached in {cert.fixed_point.iterations} iterations")
     print(f"mean-update spectral radius: {_radius_line(cert)}")
-    walk = cert.walk_summability
     kind = {True: "walk-summable", False: "not walk-summable", None: "undecided"}
     print(f"walk-summability radius: {_fmt(walk.radius)} in [{_fmt(walk.lower)}, "
           f"{_fmt(walk.upper)}] ({kind[walk.is_walk_summable]})")

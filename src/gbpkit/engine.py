@@ -19,6 +19,8 @@ canonical neighbour order, and padded slots add exact zeros.  Array and
 float evaluation therefore agree bit for bit, and two runs over the same
 model are identical.  Array passes silence numpy's overflow and
 invalid-value warnings: Python floats reach the same inf and NaN silently.
+A pass given means of None computes the precisions alone, with the same
+bits, since the precision recursion never reads a mean.
 
 One generator, :func:`sweeps`, owns the synchronous loop; :func:`run` and
 the synchronous simulator both iterate it.  :func:`factor_to_variable`
@@ -155,31 +157,37 @@ def check_limits(tolerance: float, budget: int, budget_name: str = "max_iters") 
     return tolerance
 
 
-def _variable_message(prior_var, incoming: Iterable[ScalarMessage]) -> ScalarMessage:
+def _variable_message(
+    prior_var, incoming: Iterable[ScalarMessage], means: bool = True
+) -> ScalarMessage:
     """Prior combined with the incoming (precision, mean) pairs.
 
     Over a variable's other factors this is its message to the remaining
-    one; over all of them, the belief's precision and mean.
+    one; over all of them, the belief's precision and mean.  With
+    ``means=False`` the incoming means are not read and the mean is None.
     """
     precision = 1.0 / prior_var
     weighted = 0.0
     for msg_precision, msg_mean in incoming:
         precision += msg_precision
-        weighted += msg_precision * msg_mean
-    return precision, weighted / precision
+        if means:
+            weighted += msg_precision * msg_mean
+    return precision, weighted / precision if means else None
 
 
 def _factor_sums(others: Iterable[tuple[float, ScalarMessage]], noise_var, obs):
     """Observation variance and residual given the other scope variables.
 
-    ``others`` yields (coeff, (precision, mean)) per other variable.  The
+    ``others`` yields (coeff, (precision, mean)) per other variable.  An
+    ``obs`` of None leaves the means unread and the residual None.  The
     arguments are never updated in place.
     """
     total_var = noise_var
     residual = obs
     for coeff, (msg_precision, msg_mean) in others:
         total_var = total_var + coeff * coeff / msg_precision
-        residual = residual - coeff * msg_mean
+        if residual is not None:
+            residual = residual - coeff * msg_mean
     return total_var, residual
 
 
@@ -187,7 +195,8 @@ def _factor_message(
     target_coeff, others: Iterable[tuple[float, ScalarMessage]], noise_var, obs
 ) -> ScalarMessage:
     total_var, residual = _factor_sums(others, noise_var, obs)
-    return target_coeff * target_coeff / total_var, residual / target_coeff
+    mean = None if residual is None else residual / target_coeff
+    return target_coeff * target_coeff / total_var, mean
 
 
 @dataclass(frozen=True)
@@ -237,38 +246,54 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
     return compiled
 
 
-def _variable_pass(prior_var, reads: np.ndarray, fv_prec: np.ndarray, fv_mean: np.ndarray):
+class _NoMeans:
+    """Stands in for a mean array that a precision-only pass leaves unread."""
+
+    def __getitem__(self, _):
+        return None
+
+
+_NO_MEANS = _NoMeans()
+
+
+def _padded_means(means: np.ndarray | None):
+    return _NO_MEANS if means is None else np.append(means, 0.0)
+
+
+def _variable_pass(prior_var, reads: np.ndarray, fv_prec: np.ndarray, fv_mean):
     """The variable-side kernel for every row of ``reads``."""
-    prec, mean = np.append(fv_prec, 0.0), np.append(fv_mean, 0.0)
+    prec, mean = np.append(fv_prec, 0.0), _padded_means(fv_mean)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _variable_message(prior_var, ((prec[k], mean[k]) for k in reads.T))
+        return _variable_message(prior_var, ((prec[k], mean[k]) for k in reads.T),
+                                 means=fv_mean is not None)
 
 
-def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray,
+def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None,
                 rows=slice(None)):
     """Variable-to-factor (precisions, means) of the ``vf_edges`` positions ``rows``.
 
     A subset of rows keeps the full table's padding, here and in
     :func:`fv_messages`, so a row's bits do not depend on which rows are
-    computed with it.
+    computed with it.  Means of None give the precisions alone, the same
+    bits, with means None: the precisions never read the means.
     """
     return _variable_pass(compiled.vf_prior_var[rows], compiled.tables.vf_reads[rows],
                           fv_prec, fv_mean)
 
 
-def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray,
+def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None,
                 rows=slice(None)):
     """Factor-to-variable (precisions, means) of the ``fv_edges`` positions ``rows``."""
-    prec, mean = np.append(vf_prec, 1.0), np.append(vf_mean, 0.0)
+    prec, mean = np.append(vf_prec, 1.0), _padded_means(vf_mean)
     others = ((compiled.vf_coeff[k], (prec[k], mean[k])) for k in compiled.tables.fv_reads[rows].T)
+    obs = None if vf_mean is None else compiled.obs[rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _factor_message(
-            compiled.coeff[rows], others, compiled.noise_var[rows], compiled.obs[rows]
-        )
+        return _factor_message(compiled.coeff[rows], others, compiled.noise_var[rows], obs)
 
 
-def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray):
-    """:func:`sweep` on factor-to-variable (precisions, means) arrays."""
+def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
+    """:func:`sweep` on factor-to-variable (precisions, means) arrays; means
+    of None sweep the precisions alone (see :func:`vf_messages`)."""
     return fv_messages(compiled, *vf_messages(compiled, fv_prec, fv_mean))
 
 

@@ -329,7 +329,9 @@ def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     c_i * (obs / noise_var) to h, in canonical order, so J[i, j] and
     J[j, i] sum the same terms in the same order: J is exactly symmetric.
     J holds one slot per cell some factor or prior touches, sorted by row
-    then column; slots whose terms cancel to 0.0 are dropped.
+    then column; slots whose terms cancel to 0.0 are dropped.  A valid
+    model whose terms overflow (a coefficient near 1e160, say) is refused
+    with ``ValueError`` rather than given a non-finite J or h.
     """
     columns = model.columns
     n_vars = len(columns.variable_ids)
@@ -344,21 +346,27 @@ def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     offset = (np.cumsum(size) - size)[factor] - (np.cumsum(pairs) - pairs)
     second = np.repeat(offset, pairs) + np.arange(len(first))
     cells = var[first] * n_vars + var[second]
-    terms = (coeff[first] * coeff[second]) / columns.noise_var[factor[first]]
 
     # Every diagonal cell gets a slot, for its prior.  add.at is unbuffered:
     # a slot sums its terms in array order, then the prior is added.
     diagonal = np.arange(n_vars, dtype=np.int64) * (n_vars + 1)
     keys, slot = np.unique(np.concatenate([diagonal, cells]), return_inverse=True)
     data = np.zeros(len(keys))
-    np.add.at(data, slot[n_vars:], terms)
-    data[slot[:n_vars]] += 1.0 / columns.prior_var
+    potential = np.zeros(n_vars)
+    # Overflow (and inf - inf) is refused below as a non-finite J or h.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(data, slot[n_vars:],
+                  (coeff[first] * coeff[second]) / columns.noise_var[factor[first]])
+        data[slot[:n_vars]] += 1.0 / columns.prior_var
+        np.add.at(potential, var, coeff * (columns.obs / columns.noise_var)[factor])
+    if not np.all(np.isfinite(data)):
+        raise ValueError("information matrix has non-finite entries")
+    if not np.all(np.isfinite(potential)):
+        raise ValueError("potential has non-finite entries")
     row, col = np.divmod(keys, n_vars)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_vars))])
     info = csr_array((data, col, indptr), shape=(n_vars, n_vars))
     info.eliminate_zeros()
-    potential = np.zeros(n_vars)
-    np.add.at(potential, var, coeff * (columns.obs / columns.noise_var)[factor])
     return GMRFModel(
         information_matrix=info,
         potential=potential,

@@ -161,6 +161,27 @@ class TestFixedPoint:
             assert by_zero.factor_to_variable[edge] == pytest.approx(ref, abs=1e-11)
             assert by_upper.factor_to_variable[edge] == pytest.approx(ref, abs=1e-11)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_sweeps_bitwise(self, kind):
+        # The unoptimised loop: full sweeps, means computed and thrown away.
+        for seed in (1, 2):
+            model = generate_model(kind, 2000, seed)
+            graph = build_factor_graph(model)
+            compiled = analysis.engine.compile_model(graph, model)
+            prec, mean = precision_bounds(graph, model).lower.array, np.zeros(len(graph.fv_edges))
+            iterations = 0
+            while True:
+                new_prec, mean = analysis.engine.sweep_arrays(compiled, prec, mean)
+                iterations += 1
+                delta, prec = analysis.engine.max_delta(prec, new_prec), new_prec
+                if delta < analysis.engine.DEFAULT_TOLERANCE:
+                    break
+            vf_prec, _ = analysis.engine.vf_messages(compiled, prec, mean)
+            fp = fixed_point_precisions(graph, model)
+            assert fp.iterations == iterations
+            assert fp.factor_to_variable.array.tobytes() == prec.tobytes()
+            assert fp.variable_to_factor.array.tobytes() == vf_prec.tobytes()
+
     def test_budget_error(self, loop_graph, loop_model):
         with pytest.raises(RuntimeError, match="budget"):
             fixed_point_precisions(loop_graph, loop_model, tolerance=1e-12, max_iters=2)
@@ -566,6 +587,7 @@ class TestWalkInterval:
         monkeypatch.setattr(analysis, "walk_summability", spy)
         model = generate_model("tree", 300, 4)
         cert = certify(build_factor_graph(model), model)
+        cert.walk_summability  # computed on first read
         assert seen == [csr_array]
         assert cert.walk_summability == real(lingauss_to_gmrf(model))
 
@@ -812,6 +834,58 @@ class TestLazyCertificate:
         assert ConvergenceCertificate(**bare).mean_radius_bound is None
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.mean_spectral_radius = 0.5
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_certify_computes_no_walk(self, kind, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certify must not compute walk-summability")
+
+        monkeypatch.setattr(analysis, "walk_summability", refuse)
+        monkeypatch.setattr(analysis, "sparse_gmrf", refuse)
+        model = generate_model(kind, 200, 7)
+        cert = certify(build_factor_graph(model), model)
+        assert vars(cert)["walk_summability"] is None
+        assert "walk_summability=None" in repr(cert)
+        assert "model=" not in repr(cert)
+
+    def test_walk_is_computed_once_on_first_read(self, monkeypatch):
+        real = analysis.walk_summability
+        calls = []
+
+        def counting(gmrf):
+            calls.append(gmrf)
+            return real(gmrf)
+
+        monkeypatch.setattr(analysis, "walk_summability", counting)
+        model = generate_model("tree", 300, 4)
+        cert = certify(build_factor_graph(model), model)
+        assert calls == []
+        first = cert.walk_summability
+        assert cert.walk_summability is first
+        assert len(calls) == 1
+        expected = real(sparse_gmrf(model))
+        for name in ("radius", "lower", "upper"):
+            assert np.float64(getattr(first, name)).tobytes() == (
+                np.float64(getattr(expected, name)).tobytes())
+        assert first.is_walk_summable == expected.is_walk_summable
+        assert f"walk_summability={first!r}" in repr(cert)
+
+    def test_walk_stays_lazy_through_replace(self, monkeypatch):
+        cert = loopy_certificate()
+        assert ConvergenceCertificate.walk_summability is None  # the field's default
+        monkeypatch.setattr(analysis, "walk_summability", pytest.fail)
+        lazy = dataclasses.replace(cert, walk_summability=None, mean_spectral_radius=None,
+                                   basis=None)
+        assert vars(lazy)["walk_summability"] is None
+        assert lazy.model is cert.model
+        monkeypatch.undo()
+        assert lazy.walk_summability == cert.walk_summability
+
+    def test_walk_without_a_model_is_refused(self):
+        cert = dataclasses.replace(loopy_certificate(), walk_summability=None,
+                                   mean_spectral_radius=None, model=None)
+        with pytest.raises(ValueError, match="no model"):
+            cert.walk_summability
 
     def test_replace_of_a_lazy_certificate_reads_the_radius(self):
         cert = loopy_certificate()

@@ -7,7 +7,10 @@ import re
 import pytest
 
 from gbpkit import (
+    Factor,
+    LinearGaussianModel,
     VERDICT_INCONCLUSIVE,
+    Variable,
     dense_posterior,
     engine,
     generate_model,
@@ -398,6 +401,20 @@ class TestErrorPaths:
         assert main([command, "--model", str(path), "--oracle"]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert "2000" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["analyze"], ["solve", "--oracle"],
+                                      ["simulate", "--oracle"]])
+    def test_overflowing_information_matrix_is_one_error(self, argv, tmp_path, capsys):
+        # A valid model whose coefficient squared overflows J.
+        path = tmp_path / "huge.json"
+        save_model(LinearGaussianModel((Variable("x1", 1.0), Variable("x2", 1.0)),
+                                       (Factor("f1", {"x1": 1e160, "x2": 1.0}, 1.0, 1.0),)),
+                   path)
+        assert main([argv[0], "--model", str(path), *argv[1:]]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: information matrix has non-finite entries\n"
         assert captured.out == ""
 
     def test_malformed_json(self, tmp_path, capsys):

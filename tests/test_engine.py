@@ -153,6 +153,10 @@ class TestSingleEdgeMessages:
         full_fv = engine.fv_messages(compiled, *vf)
         swept = engine.sweep_arrays(compiled, *fv)
         assert all(np.array_equal(a, b) for a, b in zip(swept, full_fv))
+        # Means of None skip the mean terms; the precisions keep their bits.
+        for only, whole in ((engine.vf_messages(compiled, fv[0], None), vf),
+                            (engine.sweep_arrays(compiled, fv[0], None), full_fv)):
+            assert np.array_equal(only[0], whole[0]) and only[1] is None
         for size in (0, 1, 7, len(graph.fv_edges)):
             rows = rng.permutation(len(graph.fv_edges))[:size]
             for part, whole in zip(engine.vf_messages(compiled, *fv, rows), vf):

@@ -328,6 +328,20 @@ class TestSparseInformationForm:
         assert info.indices[info.indptr[0]:info.indptr[1]].tolist() == [0]
         assert info.nnz == 5
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factors, part", [
+        # c^2 overflows; +inf and -inf meet in one cell; obs / noise_var overflows.
+        ([Factor("f1", {"x1": 1e160, "x2": 1.0}, 1.0, 1.0)], "information matrix"),
+        ([Factor("f1", {"x1": 1e160, "x2": 1e160}, 1.0, 0.0),
+          Factor("f2", {"x1": 1e160, "x2": -1e160}, 1.0, 0.0)], "information matrix"),
+        ([Factor("f1", {"x1": 1.0}, 1e-300, 1e300)], "potential"),
+    ])
+    def test_overflow_is_refused(self, factors, part):
+        model = LinearGaussianModel((Variable("x1", 1.0), Variable("x2", 1.0)), tuple(factors))
+        for build in (sparse_gmrf, lingauss_to_gmrf):
+            with pytest.raises(ValueError, match=f"^{part} has non-finite entries$"):
+                build(model)
+
 
 class TestTopology:
     def test_loop_model_single_loop(self, loop_graph):
