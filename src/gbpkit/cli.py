@@ -255,3 +255,7 @@ def main(argv=None) -> int:
 
 def run_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run_main()

@@ -10,9 +10,14 @@ information form with a CSR precision matrix, :func:`lingauss_to_gmrf`
 the same with a dense one, and :func:`build_factor_graph` the bipartite
 graph that message passing runs on.
 
-Every consumer reads a model's parameters and edges from one set of
-arrays, ``LinearGaussianModel.columns``, built on first use.  Building it
-is the only validation a model object gets: once per pipeline.
+A model holds its values as given, one tuple per field (``ModelFields``);
+its :class:`Variable` and :class:`Factor` items are built from those only
+when read.  A file is parsed straight into the fields: :func:`model_from_dict`
+checks its shape, and :func:`find_violations`, shared with models built
+from items, checks the values, whole fields first and items one by one only
+if a check fails.  Every consumer reads a model's parameters and edges from
+one set of arrays, ``LinearGaussianModel.columns``, built on first use after
+that one validation: once per model object.
 """
 from __future__ import annotations
 
@@ -20,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -72,10 +79,57 @@ class ModelColumns:
     edge_coeff: np.ndarray
 
 
+_VARIABLE_KEYS = ("id", "prior_var")
+_FACTOR_KEYS = ("id", "coeffs", "noise_var", "obs")
+
+
 @dataclass(frozen=True)
+class ModelFields:
+    """A model's values as given, one tuple per field in canonical order: per
+    variable its id and ``prior_var``; per factor its id, ``coeffs`` (variable
+    id to coefficient, in the order given), ``noise_var`` and ``obs``."""
+
+    variable_ids: tuple
+    prior_var: tuple
+    factor_ids: tuple
+    coeffs: tuple
+    noise_var: tuple
+    obs: tuple
+
+    @cached_property
+    def coeff_values(self) -> tuple:
+        """Every factor's coefficients, factor after factor."""
+        return tuple(chain.from_iterable(map(methodcaller("values"), self.coeffs)))
+
+
+@dataclass(frozen=True, init=False)
 class LinearGaussianModel:
-    variables: tuple[Variable, ...]
-    factors: tuple[Factor, ...]
+    """Variables with Gaussian priors and the linear observations of them.
+
+    Built from tuples of :class:`Variable` and :class:`Factor`, which it keeps,
+    or from ``fields`` alone, in which case ``variables`` and ``factors`` are
+    built on first read.  Models are equal when their ``fields`` are.
+    """
+
+    fields: ModelFields
+
+    def __init__(self, variables: Iterable[Variable] = (), factors: Iterable[Factor] = (),
+                 *, fields: ModelFields | None = None):
+        if fields is None:
+            variables, factors = tuple(variables), tuple(factors)
+            fields = ModelFields(*_columns(variables, _VARIABLE_KEYS, attrgetter),
+                                 *_columns(factors, _FACTOR_KEYS, attrgetter))
+            vars(self).update(variables=variables, factors=factors)
+        object.__setattr__(self, "fields", fields)
+
+    @cached_property
+    def variables(self) -> tuple[Variable, ...]:
+        return tuple(map(Variable, self.fields.variable_ids, self.fields.prior_var))
+
+    @cached_property
+    def factors(self) -> tuple[Factor, ...]:
+        f = self.fields
+        return tuple(map(Factor, f.factor_ids, f.coeffs, f.noise_var, f.obs))
 
     @cached_property
     def columns(self) -> ModelColumns:
@@ -84,19 +138,21 @@ class LinearGaussianModel:
         problems = find_violations(self)
         if problems:
             raise InvalidModelError(problems)
-        order = {v.id: k for k, v in enumerate(self.variables)}
-        sizes = np.fromiter((len(f.coeffs) for f in self.factors), np.intp, len(self.factors))
-        count = int(sizes.sum())
-        edge_factor = np.repeat(np.arange(len(self.factors)), sizes)
-        edge_var = np.fromiter((order[v] for f in self.factors for v in f.coeffs), np.intp, count)
-        edge_coeff = np.fromiter((c for f in self.factors for c in f.coeffs.values()), float, count)
-        fv = np.lexsort((edge_var, edge_factor))  # coeffs may list a scope in any order
+        f = self.fields
+        order = dict(zip(f.variable_ids, range(len(f.variable_ids))))
+        sizes = np.fromiter(map(len, f.coeffs), np.intp, len(f.coeffs))
+        edge_factor = np.repeat(np.arange(len(f.coeffs)), sizes)
+        edge_var = np.fromiter(map(order.__getitem__, chain.from_iterable(f.coeffs)), np.intp,
+                               len(edge_factor))
+        edge_coeff = np.array(f.coeff_values, dtype=float)
+        # coeffs may list a scope in any order; a stable sort of nearly sorted keys is fast
+        fv = np.argsort(edge_factor * len(f.variable_ids) + edge_var, kind="stable")
         return ModelColumns(
-            variable_ids=tuple(v.id for v in self.variables),
-            factor_ids=tuple(f.id for f in self.factors),
-            prior_var=np.array([v.prior_var for v in self.variables], dtype=float),
-            noise_var=np.array([f.noise_var for f in self.factors], dtype=float),
-            obs=np.array([f.obs for f in self.factors], dtype=float),
+            variable_ids=f.variable_ids,
+            factor_ids=f.factor_ids,
+            prior_var=np.array(f.prior_var, dtype=float),
+            noise_var=np.array(f.noise_var, dtype=float),
+            obs=np.array(f.obs, dtype=float),
             edge_factor=edge_factor,
             edge_var=edge_var[fv],
             edge_coeff=edge_coeff[fv],
@@ -261,42 +317,71 @@ class TopologyReport:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _fields_pass(f: ModelFields) -> bool:
+    """Whether each field passes as a whole: a type set, then a float array.
+    False means that some item needs a look, not that one is invalid."""
+    numbers = (f.prior_var, f.noise_var, f.obs, f.coeff_values)
+    if not (set(map(type, f.variable_ids + f.factor_ids)) <= {str}
+            and set(map(type, chain(*numbers))) <= {int, float}):  # bool is not int here
+        return False
+    try:
+        prior, noise, obs, coeff = (np.array(values, dtype=float) for values in numbers)
+    except OverflowError:  # an int beyond the float range
+        return False
+    variables, factors = set(f.variable_ids), set(f.factor_ids)
+    return ("" not in variables and "" not in factors and len(variables) == len(f.variable_ids)
+            and len(factors) == len(f.factor_ids)
+            and variables.issuperset(chain.from_iterable(f.coeffs))
+            and all(np.isfinite(array).all() for array in (prior, noise, obs, coeff))
+            and (prior > 0).all() and (noise > 0).all() and coeff.all())
 
 
 def find_violations(model: LinearGaussianModel) -> list[str]:
-    """Collect every structural violation; empty list means valid."""
+    """Collect every structural violation; empty list means valid.
+
+    A valid model passes checks of whole fields; only when one fails are
+    the items checked one by one, for the messages in item order.
+    """
+    f = model.fields
+    if _fields_pass(f):
+        return []
     problems: list[str] = []
     seen_vars: set[str] = set()
-    for v in model.variables:
-        if not isinstance(v.id, str) or not v.id:
-            problems.append(f"variable id {v.id!r}: must be a non-empty string")
+    for vid, prior_var in zip(f.variable_ids, f.prior_var):
+        if not isinstance(vid, str) or not vid:
+            problems.append(f"variable id {vid!r}: must be a non-empty string")
             continue
-        if v.id in seen_vars:
-            problems.append(f"variable {v.id!r}: duplicate id")
-        seen_vars.add(v.id)
-        if not _is_number(v.prior_var) or v.prior_var <= 0:
-            problems.append(f"variable {v.id!r}: prior_var must be a positive finite number")
+        if vid in seen_vars:
+            problems.append(f"variable {vid!r}: duplicate id")
+        seen_vars.add(vid)
+        if not _is_number(prior_var) or prior_var <= 0:
+            problems.append(f"variable {vid!r}: prior_var must be a positive finite number")
 
     seen_factors: set[str] = set()
-    for f in model.factors:
-        if not isinstance(f.id, str) or not f.id:
-            problems.append(f"factor id {f.id!r}: must be a non-empty string")
+    for fid, coeffs, noise_var, obs in zip(f.factor_ids, f.coeffs, f.noise_var, f.obs):
+        if not isinstance(fid, str) or not fid:
+            problems.append(f"factor id {fid!r}: must be a non-empty string")
             continue
-        if f.id in seen_factors:
-            problems.append(f"factor {f.id!r}: duplicate id")
-        seen_factors.add(f.id)
-        if not _is_number(f.noise_var) or f.noise_var <= 0:
-            problems.append(f"factor {f.id!r}: noise_var must be a positive finite number")
-        if not _is_number(f.obs):
-            problems.append(f"factor {f.id!r}: obs must be a finite number")
-        for var_id, coeff in f.coeffs.items():
+        if fid in seen_factors:
+            problems.append(f"factor {fid!r}: duplicate id")
+        seen_factors.add(fid)
+        if not _is_number(noise_var) or noise_var <= 0:
+            problems.append(f"factor {fid!r}: noise_var must be a positive finite number")
+        if not _is_number(obs):
+            problems.append(f"factor {fid!r}: obs must be a finite number")
+        for var_id, coeff in coeffs.items():
             if var_id not in seen_vars:
-                problems.append(f"factor {f.id!r}: references unknown variable {var_id!r}")
+                problems.append(f"factor {fid!r}: references unknown variable {var_id!r}")
             if not _is_number(coeff):
-                problems.append(f"factor {f.id!r}: coefficient for {var_id!r} must be a finite number")
+                problems.append(f"factor {fid!r}: coefficient for {var_id!r} must be a finite number")
             elif coeff == 0:
-                problems.append(f"factor {f.id!r}: stored zero coefficient for {var_id!r}")
+                problems.append(f"factor {fid!r}: stored zero coefficient for {var_id!r}")
     return problems
 
 
@@ -419,15 +504,15 @@ def with_observations(
     Accepts either a sequence in canonical factor order or a mapping from
     factor id; a mapping may be partial.
     """
+    fields = model.fields
     if isinstance(observations, Mapping):
-        unknown = set(observations) - {f.id for f in model.factors}
+        unknown = set(observations) - set(fields.factor_ids)
         if unknown:
             raise KeyError(f"unknown factor ids: {sorted(unknown)}")
-        observations = [observations.get(f.id, f.obs) for f in model.factors]
-    elif len(observations) != len(model.factors):
-        raise ValueError(f"expected {len(model.factors)} observations, got {len(observations)}")
-    new_factors = tuple(replace(f, obs=float(y)) for f, y in zip(model.factors, observations))
-    return replace(model, factors=new_factors)
+        observations = map(observations.get, fields.factor_ids, fields.obs)
+    elif len(observations) != len(fields.obs):
+        raise ValueError(f"expected {len(fields.obs)} observations, got {len(observations)}")
+    return LinearGaussianModel(fields=replace(fields, obs=tuple(map(float, observations))))
 
 
 # --- file format ------------------------------------------------------------
@@ -441,65 +526,61 @@ def with_observations(
 
 
 def model_to_dict(model: LinearGaussianModel) -> dict:
+    f = model.fields
     return {
-        "variables": [{"id": v.id, "prior_var": v.prior_var} for v in model.variables],
-        "factors": [
-            {
-                "id": f.id,
-                "coeffs": dict(f.coeffs),
-                "noise_var": f.noise_var,
-                "obs": f.obs,
-            }
-            for f in model.factors
-        ],
+        "variables": [dict(zip(_VARIABLE_KEYS, row)) for row in zip(f.variable_ids, f.prior_var)],
+        "factors": [dict(zip(_FACTOR_KEYS, row))
+                    for row in zip(f.factor_ids, map(dict, f.coeffs), f.noise_var, f.obs)],
     }
 
 
-def _reject_duplicate_keys(pairs: Iterable[tuple[str, object]]) -> dict:
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"duplicate key {key!r} in object")
-        out[key] = value
+def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"duplicate key {key!r} in object")
     return out
+
+
+def _columns(items, keys: tuple[str, ...], getter) -> list[tuple]:
+    """Per key, ``getter(key)`` of each item: one pass per field."""
+    return [tuple(map(getter(key), items)) for key in keys]
+
+
+def _records(raw, name: str, keys: tuple[str, ...], problems: list[str]) -> list[tuple]:
+    """:func:`_columns` of ``raw``, an array of objects with exactly ``keys``
+    (and "coeffs" objects).  Only if a whole-array check fails are the objects
+    checked one by one, each offence added to ``problems``."""
+    if not isinstance(raw, list):
+        problems.append(f"'{name}' must be an array")
+        return [()] * len(keys)
+    if not (set(map(type, raw)) <= {dict} and set(map(tuple, raw)) <= {keys} and (
+            "coeffs" not in keys or set(map(type, map(itemgetter("coeffs"), raw))) <= {dict})):
+        found = len(problems)
+        for k, item in enumerate(raw):
+            if not isinstance(item, dict) or set(item) != set(keys):
+                problems.append(f"{name}[{k}]: expected keys {', '.join(keys)}")
+            elif not isinstance(item.get("coeffs", {}), dict):
+                problems.append(f"{name}[{k}]: 'coeffs' must be an object")
+        if len(problems) > found:
+            return [()] * len(keys)
+    return _columns(raw, keys, itemgetter)
 
 
 def model_from_dict(data: dict) -> LinearGaussianModel:
     """Parse and validate; raises InvalidModelError on any shape problem."""
-    problems: list[str] = []
     if not isinstance(data, dict):
         raise InvalidModelError(["top level must be an object"])
+    problems: list[str] = []
     extra = set(data) - {"variables", "factors"}
     if extra:
         problems.append(f"unknown top-level keys: {sorted(extra)}")
-
-    variables: list[Variable] = []
-    raw_vars = data.get("variables")
-    if not isinstance(raw_vars, list):
-        problems.append("'variables' must be an array")
-        raw_vars = []
-    for k, item in enumerate(raw_vars):
-        if not isinstance(item, dict) or set(item) != {"id", "prior_var"}:
-            problems.append(f"variables[{k}]: expected keys id, prior_var")
-            continue
-        variables.append(Variable(**item))
-
-    factors: list[Factor] = []
-    raw_factors = data.get("factors")
-    if not isinstance(raw_factors, list):
-        problems.append("'factors' must be an array")
-        raw_factors = []
-    for k, item in enumerate(raw_factors):
-        if not isinstance(item, dict) or set(item) != {"id", "coeffs", "noise_var", "obs"}:
-            problems.append(f"factors[{k}]: expected keys id, coeffs, noise_var, obs")
-            continue
-        if not isinstance(item["coeffs"], dict):
-            problems.append(f"factors[{k}]: 'coeffs' must be an object")
-            continue
-        factors.append(Factor(**item))
+    variables = _records(data.get("variables"), "variables", _VARIABLE_KEYS, problems)
+    factors = _records(data.get("factors"), "factors", _FACTOR_KEYS, problems)
     if problems:
         raise InvalidModelError(problems)
-    return validate_model(LinearGaussianModel(tuple(variables), tuple(factors)))
+    return validate_model(LinearGaussianModel(fields=ModelFields(*variables, *factors)))
 
 
 def loads_model(text: str) -> LinearGaussianModel:

@@ -134,7 +134,7 @@ def dense_posterior(model: LinearGaussianModel) -> ExactPosterior:
     pivots, refused (``LinAlgError``) on a row exchange or a pivot <= 0.  Means
     by the LU solve against h; variances by :func:`_selected_inverse_diagonal`.
     """
-    dim = len(model.variables)
+    dim = len(model.fields.variable_ids)
     if dim > MAX_VARIABLES:
         raise ValueError(f"model has {dim} variables, dense oracle caps at {MAX_VARIABLES}")
     gmrf = sparse_gmrf(model)

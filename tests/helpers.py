@@ -8,7 +8,8 @@ import numpy as np
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
-from gbpkit import Factor, FactorGraph, LinearGaussianModel, Variable
+from gbpkit import Factor, FactorGraph, InvalidModelError, LinearGaussianModel, Variable
+from gbpkit.model import ModelColumns
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -90,3 +91,115 @@ def superlu_factor(matrix, order="MMD_AT_PLUS_A"):
               options={"SymmetricMode": True})
     assert np.array_equal(lu.perm_r, lu.perm_c)
     return lu
+
+
+# --- the item-by-item loader, kept as the reference for the columnar one -----
+#
+# ``reference_model_from_dict`` and ``reference_find_violations`` build and
+# check one Variable or Factor at a time, as the loader did before it read
+# whole fields.  The one change: a number check refuses an int beyond the
+# float range instead of raising OverflowError.
+
+
+def _reference_is_number(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def reference_find_violations(model: LinearGaussianModel) -> list[str]:
+    problems: list[str] = []
+    seen_vars: set[str] = set()
+    for v in model.variables:
+        if not isinstance(v.id, str) or not v.id:
+            problems.append(f"variable id {v.id!r}: must be a non-empty string")
+            continue
+        if v.id in seen_vars:
+            problems.append(f"variable {v.id!r}: duplicate id")
+        seen_vars.add(v.id)
+        if not _reference_is_number(v.prior_var) or v.prior_var <= 0:
+            problems.append(f"variable {v.id!r}: prior_var must be a positive finite number")
+
+    seen_factors: set[str] = set()
+    for f in model.factors:
+        if not isinstance(f.id, str) or not f.id:
+            problems.append(f"factor id {f.id!r}: must be a non-empty string")
+            continue
+        if f.id in seen_factors:
+            problems.append(f"factor {f.id!r}: duplicate id")
+        seen_factors.add(f.id)
+        if not _reference_is_number(f.noise_var) or f.noise_var <= 0:
+            problems.append(f"factor {f.id!r}: noise_var must be a positive finite number")
+        if not _reference_is_number(f.obs):
+            problems.append(f"factor {f.id!r}: obs must be a finite number")
+        for var_id, coeff in f.coeffs.items():
+            if var_id not in seen_vars:
+                problems.append(f"factor {f.id!r}: references unknown variable {var_id!r}")
+            if not _reference_is_number(coeff):
+                problems.append(f"factor {f.id!r}: coefficient for {var_id!r} must be a finite number")
+            elif coeff == 0:
+                problems.append(f"factor {f.id!r}: stored zero coefficient for {var_id!r}")
+    return problems
+
+
+def reference_model_from_dict(data) -> LinearGaussianModel:
+    problems: list[str] = []
+    if not isinstance(data, dict):
+        raise InvalidModelError(["top level must be an object"])
+    extra = set(data) - {"variables", "factors"}
+    if extra:
+        problems.append(f"unknown top-level keys: {sorted(extra)}")
+
+    variables: list[Variable] = []
+    raw_vars = data.get("variables")
+    if not isinstance(raw_vars, list):
+        problems.append("'variables' must be an array")
+        raw_vars = []
+    for k, item in enumerate(raw_vars):
+        if not isinstance(item, dict) or set(item) != {"id", "prior_var"}:
+            problems.append(f"variables[{k}]: expected keys id, prior_var")
+            continue
+        variables.append(Variable(**item))
+
+    factors: list[Factor] = []
+    raw_factors = data.get("factors")
+    if not isinstance(raw_factors, list):
+        problems.append("'factors' must be an array")
+        raw_factors = []
+    for k, item in enumerate(raw_factors):
+        if not isinstance(item, dict) or set(item) != {"id", "coeffs", "noise_var", "obs"}:
+            problems.append(f"factors[{k}]: expected keys id, coeffs, noise_var, obs")
+            continue
+        if not isinstance(item["coeffs"], dict):
+            problems.append(f"factors[{k}]: 'coeffs' must be an object")
+            continue
+        factors.append(Factor(**item))
+    if problems:
+        raise InvalidModelError(problems)
+    model = LinearGaussianModel(tuple(variables), tuple(factors))
+    problems = reference_find_violations(model)
+    if problems:
+        raise InvalidModelError(problems)
+    return model
+
+
+def reference_columns(model: LinearGaussianModel) -> ModelColumns:
+    """The arrays of a valid model, gathered item by item."""
+    order = {v.id: k for k, v in enumerate(model.variables)}
+    sizes = np.fromiter((len(f.coeffs) for f in model.factors), np.intp, len(model.factors))
+    count = int(sizes.sum())
+    edge_factor = np.repeat(np.arange(len(model.factors)), sizes)
+    edge_var = np.fromiter((order[v] for f in model.factors for v in f.coeffs), np.intp, count)
+    edge_coeff = np.fromiter((c for f in model.factors for c in f.coeffs.values()), float, count)
+    fv = np.lexsort((edge_var, edge_factor))
+    return ModelColumns(
+        variable_ids=tuple(v.id for v in model.variables),
+        factor_ids=tuple(f.id for f in model.factors),
+        prior_var=np.array([v.prior_var for v in model.variables], dtype=float),
+        noise_var=np.array([f.noise_var for f in model.factors], dtype=float),
+        obs=np.array([f.obs for f in model.factors], dtype=float),
+        edge_factor=edge_factor,
+        edge_var=edge_var[fv],
+        edge_coeff=edge_coeff[fv],
+    )

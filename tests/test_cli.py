@@ -2,7 +2,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -422,6 +426,40 @@ class TestErrorPaths:
         path.write_text('{"variables": [')
         assert main(["analyze", "--model", str(path)]) == EXIT_ERROR
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "analyze", "simulate"])
+    @pytest.mark.parametrize("field, violation", [
+        ("prior_var", "variable 'x1': prior_var must be a positive finite number"),
+        ("obs", "factor 'f1': obs must be a finite number"),
+        ("coeff", "factor 'f1': coefficient for 'x1' must be a finite number"),
+    ])
+    def test_int_beyond_the_float_range_is_a_violation(self, command, field, violation,
+                                                      tmp_path, capsys):
+        values = dict(prior_var="1.0", obs="0.5", coeff="2.0")
+        values[field] = "1" + "0" * 400
+        path = tmp_path / "huge.json"
+        path.write_text(
+            f'{{"variables": [{{"id": "x1", "prior_var": {values["prior_var"]}}}], '
+            f'"factors": [{{"id": "f1", "coeffs": {{"x1": {values["coeff"]}}}, '
+            f'"noise_var": 1.0, "obs": {values["obs"]}}}]}}'
+        )
+        assert main([command, "--model", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid model\n  - {violation}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("module", ["gbpkit", "gbpkit.cli"])
+    def test_python_dash_m_runs_the_cli(self, module, tmp_path):
+        import gbpkit
+
+        env = dict(os.environ, PYTHONPATH=str(Path(gbpkit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "solve", "--model", str(tmp_path / "none.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("error: ")
+        assert done.stdout == ""
 
 
 class TestGenerateAnalyzeSolvePipeline:

@@ -146,6 +146,21 @@ class TestValidateOnce:
             gc.enable()
         assert made < 100
 
+    def test_loaded_model_keeps_no_per_item_objects(self, tmp_path):
+        # One Variable or Factor per item would be about 4,000 objects here.
+        path = tmp_path / "tree.json"
+        model = generate_model("tree", 2000, 7)
+        save_model(model, path)
+        load_model(path)
+        gc.collect()
+        before = len(gc.get_objects())
+        loaded = load_model(path)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert "variables" not in vars(loaded) and "factors" not in vars(loaded)
+        assert loaded.variables == model.variables
+        assert loaded.factors == model.factors
+
 
 class TestFactorGraph:
     def test_loop_model_edges_in_canonical_order(self, loop_graph):
