@@ -327,7 +327,7 @@ def _fields_pass(f: ModelFields) -> bool:
     """Whether each field passes as a whole: a type set, then a float array.
     False means that some item needs a look, not that one is invalid."""
     numbers = (f.prior_var, f.noise_var, f.obs, f.coeff_values)
-    if not (set(map(type, f.variable_ids + f.factor_ids)) <= {str}
+    if not (set(map(type, chain(f.variable_ids, f.factor_ids))) <= {str}
             and set(map(type, chain(*numbers))) <= {int, float}):  # bool is not int here
         return False
     try:
