@@ -114,7 +114,7 @@ def _print_beliefs(beliefs: engine.BeliefSet, posterior=None) -> None:
 
 def cmd_solve(args) -> int:
     model = _require_model(args)
-    # Before the run, so a model over the oracle's size cap fails fast.
+    # Before the run, so a model the oracle refuses fails fast.
     posterior = dense_posterior(model) if args.oracle else None
     graph = build_factor_graph(model)
     result = engine.run(
@@ -221,7 +221,7 @@ def cmd_simulate(args) -> int:
         schedule = network.Schedule.random_sequential(args.seed)
     else:
         schedule = network.Schedule.synchronous()
-    # Before the run, so a model over the oracle's size cap fails fast.
+    # Before the run, so a model the oracle refuses fails fast.
     posterior = dense_posterior(model) if args.oracle else None
     result = network.simulate(
         model, schedule, tolerance=args.tol, max_ticks=args.max_iters,

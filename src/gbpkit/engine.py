@@ -303,12 +303,14 @@ def max_delta(old: np.ndarray, new: np.ndarray) -> float:
         return float(np.fmax.reduce(np.abs(new - old), initial=0.0))
 
 
-def _diverged(means: np.ndarray) -> bool:
-    return not np.all(np.abs(means) <= DIVERGENCE_GUARD)
+def _diverged(precisions: np.ndarray, means: np.ndarray) -> bool:
+    """A mean past the guard, or any non-finite precision or mean: an overflow
+    that the NaN-skipping deltas would otherwise read as convergence."""
+    return not ((np.abs(means) <= DIVERGENCE_GUARD).all() and np.isfinite(precisions).all())
 
 
 def _status(old_prec, old_mean, new_prec, new_mean, tolerance: float) -> str | None:
-    if _diverged(new_mean):
+    if _diverged(new_prec, new_mean):
         return STATUS_DIVERGED
     if max(max_delta(old_prec, new_prec), max_delta(old_mean, new_mean)) < tolerance:
         return STATUS_CONVERGED

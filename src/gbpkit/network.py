@@ -213,7 +213,7 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
         else:
             quiet = set()
         # Only this agent's factor messages changed; the rest passed before.
-        if engine._diverged(new_fv[1]):
+        if engine._diverged(*new_fv):
             status = engine.STATUS_DIVERGED
             break
         if len(quiet) == len(vf_runs):

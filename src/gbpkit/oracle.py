@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .model import LinearGaussianModel, sparse_gmrf
+from .model import TOPOLOGY_MULTI_LOOP, LinearGaussianModel, classify_topology, sparse_gmrf
 
 MAX_VARIABLES = 2000
 
@@ -30,13 +30,12 @@ class ExactPosterior:
 
 
 # Rows with at most this many entries past the diagonal share one flat step
-# per tree level; each wider row keeps its own block gather and BLAS product.
-# The flat step's temporaries grow with the square of a row's width, while a
-# row of its own pays one gather, one product and a fixed Python cost.
-# Measured on one core (fastest of 21 calls): on 1000-variable random-loopy
-# models, whose rows reach 146-164 entries near the roots, caps from 8 to 64
-# take the same time, 96 up to 2x longer and no cap 1.4-2.1x; trees and
-# forests plus one loop (rows of 1-2 entries) gain the same at any cap.
+# per tree level unless they are in T; wider rows go one at a time and read
+# T's dense block (see _selected_inverse_diagonal).  The flat step pays for
+# every pair of a row's entries.  Measured on one core (fastest of 15 calls)
+# on 1000-variable random-loopy models, whose rows reach 146-164 entries:
+# caps from 16 to 64 took the same time, 8 and 96 up to 1.2x longer and no
+# cap 4.8-6x; on a tree, whose rows have one entry, every cap is the same.
 _FLAT_WIDTH = 32
 
 # A level with fewer rows than this goes one row at a time: the flat step
@@ -59,19 +58,21 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     """diag(B^-1) for symmetric B = L U, by the Takahashi recursion on U = D L^T.
 
     With u = -U[j, S_j] / d_j over row j's structure S_j:
-    Z[j, S_j] = u Z[S_j, S_j] and Z[j, j] = 1/d_j + u . Z[j, S_j].  That reads
-    Z only on S once each row's columns past its first are in that column's
-    row; U drops exact cancellations, so the closure loop adds them back.
-    Then S_j holds only ancestors of j in the elimination tree, whose parent
-    links run from each row to its first column past the diagonal.  So the
-    rows go one tree level per step, from the roots down, with each row's
-    depth found by pointer jumping in log2(depth) array steps.  In a level of
-    at least _FLAT_ROWS rows the narrow ones go as flat (row, a, b) products
-    summed by bincount; wide rows, and every row of a smaller level, go one
-    at a time (see _FLAT_WIDTH and _FLAT_ROWS).  The work is sum |S_j|^2 in an
-    n x n array: O(n) when the order makes no fill.  A shallow tree takes a
-    few flat steps; a deep, thin one (a chain has n/2 levels) takes the
-    row-by-row loop's Python iterations, one per row.
+    Z[j, S_j] = u Z[S_j, S_j] and Z[j, j] = 1/d_j + u . Z[j, S_j].  Once each
+    row's columns past its first are in that column's row (the closure loop
+    adds back the entries U drops as exact cancellations), any a < b in S_j
+    has b in S_a.  So Z is read and written only on the closed structure: z
+    keeps Z[a, b], a <= b, at the slot of key a * dim + b.  S_j holds only
+    ancestors of j in the elimination tree (parent: the first column past the
+    diagonal), so the rows go one tree level per step, from the roots down,
+    with depths found by pointer jumping in log2(depth) array steps.  T is the
+    rows wider than _FLAT_WIDTH and their structures; Z over T is also kept
+    in one dense block.  In a level of at least _FLAT_ROWS rows, those outside
+    T go as flat (row, a, b) products summed by bincount, each pair read from
+    the block or searched in z.  Rows in T, and every row of a smaller level,
+    go one at a time: width 1 reads one diagonal slot, a structure in T reads
+    the block (a view when it is a run of T), any other searches z.  Work is
+    sum |S_j|^2; memory O(nnz + |T|^2), and T is empty on a forest.
     """
     dim = upper.shape[0]
     keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
@@ -95,48 +96,71 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
         depth += depth[up]
         up = up[up]
     order = np.argsort(depth[:dim], kind="stable")
-    z = np.zeros((dim, dim))
-    flat = z.reshape(-1)
+    wide, in_t, z = width > _FLAT_WIDTH, np.zeros(dim, dtype=bool), np.zeros(len(keys))
+    in_t[wide] = in_t[cols[_ranges(first[wide], width[wide])]] = True
+    at, block = np.cumsum(in_t) - 1, np.zeros((np.count_nonzero(in_t),) * 2)
     start, rows_in_order = 0, order.tolist()
     for stop in np.cumsum(np.bincount(depth[:dim])).tolist():
         if stop - start < _FLAT_ROWS:
             one, narrow = rows_in_order[start:stop], order[:0]
         else:
             level = order[start:stop]
-            wide = width[level] > _FLAT_WIDTH
-            one, narrow = level[wide].tolist(), level[~wide]
+            one, narrow = level[in_t[level]].tolist(), level[~in_t[level]]
         start = stop
         for j in one:
             s, u = cols[bounds[j] + 1:bounds[j + 1]], coeffs[bounds[j] + 1:bounds[j + 1]]
-            # Two index arrays gather a few entries faster, flat offsets many.
-            row = u @ (z[s[:, None], s] if len(s) <= _FLAT_WIDTH else flat[s[:, None] * dim + s])
-            z[j, s] = z[s, j] = row
-            z[j, j] = inverse_pivot[j] + u @ row
+            t = at[s]
+            if len(s) <= 1:
+                row = u * z[diagonal[s]]
+            elif not in_t[s].all():
+                grid = s[:, None] * dim + s
+                row = u @ z[np.searchsorted(keys, np.minimum(grid, grid.T))]
+            elif t[-1] - t[0] < len(s):
+                # S_j is a run of T, as for most wide rows: no gather.
+                row = u @ block[t[0]:t[-1] + 1, t[0]:t[-1] + 1]
+            else:
+                row = u @ block[t[:, None], t]
+            z[bounds[j] + 1:bounds[j + 1]] = row
+            z[bounds[j]] = inverse_pivot[j] + u @ row
+            if in_t[j]:
+                block[at[j], t[in_t[s]]] = block[t[in_t[s]], at[j]] = row[in_t[s]]
+                block[at[j], at[j]] = z[bounds[j]]
         if len(narrow):
             # Slot k of a row pairs with each slot i of that row, i in order.
             w = width[narrow]
             slots = _ranges(first[narrow], w)
-            s, u, j = cols[slots], coeffs[slots], rows[slots]
+            s, u = cols[slots], coeffs[slots]
             pairs = np.repeat(w, w)
             k = np.repeat(np.arange(len(slots)), pairs)
             i = _ranges(np.repeat(np.cumsum(w) - w, w), pairs)
-            row = np.bincount(k, u[i] * flat[s[i] * dim + s[k]], len(slots))
-            flat[j * dim + s] = flat[s * dim + j] = row
-            flat[narrow * (dim + 1)] = inverse_pivot[narrow] + np.bincount(
+            a, b = s[i], s[k]
+            both, found = in_t[a] & in_t[b], np.empty(len(i))
+            found[both] = block[at[a[both]], at[b[both]]]
+            a, b = a[~both], b[~both]
+            found[~both] = z[np.searchsorted(keys, np.minimum(a * dim + b, b * dim + a))]
+            row = np.bincount(k, u[i] * found, len(slots))
+            z[slots] = row
+            z[diagonal[narrow]] = inverse_pivot[narrow] + np.bincount(
                 np.repeat(np.arange(len(narrow)), w), u * row, len(narrow))
-    return np.diagonal(z).copy()
+    return z[diagonal]
 
 
 def dense_posterior(model: LinearGaussianModel) -> ExactPosterior:
-    """Exact means and marginal variances from one sparse LU of J, size capped first.
+    """Exact means and marginal variances from one sparse LU of J.
 
-    J (:func:`sparse_gmrf`) is factored in a minimum-degree order with diagonal
-    pivots, refused (``LinAlgError``) on a row exchange or a pivot <= 0.  Means
-    by the LU solve against h; variances by :func:`_selected_inverse_diagonal`.
+    Refused (``ValueError``) before anything grows with the fill: a model of
+    more than MAX_VARIABLES variables with more than one loop, whose fill can
+    grow faster than n.  A forest, or a forest plus one loop, has no cap: its
+    fill under a minimum-degree order is linear in n.  J (:func:`sparse_gmrf`)
+    is factored in that order with diagonal pivots, refused (``LinAlgError``)
+    on a row exchange or a pivot <= 0.  Means by the LU solve against h;
+    variances by :func:`_selected_inverse_diagonal`, in O(nnz) memory on those
+    two families: 0.2-0.3 s and a 40 MiB peak at 10^5 variables (README).
     """
     dim = len(model.fields.variable_ids)
-    if dim > MAX_VARIABLES:
-        raise ValueError(f"model has {dim} variables, dense oracle caps at {MAX_VARIABLES}")
+    if dim > MAX_VARIABLES and classify_topology(model.columns).kind == TOPOLOGY_MULTI_LOOP:
+        raise ValueError(f"model has {dim} variables and more than one loop; the oracle "
+                         f"caps such models at {MAX_VARIABLES} variables")
     gmrf = sparse_gmrf(model)
     lu = splu(gmrf.information_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options={"SymmetricMode": True})

@@ -62,6 +62,13 @@ def chain_model(length: int = 3) -> LinearGaussianModel:
     return LinearGaussianModel(variables, factors)
 
 
+def overflow_model() -> LinearGaussianModel:
+    """A valid model whose coefficient squared overflows: the message precision
+    f1 -> x1 is inf while every message mean stays finite."""
+    return LinearGaussianModel((Variable("x1", 1.0), Variable("x2", 1.0)),
+                               (Factor("f1", {"x1": 1e160, "x2": 1.0}, 1.0, 1.0),))
+
+
 def bipartite_diameter(graph: FactorGraph) -> int:
     """Longest shortest path over the bipartite node set, in edges."""
     nodes = [("v", vid) for vid in graph.variable_ids]

@@ -62,6 +62,14 @@ class TestSolve:
         )
         assert float(deviation_line.split(":")[1]) < 1e-6
 
+    def test_oracle_runs_past_the_cap_on_a_forest(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        save_model(generate_tree(2001, seed=1), path)
+        assert main(["solve", "--model", str(path), "--oracle"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for prefix in ("max |mean - oracle_mean|:", "max |variance - oracle_var|:"):
+            assert float(next(line for line in lines if line.startswith(prefix)).split(":")[1]) < 1e-8
+
     def test_init_choice_changes_nothing_final(self, model_file, capsys):
         assert main(["solve", "--model", str(model_file), "--init", "U"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -399,8 +407,9 @@ class TestErrorPaths:
     ])
     def test_oracle_cap_fails_before_the_run(self, command, module, stage, tmp_path, capsys,
                                              monkeypatch):
+        # The cap holds for models with more than one loop.
         path = tmp_path / "big.json"
-        save_model(generate_tree(2001, seed=1), path)
+        save_model(generate_model("random-loopy", 2001, seed=1), path)
         monkeypatch.setattr(module, stage, lambda *a, **k: pytest.fail(f"{stage} ran"))
         assert main([command, "--model", str(path), "--oracle"]) == EXIT_ERROR
         captured = capsys.readouterr()

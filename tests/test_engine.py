@@ -251,6 +251,14 @@ class TestRun:
         assert result.status == STATUS_DIVERGED
         assert any(abs(m) > 1e12 or not math.isfinite(m) for m in result.state.means.values())
 
+    def test_overflowing_precision_is_divergence(self):
+        # The NaN of inf - inf is skipped by the deltas; the guard must not be.
+        model = helpers.overflow_model()
+        result = run(build_factor_graph(model), model)
+        assert result.status == STATUS_DIVERGED
+        assert result.state.iteration == 1
+        assert math.isinf(result.state.precisions[("f1", "x1")])
+
     def test_bad_arguments(self, loop_graph, loop_model):
         with pytest.raises(ValueError):
             run(loop_graph, loop_model, tolerance=0.0)

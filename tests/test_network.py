@@ -266,6 +266,11 @@ class TestRandomSequentialSchedule:
         flush_rows = [line for line in lines[1:] if line.split(",")[0] == "0"]
         assert len(flush_rows) == 7  # one per variable-to-factor edge
 
+    def test_overflowing_precision_is_divergence(self):
+        sim = simulate(helpers.overflow_model(), Schedule.random_sequential(3))
+        assert sim.status == STATUS_DIVERGED
+        assert np.isinf(sim.state.precisions.array).any()
+
     def test_single_agent_model(self):
         model = LinearGaussianModel(
             (Variable("x1", 1.0),), (Factor("f1", {"x1": 1.0}, 1.0, 2.0),)

@@ -14,11 +14,13 @@ from gbpkit import (
     Factor,
     LinearGaussianModel,
     Variable,
+    build_factor_graph,
     dense_posterior,
     generate_model,
     generate_tree,
     lingauss_to_gmrf,
     oracle,
+    run,
 )
 from gbpkit.generate import KINDS
 from gbpkit.model import sparse_gmrf
@@ -105,13 +107,17 @@ class TestLimits:
         assert posterior.mean_of("x1") == 0.0
         assert posterior.variance_of("x1") == 4.0
 
-    def test_size_cap(self):
-        variables = tuple(Variable(f"x{k}", 1.0) for k in range(2001))
+    def test_size_cap(self, monkeypatch):
+        # The cap holds for models with more than one loop, whose fill can
+        # grow faster than n; they are refused before J is built or factored.
+        model = generate_model("random-loopy", 2001, seed=1)
+        for stage in ("sparse_gmrf", "splu"):
+            monkeypatch.setattr(oracle, stage, lambda *a, **k: pytest.fail("built J"))
         with pytest.raises(ValueError, match="2000"):
-            dense_posterior(LinearGaussianModel(variables, ()))
+            dense_posterior(model)
 
     def test_size_cap_checked_before_dense_allocation(self):
-        model = generate_tree(2500, seed=1)
+        model = generate_model("random-loopy", 2500, seed=1)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="2000"):
@@ -122,8 +128,9 @@ class TestLimits:
         assert peak < 2**20
 
     def test_peak_memory_is_one_work_array(self):
-        # The n x n work array is 30.5 MiB at n = 2000; a dense J or a
-        # second n x n array would take the peak past 61 MiB.
+        # Z lives on the factor's closed structure, about 6,000 slots here,
+        # so the peak is O(nnz): 0.8 MiB, where an n x n work array alone
+        # would take 30.5 MiB.
         model = generate_tree(2000, 7)
         model.columns
         tracemalloc.start()
@@ -132,7 +139,20 @@ class TestLimits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 34 * 2**20
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("kind", ["tree", "single-loop-plus-forest"])
+    def test_no_cap_on_a_forest_or_a_forest_plus_one_loop(self, kind):
+        # Past the old cap of 2000 variables; on a forest GBP is exact.
+        model = generate_model(kind, 20_000, seed=7)
+        posterior = dense_posterior(model)
+        gmrf = sparse_gmrf(model)
+        residual = gmrf.information_matrix @ posterior.mean - gmrf.potential
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(gmrf.potential))
+        if kind == "tree":
+            beliefs = run(build_factor_graph(model), model).beliefs
+            variances = np.array([beliefs.variances[vid] for vid in posterior.variable_ids])
+            assert np.all(np.abs(variances - posterior.variance) <= 1e-12 * posterior.variance)
 
     @staticmethod
     def patched_lu(monkeypatch, change):
