@@ -64,15 +64,14 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     has b in S_a.  So Z is read and written only on the closed structure: z
     keeps Z[a, b], a <= b, at the slot of key a * dim + b.  S_j holds only
     ancestors of j in the elimination tree (parent: the first column past the
-    diagonal), so the rows go one tree level per step, from the roots down,
-    with depths found by pointer jumping in log2(depth) array steps.  T is the
-    rows wider than _FLAT_WIDTH and their structures; Z over T is also kept
-    in one dense block.  In a level of at least _FLAT_ROWS rows, those outside
-    T go as flat (row, a, b) products summed by bincount, each pair read from
-    the block or searched in z.  Rows in T, and every row of a smaller level,
-    go one at a time: width 1 reads one diagonal slot, a structure in T reads
-    the block (a view when it is a run of T), any other searches z.  Work is
-    sum |S_j|^2; memory O(nnz + |T|^2), and T is empty on a forest.
+    diagonal), so the rows go one tree level per step, from the roots down.
+    T, the rows wider than _FLAT_WIDTH and their structures, also keeps Z in
+    one dense block; a T of more than MAX_VARIABLES is refused before it.
+    In a level of at least _FLAT_ROWS rows, those outside T go as flat
+    (row, a, b) products summed by bincount, each pair read from the block or
+    searched in z.  Rows in T, and every row of a smaller level, go one at a
+    time: width 1 reads a diagonal slot, a structure in T the block, others
+    search z.  Work sum |S_j|^2, memory O(nnz + |T|^2); no T on pairwise forests.
     """
     dim = upper.shape[0]
     keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
@@ -98,6 +97,8 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     order = np.argsort(depth[:dim], kind="stable")
     wide, in_t, z = width > _FLAT_WIDTH, np.zeros(dim, dtype=bool), np.zeros(len(keys))
     in_t[wide] = in_t[cols[_ranges(first[wide], width[wide])]] = True
+    if np.count_nonzero(in_t) > MAX_VARIABLES:
+        raise ValueError(f"the factor's wide rows span more than {MAX_VARIABLES} variables")
     at, block = np.cumsum(in_t) - 1, np.zeros((np.count_nonzero(in_t),) * 2)
     start, rows_in_order = 0, order.tolist()
     for stop in np.cumsum(np.bincount(depth[:dim])).tolist():
@@ -116,7 +117,7 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
                 grid = s[:, None] * dim + s
                 row = u @ z[np.searchsorted(keys, np.minimum(grid, grid.T))]
             elif t[-1] - t[0] < len(s):
-                # S_j is a run of T, as for most wide rows: no gather.
+                # A run of T, as most wide rows are: a view, 0.6x the gather's time.
                 row = u @ block[t[0]:t[-1] + 1, t[0]:t[-1] + 1]
             else:
                 row = u @ block[t[:, None], t]
@@ -148,19 +149,19 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
 def dense_posterior(model: LinearGaussianModel) -> ExactPosterior:
     """Exact means and marginal variances from one sparse LU of J.
 
-    Refused (``ValueError``) before anything grows with the fill: a model of
-    more than MAX_VARIABLES variables with more than one loop, whose fill can
-    grow faster than n.  A forest, or a forest plus one loop, has no cap: its
-    fill under a minimum-degree order is linear in n.  J (:func:`sparse_gmrf`)
-    is factored in that order with diagonal pivots, refused (``LinAlgError``)
-    on a row exchange or a pivot <= 0.  Means by the LU solve against h;
-    variances by :func:`_selected_inverse_diagonal`, in O(nnz) memory on those
-    two families: 0.2-0.3 s and a 40 MiB peak at 10^5 variables (README).
+    Above MAX_VARIABLES variables, refused (``ValueError``) before J is built
+    unless every factor has at most two variables and the model is a forest
+    or a forest plus one loop: then the fill under a minimum-degree order is
+    linear in n and no row of U has more than two entries.  J is factored in
+    that order with diagonal pivots, refused (``LinAlgError``) on a row
+    exchange or a pivot <= 0.  Means by the LU solve against h; variances by
+    :func:`_selected_inverse_diagonal` (0.2-0.3 s, 40 MiB at n = 10^5: README).
     """
     dim = len(model.fields.variable_ids)
-    if dim > MAX_VARIABLES and classify_topology(model.columns).kind == TOPOLOGY_MULTI_LOOP:
-        raise ValueError(f"model has {dim} variables and more than one loop; the oracle "
-                         f"caps such models at {MAX_VARIABLES} variables")
+    if dim > MAX_VARIABLES and (np.bincount(model.columns.edge_factor).max(initial=0) > 2 or
+                                classify_topology(model.columns).kind == TOPOLOGY_MULTI_LOOP):
+        raise ValueError(f"model has {dim} variables and more than one loop or a factor over "
+                         f"more than two of them; the oracle caps such models at {MAX_VARIABLES}")
     gmrf = sparse_gmrf(model)
     lu = splu(gmrf.information_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options={"SymmetricMode": True})

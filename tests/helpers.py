@@ -62,6 +62,18 @@ def chain_model(length: int = 3) -> LinearGaussianModel:
     return LinearGaussianModel(variables, factors)
 
 
+def clique_chain_model(size: int, arity: int) -> LinearGaussianModel:
+    """A forest of unit factors over ``arity`` consecutive variables, each
+    sharing its last variable with the next one's first; one factor over
+    every variable when ``arity >= size``."""
+    variables = tuple(Variable(f"x{k + 1}", 1.0) for k in range(size))
+    factors = tuple(
+        Factor(f"f{n + 1}", {f"x{k + 1}": 1.0 for k in range(start, min(start + arity, size))},
+               1.0, 1.0)
+        for n, start in enumerate(range(0, max(size - 1, 1), arity - 1)))
+    return LinearGaussianModel(variables, factors)
+
+
 def overflow_model() -> LinearGaussianModel:
     """A valid model whose coefficient squared overflows: the message precision
     f1 -> x1 is inf while every message mean stays finite."""

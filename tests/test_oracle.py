@@ -15,6 +15,7 @@ from gbpkit import (
     LinearGaussianModel,
     Variable,
     build_factor_graph,
+    classify_topology,
     dense_posterior,
     generate_model,
     generate_tree,
@@ -127,7 +128,33 @@ class TestLimits:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_peak_memory_is_one_work_array(self):
+    @pytest.mark.parametrize("arity", [2001, 40])
+    def test_size_cap_on_a_forest_of_wide_factors(self, arity, monkeypatch):
+        # One factor over every variable (a star) and a chain of 40-variable
+        # factors are forests, but each factor is a clique in J: the first
+        # makes J dense, the second puts almost every row in T.
+        model = helpers.clique_chain_model(2001, arity)
+        assert classify_topology(model.columns).kind == "forest"
+        for stage in ("sparse_gmrf", "splu"):
+            monkeypatch.setattr(oracle, stage, lambda *a, **k: pytest.fail("built J"))
+        with pytest.raises(ValueError, match="2000"):
+            dense_posterior(model)
+
+    def test_wide_rows_over_the_cap_refused_before_their_block(self):
+        # Rows of 33-39 entries cover all 2100 variables: T's block would
+        # take 34 MiB.
+        upper = helpers.superlu_factor(
+            sparse_gmrf(helpers.clique_chain_model(2100, 40)).information_matrix).U.tocsr()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2000"):
+                oracle._selected_inverse_diagonal(upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_peak_memory_is_linear_on_a_forest(self):
         # Z lives on the factor's closed structure, about 6,000 slots here,
         # so the peak is O(nnz): 0.8 MiB, where an n x n work array alone
         # would take 30.5 MiB.
