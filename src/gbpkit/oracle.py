@@ -3,6 +3,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpotri
 from scipy.sparse.linalg import splu
 
 from .model import TOPOLOGY_MULTI_LOOP, LinearGaussianModel, classify_topology, sparse_gmrf
@@ -29,14 +30,19 @@ class ExactPosterior:
         return float(self.variance[self._positions[var_id]])
 
 
-# Rows with at most this many entries past the diagonal share one flat step
-# per tree level unless they are in T; wider rows go one at a time and read
-# T's dense block (see _selected_inverse_diagonal).  The flat step pays for
-# every pair of a row's entries.  Measured on one core (fastest of 15 calls)
-# on 1000-variable random-loopy models, whose rows reach 146-164 entries:
-# caps from 16 to 64 took the same time, 8 and 96 up to 1.2x longer and no
-# cap 4.8-6x; on a tree, whose rows have one entry, every cap is the same.
-_FLAT_WIDTH = 32
+# Rows with more than this many entries past the diagonal and every ancestor
+# of those make T, the top of the elimination tree that one dpotri inverts
+# (see _selected_inverse_diagonal); the rest share one flat step per tree
+# level, which pays for every pair of a row's entries.  Fastest of 15 calls
+# of the recursion in ms, the caps alternated call by call, three sweeps, on
+# one core on 1000-variable random-loopy models:
+#     seed   cap 8        cap 16       cap 32
+#     7      3.61-3.80    3.95-4.15    4.67-4.86
+#     1      4.40-4.56    4.45-4.50    5.11-5.29
+#     3      4.29-4.66    4.46-4.63    5.00-5.20
+# At n = 2000 (seeds 7 and 1) 8 and 16 were within 4%, 32 took 1.1-1.15x.
+# T holds 254-290 rows at n = 1000 with cap 8; on a tree it is empty.
+_FLAT_WIDTH = 8
 
 # A level with fewer rows than this goes one row at a time: the flat step
 # costs some twenty array operations whatever its size, about what six rows
@@ -64,14 +70,14 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     has b in S_a.  So Z is read and written only on the closed structure: z
     keeps Z[a, b], a <= b, at the slot of key a * dim + b.  S_j holds only
     ancestors of j in the elimination tree (parent: the first column past the
-    diagonal), so the rows go one tree level per step, from the roots down.
-    T, the rows wider than _FLAT_WIDTH and their structures, also keeps Z in
-    one dense block; a T of more than MAX_VARIABLES is refused before it.
-    In a level of at least _FLAT_ROWS rows, those outside T go as flat
-    (row, a, b) products summed by bincount, each pair read from the block or
-    searched in z.  Rows in T, and every row of a smaller level, go one at a
-    time: width 1 reads a diagonal slot, a structure in T the block, others
-    search z.  Work sum |S_j|^2, memory O(nnz + |T|^2); no T on pairwise forests.
+    diagonal).  T, the rows wider than _FLAT_WIDTH and all their ancestors,
+    holds the structure of each of its rows, so U[T, not T] = 0 and Z[T, T]
+    is the inverse of U_TT^T D_T^-1 U_TT: one dpotri on D_T^-1/2 U_TT, once
+    a T of more than MAX_VARIABLES has been refused.  The rows outside T go
+    one tree level per step, from the roots down: a level of at least
+    _FLAT_ROWS of them as flat (row, a, b) products summed by bincount, a
+    smaller one a row at a time, each pair searched in z.  Work |T|^3 plus
+    sum |S_j|^2 outside T, memory O(nnz + |T|^2); no T on pairwise forests.
     """
     dim = upper.shape[0]
     keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
@@ -89,43 +95,44 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     first, bounds = diagonal + 1, np.append(diagonal, len(keys)).tolist()
     width = np.append(diagonal[1:], len(keys)) - first
     # Depths in the elimination tree by pointer jumping; row dim stands above the roots.
+    # T starts as the wide rows; jumps of 1, 2, 4, ... add their ancestors, structures included.
     up = np.append(np.where(width > 0, cols[np.minimum(first, len(keys) - 1)], dim), dim)
-    depth = (up != dim).astype(np.intp)
+    depth, in_t = (up != dim).astype(np.intp), np.append(width > _FLAT_WIDTH, False)
     while np.any(up != dim):
         depth += depth[up]
+        in_t[up[in_t]] = True
         up = up[up]
-    order = np.argsort(depth[:dim], kind="stable")
-    wide, in_t, z = width > _FLAT_WIDTH, np.zeros(dim, dtype=bool), np.zeros(len(keys))
-    in_t[wide] = in_t[cols[_ranges(first[wide], width[wide])]] = True
-    if np.count_nonzero(in_t) > MAX_VARIABLES:
-        raise ValueError(f"the factor's wide rows span more than {MAX_VARIABLES} variables")
-    at, block = np.cumsum(in_t) - 1, np.zeros((np.count_nonzero(in_t),) * 2)
+    tops, z = np.flatnonzero(in_t[:dim]), np.zeros(len(keys))
+    if len(tops) > MAX_VARIABLES:
+        raise ValueError(f"the wide rows and their ancestors span over {MAX_VARIABLES} variables")
+    if len(tops):
+        # U[T, not T] = 0, so Z[T, T] inverts U_TT^T D_T^-1 U_TT: one dpotri on its factor.
+        slots, at = _ranges(diagonal[tops], width[tops] + 1), np.cumsum(in_t) - 1
+        r, c = at[rows[slots]], at[cols[slots]]
+        factor = np.zeros((len(tops),) * 2, order="F")
+        factor[r, c] = values[slots] * np.sqrt(inverse_pivot[rows[slots]])
+        inverse, info = dpotri(factor, overwrite_c=True)
+        if info:
+            raise np.linalg.LinAlgError(f"J is not positive definite: dpotri info {info}")
+        z[slots] = inverse[r, c]
+    outside = np.flatnonzero(~in_t[:dim])
+    order = outside[np.argsort(depth[outside], kind="stable")]
     start, rows_in_order = 0, order.tolist()
-    for stop in np.cumsum(np.bincount(depth[:dim])).tolist():
+    for stop in np.cumsum(np.bincount(depth[order])).tolist():
         if stop - start < _FLAT_ROWS:
             one, narrow = rows_in_order[start:stop], order[:0]
         else:
-            level = order[start:stop]
-            one, narrow = level[in_t[level]].tolist(), level[~in_t[level]]
+            one, narrow = (), order[start:stop]
         start = stop
         for j in one:
             s, u = cols[bounds[j] + 1:bounds[j + 1]], coeffs[bounds[j] + 1:bounds[j + 1]]
-            t = at[s]
             if len(s) <= 1:
                 row = u * z[diagonal[s]]
-            elif not in_t[s].all():
+            else:
                 grid = s[:, None] * dim + s
                 row = u @ z[np.searchsorted(keys, np.minimum(grid, grid.T))]
-            elif t[-1] - t[0] < len(s):
-                # A run of T, as most wide rows are: a view, 0.6x the gather's time.
-                row = u @ block[t[0]:t[-1] + 1, t[0]:t[-1] + 1]
-            else:
-                row = u @ block[t[:, None], t]
             z[bounds[j] + 1:bounds[j + 1]] = row
             z[bounds[j]] = inverse_pivot[j] + u @ row
-            if in_t[j]:
-                block[at[j], t[in_t[s]]] = block[t[in_t[s]], at[j]] = row[in_t[s]]
-                block[at[j], at[j]] = z[bounds[j]]
         if len(narrow):
             # Slot k of a row pairs with each slot i of that row, i in order.
             w = width[narrow]
@@ -135,10 +142,7 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
             k = np.repeat(np.arange(len(slots)), pairs)
             i = _ranges(np.repeat(np.cumsum(w) - w, w), pairs)
             a, b = s[i], s[k]
-            both, found = in_t[a] & in_t[b], np.empty(len(i))
-            found[both] = block[at[a[both]], at[b[both]]]
-            a, b = a[~both], b[~both]
-            found[~both] = z[np.searchsorted(keys, np.minimum(a * dim + b, b * dim + a))]
+            found = z[np.searchsorted(keys, np.minimum(a * dim + b, b * dim + a))]
             row = np.bincount(k, u[i] * found, len(slots))
             z[slots] = row
             z[diagonal[narrow]] = inverse_pivot[narrow] + np.bincount(
@@ -154,7 +158,8 @@ def dense_posterior(model: LinearGaussianModel) -> ExactPosterior:
     or a forest plus one loop: then the fill under a minimum-degree order is
     linear in n and no row of U has more than two entries.  J is factored in
     that order with diagonal pivots, refused (``LinAlgError``) on a row
-    exchange or a pivot <= 0.  Means by the LU solve against h; variances by
+    exchange, a pivot <= 0 or a failed dpotri on the top of its elimination
+    tree.  Means by the LU solve against h; variances by
     :func:`_selected_inverse_diagonal` (0.2-0.3 s, 40 MiB at n = 10^5: README).
     """
     dim = len(model.fields.variable_ids)

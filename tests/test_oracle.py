@@ -212,6 +212,12 @@ class TestLimits:
         with pytest.raises(LinAlgError, match="positive definite"):
             dense_posterior(loop_model)
 
+    def test_dpotri_failure_raises(self, monkeypatch):
+        # Rows wider than _FLAT_WIDTH put the top of the tree through dpotri.
+        monkeypatch.setattr(oracle, "dpotri", lambda factor, **kwargs: (factor, 1))
+        with pytest.raises(LinAlgError, match="positive definite"):
+            dense_posterior(generate_model("random-loopy", 300, seed=5))
+
     def test_cancelled_fill_is_restored(self):
         # Eliminating x0 fills (1, 3) with 0.5 - 1 * 1 / 2 = 0 exactly, so U
         # drops the entry, yet row 0 reads Z[1, 3], which is not zero.
@@ -288,11 +294,46 @@ class TestSelectedInverse:
         expected = np.diag(np.linalg.inv(matrix))
         assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
 
-    @pytest.mark.parametrize("model", [*KINDS, "chain"])
-    def test_matches_the_row_loop(self, model):
+    def test_top_closed_upward(self, monkeypatch):
+        # In the natural order row 1 spans 2 and the clique C = 4, 5, ..., so
+        # it is wide; its parent 2 spans 3 and C, and 3, its own parent, is
+        # not in row 1's structure.  The last of C heads a chain of three
+        # rows that no wide row's structure holds: only the upward closure
+        # puts them in T, which then holds every row but the leaf 0.
+        width = oracle._FLAT_WIDTH
+        clique = list(range(4, 4 + width))
+        chain = list(range(clique[-1] + 1, clique[-1] + 4))
+        dim = chain[-1] + 1
+        pattern = np.zeros((dim, dim), dtype=bool)
+        pattern[1, [2, *clique]] = pattern[2, [3, *clique]] = True
+        pattern[np.ix_(clique, clique)] = True
+        pattern[[clique[-1], *chain[:-1]], chain] = pattern[0, chain[0]] = True
+        pattern |= pattern.T
+        rng = np.random.default_rng(5)
+        matrix = np.where(pattern, rng.uniform(-0.1, 0.1, (dim, dim)), 0.0)
+        matrix = (matrix + matrix.T) / 2
+        np.fill_diagonal(matrix, dim)
+        upper = helpers.superlu_factor(matrix, "NATURAL").U.tocsr()
+        assert upper.indices[upper.indptr[1]:upper.indptr[2]].tolist() == [1, 2, *clique]
+        assert upper.indices[upper.indptr[2]:upper.indptr[3]].tolist() == [2, 3, *clique]
+        sizes, dpotri = [], oracle.dpotri
+        monkeypatch.setattr(oracle, "dpotri", lambda factor, **kwargs: (
+            sizes.append(len(factor)), dpotri(factor, **kwargs))[1])
+        variance = oracle._selected_inverse_diagonal(upper)
+        assert sizes == [dim - 1]
+        expected = np.diag(np.linalg.inv(matrix))
+        assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
+
+    @pytest.mark.parametrize("model, size, seed", [
+        *(pytest.param(kind, 2000, 7, id=kind) for kind in (*KINDS, "chain")),
+        *(pytest.param("random-loopy", 1000, seed, id=f"random-loopy-1000-{seed}")
+          for seed in (1, 3, 11))])
+    def test_matches_the_row_loop(self, model, size, seed):
         # A chain's elimination tree has about n/2 levels of 1-2 rows, which
-        # go one row at a time; the generated kinds' levels go mostly flat.
-        model = helpers.chain_model(2000) if model == "chain" else generate_model(model, 2000, 7)
+        # go one row at a time; the generated kinds' levels go mostly flat,
+        # and random-loopy's wide rows and their ancestors make T, the dense
+        # top (271-290 rows at n = 1000, 522 at n = 2000).
+        model = helpers.chain_model(size) if model == "chain" else generate_model(model, size, seed)
         upper = helpers.superlu_factor(sparse_gmrf(model).information_matrix).U.tocsr()
         expected = row_by_row_inverse_diagonal(upper)
         variance = oracle._selected_inverse_diagonal(upper)
