@@ -255,18 +255,21 @@ def build_mean_system(
     tables = compiled.tables
     vf_star = fixed_point.variable_to_factor.array
     # M_{k,j} on every factor-to-variable edge f_k -> j.
-    padded_star = np.append(vf_star, 1.0)
+    fv_reads = tables.fv_reads
     with np.errstate(over="ignore", invalid="ignore"):
         m_kj, _ = engine._factor_sums(
-            ((compiled.vf_coeff[z], (padded_star[z], None)) for z in tables.fv_reads.T),
-            compiled.noise_var, None)
+            ((compiled.vf_coeff[z], (vf_star[z], None)) for z in fv_reads.columns),
+            compiled.noise_var[fv_reads.order], None)
+    m_kj = m_kj[fv_reads.rank]
     dim = len(graph.edge_var)
 
     def incidence(reads, entry):
-        """E x E CSR whose row r holds ``entry(r, k)`` at each real position k of ``reads[r]``."""
-        real = reads != tables.pad
-        rows, cols = np.nonzero(real)[0], reads[real]
-        indptr = np.append(0, np.cumsum(np.count_nonzero(real, axis=1)))
+        """E x E CSR whose row r holds ``entry(r, k)`` at each read k of row r, in order."""
+        none = reads.order[:0]
+        rows = np.concatenate([reads.order[:len(col)] for col in reads.columns] or [none])
+        by_row = np.argsort(rows, kind="stable")  # each row's reads stay in column order
+        rows, cols = rows[by_row], np.concatenate(reads.columns or (none,))[by_row]
+        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=dim)))
         return csr_array((entry(rows, cols), cols, indptr), shape=(dim, dim))
 
     # Q = A @ B: A[row, k] = c_{k,j} / (J*_{j->f_n} M_{k,j}) over the row's

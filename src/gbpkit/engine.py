@@ -11,20 +11,23 @@ are derived from the stored factor-to-variable state each sweep:
                               scope variables of c_j^2 / prec_{j->f});
                               mean = (obs - sum c_j * mean_{j->f}) / c_i.
 
-The two kernels below are the only place these formulas live.  They take
-Python floats (the per-edge functions) or float64 arrays: the engine, the
-analysis and the simulator feed them one column of the graph's edge
-tables at a time, so every message still adds its terms one at a time in
-canonical neighbour order, and padded slots add exact zeros.  Array and
-float evaluation therefore agree bit for bit, and two runs over the same
-model are identical.  Array passes silence numpy's overflow and
-invalid-value warnings: Python floats reach the same inf and NaN silently.
-A pass given means of None computes the precisions alone, with the same
-bits, since the precision recursion never reads a mean.
+The two kernels below are the only place these formulas live.  They
+work on float64 arrays, one entry per message, with the rows sorted by
+descending width: the engine, the analysis and the simulator feed them
+one jagged column of the graph's edge tables (:class:`~gbpkit.model.Reads`)
+at a time, and a column k covers only the rows wider than k, so it adds
+into the leading entries of the accumulators.  Every message therefore
+adds its terms one at a time in canonical neighbour order, and no row
+adds anything past its own reads, whichever rows are computed with it.
+The per-edge functions pass the same kernels length-1 arrays, so every
+path agrees bit for bit and two runs over the same model are identical.
+The kernels silence numpy's overflow and invalid-value warnings.  A pass
+given means of None computes the precisions alone, with the same bits,
+since the precision recursion never reads a mean.
 
 One generator, :func:`sweeps`, owns the synchronous loop; :func:`run` and
 the synchronous simulator both iterate it.  :func:`factor_to_variable`
-keeps a per-edge Python-float path, the unpadded reference for tests.
+keeps a per-edge path, one row at a time, for tests.
 """
 from __future__ import annotations
 
@@ -34,10 +37,11 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .model import EdgeTables, FactorGraph, LinearGaussianModel
+from .model import EdgeTables, FactorGraph, LinearGaussianModel, Reads
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
+Column = tuple[np.ndarray, np.ndarray | None]  # one jagged column's (precisions, means)
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max-iters"
@@ -157,44 +161,49 @@ def check_limits(tolerance: float, budget: int, budget_name: str = "max_iters") 
     return tolerance
 
 
-def _variable_message(
-    prior_var, incoming: Iterable[ScalarMessage], means: bool = True
-) -> ScalarMessage:
-    """Prior combined with the incoming (precision, mean) pairs.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
+def _variable_message(prior_var: np.ndarray, incoming: Iterable[Column], means: bool = True):
+    """Prior combined with the incoming (precision, mean) columns, per row.
 
     Over a variable's other factors this is its message to the remaining
-    one; over all of them, the belief's precision and mean.  With
-    ``means=False`` the incoming means are not read and the mean is None.
+    one; over all of them, the belief's precision and mean.  Each column
+    covers the leading rows, as many as it is long, and adds into
+    ``acc[:len(column)]``.  With ``means=False`` the incoming means are not
+    read and the mean is None.
     """
     precision = 1.0 / prior_var
-    weighted = 0.0
+    weighted = np.zeros_like(precision) if means else None
     for msg_precision, msg_mean in incoming:
-        precision += msg_precision
+        precision[:len(msg_precision)] += msg_precision
         if means:
-            weighted += msg_precision * msg_mean
+            weighted[:len(msg_precision)] += msg_precision * msg_mean
     return precision, weighted / precision if means else None
 
 
-def _factor_sums(others: Iterable[tuple[float, ScalarMessage]], noise_var, obs):
+def _factor_sums(others: Iterable[tuple[np.ndarray, Column]], total_var: np.ndarray,
+                 residual: np.ndarray | None):
     """Observation variance and residual given the other scope variables.
 
-    ``others`` yields (coeff, (precision, mean)) per other variable.  An
-    ``obs`` of None leaves the means unread and the residual None.  The
-    arguments are never updated in place.
+    ``others`` yields (coeff, (precision, mean)) columns per other
+    variable, each covering the leading rows as :func:`_variable_message`'s
+    do.  Their terms are added in place into ``total_var``, given as the
+    noise variances, and ``residual``, given as the observations, so
+    callers pass arrays of their own.  A ``residual`` of None leaves the
+    means unread.
     """
-    total_var = noise_var
-    residual = obs
     for coeff, (msg_precision, msg_mean) in others:
-        total_var = total_var + coeff * coeff / msg_precision
+        total_var[:len(coeff)] += coeff * coeff / msg_precision
         if residual is not None:
-            residual = residual - coeff * msg_mean
+            residual[:len(coeff)] -= coeff * msg_mean
     return total_var, residual
 
 
-def _factor_message(
-    target_coeff, others: Iterable[tuple[float, ScalarMessage]], noise_var, obs
-) -> ScalarMessage:
-    total_var, residual = _factor_sums(others, noise_var, obs)
+@_QUIET
+def _factor_message(target_coeff, others: Iterable[tuple[np.ndarray, Column]], total_var, residual):
+    total_var, residual = _factor_sums(others, total_var, residual)
     mean = None if residual is None else residual / target_coeff
     return target_coeff * target_coeff / total_var, mean
 
@@ -203,8 +212,8 @@ def _factor_message(
 class CompiledModel:
     """A model's parameters along its graph's edge tables.
 
-    ``prior_var`` is per variable, ``vf_*`` per variable-to-factor edge
-    (``vf_coeff`` with a 0.0 pad slot), the rest per factor-to-variable edge.
+    ``prior_var`` is per variable, ``vf_*`` per variable-to-factor edge,
+    the rest per factor-to-variable edge, each in canonical order.
     """
 
     tables: EdgeTables
@@ -237,7 +246,7 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
         tables=graph.edge_tables,
         prior_var=columns.prior_var,
         vf_prior_var=columns.prior_var[graph.edge_var[graph.vf_to_fv]],
-        vf_coeff=np.append(columns.edge_coeff[graph.vf_to_fv], 0.0),
+        vf_coeff=columns.edge_coeff[graph.vf_to_fv],
         coeff=columns.edge_coeff,
         noise_var=columns.noise_var[graph.edge_factor],
         obs=columns.obs[graph.edge_factor],
@@ -246,49 +255,38 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
     return compiled
 
 
-class _NoMeans:
-    """Stands in for a mean array that a precision-only pass leaves unread."""
-
-    def __getitem__(self, _):
-        return None
-
-
-_NO_MEANS = _NoMeans()
-
-
-def _padded_means(means: np.ndarray | None):
-    return _NO_MEANS if means is None else np.append(means, 0.0)
-
-
-def _variable_pass(prior_var, reads: np.ndarray, fv_prec: np.ndarray, fv_mean):
-    """The variable-side kernel for every row of ``reads``."""
-    prec, mean = np.append(fv_prec, 0.0), _padded_means(fv_mean)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _variable_message(prior_var, ((prec[k], mean[k]) for k in reads.T),
-                                 means=fv_mean is not None)
+def _variable_pass(prior_var, reads: Reads, rows, fv_prec: np.ndarray, fv_mean):
+    """The variable-side kernel for ``rows`` of ``reads``, in ``rows`` order."""
+    targets, columns, place = reads.select(rows)
+    means = fv_mean is not None
+    incoming = ((fv_prec[col], fv_mean[col] if means else None) for col in columns)
+    prec, mean = _variable_message(prior_var[targets], incoming, means)
+    return prec[place], mean[place] if means else None
 
 
 def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None,
                 rows=slice(None)):
     """Variable-to-factor (precisions, means) of the ``vf_edges`` positions ``rows``.
 
-    A subset of rows keeps the full table's padding, here and in
-    :func:`fv_messages`, so a row's bits do not depend on which rows are
-    computed with it.  Means of None give the precisions alone, the same
-    bits, with means None: the precisions never read the means.
+    Here and in :func:`fv_messages`, ``rows`` (any positions, in any order)
+    go through the jagged view of their own rows, so a row's bits do not
+    depend on which rows are computed with it, and only their reads are
+    gathered.  Means of None give the precisions alone, the same bits,
+    with means None: the precisions never read the means.
     """
-    return _variable_pass(compiled.vf_prior_var[rows], compiled.tables.vf_reads[rows],
-                          fv_prec, fv_mean)
+    return _variable_pass(compiled.vf_prior_var, compiled.tables.vf_reads, rows, fv_prec, fv_mean)
 
 
 def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None,
                 rows=slice(None)):
     """Factor-to-variable (precisions, means) of the ``fv_edges`` positions ``rows``."""
-    prec, mean = np.append(vf_prec, 1.0), _padded_means(vf_mean)
-    others = ((compiled.vf_coeff[k], (prec[k], mean[k])) for k in compiled.tables.fv_reads[rows].T)
-    obs = None if vf_mean is None else compiled.obs[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _factor_message(compiled.coeff[rows], others, compiled.noise_var[rows], obs)
+    targets, columns, place = compiled.tables.fv_reads.select(rows)
+    means = vf_mean is not None
+    others = ((compiled.vf_coeff[col], (vf_prec[col], vf_mean[col] if means else None))
+              for col in columns)
+    obs = compiled.obs[targets] if means else None
+    prec, mean = _factor_message(compiled.coeff[targets], others, compiled.noise_var[targets], obs)
+    return prec[place], mean[place] if means else None
 
 
 def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
@@ -324,7 +322,7 @@ def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: in
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
     precision, belief_mean = _variable_pass(
-        compiled.prior_var, compiled.tables.belief_reads, prec, mean
+        compiled.prior_var, compiled.tables.belief_reads, slice(None), prec, mean
     )
     return BeliefSet(
         variances=ArrayMapping(1.0 / precision, graph.variable_order),
@@ -342,14 +340,14 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     nothing else has been learned.  Every post-first-sweep iterate lies in
     between regardless of initialization.
     """
-    prior_var = np.append(compiled.vf_prior_var, 0.0)
-    denom = compiled.noise_var
+    reads = compiled.tables.fv_reads
+    denom = compiled.noise_var[reads.order]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in compiled.tables.fv_reads.T:
-            coeff = compiled.vf_coeff[k]
-            denom = denom + coeff * coeff * prior_var[k]
+        for col in reads.columns:
+            coeff = compiled.vf_coeff[col]
+            denom[:len(col)] += coeff * coeff * compiled.vf_prior_var[col]
         target = compiled.coeff * compiled.coeff
-        return target / denom, target / compiled.noise_var
+        return target / denom[reads.rank], target / compiled.noise_var
 
 
 def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float):
@@ -387,11 +385,15 @@ def init_messages(
     return _state(graph, precisions, means, 0)
 
 
-def _vf_message_at(compiled: CompiledModel, state: MessageState, position: int) -> ScalarMessage:
+def _one(array: np.ndarray, position: int) -> np.ndarray:
+    return array[[position]]  # a copy, which the kernels may add into
+
+
+def _vf_message_at(compiled: CompiledModel, state: MessageState, position: int) -> Column:
+    """The kernel on one row, fed its reads one by one, in order, as length-1 arrays."""
     prec, mean = state.precisions.array, state.means.array
-    reads = compiled.tables.vf_reads[position]
-    incoming = [(prec.item(k), mean.item(k)) for k in reads if k < len(prec)]
-    return _variable_message(compiled.vf_prior_var.item(position), incoming)
+    incoming = [(_one(prec, k), _one(mean, k)) for k in compiled.tables.vf_reads.row(position)]
+    return _variable_message(_one(compiled.vf_prior_var, position), incoming)
 
 
 def variable_to_factor(
@@ -402,7 +404,8 @@ def variable_to_factor(
 ) -> ScalarMessage:
     """Message for a directed (variable, factor) edge from the current state."""
     compiled = compile_model(graph, model)
-    return _vf_message_at(compiled, state, compiled.tables.vf_position[edge])
+    precision, mean = _vf_message_at(compiled, state, compiled.tables.vf_position[edge])
+    return precision.item(), mean.item()
 
 
 def factor_to_variable(
@@ -419,13 +422,12 @@ def factor_to_variable(
     """
     compiled = compile_model(graph, model)
     position = compiled.tables.fv_position[edge]
-    others = [
-        (compiled.vf_coeff.item(k), _vf_message_at(compiled, state, k))
-        for k in compiled.tables.fv_reads[position]
-        if k < compiled.tables.pad
-    ]
-    return _factor_message(compiled.coeff.item(position), others,
-                           compiled.noise_var.item(position), compiled.obs.item(position))
+    others = [(_one(compiled.vf_coeff, k), _vf_message_at(compiled, state, k))
+              for k in compiled.tables.fv_reads.row(position)]
+    precision, mean = _factor_message(_one(compiled.coeff, position), others,
+                                      _one(compiled.noise_var, position),
+                                      _one(compiled.obs, position))
+    return precision.item(), mean.item()
 
 
 def sweep(graph: FactorGraph, model: LinearGaussianModel, state: MessageState) -> MessageState:

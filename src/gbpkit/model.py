@@ -159,26 +159,69 @@ class LinearGaussianModel:
         )
 
 
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
+class Reads:
+    """Rows of edge positions of varying width, stored by jagged diagonals.
+
+    ``order`` lists the rows by descending width, ties in row order, and
+    ``rank`` inverts it (row r is ``order[rank[r]]``).  Column k holds the
+    k-th read of each of the first ``len(columns[k])`` rows of ``order``,
+    the rows wider than k, so the columns shrink and hold no padding
+    (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., 3.4).
+    Row r reads ``columns[k][rank[r]]`` for each column k that long.
+    """
+
+    order: np.ndarray
+    rank: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+    def row(self, r: int) -> np.ndarray:
+        """Row r's reads, in order."""
+        p = self.rank[r]
+        return np.array([c[p] for c in self.columns if p < len(c)], dtype=np.intp)
+
+    def select(self, rows=slice(None)):
+        """``rows`` as a jagged view of their own: their row numbers by
+        descending width, their columns, and ``place``, which puts values
+        computed in that order back in ``rows`` order (``values[place]``)."""
+        if isinstance(rows, slice) and rows == slice(None):
+            return self.order, self.columns, self.rank
+        rank = self.rank[rows]
+        by_rank = rank.argsort(kind="stable")
+        position = rank[by_rank]
+        # Per column k, how many of the rows are wider than k.
+        counts = position.searchsorted([len(column) for column in self.columns]).tolist()
+        columns = [column[position[:count]] for column, count in zip(self.columns, counts) if count]
+        return self.order[position], columns, by_rank.argsort()
+
+
+def _jagged(width: np.ndarray, read) -> Reads:
+    """Rows of the given widths; ``read(rows, k)`` is the k-th read of each of ``rows``."""
+    order = np.argsort(-width, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    heights = len(width) - np.cumsum(np.bincount(width, minlength=1))[:-1]
+    return Reads(order, rank, tuple(read(order[:h], k) for k, h in enumerate(heights.tolist())))
+
+
 @dataclass(frozen=True)
 class EdgeTables:
-    """Which messages each message reads, as arrays of edge positions.
+    """Which messages each message reads, as :class:`Reads` of edge positions.
 
     Row k of ``vf_reads`` holds the ``fv_edges`` positions read by
     ``vf_edges[k]`` (its variable's other factors), row k of ``fv_reads``
     the ``vf_edges`` positions read by ``fv_edges[k]`` (its factor's other
     variables), row i of ``belief_reads`` the ``fv_edges`` positions into
-    variable i.  Rows keep canonical neighbour order and are padded on the
-    right with ``pad``, one past the last edge: a slot callers fill with a
-    value that contributes nothing.  ``fv_position`` and ``vf_position``
-    map each directed edge to its position (:class:`Positions`).
+    variable i, each row in canonical neighbour order.  ``fv_position``
+    and ``vf_position`` map each directed edge to its position
+    (:class:`Positions`).
     """
 
-    pad: int
     fv_position: Mapping[tuple[str, str], int]
     vf_position: Mapping[tuple[str, str], int]
-    vf_reads: np.ndarray
-    fv_reads: np.ndarray
-    belief_reads: np.ndarray
+    vf_reads: Reads
+    fv_reads: Reads
+    belief_reads: Reads
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
@@ -227,27 +270,25 @@ class FactorGraph:
     @cached_property
     def edge_tables(self) -> EdgeTables:
         """Integer form of the graph, built on first use from the edge arrays."""
-        pad = len(self.edge_var)
         vf_to_fv = self.vf_to_fv
 
-        def reads(group, members, count):
-            """Each sorted group's members padded, and per member the others."""
-            sizes = np.bincount(group, minlength=count)
-            slot = np.arange(pad) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            table = np.full((count, sizes.max(initial=0)), pad, dtype=np.intp)
-            table[group, slot] = members
-            cols = np.arange(max(table.shape[1] - 1, 0))
-            return table, table[group[:, None], cols + (cols >= slot[:, None])]
+        def others(group, members, sizes):
+            """Per member of each sorted group, the group's other members."""
+            start = (np.cumsum(sizes) - sizes)[group]
+            slot = np.arange(len(group)) - start
+            return _jagged(sizes[group] - 1,
+                           lambda rows, k: members[start[rows] + k + (k >= slot[rows])])
 
-        belief_reads, vf_reads = reads(self.edge_var[vf_to_fv], vf_to_fv, len(self.variable_ids))
-        _, fv_reads = reads(self.edge_factor, np.argsort(vf_to_fv), len(self.factor_ids))
+        var_of = self.edge_var[vf_to_fv]
+        degree = np.bincount(var_of, minlength=len(self.variable_ids))
+        first = np.cumsum(degree) - degree
+        scope = np.bincount(self.edge_factor, minlength=len(self.factor_ids))
         return EdgeTables(
-            pad=pad,
             fv_position=Positions(self, "fv_edges"),
             vf_position=Positions(self, "vf_edges"),
-            vf_reads=vf_reads,
-            fv_reads=fv_reads,
-            belief_reads=belief_reads,
+            vf_reads=others(var_of, vf_to_fv, degree),
+            fv_reads=others(self.edge_factor, np.argsort(vf_to_fv), scope),
+            belief_reads=_jagged(degree, lambda rows, k: vf_to_fv[first[rows] + k]),
         )
 
 

@@ -7,7 +7,10 @@ agent of their lowest-indexed scope variable (an empty-scope one to agent
 the compiled edge tables that its nodes send: one run of ``vf_edges``
 positions and one run of ``fv_order``, the ``fv_edges`` positions sorted
 stably by host.  Those rows read only edges into the agent's own variable
-and factors, so an agent sees nothing but what its graph neighbours sent.
+and factors, so an agent sees nothing but what its graph neighbours sent,
+and a tick gathers only those reads, through a jagged view of the agent's
+own rows (:meth:`gbpkit.model.Reads.select`): its cost follows the
+agent's size, not the graph's.
 :func:`simulate` reads these index runs; only :func:`build_agents` wraps
 them in :class:`Agent` records.
 

@@ -222,3 +222,61 @@ def reference_columns(model: LinearGaussianModel) -> ModelColumns:
         edge_var=edge_var[fv],
         edge_coeff=edge_coeff[fv],
     )
+
+
+# --- the padded read tables, kept as the reference for the jagged ones -------
+#
+# ``padded_reads`` builds the tables that ``FactorGraph.edge_tables`` held
+# before its jagged form: each row in canonical neighbour order, padded on the
+# right to the widest row with ``pad``, one past the last edge.  The passes
+# below run the kernels' formulas over every column of such a table, as the
+# engine did, filling the pad slot with values that add exact zeros.
+
+
+def padded_reads(graph: FactorGraph):
+    """(pad, vf_reads, fv_reads, belief_reads) of ``graph`` as padded tables."""
+    pad = len(graph.edge_var)
+    vf_to_fv = graph.vf_to_fv
+
+    def reads(group, members, count):
+        """Each sorted group's members padded, and per member the others."""
+        sizes = np.bincount(group, minlength=count)
+        slot = np.arange(pad) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        table = np.full((count, sizes.max(initial=0)), pad, dtype=np.intp)
+        table[group, slot] = members
+        cols = np.arange(max(table.shape[1] - 1, 0))
+        return table, table[group[:, None], cols + (cols >= slot[:, None])]
+
+    belief_reads, vf_reads = reads(graph.edge_var[vf_to_fv], vf_to_fv, len(graph.variable_ids))
+    _, fv_reads = reads(graph.edge_factor, np.argsort(vf_to_fv), len(graph.factor_ids))
+    return pad, vf_reads, fv_reads, belief_reads
+
+
+def padded_variable_pass(prior_var, table, fv_prec, fv_mean=None):
+    """(precisions, means or None) of every row of ``table``; pads read 0.0 and 0.0."""
+    prec = np.append(fv_prec, 0.0)
+    mean = None if fv_mean is None else np.append(fv_mean, 0.0)
+    precision, weighted = 1.0 / prior_var, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in table.T:
+            precision = precision + prec[k]
+            if mean is not None:
+                weighted = weighted + prec[k] * mean[k]
+        return precision, None if mean is None else weighted / precision
+
+
+def padded_factor_pass(compiled, table, rows, vf_prec, vf_mean=None):
+    """(precisions, means or None) of the ``fv_edges`` positions ``rows`` over
+    the padded ``table``; pads read a 0.0 coefficient, 1.0 and 0.0."""
+    coeff = np.append(compiled.vf_coeff, 0.0)
+    prec = np.append(vf_prec, 1.0)
+    mean = None if vf_mean is None else np.append(vf_mean, 0.0)
+    total_var = compiled.noise_var[rows]
+    residual = None if mean is None else compiled.obs[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in table[rows].T:
+            total_var = total_var + coeff[k] * coeff[k] / prec[k]
+            if residual is not None:
+                residual = residual - coeff[k] * mean[k]
+        target = compiled.coeff[rows]
+        return target * target / total_var, None if residual is None else residual / target

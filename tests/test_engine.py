@@ -125,8 +125,9 @@ class TestSingleEdgeMessages:
         assert mean == 3.0
 
     def test_sweep_equals_composed_map_bitwise(self, loop_model):
-        # The generated models reach higher degrees, so the sweep's padded
-        # table columns are compared with the unpadded single-edge path.
+        # The generated models reach higher degrees, so the sweep's jagged
+        # columns, each shorter than the last, are compared with the
+        # single-edge path, which walks one row's reads in order.
         models = [loop_model] + [generate_model(kind, 200, seed=5) for kind in KINDS]
         for model in models:
             graph = build_factor_graph(model)
@@ -142,8 +143,9 @@ class TestSingleEdgeMessages:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_row_subsets_match_full_pass_bitwise(self, kind):
-        # A subset of table rows keeps the full table's padding, so each
-        # row's message is the same whichever rows are computed with it.
+        # A subset of rows is computed over a jagged view of its own, and
+        # each row adds exactly its own reads in order, so each row's
+        # message is the same whichever rows are computed with it.
         model = generate_model(kind, 120, seed=6)
         graph = build_factor_graph(model)
         compiled = engine.compile_model(graph, model)

@@ -114,16 +114,19 @@ class TestAgentAssignment:
     def test_agents_know_only_neighbors(self, loop_model):
         # An agent's rows read only edges into its own variable and its own
         # hosted factors, and every row of both tables has exactly one owner.
+        # The reads checked are the columns a tick gathers for the agent.
         for model in _hosting_models(loop_model):
             graph = build_factor_graph(model)
             tables = graph.edge_tables
             agents, _, _ = build_agents(graph, model)
             for agent in agents:
                 assert agent.factor_neighbors == graph.variable_neighbors[agent.variable_id]
-                for k in tables.vf_reads[agent.vf_rows].ravel():
-                    assert k == tables.pad or graph.fv_edges[k][1] == agent.variable_id
-                for k in tables.fv_reads[agent.fv_rows].ravel():
-                    assert k == tables.pad or graph.vf_edges[k][1] in agent.hosted_factors
+                _, columns, _ = tables.vf_reads.select(agent.vf_rows)
+                for k in [k for col in columns for k in col.tolist()]:
+                    assert graph.fv_edges[k][1] == agent.variable_id
+                _, columns, _ = tables.fv_reads.select(agent.fv_rows)
+                for k in [k for col in columns for k in col.tolist()]:
+                    assert graph.vf_edges[k][1] in agent.hosted_factors
             for rows, edges in (("vf_rows", graph.vf_edges), ("fv_rows", graph.fv_edges)):
                 owned = sorted(k for agent in agents for k in getattr(agent, rows).tolist())
                 assert owned == list(range(len(edges)))

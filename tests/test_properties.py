@@ -8,13 +8,14 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Three more properties guard how the package gets there: the certificate's
+Five more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; relabelling or reordering the variables
 and factors changes beliefs by a few ulps at most and the certificate not
 at all; scaling every observation by a power of two leaves the
-certificate as it is and scales the exact means by the same factor; and
-the sparse oracle agrees with a dense inverse and solve.
+certificate as it is and scales the exact means by the same factor; the
+passes over the jagged edge tables give the bits of the padded tables
+they replaced; and the sparse oracle agrees with a dense inverse and solve.
 
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
@@ -164,6 +165,71 @@ def test_radius_bound_never_undercuts_the_dense_radius(size, seed, bound):
         # The bound is proven for the computed Q; eigvals itself rounds.
         assert rho <= cert.mean_radius_bound * (1.0 + 1e-12)
     assert (cert.verdict, cert.basis) == dense_rule(cert.topology, rho)
+
+
+@st.composite
+def scoped_models(draw):
+    """Up to eight variables and eight factors over drawn scopes of up to four
+    of them, an empty scope included, so rows of width 0 (isolated variables,
+    unary factors, models without factors or variables) and rows tied in
+    width come up often."""
+    variables = [Variable(f"x{i}", draw(VARIANCES)) for i in range(draw(st.integers(0, 8)))]
+    factors = []
+    for k in range(draw(st.integers(0, 8))):
+        scope = (draw(st.lists(st.sampled_from(variables), unique=True, max_size=4))
+                 if variables else [])
+        coeffs = {v.id: draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+                  for v in scope}
+        factors.append(Factor(f"f{k}", coeffs, draw(VARIANCES), draw(st.floats(-10.0, 10.0))))
+    return LinearGaussianModel(tuple(variables), tuple(factors))
+
+
+def _bits(pair):
+    return tuple(None if a is None else a.tobytes() for a in pair)
+
+
+@given(model=st.one_of(scoped_models(), models()), seed=SEEDS)
+@example(model=LinearGaussianModel(), seed=0)
+@example(model=LinearGaussianModel((Variable("x1", 1.0), Variable("x2", 2.0))), seed=0)
+@example(model=LinearGaussianModel(
+    (Variable("x1", 1.0), Variable("x2", 2.0), Variable("x3", 0.5)),
+    (Factor("f1", {"x1": 1.0}, 1.0, 0.5), Factor("f2", {"x1": -2.0, "x2": 1.0}, 0.5, 1.0),
+     Factor("f3", {}, 1.0, 2.0))), seed=1)
+def test_jagged_passes_match_the_padded_reference(model, seed):
+    # The passes over the jagged columns give the bits of the padded tables
+    # they replaced: full passes, precision-only passes and row subsets.
+    graph = build_factor_graph(model)
+    compiled = engine.compile_model(graph, model)
+    _, vf_table, fv_table, belief_table = helpers.padded_reads(graph)
+    every = slice(None)
+    rng = np.random.default_rng(seed)
+    count = len(graph.edge_var)
+    fv = rng.uniform(0.1, 2.0, count), rng.normal(size=count)
+    vf = engine.vf_messages(compiled, *fv)
+    assert _bits(vf) == _bits(helpers.padded_variable_pass(compiled.vf_prior_var, vf_table, *fv))
+    assert _bits(engine.fv_messages(compiled, *vf)) == _bits(
+        helpers.padded_factor_pass(compiled, fv_table, every, *vf))
+    belief_reads = compiled.tables.belief_reads
+    beliefs = engine._variable_pass(compiled.prior_var, belief_reads, every, *fv)
+    assert _bits(beliefs) == _bits(
+        helpers.padded_variable_pass(compiled.prior_var, belief_table, *fv))
+    for only, reference in (
+        (engine.vf_messages(compiled, fv[0], None),
+         helpers.padded_variable_pass(compiled.vf_prior_var, vf_table, fv[0])),
+        (engine.fv_messages(compiled, vf[0], None),
+         helpers.padded_factor_pass(compiled, fv_table, every, vf[0])),
+        (engine._variable_pass(compiled.prior_var, belief_reads, every, fv[0], None),
+         helpers.padded_variable_pass(compiled.prior_var, belief_table, fv[0])),
+    ):
+        assert only[1] is None and _bits(only) == _bits(reference)
+    start = int(rng.integers(0, count + 1))
+    for rows in (rng.permutation(count)[:rng.integers(0, count + 1)], slice(start, count)):
+        assert _bits(engine.vf_messages(compiled, *fv, rows)) == _bits(helpers.padded_variable_pass(
+            compiled.vf_prior_var[rows], vf_table[rows], *fv))
+        assert _bits(engine.fv_messages(compiled, *vf, rows)) == _bits(
+            helpers.padded_factor_pass(compiled, fv_table, rows, *vf))
+        assert _bits(engine.vf_messages(compiled, fv[0], None, rows)) == _bits(
+            helpers.padded_variable_pass(compiled.vf_prior_var[rows], vf_table[rows], fv[0]))
 
 
 def relabelled(model, seed):
