@@ -12,7 +12,8 @@ bound cannot decide, a dense eigensolve.  A radius the verdict did not
 need is computed on first read of ``mean_spectral_radius``.  The GMRF's
 walk-summability, a comparison with the other factorization that no
 verdict reads, is not computed by ``certify`` at all: it is computed on
-first read of ``walk_summability``.
+first read of ``walk_summability``.  The bound and walk-summability run
+the same Perron power loop (:func:`_perron_iterates`).
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse import csr_array, eye_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackError, cg, eigsh
 
 from . import engine
 from .model import (
@@ -51,13 +51,9 @@ FIXED_POINT_MAX_ITERS = 100000
 SPECTRAL_MARGIN = 1e-9
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 TRACE_FLOOR = 1e-14
-# Walk-summability: CG solves (mu I - A) x = 1 at mu = theta (1 + WALK_SHIFT).
-# Neither setting decides anything; they only set how narrow the interval is.
-WALK_SHIFT = 1e-13
-WALK_CG_RTOL = 1e-10
-WALK_CG_MAX_ITERS = 1000
-# Power iterations the mean-update bound may take before the dense
-# eigensolve decides instead.
+# Power iterations of the Perron loop: the mean-update bound may take
+# this many before the dense eigensolve decides instead, and
+# walk-summability takes them all.
 BOUND_MAX_ITERS = 200
 
 
@@ -107,7 +103,7 @@ class MeanUpdateSystem:
 
 @dataclass(frozen=True)
 class WalkSummability:
-    """Radius of |I - R| inside a proven interval [lower, upper].
+    """Radius of |I - R|: a proven interval [lower, upper] and an estimate inside it.
 
     ``is_walk_summable`` is None when the interval contains 1.
     """
@@ -328,15 +324,11 @@ def walk_summability(gmrf: GMRFModel) -> WalkSummability:
     off-diagonal coupling the radius is exactly 0.
 
     A is symmetric, nonnegative and has a zero diagonal, so its radius is
-    its Perron root, and any positive x bounds it from both sides (see
-    :func:`_perron_interval`).  x solves (mu I - A) x = 1 by conjugate
-    gradients with mu just above theta, ARPACK's largest eigenvalue of A:
-    that pulls x towards the Perron vector and narrows the interval, but
-    the bounds hold whatever ARPACK and CG return.  If ARPACK fails or x
-    is not positive, x = 1 (max row sum above, mean row sum below).
-    ``radius`` is theta clamped into [lower, upper] (lower if ARPACK
-    failed); ``is_walk_summable`` is True when upper < 1, False when
-    lower >= 1 and None, undecided, in between.
+    its Perron root, and every power iterate bounds it from both sides
+    (see :func:`_perron_interval`).  ``radius`` is the best Rayleigh
+    quotient, an estimate inside [lower, upper]; ``is_walk_summable`` is
+    True when upper < 1, False when lower >= 1 and None, undecided, in
+    between.
     """
     info = csr_array(gmrf.information_matrix, dtype=float, copy=True)
     info.sum_duplicates()
@@ -358,42 +350,57 @@ def walk_summability(gmrf: GMRFModel) -> WalkSummability:
     walk = csr_array(
         (np.abs(info.data[off]) * scale[rows] * scale[cols], (rows, cols)), shape=(dim, dim)
     )
-
-    ones = np.ones(dim)
-    try:
-        theta = float(eigsh(walk, k=1, which="LA", v0=ones, tol=0, return_eigenvectors=False)[0])
-    except ArpackError:
-        theta = None
-    x = ones
-    if theta is not None and theta > 0:
-        shifted = theta * (1.0 + WALK_SHIFT) * eye_array(dim, format="csr") - walk
-        solution, _ = cg(shifted, ones, rtol=WALK_CG_RTOL, maxiter=WALK_CG_MAX_ITERS)
-        if np.all(solution > 0) and np.all(np.isfinite(solution)):
-            x = solution
-    lower, upper = _perron_interval(walk, x)
-    radius = lower if theta is None else min(max(theta, lower), upper)
+    lower, radius, upper = _perron_interval(walk)
     decided = True if upper < 1.0 else False if lower >= 1.0 else None
     return WalkSummability(radius=radius, lower=lower, upper=upper, is_walk_summable=decided)
 
 
-def _perron_interval(walk: csr_array, x: np.ndarray) -> tuple[float, float]:
-    """Proven bounds on the Perron root of |I - R| from a positive vector x.
+def _perron_iterates(matrix: csr_array):
+    """Power iterations of I + ``matrix`` from x = 1, yielding (x, matrix @ x) per step.
+
+    ``matrix`` is nonnegative, so I + ``matrix`` has its Perron vector but
+    does not oscillate where it is periodic.  After each step x is scaled
+    to a largest entry of 1 and floored at the smallest normal double, so
+    it stays strictly positive and finite (rows may be empty).  At most
+    BOUND_MAX_ITERS steps; the loop ends before yielding a product that
+    overflows.  x is updated in place once the caller asks for the next
+    step, so neither array may be kept or changed.
+    """
+    x = np.ones(matrix.shape[0])
+    for _ in range(BOUND_MAX_ITERS):
+        y = matrix @ x
+        if not np.all(np.isfinite(y)):
+            return
+        yield x, y
+        x += y
+        x /= x.max()
+        np.maximum(x, np.finfo(float).tiny, out=x)
+
+
+def _perron_interval(walk: csr_array) -> tuple[float, float, float]:
+    """Proven bounds on the Perron root of |I - R|, and an estimate between them.
 
     ``walk`` is |I - R| as computed: each entry |J_ij| * s_i * s_j, with
     s = 1 / sqrt(diag J), lies within 7 unit roundoffs (relative) of the
     exact one, and the Perron root is monotone in the entries.  For the
-    computed matrix A, max_i (Ax)_i / x_i bounds it from above
-    (Collatz-Wielandt) and x'Ax / x'x from below (Rayleigh).  Every sum
-    here is of nonnegative terms, so a sum of m rounded products is within
-    m unit roundoffs (relative) of the exact sum in any order; each bound
-    is widened by that, by the entries' error and by its own roundings.
+    computed matrix A and each iterate x of :func:`_perron_iterates`,
+    max_i (Ax)_i / x_i bounds it from above (Collatz-Wielandt) and
+    x'Ax / x'x from below (Rayleigh).  Every sum here is of nonnegative
+    terms, so a sum of m rounded products is within m unit roundoffs
+    (relative) of the exact sum in any order; each bound is widened by
+    that, by the entries' error and by its own roundings.  Returns
+    (lower, quotient, upper): the largest lower bound, the largest
+    quotient capped at the smallest upper bound (so within the interval,
+    since lower is the quotient narrowed), and that upper bound.  With
+    no iterate (the first product overflows) they are (0, 0, inf).
     """
-    y = walk @ x
-    upper = _collatz_wielandt(walk, x, y)
+    quotient, upper = 0.0, math.inf
+    for x, y in _perron_iterates(walk):
+        upper = min(upper, _collatz_wielandt(walk, x, y))
+        quotient = max(quotient, float((x @ y) / (x @ x)))  # two sums of len(x) products
     terms = np.diff(walk.indptr)
-    quotient = float((x @ y) / (x @ x))  # two sums of len(x) products
-    lower = float(quotient * (1.0 - UNIT_ROUNDOFF * (2 * len(x) + int(terms.max()) + 16)))
-    return lower, upper
+    lower = float(quotient * (1.0 - UNIT_ROUNDOFF * (2 * len(terms) + int(terms.max()) + 16)))
+    return lower, min(quotient, upper), upper
 
 
 def _collatz_wielandt(matrix: csr_array, x: np.ndarray, y: np.ndarray) -> float:
@@ -404,38 +411,28 @@ def _collatz_wielandt(matrix: csr_array, x: np.ndarray, y: np.ndarray) -> float:
     unit roundoffs (relative) of the exact sum, in any order.  The slack
     of 2 terms_i + 16 covers that, up to 7 roundoffs of error in the
     entries themselves (see :func:`_perron_interval`), and the division
-    and the widening product.  An empty matrix gives 0.
+    and the widening product.  An empty matrix gives 0; a ratio over an
+    x_i near the floor may be inf, still a valid bound.
     """
     terms = np.diff(matrix.indptr)
-    return float(np.max(y / x * (1.0 + UNIT_ROUNDOFF * (2 * terms + 16)), initial=0.0))
+    with np.errstate(over="ignore"):
+        return float(np.max(y / x * (1.0 + UNIT_ROUNDOFF * (2 * terms + 16)), initial=0.0))
 
 
 def _radius_bound(matrix: csr_array) -> float:
     """Proven upper bound on rho(|Q|), hence on rho(Q), by Collatz-Wielandt.
 
-    Any x > 0 gives max_i (|Q| x)_i / x_i >= rho(|Q|) >= rho(Q).  x starts
-    at 1 and follows power iterations of I + |Q|, which has the Perron
-    vector of |Q| but does not oscillate where |Q| is periodic; after each
-    step x is scaled to a largest entry of 1 and floored at the smallest
-    normal double, so it stays strictly positive and finite (rows of |Q|
-    may be empty).  Returns the first bound below 1 - SPECTRAL_MARGIN, or
-    the smallest of BOUND_MAX_ITERS bounds; inf when |Q| x overflows or
-    Q has a non-finite entry.
+    Any x > 0 gives max_i (|Q| x)_i / x_i >= rho(|Q|) >= rho(Q), and x
+    follows :func:`_perron_iterates` of |Q|.  Returns the first bound
+    below 1 - SPECTRAL_MARGIN, or the smallest of BOUND_MAX_ITERS bounds;
+    inf when |Q| x overflows or Q has a non-finite entry.
     """
     walk = abs(matrix)
-    x = np.ones(walk.shape[0])
     best = math.inf
-    with np.errstate(over="ignore"):  # a ratio over a floored x_i may be inf: a valid bound
-        for _ in range(BOUND_MAX_ITERS):
-            y = walk @ x
-            if not np.all(np.isfinite(y)):
-                break
-            best = min(best, _collatz_wielandt(walk, x, y))
-            if best < 1.0 - SPECTRAL_MARGIN:
-                break
-            x += y
-            x /= x.max()
-            np.maximum(x, np.finfo(float).tiny, out=x)
+    for x, y in _perron_iterates(walk):
+        best = min(best, _collatz_wielandt(walk, x, y))
+        if best < 1.0 - SPECTRAL_MARGIN:
+            break
     return best
 
 

@@ -104,6 +104,15 @@ def bipartite_diameter(graph: FactorGraph) -> int:
     return diameter
 
 
+def dense_walk_radius(info) -> float:
+    """max |eigvalsh| of the dense |I - R|, its diagonal exactly zero: the
+    symmetric solve a walk-summability interval must contain."""
+    scale = 1.0 / np.sqrt(np.diag(info))
+    absolute = np.abs(np.eye(len(info)) - info * scale[:, None] * scale[None, :])
+    np.fill_diagonal(absolute, 0.0)
+    return float(np.max(np.abs(np.linalg.eigvalsh(absolute))))
+
+
 def superlu_factor(matrix, order="MMD_AT_PLUS_A"):
     """SuperLU factor of a symmetric matrix as ``dense_posterior`` takes it."""
     lu = splu(csc_array(matrix), permc_spec=order, diag_pivot_thresh=0.0,

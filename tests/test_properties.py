@@ -8,11 +8,12 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Five more properties guard how the package gets there: the certificate's
+Six more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
-decides as the dense rule would; relabelling or reordering the variables
-and factors changes beliefs by a few ulps at most and the certificate not
-at all; scaling every observation by a power of two leaves the
+decides as the dense rule would; the walk-summability interval contains
+the dense radius of |I - R| and never decides wrong; relabelling or
+reordering the variables and factors changes beliefs by a few ulps at
+most and the certificate not at all; scaling every observation by a power of two leaves the
 certificate as it is and scales the exact means by the same factor; the
 passes over the jagged edge tables give the bits of the padded tables
 they replaced; and the sparse oracle agrees with a dense inverse and solve.
@@ -52,6 +53,7 @@ from gbpkit import (
     precision_bounds,
     run,
     spectral_radius,
+    walk_summability,
     with_observations,
 )
 from gbpkit import analysis, oracle
@@ -165,6 +167,18 @@ def test_radius_bound_never_undercuts_the_dense_radius(size, seed, bound):
         # The bound is proven for the computed Q; eigvals itself rounds.
         assert rho <= cert.mean_radius_bound * (1.0 + 1e-12)
     assert (cert.verdict, cert.basis) == dense_rule(cert.topology, rho)
+
+
+@given(kind=st.sampled_from(KINDS), size=st.integers(2, 60), seed=SEEDS,
+       bound=st.sampled_from([2.0, 6.0]))
+def test_walk_interval_contains_the_dense_radius_and_never_decides_wrong(kind, size, seed, bound):
+    gmrf = sparse_gmrf(generate_model(kind, size, seed, (-bound, bound)))
+    rho = helpers.dense_walk_radius(gmrf.information_matrix.toarray())
+    walk = walk_summability(gmrf)
+    assert walk.lower <= rho <= walk.upper
+    assert walk.lower <= walk.radius <= walk.upper
+    if walk.is_walk_summable is not None:
+        assert walk.is_walk_summable == (rho < 1.0)
 
 
 @st.composite

@@ -1,7 +1,8 @@
-"""The README's Python API example runs as written."""
+"""The README's Python API example runs as written, and its figures match the code."""
 import re
 from pathlib import Path
 
+from gbpkit import analysis
 from gbpkit.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,3 +22,10 @@ def test_api_example_runs_on_a_generated_tree(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["certified-converges (topology)", "None", "0.0"]
     assert len(lines) == 3 + 20
+
+
+def test_power_iteration_budget_matches_the_code():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    budgets = re.findall(r"at most (\d+) power iterations", text)
+    # One for the Collatz-Wielandt bound, one for walk-summability.
+    assert budgets == [str(analysis.BOUND_MAX_ITERS)] * 2
