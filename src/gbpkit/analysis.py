@@ -213,11 +213,13 @@ def fixed_point_precisions(
     """
     engine.check_limits(tolerance, max_iters)
     compiled = engine.compile_model(graph, model)
-    state = engine.init_messages(graph, model, init or engine.InitStrategy.lower_bound())
-    prec = state.precisions.array
+    tables = compiled.tables
+    # Swept in pass order (see engine.sweeps); the delta is a max, in any order.
+    prec, _ = engine._in_pass_order(compiled, engine.init_messages(
+        graph, model, init or engine.InitStrategy.lower_bound()))
     iterations = 0
     while True:
-        new_prec, _ = engine.sweep_arrays(compiled, prec, None)
+        new_prec, _ = engine._fv_pass(compiled, *engine._vf_pass(compiled, prec, None))
         iterations += 1
         delta = engine.max_delta(prec, new_prec)
         prec = new_prec
@@ -226,10 +228,10 @@ def fixed_point_precisions(
         if iterations >= max_iters:
             raise RuntimeError("precision fixed point did not settle within the budget")
 
-    vf_prec, _ = engine.vf_messages(compiled, prec, None)
+    vf_prec, _ = engine._vf_pass(compiled, prec, None)
     return FixedPoint(
-        factor_to_variable=engine.ArrayMapping(prec, graph.edge_tables.fv_position),
-        variable_to_factor=engine.ArrayMapping(vf_prec, graph.edge_tables.vf_position),
+        factor_to_variable=engine.ArrayMapping(prec[tables.fv_pass.rank], tables.fv_position),
+        variable_to_factor=engine.ArrayMapping(vf_prec[tables.vf_pass.rank], tables.vf_position),
         iterations=iterations,
     )
 
@@ -248,34 +250,41 @@ def build_mean_system(
         b[row]      = sum over those f_k of c_{k,j} * obs_k / (J*_{j->f_n} * M_{k,j})
     """
     compiled = engine.compile_model(graph, model)
-    tables = compiled.tables
-    vf_star = fixed_point.variable_to_factor.array
-    # M_{k,j} on every factor-to-variable edge f_k -> j.
-    fv_reads = tables.fv_reads
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_kj, _ = engine._factor_sums(
-            ((compiled.vf_coeff[z], (vf_star[z], None)) for z in fv_reads.columns),
-            compiled.noise_var[fv_reads.order], None)
-    m_kj = m_kj[fv_reads.rank]
+    vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
     dim = len(graph.edge_var)
 
-    def incidence(reads, entry):
-        """E x E CSR whose row r holds ``entry(r, k)`` at each read k of row r, in order."""
-        none = reads.order[:0]
-        rows = np.concatenate([reads.order[:len(col)] for col in reads.columns] or [none])
-        by_row = np.argsort(rows, kind="stable")  # each row's reads stay in column order
-        rows, cols = rows[by_row], np.concatenate(reads.columns or (none,))[by_row]
-        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=dim)))
-        return csr_array((entry(rows, cols), cols, indptr), shape=(dim, dim))
+    def scale_entries():
+        """Per column of vf_pass, A's entries c_{k,j} / (J*_{j->f_n} M_{k,j})."""
+        star = fixed_point.variable_to_factor.array[vf_pass.order]
+        # M_{k,j} on every factor-to-variable edge f_k -> j, in fv_pass order.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_kj, _ = engine._factor_sums(
+                zip(compiled.pass_read_coeff, engine._reading(fv_pass.columns, star, None)),
+                compiled.pass_noise_var.copy(), None)
+        inv_out = 1.0 / star
+        return [inv_out[:len(k)] * compiled.pass_coeff[k] / m_kj[k] for k in vf_pass.columns]
+
+    def incidence(rows, columns, values):
+        """E x E CSR whose row ``rows[p]`` holds ``values[k][p]`` at ``columns[k][p]``
+        for each column k longer than p, in column order."""
+        none = rows[:0]
+        row_of = np.concatenate([rows[:len(col)] for col in columns] or [none])
+        by_row = np.argsort(row_of, kind="stable")  # each row's reads stay in column order
+        indptr = np.append(0, np.cumsum(np.bincount(row_of, minlength=dim)))
+        cols = np.concatenate(columns or (none,))[by_row]
+        data = np.concatenate(values or (np.zeros(0),))[by_row]
+        return csr_array((data, cols, indptr), shape=(dim, dim))
 
     # Q = A @ B: A[row, k] = c_{k,j} / (J*_{j->f_n} M_{k,j}) over the row's
-    # other factors k, B[k, z] = c_{k,z} over f_k's other variables z.
-    inv_out = 1.0 / vf_star
-    scale = incidence(tables.vf_reads, lambda r, k: inv_out[r] * compiled.coeff[k] / m_kj[k])
-    sparse = scale @ incidence(tables.fv_reads, lambda _, z: compiled.vf_coeff[z])
+    # other factors k, B[k, z] = c_{k,z} over f_k's other variables z.  Rows
+    # and columns of Q are vf_edges positions; the inner index runs in
+    # fv_pass order, and each entry of Q is one term, whatever that order.
+    scale = incidence(vf_pass.order, vf_pass.columns, scale_entries())
+    sparse = scale @ incidence(np.arange(dim), [vf_pass.order[z] for z in fv_pass.columns],
+                               compiled.pass_read_coeff)
     sparse.eliminate_zeros()
     sparse.sort_indices()
-    return MeanUpdateSystem(sparse=sparse, offset=scale @ compiled.obs, graph=graph)
+    return MeanUpdateSystem(sparse=sparse, offset=scale @ compiled.pass_obs, graph=graph)
 
 
 def spectral_radius(matrix) -> float:
@@ -328,7 +337,8 @@ def walk_summability(gmrf: GMRFModel) -> WalkSummability:
     (see :func:`_perron_interval`).  ``radius`` is the best Rayleigh
     quotient, an estimate inside [lower, upper]; ``is_walk_summable`` is
     True when upper < 1, False when lower >= 1 and None, undecided, in
-    between.
+    between.  A walk matrix with a non-finite entry, or whose Rayleigh
+    product overflows, is refused with ``ValueError``.
     """
     info = csr_array(gmrf.information_matrix, dtype=float, copy=True)
     info.sum_duplicates()
@@ -347,9 +357,11 @@ def walk_summability(gmrf: GMRFModel) -> WalkSummability:
         return WalkSummability(radius=0.0, lower=0.0, upper=0.0, is_walk_summable=True)
     rows, cols = rows[off], info.indices[off]
     scale = 1.0 / np.sqrt(diag)
-    walk = csr_array(
-        (np.abs(info.data[off]) * scale[rows] * scale[cols], (rows, cols)), shape=(dim, dim)
-    )
+    with np.errstate(over="ignore"):
+        entries = np.abs(info.data[off]) * scale[rows] * scale[cols]
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("walk matrix |I - R| has non-finite entries")
+    walk = csr_array((entries, (rows, cols)), shape=(dim, dim))
     lower, radius, upper = _perron_interval(walk)
     decided = True if upper < 1.0 else False if lower >= 1.0 else None
     return WalkSummability(radius=radius, lower=lower, upper=upper, is_walk_summable=decided)
@@ -392,31 +404,45 @@ def _perron_interval(walk: csr_array) -> tuple[float, float, float]:
     (lower, quotient, upper): the largest lower bound, the largest
     quotient capped at the smallest upper bound (so within the interval,
     since lower is the quotient narrowed), and that upper bound.  With
-    no iterate (the first product overflows) they are (0, 0, inf).
+    no iterate (the first product overflows) they are (0, 0, inf).  A
+    Rayleigh product x'Ax that overflows raises ``ValueError``: the lower
+    bound would be inf.
     """
+    terms = np.diff(walk.indptr)
+    widening = _widening(terms)
     quotient, upper = 0.0, math.inf
     for x, y in _perron_iterates(walk):
-        upper = min(upper, _collatz_wielandt(walk, x, y))
-        quotient = max(quotient, float((x @ y) / (x @ x)))  # two sums of len(x) products
-    terms = np.diff(walk.indptr)
+        upper = min(upper, _collatz_wielandt(widening, x, y))
+        with np.errstate(over="ignore"):
+            rayleigh = float(x @ y)  # two sums of len(x) products
+        if not math.isfinite(rayleigh):
+            raise ValueError("walk matrix too large: its Rayleigh product overflows")
+        quotient = max(quotient, rayleigh / float(x @ x))
     lower = float(quotient * (1.0 - UNIT_ROUNDOFF * (2 * len(terms) + int(terms.max()) + 16)))
     return lower, min(quotient, upper), upper
 
 
-def _collatz_wielandt(matrix: csr_array, x: np.ndarray, y: np.ndarray) -> float:
-    """max_i y_i / x_i, widened by its rounding: bounds the Perron root of ``matrix``.
+def _widening(terms: np.ndarray) -> np.ndarray:
+    """1 + u (2 terms_i + 16) per row i of a matrix with ``terms[i]`` stored
+    entries: the factor that widens its Collatz-Wielandt ratios, computed
+    once per matrix (see :func:`_collatz_wielandt`)."""
+    return 1.0 + UNIT_ROUNDOFF * (2 * terms + 16)
 
-    ``matrix`` is nonnegative, x > 0, and y is ``matrix @ x`` as computed;
-    row i sums terms_i nonnegative products, so y_i is within 2 terms_i
-    unit roundoffs (relative) of the exact sum, in any order.  The slack
-    of 2 terms_i + 16 covers that, up to 7 roundoffs of error in the
-    entries themselves (see :func:`_perron_interval`), and the division
-    and the widening product.  An empty matrix gives 0; a ratio over an
-    x_i near the floor may be inf, still a valid bound.
+
+def _collatz_wielandt(widening: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """max_i y_i / x_i, widened by its rounding: bounds the Perron root of a matrix.
+
+    The matrix is nonnegative, x > 0, and y is its product with x as
+    computed; row i sums terms_i nonnegative products, so y_i is within
+    2 terms_i unit roundoffs (relative) of the exact sum, in any order.
+    The slack of 2 terms_i + 16 in ``widening`` (:func:`_widening`) covers
+    that, up to 7 roundoffs of error in the entries themselves (see
+    :func:`_perron_interval`), and the division and the widening product.
+    An empty matrix gives 0; a ratio over an x_i near the floor may be
+    inf, still a valid bound.
     """
-    terms = np.diff(matrix.indptr)
     with np.errstate(over="ignore"):
-        return float(np.max(y / x * (1.0 + UNIT_ROUNDOFF * (2 * terms + 16)), initial=0.0))
+        return float(np.max(y / x * widening, initial=0.0))
 
 
 def _radius_bound(matrix: csr_array) -> float:
@@ -428,9 +454,10 @@ def _radius_bound(matrix: csr_array) -> float:
     inf when |Q| x overflows or Q has a non-finite entry.
     """
     walk = abs(matrix)
+    widening = _widening(np.diff(walk.indptr))
     best = math.inf
     for x, y in _perron_iterates(walk):
-        best = min(best, _collatz_wielandt(walk, x, y))
+        best = min(best, _collatz_wielandt(widening, x, y))
         if best < 1.0 - SPECTRAL_MARGIN:
             break
     return best

@@ -25,19 +25,30 @@ The kernels silence numpy's overflow and invalid-value warnings.  A pass
 given means of None computes the precisions alone, with the same bits,
 since the precision recursion never reads a mean.
 
-One generator, :func:`sweeps`, owns the synchronous loop; :func:`run` and
-the synchronous simulator both iterate it.  :func:`factor_to_variable`
-keeps a per-edge path, one row at a time, for tests.
+A full pass leaves its messages in the order it computes them, its pass
+order, and reads the other pass's output in that pass's order, with
+parameters laid out once per compiled model (:class:`CompiledModel`).
+One generator, :func:`sweeps`, owns the synchronous loop and keeps the
+messages in pass order between sweeps; :func:`run` and the synchronous
+simulator both iterate it and put back in canonical order, once per run,
+only what they keep.  The precision fixed point sweeps the same way.
+The public :func:`sweep` and :func:`sweep_arrays` take and return
+canonical order around the same passes.  The passes over canonical arrays
+(:func:`vf_messages` and :func:`fv_messages`) serve any subset of rows, as
+a random-sequential tick needs, and are what the pass-order loops are
+tested against; :func:`factor_to_variable` keeps a per-edge path, one row
+at a time, for tests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .model import EdgeTables, FactorGraph, LinearGaussianModel, Reads
+from .model import EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, Reads
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
@@ -208,31 +219,84 @@ def _factor_message(target_coeff, others: Iterable[tuple[np.ndarray, Column]], t
     return target_coeff * target_coeff / total_var, mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class CompiledModel:
-    """A model's parameters along its graph's edge tables.
+    """A model's parameters laid out along its graph's edge tables.
 
-    ``prior_var`` is per variable, ``vf_*`` per variable-to-factor edge,
-    the rest per factor-to-variable edge, each in canonical order.
+    The full passes read parameters laid out in their own row order (see
+    :class:`~gbpkit.model.EdgeTables`), so a sweep gathers none:
+    ``pass_prior_var`` per row of ``tables.vf_pass``; ``pass_coeff`` (the
+    target's coefficient), ``pass_noise_var`` and ``pass_obs`` per row of
+    ``tables.fv_pass``, and ``pass_read_coeff``, the coefficient of each
+    read, per column of it.  ``prior_var`` is per variable and ``coeff``
+    per ``fv_edges`` position, the model's own columns.  ``vf_prior_var``
+    and ``vf_coeff`` per ``vf_edges`` position, and ``noise_var`` and
+    ``obs`` per ``fv_edges`` position, serve the passes over canonical
+    arrays.  Every array but the model's own is built on first read.
     """
 
-    tables: EdgeTables
-    prior_var: np.ndarray
-    vf_prior_var: np.ndarray
-    vf_coeff: np.ndarray
-    coeff: np.ndarray
-    noise_var: np.ndarray
-    obs: np.ndarray
+    graph: FactorGraph
+    columns: ModelColumns
+
+    @property
+    def tables(self) -> EdgeTables:
+        return self.graph.edge_tables
+
+    @property
+    def prior_var(self) -> np.ndarray:
+        return self.columns.prior_var
+
+    @property
+    def coeff(self) -> np.ndarray:
+        return self.columns.edge_coeff
+
+    @cached_property
+    def pass_prior_var(self) -> np.ndarray:
+        return self.prior_var[self.graph.edge_var[self.graph.vf_to_fv[self.tables.vf_pass.order]]]
+
+    @cached_property
+    def pass_coeff(self) -> np.ndarray:
+        return self.coeff[self.tables.fv_pass.order]
+
+    @cached_property
+    def pass_noise_var(self) -> np.ndarray:
+        return self.columns.noise_var[self.graph.edge_factor[self.tables.fv_pass.order]]
+
+    @cached_property
+    def pass_obs(self) -> np.ndarray:
+        return self.columns.obs[self.graph.edge_factor[self.tables.fv_pass.order]]
+
+    @cached_property
+    def pass_read_coeff(self) -> tuple[np.ndarray, ...]:
+        by_vf_pass = self.coeff[self.graph.vf_to_fv[self.tables.vf_pass.order]]
+        return tuple(by_vf_pass[col] for col in self.tables.fv_pass.columns)
+
+    @cached_property
+    def vf_prior_var(self) -> np.ndarray:
+        return self.prior_var[self.graph.edge_var[self.graph.vf_to_fv]]
+
+    @cached_property
+    def vf_coeff(self) -> np.ndarray:
+        return self.coeff[self.graph.vf_to_fv]
+
+    @cached_property
+    def noise_var(self) -> np.ndarray:
+        return self.columns.noise_var[self.graph.edge_factor]
+
+    @cached_property
+    def obs(self) -> np.ndarray:
+        return self.columns.obs[self.graph.edge_factor]
 
 
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
-    """``model``'s parameters in ``graph``'s canonical edge orders.
+    """``model``'s parameters along ``graph``'s edge tables.
 
-    Gathered from ``model.columns`` by position: ``ValueError`` unless the
+    Read from ``model.columns`` by position: ``ValueError`` unless the
     model has the graph's ids and edges (its parameters may differ, as
     after ``with_observations``).  The graph keeps the last result, returned
     again while the same model object (``is``) is passed, so a pipeline
-    compiles once.  Models must not be mutated in place; build a new one.
+    compiles, and lays out each array, once.  Models must not be mutated
+    in place; build a new one.
     """
     cached = vars(graph).get("_compiled")
     if cached is not None and cached[0] is model:
@@ -242,37 +306,34 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
             or not np.array_equal(columns.edge_factor, graph.edge_factor)
             or not np.array_equal(columns.edge_var, graph.edge_var)):
         raise ValueError("model does not match the graph: different ids or edges")
-    compiled = CompiledModel(
-        tables=graph.edge_tables,
-        prior_var=columns.prior_var,
-        vf_prior_var=columns.prior_var[graph.edge_var[graph.vf_to_fv]],
-        vf_coeff=columns.edge_coeff[graph.vf_to_fv],
-        coeff=columns.edge_coeff,
-        noise_var=columns.noise_var[graph.edge_factor],
-        obs=columns.obs[graph.edge_factor],
-    )
+    compiled = CompiledModel(graph=graph, columns=columns)
     vars(graph)["_compiled"] = (model, compiled)
     return compiled
+
+
+def _reading(columns, prec: np.ndarray, mean: np.ndarray | None) -> Iterator[Column]:
+    """Per jagged column, the (precisions, means) it reads; means None when ``mean`` is."""
+    return ((prec[col], None if mean is None else mean[col]) for col in columns)
 
 
 def _variable_pass(prior_var, reads: Reads, rows, fv_prec: np.ndarray, fv_mean):
     """The variable-side kernel for ``rows`` of ``reads``, in ``rows`` order."""
     targets, columns, place = reads.select(rows)
-    means = fv_mean is not None
-    incoming = ((fv_prec[col], fv_mean[col] if means else None) for col in columns)
-    prec, mean = _variable_message(prior_var[targets], incoming, means)
-    return prec[place], mean[place] if means else None
+    prec, mean = _variable_message(prior_var[targets], _reading(columns, fv_prec, fv_mean),
+                                   fv_mean is not None)
+    return prec[place], None if mean is None else mean[place]
 
 
 def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None,
                 rows=slice(None)):
     """Variable-to-factor (precisions, means) of the ``vf_edges`` positions ``rows``.
 
-    Here and in :func:`fv_messages`, ``rows`` (any positions, in any order)
-    go through the jagged view of their own rows, so a row's bits do not
-    depend on which rows are computed with it, and only their reads are
-    gathered.  Means of None give the precisions alone, the same bits,
-    with means None: the precisions never read the means.
+    Here and in :func:`fv_messages`, arrays are in canonical order, and
+    ``rows`` (any positions, in any order) go through the jagged view of
+    their own rows, so a row's bits do not depend on which rows are
+    computed with it, and only their reads are gathered.  Means of None
+    give the precisions alone, the same bits, with means None: the
+    precisions never read the means.
     """
     return _variable_pass(compiled.vf_prior_var, compiled.tables.vf_reads, rows, fv_prec, fv_mean)
 
@@ -281,18 +342,38 @@ def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarra
                 rows=slice(None)):
     """Factor-to-variable (precisions, means) of the ``fv_edges`` positions ``rows``."""
     targets, columns, place = compiled.tables.fv_reads.select(rows)
-    means = vf_mean is not None
-    others = ((compiled.vf_coeff[col], (vf_prec[col], vf_mean[col] if means else None))
-              for col in columns)
-    obs = compiled.obs[targets] if means else None
+    others = zip((compiled.vf_coeff[col] for col in columns), _reading(columns, vf_prec, vf_mean))
+    obs = None if vf_mean is None else compiled.obs[targets]
     prec, mean = _factor_message(compiled.coeff[targets], others, compiled.noise_var[targets], obs)
-    return prec[place], mean[place] if means else None
+    return prec[place], None if mean is None else mean[place]
+
+
+def _vf_pass(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
+    """Every variable-to-factor message, in ``vf_pass`` order, from the
+    factor-to-variable ones in ``fv_pass`` order; means of None as in
+    :func:`vf_messages`.  Each row adds the terms it adds there."""
+    reads = _reading(compiled.tables.vf_pass.columns, fv_prec, fv_mean)
+    return _variable_message(compiled.pass_prior_var, reads, fv_mean is not None)
+
+
+def _fv_pass(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None):
+    """Every factor-to-variable message, in ``fv_pass`` order, from the
+    variable-to-factor ones in ``vf_pass`` order (see :func:`_vf_pass`)."""
+    reads = _reading(compiled.tables.fv_pass.columns, vf_prec, vf_mean)
+    others = zip(compiled.pass_read_coeff, reads)
+    obs = None if vf_mean is None else compiled.pass_obs.copy()
+    return _factor_message(compiled.pass_coeff, others, compiled.pass_noise_var.copy(), obs)
 
 
 def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
-    """:func:`sweep` on factor-to-variable (precisions, means) arrays; means
-    of None sweep the precisions alone (see :func:`vf_messages`)."""
-    return fv_messages(compiled, *vf_messages(compiled, fv_prec, fv_mean))
+    """:func:`sweep` on factor-to-variable (precisions, means) arrays in
+    canonical order; means of None sweep the precisions alone (see
+    :func:`vf_messages`).  The bits of :func:`fv_messages` of
+    :func:`vf_messages`, computed by the passes of :func:`sweeps`."""
+    order, rank = compiled.tables.fv_pass.order, compiled.tables.fv_pass.rank
+    vf = _vf_pass(compiled, fv_prec[order], None if fv_mean is None else fv_mean[order])
+    prec, mean = _fv_pass(compiled, *vf)
+    return prec[rank], None if mean is None else mean[rank]
 
 
 def max_delta(old: np.ndarray, new: np.ndarray) -> float:
@@ -340,14 +421,14 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     nothing else has been learned.  Every post-first-sweep iterate lies in
     between regardless of initialization.
     """
-    reads = compiled.tables.fv_reads
-    denom = compiled.noise_var[reads.order]
+    denom = compiled.pass_noise_var.copy()
+    prior = compiled.pass_prior_var
     with np.errstate(over="ignore", invalid="ignore"):
-        for col in reads.columns:
-            coeff = compiled.vf_coeff[col]
-            denom[:len(col)] += coeff * coeff * compiled.vf_prior_var[col]
-        target = compiled.coeff * compiled.coeff
-        return target / denom[reads.rank], target / compiled.noise_var
+        for coeff, col in zip(compiled.pass_read_coeff, compiled.tables.fv_pass.columns):
+            denom[:len(col)] += coeff * coeff * prior[col]
+        target = compiled.pass_coeff * compiled.pass_coeff
+        rank = compiled.tables.fv_pass.rank
+        return (target / denom)[rank], (target / compiled.pass_noise_var)[rank]
 
 
 def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float):
@@ -461,13 +542,23 @@ def step_status(old: MessageState, new: MessageState, tolerance: float) -> str |
                    new.means.array, tolerance)
 
 
+def _in_pass_order(compiled: CompiledModel, state: MessageState):
+    """``state``'s (precisions, means) in ``fv_pass`` order, as :func:`sweeps` takes them."""
+    order = compiled.tables.fv_pass.order
+    return state.precisions.array[order], state.means.array[order]
+
+
 def sweeps(compiled: CompiledModel, prec, mean, tolerance: float, max_iters: int):
-    """Sweep from factor-to-variable (precisions, means) until an outcome
-    (see :func:`step_status`) or ``max_iters`` sweeps, yielding per sweep
-    (iteration, vf_prec, vf_mean, fv_prec, fv_mean, outcome or None)."""
+    """Sweep from factor-to-variable (precisions, means) in ``fv_pass`` order
+    until an outcome (see :func:`step_status`) or ``max_iters`` sweeps,
+    yielding per sweep (iteration, vf_prec, vf_mean, fv_prec, fv_mean,
+    outcome or None).  Every array stays in its pass's order (see
+    :class:`~gbpkit.model.EdgeTables`): the stop test takes a max and an
+    all, which do not depend on order, so callers restore canonical order
+    only for what they keep, with the tables' ``rank``."""
     for iteration in range(1, max_iters + 1):
-        vf_prec, vf_mean = vf_messages(compiled, prec, mean)
-        new_prec, new_mean = fv_messages(compiled, vf_prec, vf_mean)
+        vf_prec, vf_mean = _vf_pass(compiled, prec, mean)
+        new_prec, new_mean = _fv_pass(compiled, vf_prec, vf_mean)
         outcome = _status(prec, mean, new_prec, new_mean, tolerance)
         yield iteration, vf_prec, vf_mean, new_prec, new_mean, outcome
         if outcome is not None:
@@ -485,11 +576,12 @@ def run(
     """Sweep until messages settle, the guard trips, or the budget runs out."""
     check_limits(tolerance, max_iters)
     compiled = compile_model(graph, model)
-    init = init_messages(graph, model, strategy or InitStrategy.zero())
-    for iteration, _, _, prec, mean, outcome in sweeps(
-        compiled, init.precisions.array, init.means.array, tolerance, max_iters
-    ):
+    prec, mean = _in_pass_order(
+        compiled, init_messages(graph, model, strategy or InitStrategy.zero()))
+    for iteration, _, _, prec, mean, outcome in sweeps(compiled, prec, mean, tolerance, max_iters):
         pass
+    rank = compiled.tables.fv_pass.rank
+    prec, mean = prec[rank], mean[rank]
     return RunResult(
         beliefs=_beliefs(graph, compiled, prec, mean, iteration),
         state=_state(graph, prec, mean, iteration),

@@ -101,6 +101,21 @@ class ModelFields:
         """Every factor's coefficients, factor after factor."""
         return tuple(chain.from_iterable(map(methodcaller("values"), self.coeffs)))
 
+    @cached_property
+    def coeff_var(self) -> np.ndarray | None:
+        """Per coefficient in ``coeff_values`` order, the position of its variable
+        in ``variable_ids``; None if an id is empty or repeated, or a key names no
+        variable.  Read once the ids are known to be strings: one walk over the
+        keys both checks the references and maps them."""
+        order = dict(zip(self.variable_ids, range(len(self.variable_ids))))
+        if "" in order or len(order) < len(self.variable_ids):
+            return None
+        try:
+            return np.fromiter(map(order.__getitem__, chain.from_iterable(self.coeffs)), np.intp,
+                               len(self.coeff_values))
+        except KeyError:
+            return None
+
 
 @dataclass(frozen=True, init=False)
 class LinearGaussianModel:
@@ -139,11 +154,9 @@ class LinearGaussianModel:
         if problems:
             raise InvalidModelError(problems)
         f = self.fields
-        order = dict(zip(f.variable_ids, range(len(f.variable_ids))))
         sizes = np.fromiter(map(len, f.coeffs), np.intp, len(f.coeffs))
         edge_factor = np.repeat(np.arange(len(f.coeffs)), sizes)
-        edge_var = np.fromiter(map(order.__getitem__, chain.from_iterable(f.coeffs)), np.intp,
-                               len(edge_factor))
+        edge_var = f.coeff_var  # mapped by the validation's reference check
         edge_coeff = np.array(f.coeff_values, dtype=float)
         # coeffs may list a scope in any order; a stable sort of nearly sorted keys is fast
         fv = np.argsort(edge_factor * len(f.variable_ids) + edge_var, kind="stable")
@@ -180,6 +193,10 @@ class Reads:
         p = self.rank[r]
         return np.array([c[p] for c in self.columns if p < len(c)], dtype=np.intp)
 
+    def through(self, index: np.ndarray) -> "Reads":
+        """The same rows, each read r replaced by ``index[r]``."""
+        return replace(self, columns=tuple(index[column] for column in self.columns))
+
     def select(self, rows=slice(None)):
         """``rows`` as a jagged view of their own: their row numbers by
         descending width, their columns, and ``place``, which puts values
@@ -195,11 +212,18 @@ class Reads:
         return self.order[position], columns, by_rank.argsort()
 
 
-def _jagged(width: np.ndarray, read) -> Reads:
-    """Rows of the given widths; ``read(rows, k)`` is the k-th read of each of ``rows``."""
+def _ranked(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows by descending width, ties in row order, and its inverse."""
     order = np.argsort(-width, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
+    return order, rank
+
+
+def _jagged(width: np.ndarray, read, ranked=None) -> Reads:
+    """Rows of the given widths; ``read(rows, k)`` is the k-th read of each of ``rows``.
+    ``ranked`` is ``_ranked(width)`` when the caller has it already."""
+    order, rank = ranked or _ranked(width)
     heights = len(width) - np.cumsum(np.bincount(width, minlength=1))[:-1]
     return Reads(order, rank, tuple(read(order[:h], k) for k, h in enumerate(heights.tolist())))
 
@@ -208,20 +232,33 @@ def _jagged(width: np.ndarray, read) -> Reads:
 class EdgeTables:
     """Which messages each message reads, as :class:`Reads` of edge positions.
 
-    Row k of ``vf_reads`` holds the ``fv_edges`` positions read by
-    ``vf_edges[k]`` (its variable's other factors), row k of ``fv_reads``
-    the ``vf_edges`` positions read by ``fv_edges[k]`` (its factor's other
-    variables), row i of ``belief_reads`` the ``fv_edges`` positions into
-    variable i, each row in canonical neighbour order.  ``fv_position``
-    and ``vf_position`` map each directed edge to its position
-    (:class:`Positions`).
+    A full pass computes its rows in its table's ``order`` and keeps them so:
+    entry p of its output is row ``order[p]``'s message (its pass order).
+    Row k of ``vf_pass`` is ``vf_edges[k]``, and reads its variable's other
+    factors; row k of ``fv_pass`` is ``fv_edges[k]``, and reads its factor's
+    other variables.  Each column holds positions in the other pass's order,
+    so a sweep reads the other pass's output as it was computed.  Row i of
+    ``belief_reads`` holds the ``fv_edges`` positions into variable i.  Every
+    row lists its reads in canonical neighbour order.  ``vf_reads`` and
+    ``fv_reads`` are ``vf_pass`` and ``fv_pass`` with canonical positions
+    (``fv_edges`` and ``vf_edges``), built on first read for the passes
+    over canonical arrays.  ``fv_position`` and ``vf_position`` map each
+    directed edge to its position (:class:`Positions`).
     """
 
     fv_position: Mapping[tuple[str, str], int]
     vf_position: Mapping[tuple[str, str], int]
-    vf_reads: Reads
-    fv_reads: Reads
+    vf_pass: Reads
+    fv_pass: Reads
     belief_reads: Reads
+
+    @cached_property
+    def vf_reads(self) -> Reads:
+        return self.vf_pass.through(self.fv_pass.order)
+
+    @cached_property
+    def fv_reads(self) -> Reads:
+        return self.fv_pass.through(self.vf_pass.order)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
@@ -271,23 +308,27 @@ class FactorGraph:
     def edge_tables(self) -> EdgeTables:
         """Integer form of the graph, built on first use from the edge arrays."""
         vf_to_fv = self.vf_to_fv
+        var_of = self.edge_var[vf_to_fv]
+        degree = np.bincount(var_of, minlength=len(self.variable_ids))
+        scope = np.bincount(self.edge_factor, minlength=len(self.factor_ids))
+        vf_order, vf_rank = _ranked(degree[var_of] - 1)
+        fv_order, fv_rank = _ranked(scope[self.edge_factor] - 1)
 
-        def others(group, members, sizes):
+        def others(group, members, sizes, ranked):
             """Per member of each sorted group, the group's other members."""
             start = (np.cumsum(sizes) - sizes)[group]
             slot = np.arange(len(group)) - start
             return _jagged(sizes[group] - 1,
-                           lambda rows, k: members[start[rows] + k + (k >= slot[rows])])
+                           lambda rows, k: members[start[rows] + k + (k >= slot[rows])], ranked)
 
-        var_of = self.edge_var[vf_to_fv]
-        degree = np.bincount(var_of, minlength=len(self.variable_ids))
         first = np.cumsum(degree) - degree
-        scope = np.bincount(self.edge_factor, minlength=len(self.factor_ids))
         return EdgeTables(
             fv_position=Positions(self, "fv_edges"),
             vf_position=Positions(self, "vf_edges"),
-            vf_reads=others(var_of, vf_to_fv, degree),
-            fv_reads=others(self.edge_factor, np.argsort(vf_to_fv), scope),
+            # A read is the edge's rank in the other pass: its position in that output.
+            vf_pass=others(var_of, fv_rank[vf_to_fv], degree, (vf_order, vf_rank)),
+            fv_pass=others(self.edge_factor, vf_rank[np.argsort(vf_to_fv)], scope,
+                           (fv_order, fv_rank)),
             belief_reads=_jagged(degree, lambda rows, k: vf_to_fv[first[rows] + k]),
         )
 
@@ -365,7 +406,8 @@ def _is_number(x) -> bool:
 
 
 def _fields_pass(f: ModelFields) -> bool:
-    """Whether each field passes as a whole: a type set, then a float array.
+    """Whether each field passes as a whole: a type set, then a float array,
+    and the references, checked by mapping them (``ModelFields.coeff_var``).
     False means that some item needs a look, not that one is invalid."""
     numbers = (f.prior_var, f.noise_var, f.obs, f.coeff_values)
     if not (set(map(type, chain(f.variable_ids, f.factor_ids))) <= {str}
@@ -375,10 +417,8 @@ def _fields_pass(f: ModelFields) -> bool:
         prior, noise, obs, coeff = (np.array(values, dtype=float) for values in numbers)
     except OverflowError:  # an int beyond the float range
         return False
-    variables, factors = set(f.variable_ids), set(f.factor_ids)
-    return ("" not in variables and "" not in factors and len(variables) == len(f.variable_ids)
-            and len(factors) == len(f.factor_ids)
-            and variables.issuperset(chain.from_iterable(f.coeffs))
+    factors = set(f.factor_ids)
+    return ("" not in factors and len(factors) == len(f.factor_ids) and f.coeff_var is not None
             and all(np.isfinite(array).all() for array in (prior, noise, obs, coeff))
             and (prior > 0).all() and (noise > 0).all() and coeff.all())
 

@@ -17,7 +17,9 @@ them in :class:`Agent` records.
 The synchronous schedule iterates the engine's own sweep loop
 (:func:`gbpkit.engine.sweeps`), adding only the event log and the
 message count, so its results (messages, beliefs, tick count, status)
-equal an engine run bit for bit.  The random-sequential schedule
+equal an engine run bit for bit.  The loop keeps messages in pass order;
+the schedule puts in canonical order the rows it logs, each tick, and
+the messages it returns, once.  The random-sequential schedule
 recomputes one seeded-random agent's rows per tick, in place, from the
 current messages.  Both schedules write each tick's messages to the
 event log as they send them; nothing of the log is kept in memory.
@@ -164,17 +166,22 @@ def simulate(
 
 
 def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
-    if log is not None:  # factor messages are logged agent by agent
+    # The sweeps keep messages in pass order; rows are logged in canonical
+    # order, the factor messages agent by agent.
+    vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
+    if log is not None:
         _, fv_order, _, _ = _hosting(graph)
         fv_edges = [graph.fv_edges[k] for k in fv_order]
-    zeros = np.zeros(len(graph.edge_var))
+        fv_logged = fv_pass.rank[fv_order]
+    zeros = np.zeros(len(graph.edge_var))  # in any order
     for tick, vf_prec, vf_mean, prec, mean, outcome in engine.sweeps(
         compiled, zeros, zeros, tolerance, max_ticks
     ):
         if log is not None:
-            _log_rows(log, tick, graph.vf_edges, vf_prec, vf_mean)
-            _log_rows(log, tick, fv_edges, prec[fv_order], mean[fv_order])
-    return prec, mean, tick, outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var)
+            _log_rows(log, tick, graph.vf_edges, vf_prec[vf_pass.rank], vf_mean[vf_pass.rank])
+            _log_rows(log, tick, fv_edges, prec[fv_logged], mean[fv_logged])
+    return (prec[fv_pass.rank], mean[fv_pass.rank], tick, outcome or engine.STATUS_MAX_ITERS,
+            tick * 2 * len(graph.edge_var))
 
 
 def _replace_rows(prec, mean, rows, new_prec, new_mean) -> float:

@@ -430,6 +430,22 @@ class TestWalkSummability:
         with pytest.raises(ValueError, match="non-finite"):
             walk_summability(gmrf)
 
+    # pyproject.toml turns a RuntimeWarning into an error, so these also
+    # show that the overflow is refused without one.
+    def test_walk_entry_overflow_refused(self):
+        # J is finite, but |J_12| / sqrt(J_11 J_22) = 1e310 is not.
+        info = np.array([[1e-300, 1e10], [1e10, 1e-300]])
+        gmrf = GMRFModel(information_matrix=info, potential=np.zeros(2), variable_ids=("a", "b"))
+        with pytest.raises(ValueError, match="non-finite"):
+            walk_summability(gmrf)
+
+    def test_rayleigh_overflow_refused(self):
+        # Every entry and A x are finite, but x'Ax = 2e308 is not: the lower bound would be inf.
+        info = np.array([[1.0, 1e308], [1e308, 1.0]])
+        gmrf = GMRFModel(information_matrix=info, potential=np.zeros(2), variable_ids=("a", "b"))
+        with pytest.raises(ValueError, match="Rayleigh product overflows"):
+            walk_summability(gmrf)
+
     def test_empty_model(self):
         gmrf = GMRFModel(
             information_matrix=np.zeros((0, 0)), potential=np.zeros(0), variable_ids=()

@@ -371,6 +371,48 @@ class TestCompileOnce:
         assert _run_bits(moved) != _run_bits(first)
 
 
+# Built on first read, for the passes over canonical arrays only.
+CANONICAL_READS = {"vf_reads", "fv_reads"}
+CANONICAL_PARAMETERS = {"vf_prior_var", "vf_coeff", "noise_var", "obs"}
+
+
+class TestPassOrderOnly:
+    """The full passes read the pass-order forms in place of the canonical ones."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every CompiledModel that compile_model returns while the test runs."""
+        made = []
+        real = engine.compile_model
+
+        def recording(graph, model):
+            made.append(real(graph, model))
+            return made[-1]
+
+        monkeypatch.setattr(engine, "compile_model", recording)
+        return made
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_certify_and_simulate_build_no_canonical_form(self, kind, compiled):
+        model = generate_model(kind, 60, 5)
+        graph = build_factor_graph(model)
+        for strategy in (InitStrategy.zero(), InitStrategy.lower_bound(),
+                         InitStrategy.upper_bound()):
+            run(graph, model, strategy)
+        certify(graph, model)
+        simulate(model, Schedule.synchronous())
+        sweep(graph, model, init_messages(graph, model, InitStrategy.zero()))
+        assert len({id(c) for c in compiled}) == 2  # one per graph
+        for made in compiled:
+            assert not CANONICAL_PARAMETERS & set(vars(made))
+            assert not CANONICAL_READS & set(vars(made.tables))
+        # The passes over canonical arrays build them on first read.
+        zeros = np.zeros(len(graph.edge_var))
+        engine.fv_messages(compiled[0], *engine.vf_messages(compiled[0], zeros, zeros))
+        assert CANONICAL_PARAMETERS <= set(vars(compiled[0]))
+        assert CANONICAL_READS <= set(vars(graph.edge_tables))
+
+
 
 def _move_first_coefficient(model):
     """Same ids and sizes; factor 0's first coefficient moves to another variable."""

@@ -8,7 +8,7 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Six more properties guard how the package gets there: the certificate's
+Seven more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; the walk-summability interval contains
 the dense radius of |I - R| and never decides wrong; relabelling or
@@ -16,11 +16,17 @@ reordering the variables and factors changes beliefs by a few ulps at
 most and the certificate not at all; scaling every observation by a power of two leaves the
 certificate as it is and scales the exact means by the same factor; the
 passes over the jagged edge tables give the bits of the padded tables
-they replaced; and the sparse oracle agrees with a dense inverse and solve.
+they replaced; the loops that keep messages in pass order (``run``, the
+synchronous ``simulate`` and its log, the fixed point) give the bits of
+sweeps over canonical arrays; and the sparse oracle agrees with a dense
+inverse and solve.
 
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_array
@@ -35,6 +41,8 @@ from gbpkit import (
     InitStrategy,
     LinearGaussianModel,
     STATUS_CONVERGED,
+    STATUS_MAX_ITERS,
+    Schedule,
     TOPOLOGY_FOREST,
     TOPOLOGY_SINGLE_LOOP,
     VERDICT_CONVERGES,
@@ -52,6 +60,7 @@ from gbpkit import (
     part_metric,
     precision_bounds,
     run,
+    simulate,
     spectral_radius,
     walk_summability,
     with_observations,
@@ -59,6 +68,7 @@ from gbpkit import (
 from gbpkit import analysis, oracle
 from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
 from gbpkit.model import sparse_gmrf
+from gbpkit.network import build_agents
 
 import helpers
 
@@ -244,6 +254,97 @@ def test_jagged_passes_match_the_padded_reference(model, seed):
             helpers.padded_factor_pass(compiled, fv_table, rows, *vf))
         assert _bits(engine.vf_messages(compiled, fv[0], None, rows)) == _bits(
             helpers.padded_variable_pass(compiled.vf_prior_var[rows], vf_table[rows], fv[0]))
+
+
+def _canonical_sweep(compiled, prec, mean):
+    """A sweep by the passes over canonical arrays: (vf_prec, vf_mean, fv_prec, fv_mean)."""
+    vf = engine.vf_messages(compiled, prec, mean)
+    return (*vf, *engine.fv_messages(compiled, *vf))
+
+
+def _canonical_run(graph, model, start, max_iters, log_rows=None):
+    """``run`` spelled out over canonical arrays: the canonical passes and
+    ``step_status`` per sweep.  ``log_rows`` gets the rows ``simulate`` logs
+    per tick: the variable messages, then the factor messages agent by agent."""
+    compiled = engine.compile_model(graph, model)
+    agents, _, _ = build_agents(graph, model)
+    fv_order = np.concatenate([agent.fv_rows for agent in agents] or [np.zeros(0, int)])
+    state = init_messages(graph, model, start)
+    status = STATUS_MAX_ITERS
+    for tick in range(1, max_iters + 1):
+        vf_prec, vf_mean, prec, mean = _canonical_sweep(
+            compiled, state.precisions.array, state.means.array)
+        new = engine._state(graph, prec, mean, tick)
+        if log_rows is not None:
+            for edges, prec, mean in ((graph.vf_edges, vf_prec, vf_mean), (
+                    [graph.fv_edges[k] for k in fv_order], new.precisions.array[fv_order],
+                    new.means.array[fv_order])):
+                log_rows.extend(f"{tick},{sender},{receiver},{p:.17g},{m:.17g}" for (
+                    sender, receiver), p, m in zip(edges, prec.tolist(), mean.tolist()))
+        outcome = engine.step_status(state, new, engine.DEFAULT_TOLERANCE)
+        state = new
+        if outcome is not None:
+            status = outcome
+            break
+    return state, engine.compute_beliefs(graph, model, state), status
+
+
+def _state_bits(state, beliefs, status):
+    return (state.precisions.array.tobytes(), state.means.array.tobytes(), state.iteration,
+            beliefs.variances.array.tobytes(), beliefs.means.array.tobytes(), status)
+
+
+@given(model=st.one_of(scoped_models(), models()), start=st.sampled_from(sorted(STARTS)),
+       seed=SEEDS, max_iters=st.sampled_from([1, 2, 500]))
+@example(model=LinearGaussianModel(), start="zero", seed=0, max_iters=500)
+@example(model=LinearGaussianModel((Variable("x1", 1.0), Variable("x2", 2.0))), start="zero",
+         seed=0, max_iters=500)
+@example(model=LinearGaussianModel(
+    (Variable("x1", 1.0), Variable("x2", 2.0), Variable("x3", 0.5), Variable("x4", 3.0)),
+    (Factor("f1", {"x1": 1.0}, 1.0, 0.5),
+     Factor("f2", {"x3": -2.0, "x1": 1.0, "x2": 0.5}, 0.5, 1.0),
+     Factor("f3", {}, 1.0, 2.0), Factor("f4", {"x2": 1.5, "x3": 1.0}, 2.0, -1.0))),
+    start="random", seed=1, max_iters=500)
+@example(model=LinearGaussianModel((Variable("x1", 1.0),), (Factor("f1", {"x1": 2.0}, 1.0, 3.0),)),
+         start="random", seed=2, max_iters=1)
+@example(model=generate_model(KIND_RANDOM_LOOPY, 6, 113, (-6.0, 6.0)), start="zero", seed=0,
+         max_iters=500)  # diverges
+def test_pass_order_loops_give_the_bits_of_canonical_sweeps(model, start, seed, max_iters):
+    # run, the synchronous simulate and the fixed point keep their messages in
+    # pass order; each must give the bits of the loop over canonical arrays,
+    # whose passes read the canonical tables and parameters.
+    graph = build_factor_graph(model)
+    strategy = STARTS[start](graph, seed)
+    result = run(graph, model, strategy, max_iters=max_iters)
+    reference = _canonical_run(graph, model, strategy, max_iters)
+    assert _state_bits(result.state, result.beliefs, result.status) == _state_bits(*reference)
+
+    log_rows = ["tick,sender,receiver,precision,mean"]
+    state, beliefs, status = _canonical_run(graph, model, InitStrategy.zero(), max_iters, log_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path = Path(tmp) / "traffic.csv"
+        for path in (None, log_path):
+            sim = simulate(model, Schedule.synchronous(), max_ticks=max_iters, log_path=path)
+            assert sim.ticks == state.iteration
+            assert sim.messages_sent == 2 * sim.ticks * len(graph.edge_var)
+            assert _state_bits(sim.state, sim.beliefs, sim.status) == _state_bits(
+                state, beliefs, status)
+        assert log_path.read_text().splitlines() == log_rows
+
+    compiled = engine.compile_model(graph, model)
+    prec = init_messages(graph, model, strategy).precisions.array
+    iterations = 0
+    while True:
+        _, _, new_prec, _ = _canonical_sweep(compiled, prec, None)
+        iterations += 1
+        delta, prec = engine.max_delta(prec, new_prec), new_prec
+        if delta < engine.DEFAULT_TOLERANCE:
+            break
+    point = fixed_point_precisions(graph, model, init=strategy)
+    assert point.iterations == iterations
+    assert point.factor_to_variable.array.tobytes() == prec.tobytes()
+    assert point.variable_to_factor.array.tobytes() == (
+        engine.vf_messages(compiled, prec, None)[0].tobytes())
 
 
 def relabelled(model, seed):
