@@ -219,7 +219,7 @@ def fixed_point_precisions(
         graph, model, init or engine.InitStrategy.lower_bound()))
     iterations = 0
     while True:
-        new_prec, _ = engine._fv_pass(compiled, *engine._vf_pass(compiled, prec, None))
+        new_prec, _ = engine.fv_messages(compiled, *engine.vf_messages(compiled, prec, None))
         iterations += 1
         delta = engine.max_delta(prec, new_prec)
         prec = new_prec
@@ -228,7 +228,7 @@ def fixed_point_precisions(
         if iterations >= max_iters:
             raise RuntimeError("precision fixed point did not settle within the budget")
 
-    vf_prec, _ = engine._vf_pass(compiled, prec, None)
+    vf_prec, _ = engine.vf_messages(compiled, prec, None)
     return FixedPoint(
         factor_to_variable=engine.ArrayMapping(prec[tables.fv_pass.rank], tables.fv_position),
         variable_to_factor=engine.ArrayMapping(vf_prec[tables.vf_pass.rank], tables.vf_position),

@@ -25,19 +25,17 @@ The kernels silence numpy's overflow and invalid-value warnings.  A pass
 given means of None computes the precisions alone, with the same bits,
 since the precision recursion never reads a mean.
 
-A full pass leaves its messages in the order it computes them, its pass
-order, and reads the other pass's output in that pass's order, with
-parameters laid out once per compiled model (:class:`CompiledModel`).
-One generator, :func:`sweeps`, owns the synchronous loop and keeps the
-messages in pass order between sweeps; :func:`run` and the synchronous
-simulator both iterate it and put back in canonical order, once per run,
-only what they keep.  The precision fixed point sweeps the same way.
-The public :func:`sweep` and :func:`sweep_arrays` take and return
-canonical order around the same passes.  The passes over canonical arrays
-(:func:`vf_messages` and :func:`fv_messages`) serve any subset of rows, as
-a random-sequential tick needs, and are what the pass-order loops are
-tested against; :func:`factor_to_variable` keeps a per-edge path, one row
-at a time, for tests.
+Messages stay in the order their pass computes them, its pass order,
+and each pass reads the other's output in that order, with parameters
+laid out once per compiled model (:class:`CompiledModel`).  The one pass
+pair, :func:`vf_messages` and :func:`fv_messages`, computes all rows or
+any subset, as a random-sequential tick needs.  One generator,
+:func:`sweeps`, owns the synchronous loop; :func:`run`, the simulator
+and the precision fixed point put back in canonical order, once per run,
+only what they keep.  The public :func:`sweep` and :func:`sweep_arrays`
+take and return canonical order around the same passes, and
+:func:`factor_to_variable` keeps a per-edge path, one row at a time, for
+tests.
 """
 from __future__ import annotations
 
@@ -48,7 +46,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .model import EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, Reads
+from .model import EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
@@ -228,11 +226,9 @@ class CompiledModel:
     ``pass_prior_var`` per row of ``tables.vf_pass``; ``pass_coeff`` (the
     target's coefficient), ``pass_noise_var`` and ``pass_obs`` per row of
     ``tables.fv_pass``, and ``pass_read_coeff``, the coefficient of each
-    read, per column of it.  ``prior_var`` is per variable and ``coeff``
-    per ``fv_edges`` position, the model's own columns.  ``vf_prior_var``
-    and ``vf_coeff`` per ``vf_edges`` position, and ``noise_var`` and
-    ``obs`` per ``fv_edges`` position, serve the passes over canonical
-    arrays.  Every array but the model's own is built on first read.
+    read, per column of it; each is built on first read.  ``prior_var`` is
+    per variable and ``coeff`` per ``fv_edges`` position, the model's own
+    columns.
     """
 
     graph: FactorGraph
@@ -271,22 +267,6 @@ class CompiledModel:
         by_vf_pass = self.coeff[self.graph.vf_to_fv[self.tables.vf_pass.order]]
         return tuple(by_vf_pass[col] for col in self.tables.fv_pass.columns)
 
-    @cached_property
-    def vf_prior_var(self) -> np.ndarray:
-        return self.prior_var[self.graph.edge_var[self.graph.vf_to_fv]]
-
-    @cached_property
-    def vf_coeff(self) -> np.ndarray:
-        return self.coeff[self.graph.vf_to_fv]
-
-    @cached_property
-    def noise_var(self) -> np.ndarray:
-        return self.columns.noise_var[self.graph.edge_factor]
-
-    @cached_property
-    def obs(self) -> np.ndarray:
-        return self.columns.obs[self.graph.edge_factor]
-
 
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
     """``model``'s parameters along ``graph``'s edge tables.
@@ -316,63 +296,50 @@ def _reading(columns, prec: np.ndarray, mean: np.ndarray | None) -> Iterator[Col
     return ((prec[col], None if mean is None else mean[col]) for col in columns)
 
 
-def _variable_pass(prior_var, reads: Reads, rows, fv_prec: np.ndarray, fv_mean):
-    """The variable-side kernel for ``rows`` of ``reads``, in ``rows`` order."""
-    targets, columns, place = reads.select(rows)
-    prec, mean = _variable_message(prior_var[targets], _reading(columns, fv_prec, fv_mean),
-                                   fv_mean is not None)
-    return prec[place], None if mean is None else mean[place]
+def _at(array: np.ndarray, index, own: bool = False) -> np.ndarray:
+    """``array[index]``; for all rows (None), ``array`` itself, or a copy to add into if ``own``."""
+    return (array.copy() if own else array) if index is None else array[index]
 
 
 def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None,
-                rows=slice(None)):
-    """Variable-to-factor (precisions, means) of the ``vf_edges`` positions ``rows``.
+                rows=None):
+    """Variable-to-factor (precisions, means) of the ``vf_pass`` positions
+    ``rows``, from the factor-to-variable ones in ``fv_pass`` order.
 
-    Here and in :func:`fv_messages`, arrays are in canonical order, and
-    ``rows`` (any positions, in any order) go through the jagged view of
-    their own rows, so a row's bits do not depend on which rows are
-    computed with it, and only their reads are gathered.  Means of None
-    give the precisions alone, the same bits, with means None: the
-    precisions never read the means.
+    Here and in :func:`fv_messages`, arrays are in pass order (see
+    :class:`~gbpkit.model.EdgeTables`).  Rows of None compute the whole
+    pass and gather no parameter; any positions, in any order, go through
+    the jagged view of their own rows and come back in ``rows`` order, so
+    a row's bits do not depend on which rows are computed with it.  Means
+    of None give the precisions alone, the same bits, and means None.
     """
-    return _variable_pass(compiled.vf_prior_var, compiled.tables.vf_reads, rows, fv_prec, fv_mean)
+    position, place, columns = compiled.tables.vf_pass.select(rows)
+    prec, mean = _variable_message(_at(compiled.pass_prior_var, position),
+                                   _reading(columns, fv_prec, fv_mean), fv_mean is not None)
+    return _at(prec, place), None if mean is None else _at(mean, place)
 
 
 def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None,
-                rows=slice(None)):
-    """Factor-to-variable (precisions, means) of the ``fv_edges`` positions ``rows``."""
-    targets, columns, place = compiled.tables.fv_reads.select(rows)
-    others = zip((compiled.vf_coeff[col] for col in columns), _reading(columns, vf_prec, vf_mean))
-    obs = None if vf_mean is None else compiled.obs[targets]
-    prec, mean = _factor_message(compiled.coeff[targets], others, compiled.noise_var[targets], obs)
-    return prec[place], None if mean is None else mean[place]
-
-
-def _vf_pass(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
-    """Every variable-to-factor message, in ``vf_pass`` order, from the
-    factor-to-variable ones in ``fv_pass`` order; means of None as in
-    :func:`vf_messages`.  Each row adds the terms it adds there."""
-    reads = _reading(compiled.tables.vf_pass.columns, fv_prec, fv_mean)
-    return _variable_message(compiled.pass_prior_var, reads, fv_mean is not None)
-
-
-def _fv_pass(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None):
-    """Every factor-to-variable message, in ``fv_pass`` order, from the
-    variable-to-factor ones in ``vf_pass`` order (see :func:`_vf_pass`)."""
-    reads = _reading(compiled.tables.fv_pass.columns, vf_prec, vf_mean)
-    others = zip(compiled.pass_read_coeff, reads)
-    obs = None if vf_mean is None else compiled.pass_obs.copy()
-    return _factor_message(compiled.pass_coeff, others, compiled.pass_noise_var.copy(), obs)
+                rows=None):
+    """Factor-to-variable (precisions, means) of the ``fv_pass`` positions
+    ``rows``, from the variable-to-factor ones in ``vf_pass`` order."""
+    position, place, columns, coeffs = compiled.tables.fv_pass.select(
+        rows, compiled.pass_read_coeff)
+    obs = None if vf_mean is None else _at(compiled.pass_obs, position, own=True)
+    prec, mean = _factor_message(_at(compiled.pass_coeff, position),
+                                 zip(coeffs, _reading(columns, vf_prec, vf_mean)),
+                                 _at(compiled.pass_noise_var, position, own=True), obs)
+    return _at(prec, place), None if mean is None else _at(mean, place)
 
 
 def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
     """:func:`sweep` on factor-to-variable (precisions, means) arrays in
     canonical order; means of None sweep the precisions alone (see
-    :func:`vf_messages`).  The bits of :func:`fv_messages` of
-    :func:`vf_messages`, computed by the passes of :func:`sweeps`."""
+    :func:`vf_messages`).  The passes of :func:`sweeps`, with the arrays
+    put in pass order and back."""
     order, rank = compiled.tables.fv_pass.order, compiled.tables.fv_pass.rank
-    vf = _vf_pass(compiled, fv_prec[order], None if fv_mean is None else fv_mean[order])
-    prec, mean = _fv_pass(compiled, *vf)
+    vf = vf_messages(compiled, fv_prec[order], None if fv_mean is None else fv_mean[order])
+    prec, mean = fv_messages(compiled, *vf)
     return prec[rank], None if mean is None else mean[rank]
 
 
@@ -402,12 +369,12 @@ def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: in
 
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
-    precision, belief_mean = _variable_pass(
-        compiled.prior_var, compiled.tables.belief_reads, slice(None), prec, mean
-    )
+    reads = compiled.tables.belief_reads
+    precision, belief_mean = _variable_message(compiled.prior_var[reads.order],
+                                               _reading(reads.columns, prec, mean))
     return BeliefSet(
-        variances=ArrayMapping(1.0 / precision, graph.variable_order),
-        means=ArrayMapping(belief_mean, graph.variable_order),
+        variances=ArrayMapping((1.0 / precision)[reads.rank], graph.variable_order),
+        means=ArrayMapping(belief_mean[reads.rank], graph.variable_order),
         iteration=iteration,
     )
 
@@ -471,10 +438,15 @@ def _one(array: np.ndarray, position: int) -> np.ndarray:
 
 
 def _vf_message_at(compiled: CompiledModel, state: MessageState, position: int) -> Column:
-    """The kernel on one row, fed its reads one by one, in order, as length-1 arrays."""
+    """The kernel on one row, fed its reads one by one, in order, as length-1
+    arrays: ``vf_pass`` row ``position``, its reads mapped to canonical
+    positions by the other pass's ``order``."""
+    tables = compiled.tables
     prec, mean = state.precisions.array, state.means.array
-    incoming = [(_one(prec, k), _one(mean, k)) for k in compiled.tables.vf_reads.row(position)]
-    return _variable_message(_one(compiled.vf_prior_var, position), incoming)
+    incoming = [(_one(prec, k), _one(mean, k))
+                for k in tables.fv_pass.order[tables.vf_pass.row(position)]]
+    return _variable_message(_one(compiled.pass_prior_var, tables.vf_pass.rank[position]),
+                             incoming)
 
 
 def variable_to_factor(
@@ -502,12 +474,14 @@ def factor_to_variable(
     update for this edge.
     """
     compiled = compile_model(graph, model)
-    position = compiled.tables.fv_position[edge]
-    others = [(_one(compiled.vf_coeff, k), _vf_message_at(compiled, state, k))
-              for k in compiled.tables.fv_reads.row(position)]
+    tables = compiled.tables
+    position = tables.fv_position[edge]
+    others = [(_one(compiled.coeff, graph.vf_to_fv[k]), _vf_message_at(compiled, state, k))
+              for k in tables.vf_pass.order[tables.fv_pass.row(position)]]
+    p = tables.fv_pass.rank[position]
     precision, mean = _factor_message(_one(compiled.coeff, position), others,
-                                      _one(compiled.noise_var, position),
-                                      _one(compiled.obs, position))
+                                      _one(compiled.pass_noise_var, p),
+                                      _one(compiled.pass_obs, p))
     return precision.item(), mean.item()
 
 
@@ -557,8 +531,8 @@ def sweeps(compiled: CompiledModel, prec, mean, tolerance: float, max_iters: int
     all, which do not depend on order, so callers restore canonical order
     only for what they keep, with the tables' ``rank``."""
     for iteration in range(1, max_iters + 1):
-        vf_prec, vf_mean = _vf_pass(compiled, prec, mean)
-        new_prec, new_mean = _fv_pass(compiled, vf_prec, vf_mean)
+        vf_prec, vf_mean = vf_messages(compiled, prec, mean)
+        new_prec, new_mean = fv_messages(compiled, vf_prec, vf_mean)
         outcome = _status(prec, mean, new_prec, new_mean, tolerance)
         yield iteration, vf_prec, vf_mean, new_prec, new_mean, outcome
         if outcome is not None:

@@ -193,23 +193,23 @@ class Reads:
         p = self.rank[r]
         return np.array([c[p] for c in self.columns if p < len(c)], dtype=np.intp)
 
-    def through(self, index: np.ndarray) -> "Reads":
-        """The same rows, each read r replaced by ``index[r]``."""
-        return replace(self, columns=tuple(index[column] for column in self.columns))
-
-    def select(self, rows=slice(None)):
-        """``rows`` as a jagged view of their own: their row numbers by
-        descending width, their columns, and ``place``, which puts values
-        computed in that order back in ``rows`` order (``values[place]``)."""
-        if isinstance(rows, slice) and rows == slice(None):
-            return self.order, self.columns, self.rank
-        rank = self.rank[rows]
-        by_rank = rank.argsort(kind="stable")
-        position = rank[by_rank]
-        # Per column k, how many of the rows are wider than k.
+    def select(self, rows=None, *parallel):
+        """The rows at the positions ``rows`` (an index array) as a jagged
+        view of their own: the positions sorted, so by descending width;
+        ``place``, which puts values computed in that order back in ``rows``
+        order (``values[place]``); and the rows' part of ``columns`` and of
+        each ``parallel`` tuple of per-column arrays.  Rows of None (all)
+        give None for both and the columns themselves, gathering nothing."""
+        if rows is None:
+            return None, None, self.columns, *parallel
+        by_position = rows.argsort(kind="stable")
+        position = rows[by_position]
+        # Per column k, the rows wider than k: a prefix of the positions.
         counts = position.searchsorted([len(column) for column in self.columns]).tolist()
-        columns = [column[position[:count]] for column, count in zip(self.columns, counts) if count]
-        return self.order[position], columns, by_rank.argsort()
+        heads = [position[:count] for count in counts if count]
+        cut = [[array[head] for array, head in zip(arrays, heads)]
+               for arrays in (self.columns, *parallel)]
+        return position, by_position.argsort(), *cut
 
 
 def _ranked(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,11 +239,8 @@ class EdgeTables:
     other variables.  Each column holds positions in the other pass's order,
     so a sweep reads the other pass's output as it was computed.  Row i of
     ``belief_reads`` holds the ``fv_edges`` positions into variable i.  Every
-    row lists its reads in canonical neighbour order.  ``vf_reads`` and
-    ``fv_reads`` are ``vf_pass`` and ``fv_pass`` with canonical positions
-    (``fv_edges`` and ``vf_edges``), built on first read for the passes
-    over canonical arrays.  ``fv_position`` and ``vf_position`` map each
-    directed edge to its position (:class:`Positions`).
+    row lists its reads in canonical neighbour order.  ``fv_position`` and
+    ``vf_position`` map each directed edge to its position (:class:`Positions`).
     """
 
     fv_position: Mapping[tuple[str, str], int]
@@ -251,14 +248,6 @@ class EdgeTables:
     vf_pass: Reads
     fv_pass: Reads
     belief_reads: Reads
-
-    @cached_property
-    def vf_reads(self) -> Reads:
-        return self.vf_pass.through(self.fv_pass.order)
-
-    @cached_property
-    def fv_reads(self) -> Reads:
-        return self.fv_pass.through(self.vf_pass.order)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity

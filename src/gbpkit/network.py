@@ -3,26 +3,25 @@
 One agent per variable; an agent also hosts the factor sharing its
 position in the canonical order, with leftover factors assigned to the
 agent of their lowest-indexed scope variable (an empty-scope one to agent
-0).  Messages are indexed by graph edge, and an agent owns the rows of
-the compiled edge tables that its nodes send: one run of ``vf_edges``
+0).  An agent owns the messages its nodes send: one run of ``vf_edges``
 positions and one run of ``fv_order``, the ``fv_edges`` positions sorted
 stably by host.  Those rows read only edges into the agent's own variable
-and factors, so an agent sees nothing but what its graph neighbours sent,
-and a tick gathers only those reads, through a jagged view of the agent's
-own rows (:meth:`gbpkit.model.Reads.select`): its cost follows the
-agent's size, not the graph's.
+and factors, so an agent sees nothing but what its graph neighbours sent.
 :func:`simulate` reads these index runs; only :func:`build_agents` wraps
 them in :class:`Agent` records.
 
-The synchronous schedule iterates the engine's own sweep loop
-(:func:`gbpkit.engine.sweeps`), adding only the event log and the
-message count, so its results (messages, beliefs, tick count, status)
-equal an engine run bit for bit.  The loop keeps messages in pass order;
-the schedule puts in canonical order the rows it logs, each tick, and
-the messages it returns, once.  The random-sequential schedule
-recomputes one seeded-random agent's rows per tick, in place, from the
-current messages.  Both schedules write each tick's messages to the
-event log as they send them; nothing of the log is kept in memory.
+Both schedules keep the messages in pass order (see
+:class:`~gbpkit.model.EdgeTables`), write each tick's messages to the
+event log in canonical order as they send them, and put the messages
+they return in canonical order once; nothing of the log is kept in
+memory.  The synchronous schedule iterates the engine's own sweep loop
+(:func:`gbpkit.engine.sweeps`), adding only the log and the message
+count, so its results (messages, beliefs, tick count, status) equal an
+engine run bit for bit.  The random-sequential schedule recomputes one
+seeded-random agent's rows per tick, in place: the pass positions of its
+runs (the tables' ``rank``), through a jagged view of those rows alone
+(:meth:`gbpkit.model.Reads.select`), so a tick's cost follows the
+agent's size, not the graph's.
 """
 from __future__ import annotations
 
@@ -192,6 +191,7 @@ def _replace_rows(prec, mean, rows, new_prec, new_mean) -> float:
 
 
 def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
+    vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
     fv_prec, fv_mean = np.zeros(len(graph.edge_var)), np.zeros(len(graph.edge_var))
     if not graph.variable_ids:
         return fv_prec, fv_mean, 0, engine.STATUS_CONVERGED, 0
@@ -201,22 +201,23 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
     vf_prec, vf_mean = engine.vf_messages(compiled, fv_prec, fv_mean)
     sent = len(graph.edge_var)
     if log is not None:
-        _log_rows(log, 0, graph.vf_edges, vf_prec, vf_mean)
+        _log_rows(log, 0, graph.vf_edges, vf_prec[vf_pass.rank], vf_mean[vf_pass.rank])
 
     rng = random.Random(seed)
     quiet: set[int] = set()
     status = engine.STATUS_MAX_ITERS
     for tick in range(1, max_ticks + 1):
         k = rng.randrange(len(vf_runs))
-        vf_rows, fv_rows = slice(*vf_runs[k]), fv_order[slice(*fv_runs[k])]
+        vf_run, fv_run = slice(*vf_runs[k]), slice(*fv_runs[k])
+        vf_rows, fv_rows = vf_pass.rank[vf_run], fv_pass.rank[fv_order[fv_run]]
         new_vf = engine.vf_messages(compiled, fv_prec, fv_mean, vf_rows)
         moved = _replace_rows(vf_prec, vf_mean, vf_rows, *new_vf)
         new_fv = engine.fv_messages(compiled, vf_prec, vf_mean, fv_rows)
         moved = max(moved, _replace_rows(fv_prec, fv_mean, fv_rows, *new_fv))
-        sent += len(new_vf[0]) + len(fv_rows)
+        sent += len(vf_rows) + len(fv_rows)
         if log is not None:
-            _log_rows(log, tick, graph.vf_edges[vf_rows], *new_vf)
-            _log_rows(log, tick, [graph.fv_edges[r] for r in fv_rows], *new_fv)
+            _log_rows(log, tick, graph.vf_edges[vf_run], *new_vf)
+            _log_rows(log, tick, [graph.fv_edges[r] for r in fv_order[fv_run]], *new_fv)
 
         if moved < tolerance:
             quiet.add(k)
@@ -229,4 +230,4 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
         if len(quiet) == len(vf_runs):
             status = engine.STATUS_CONVERGED
             break
-    return fv_prec, fv_mean, tick, status, sent
+    return fv_prec[fv_pass.rank], fv_mean[fv_pass.rank], tick, status, sent

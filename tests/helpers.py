@@ -276,16 +276,18 @@ def padded_variable_pass(prior_var, table, fv_prec, fv_mean=None):
 
 def padded_factor_pass(compiled, table, rows, vf_prec, vf_mean=None):
     """(precisions, means or None) of the ``fv_edges`` positions ``rows`` over
-    the padded ``table``; pads read a 0.0 coefficient, 1.0 and 0.0."""
-    coeff = np.append(compiled.vf_coeff, 0.0)
+    the padded ``table``; pads read a 0.0 coefficient, 1.0 and 0.0.  The
+    parameters come from the model's own columns, in canonical order."""
+    columns, graph = compiled.columns, compiled.graph
+    coeff = np.append(columns.edge_coeff[graph.vf_to_fv], 0.0)
     prec = np.append(vf_prec, 1.0)
     mean = None if vf_mean is None else np.append(vf_mean, 0.0)
-    total_var = compiled.noise_var[rows]
-    residual = None if mean is None else compiled.obs[rows]
+    total_var = columns.noise_var[graph.edge_factor[rows]]
+    residual = None if mean is None else columns.obs[graph.edge_factor[rows]]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in table[rows].T:
             total_var = total_var + coeff[k] * coeff[k] / prec[k]
             if residual is not None:
                 residual = residual - coeff[k] * mean[k]
-        target = compiled.coeff[rows]
+        target = columns.edge_coeff[rows]
         return target * target / total_var, None if residual is None else residual / target

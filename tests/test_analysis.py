@@ -176,7 +176,9 @@ class TestFixedPoint:
                 delta, prec = analysis.engine.max_delta(prec, new_prec), new_prec
                 if delta < analysis.engine.DEFAULT_TOLERANCE:
                     break
-            vf_prec, _ = analysis.engine.vf_messages(compiled, prec, mean)
+            vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
+            vf_prec, _ = analysis.engine.vf_messages(compiled, prec[fv_pass.order], None)
+            vf_prec = vf_prec[vf_pass.rank]
             fp = fixed_point_precisions(graph, model)
             assert fp.iterations == iterations
             assert fp.factor_to_variable.array.tobytes() == prec.tobytes()

@@ -8,6 +8,7 @@ Hand-derived checks along the way:
 """
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -42,6 +43,7 @@ from gbpkit import (
 )
 from gbpkit import engine
 from gbpkit.generate import KINDS
+from gbpkit.model import EdgeTables
 
 import helpers
 
@@ -143,22 +145,24 @@ class TestSingleEdgeMessages:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_row_subsets_match_full_pass_bitwise(self, kind):
-        # A subset of rows is computed over a jagged view of its own, and
-        # each row adds exactly its own reads in order, so each row's
-        # message is the same whichever rows are computed with it.
+        # A subset of pass positions is computed over a jagged view of its
+        # own, and each row adds exactly its own reads in order, so each
+        # row's message is the same whichever rows are computed with it.
         model = generate_model(kind, 120, seed=6)
         graph = build_factor_graph(model)
         compiled = engine.compile_model(graph, model)
+        rank = compiled.tables.fv_pass.rank  # canonical = pass-order[rank]
         rng = np.random.default_rng(6)
         fv = rng.uniform(0.1, 2.0, len(graph.fv_edges)), rng.normal(size=len(graph.fv_edges))
         vf = engine.vf_messages(compiled, *fv)
         full_fv = engine.fv_messages(compiled, *vf)
-        swept = engine.sweep_arrays(compiled, *fv)
-        assert all(np.array_equal(a, b) for a, b in zip(swept, full_fv))
+        swept = engine.sweep_arrays(compiled, fv[0][rank], fv[1][rank])
+        assert all(np.array_equal(a, b[rank]) for a, b in zip(swept, full_fv))
         # Means of None skip the mean terms; the precisions keep their bits.
-        for only, whole in ((engine.vf_messages(compiled, fv[0], None), vf),
-                            (engine.sweep_arrays(compiled, fv[0], None), full_fv)):
-            assert np.array_equal(only[0], whole[0]) and only[1] is None
+        for only, whole in ((engine.vf_messages(compiled, fv[0], None), vf[0]),
+                            (engine.fv_messages(compiled, vf[0], None), full_fv[0]),
+                            (engine.sweep_arrays(compiled, fv[0][rank], None), full_fv[0][rank])):
+            assert np.array_equal(only[0], whole) and only[1] is None
         for size in (0, 1, 7, len(graph.fv_edges)):
             rows = rng.permutation(len(graph.fv_edges))[:size]
             for part, whole in zip(engine.vf_messages(compiled, *fv, rows), vf):
@@ -371,47 +375,23 @@ class TestCompileOnce:
         assert _run_bits(moved) != _run_bits(first)
 
 
-# Built on first read, for the passes over canonical arrays only.
-CANONICAL_READS = {"vf_reads", "fv_reads"}
-CANONICAL_PARAMETERS = {"vf_prior_var", "vf_coeff", "noise_var", "obs"}
+class TestOneReadForm:
+    """The tables and the compiled model hold one read form, the pass order,
+    so a second, canonical copy cannot come back unnoticed."""
+
+    def test_edge_tables_hold_the_pass_forms_only(self):
+        assert [f.name for f in dataclasses.fields(EdgeTables)] == [
+            "fv_position", "vf_position", "vf_pass", "fv_pass", "belief_reads"]
+        assert not _cached_properties(EdgeTables)
+
+    def test_compiled_model_caches_the_pass_arrays_only(self):
+        assert _cached_properties(engine.CompiledModel) == {
+            "pass_prior_var", "pass_coeff", "pass_noise_var", "pass_obs", "pass_read_coeff"}
 
 
-class TestPassOrderOnly:
-    """The full passes read the pass-order forms in place of the canonical ones."""
-
-    @pytest.fixture
-    def compiled(self, monkeypatch):
-        """Every CompiledModel that compile_model returns while the test runs."""
-        made = []
-        real = engine.compile_model
-
-        def recording(graph, model):
-            made.append(real(graph, model))
-            return made[-1]
-
-        monkeypatch.setattr(engine, "compile_model", recording)
-        return made
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_run_certify_and_simulate_build_no_canonical_form(self, kind, compiled):
-        model = generate_model(kind, 60, 5)
-        graph = build_factor_graph(model)
-        for strategy in (InitStrategy.zero(), InitStrategy.lower_bound(),
-                         InitStrategy.upper_bound()):
-            run(graph, model, strategy)
-        certify(graph, model)
-        simulate(model, Schedule.synchronous())
-        sweep(graph, model, init_messages(graph, model, InitStrategy.zero()))
-        assert len({id(c) for c in compiled}) == 2  # one per graph
-        for made in compiled:
-            assert not CANONICAL_PARAMETERS & set(vars(made))
-            assert not CANONICAL_READS & set(vars(made.tables))
-        # The passes over canonical arrays build them on first read.
-        zeros = np.zeros(len(graph.edge_var))
-        engine.fv_messages(compiled[0], *engine.vf_messages(compiled[0], zeros, zeros))
-        assert CANONICAL_PARAMETERS <= set(vars(compiled[0]))
-        assert CANONICAL_READS <= set(vars(graph.edge_tables))
-
+def _cached_properties(cls) -> set[str]:
+    return {name for name, value in vars(cls).items()
+            if isinstance(value, functools.cached_property)}
 
 
 def _move_first_coefficient(model):

@@ -213,7 +213,7 @@ class TestFactorGraph:
         graph = build_factor_graph(model)
         tables = graph.edge_tables
 
-        for reads in (tables.vf_reads, tables.fv_reads, tables.belief_reads):
+        for reads in (tables.vf_pass, tables.fv_pass, tables.belief_reads):
             # The jagged columns: rows by descending width, ties in row
             # order, and column k as long as the count of rows wider than k.
             width = [len(reads.row(r)) for r in range(len(reads.order))]
@@ -222,16 +222,19 @@ class TestFactorGraph:
             assert [len(col) for col in reads.columns] == [
                 sum(w > k for w in width) for k in range(max(width, default=0))]
 
-        def named(edges, reads, r):
-            return [edges[k] for k in reads.row(r)]
+        def named(edges, reads, r, order=None):
+            """Row r's reads as edges; a pass's reads are positions in the
+            other pass's ``order``."""
+            row = reads.row(r)
+            return [edges[k] for k in (row if order is None else order[row])]
 
         for k, (vid, fid) in enumerate(graph.vf_edges):
             others = [(g, vid) for g in graph.variable_neighbors[vid] if g != fid]
-            assert named(graph.fv_edges, tables.vf_reads, k) == others
+            assert named(graph.fv_edges, tables.vf_pass, k, tables.fv_pass.order) == others
             assert tables.vf_position[(vid, fid)] == k
         for k, (fid, vid) in enumerate(graph.fv_edges):
             others = [(z, fid) for z in graph.factor_neighbors[fid] if z != vid]
-            assert named(graph.vf_edges, tables.fv_reads, k) == others
+            assert named(graph.vf_edges, tables.fv_pass, k, tables.vf_pass.order) == others
             assert tables.fv_position[(fid, vid)] == k
         for i, vid in enumerate(graph.variable_ids):
             into = [(g, vid) for g in graph.variable_neighbors[vid]]

@@ -121,11 +121,12 @@ class TestAgentAssignment:
             agents, _, _ = build_agents(graph, model)
             for agent in agents:
                 assert agent.factor_neighbors == graph.variable_neighbors[agent.variable_id]
-                _, columns, _ = tables.vf_reads.select(agent.vf_rows)
-                for k in [k for col in columns for k in col.tolist()]:
+                # A tick's rows are pass positions; so are the reads, in the other pass.
+                _, _, columns = tables.vf_pass.select(tables.vf_pass.rank[agent.vf_rows])
+                for k in [k for col in columns for k in tables.fv_pass.order[col].tolist()]:
                     assert graph.fv_edges[k][1] == agent.variable_id
-                _, columns, _ = tables.fv_reads.select(agent.fv_rows)
-                for k in [k for col in columns for k in col.tolist()]:
+                _, _, columns = tables.fv_pass.select(tables.fv_pass.rank[agent.fv_rows])
+                for k in [k for col in columns for k in tables.vf_pass.order[col].tolist()]:
                     assert graph.vf_edges[k][1] in agent.hosted_factors
             for rows, edges in (("vf_rows", graph.vf_edges), ("fv_rows", graph.fv_edges)):
                 owned = sorted(k for agent in agents for k in getattr(agent, rows).tolist())
@@ -135,14 +136,26 @@ class TestAgentAssignment:
 class TestRoutingGuard:
     """A message reaches an agent only along a graph edge into its nodes."""
 
+    @staticmethod
+    def _passes(graph, model, agent):
+        """The agent's tick: its rows as pass positions, and the passes over
+        them from arrays given in canonical order, results in the rows' order."""
+        compiled = compile_model(graph, model)
+        vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
+        vf_rows, fv_rows = vf_pass.rank[agent.vf_rows], fv_pass.rank[agent.fv_rows]
+        return (lambda prec, mean: vf_messages(compiled, prec[fv_pass.order],
+                                               mean[fv_pass.order], vf_rows),
+                lambda prec, mean: fv_messages(compiled, prec[vf_pass.order],
+                                               mean[vf_pass.order], fv_rows))
+
     def test_non_neighbor_delivery_rejected(self, loop_graph, loop_model):
-        compiled = compile_model(loop_graph, loop_model)
         agents, _, _ = build_agents(loop_graph, loop_model)
         x1 = agents[0]  # variable x1, hosting f1
+        variable, factor = self._passes(loop_graph, loop_model, x1)
         fv_prec, fv_mean = np.full(len(loop_graph.fv_edges), 0.5), np.ones(len(loop_graph.fv_edges))
         vf_prec, vf_mean = np.full(len(loop_graph.vf_edges), 0.5), np.ones(len(loop_graph.vf_edges))
-        before_vf = vf_messages(compiled, fv_prec, fv_mean, x1.vf_rows)
-        before_fv = fv_messages(compiled, vf_prec, vf_mean, x1.fv_rows)
+        before_vf = variable(fv_prec, fv_mean)
+        before_fv = factor(vf_prec, vf_mean)
         # x2 is not in f1's scope and no factor message into x1 comes from x2's edges
         for k, (_, receiver) in enumerate(loop_graph.fv_edges):
             if receiver != "x1":
@@ -150,21 +163,21 @@ class TestRoutingGuard:
         for k, (_, receiver) in enumerate(loop_graph.vf_edges):
             if receiver != "f1":
                 vf_prec[k], vf_mean[k] = 7.0, -3.0
-        after_vf = vf_messages(compiled, fv_prec, fv_mean, x1.vf_rows)
-        after_fv = fv_messages(compiled, vf_prec, vf_mean, x1.fv_rows)
+        after_vf = variable(fv_prec, fv_mean)
+        after_fv = factor(vf_prec, vf_mean)
         for before, after in ((before_vf, after_vf), (before_fv, after_fv)):
             assert [a.tolist() for a in after] == [b.tolist() for b in before]
 
     def test_neighbor_delivery_lands_in_inbox(self, loop_graph, loop_model):
-        compiled = compile_model(loop_graph, loop_model)
         agents, _, factor_host = build_agents(loop_graph, loop_model)
+        variable, _ = self._passes(loop_graph, loop_model, agents[0])
         fv_prec, fv_mean = np.zeros(len(loop_graph.fv_edges)), np.zeros(len(loop_graph.fv_edges))
         edge = loop_graph.fv_edges.index(("f2", "x1"))
         assert edge in agents[factor_host["f2"]].fv_rows.tolist()
         fv_prec[edge], fv_mean[edge] = 0.25, -1.0
         # x1's message to f1 reads f2's message: prior precision 1/6 plus 0.25
         to_f1 = [loop_graph.vf_edges[k] for k in agents[0].vf_rows].index(("x1", "f1"))
-        prec, mean = vf_messages(compiled, fv_prec, fv_mean, agents[0].vf_rows)
+        prec, mean = variable(fv_prec, fv_mean)
         assert prec[to_f1] == pytest.approx(1 / 6 + 0.25)
         assert mean[to_f1] == pytest.approx(-0.25 / (1 / 6 + 0.25))
 

@@ -17,13 +17,15 @@ most and the certificate not at all; scaling every observation by a power of two
 certificate as it is and scales the exact means by the same factor; the
 passes over the jagged edge tables give the bits of the padded tables
 they replaced; the loops that keep messages in pass order (``run``, the
-synchronous ``simulate`` and its log, the fixed point) give the bits of
-sweeps over canonical arrays; and the sparse oracle agrees with a dense
-inverse and solve.
+synchronous ``simulate`` and its log, the fixed point, the
+random-sequential ticks and theirs) give the bits of the same loops
+spelled out over canonical arrays; and the sparse oracle agrees with a
+dense inverse and solve.
 
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
 """
+import random
 import tempfile
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from gbpkit import (
     InitStrategy,
     LinearGaussianModel,
     STATUS_CONVERGED,
+    STATUS_DIVERGED,
     STATUS_MAX_ITERS,
     Schedule,
     TOPOLOGY_FOREST,
@@ -220,60 +223,83 @@ def _bits(pair):
     (Factor("f1", {"x1": 1.0}, 1.0, 0.5), Factor("f2", {"x1": -2.0, "x2": 1.0}, 0.5, 1.0),
      Factor("f3", {}, 1.0, 2.0))), seed=1)
 def test_jagged_passes_match_the_padded_reference(model, seed):
-    # The passes over the jagged columns give the bits of the padded tables
-    # they replaced: full passes, precision-only passes and row subsets.
+    # The passes over the jagged columns, in pass order, give the bits of the
+    # padded tables they replaced, in canonical order: full passes,
+    # precision-only passes, row subsets given as pass positions, and beliefs.
     graph = build_factor_graph(model)
     compiled = engine.compile_model(graph, model)
-    _, vf_table, fv_table, belief_table = helpers.padded_reads(graph)
-    every = slice(None)
+    vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
+    variable_pass, factor_pass, belief_pass = _padded_passes(compiled)
     rng = np.random.default_rng(seed)
     count = len(graph.edge_var)
     fv = rng.uniform(0.1, 2.0, count), rng.normal(size=count)
-    vf = engine.vf_messages(compiled, *fv)
-    assert _bits(vf) == _bits(helpers.padded_variable_pass(compiled.vf_prior_var, vf_table, *fv))
-    assert _bits(engine.fv_messages(compiled, *vf)) == _bits(
-        helpers.padded_factor_pass(compiled, fv_table, every, *vf))
-    belief_reads = compiled.tables.belief_reads
-    beliefs = engine._variable_pass(compiled.prior_var, belief_reads, every, *fv)
-    assert _bits(beliefs) == _bits(
-        helpers.padded_variable_pass(compiled.prior_var, belief_table, *fv))
-    for only, reference in (
-        (engine.vf_messages(compiled, fv[0], None),
-         helpers.padded_variable_pass(compiled.vf_prior_var, vf_table, fv[0])),
-        (engine.fv_messages(compiled, vf[0], None),
-         helpers.padded_factor_pass(compiled, fv_table, every, vf[0])),
-        (engine._variable_pass(compiled.prior_var, belief_reads, every, fv[0], None),
-         helpers.padded_variable_pass(compiled.prior_var, belief_table, fv[0])),
+    vf = variable_pass(*fv)
+    fv_in_pass, vf_in_pass = _in_order(fv, fv_pass), _in_order(vf, vf_pass)
+    assert _bits(engine.vf_messages(compiled, *fv_in_pass)) == _bits(vf_in_pass)
+    assert _bits(engine.fv_messages(compiled, *vf_in_pass)) == _bits(
+        _in_order(factor_pass(*vf), fv_pass))
+    beliefs = engine._beliefs(graph, compiled, *fv, 0)
+    precision, mean = belief_pass(*fv)
+    assert _bits((beliefs.variances.array, beliefs.means.array)) == _bits((1.0 / precision, mean))
+    for only, reference, reads in (
+        (engine.vf_messages(compiled, fv_in_pass[0], None), variable_pass(fv[0]), vf_pass),
+        (engine.fv_messages(compiled, vf_in_pass[0], None), factor_pass(vf[0]), fv_pass),
     ):
-        assert only[1] is None and _bits(only) == _bits(reference)
+        assert only[1] is None and _bits(only) == _bits(_in_order(reference, reads))
     start = int(rng.integers(0, count + 1))
-    for rows in (rng.permutation(count)[:rng.integers(0, count + 1)], slice(start, count)):
-        assert _bits(engine.vf_messages(compiled, *fv, rows)) == _bits(helpers.padded_variable_pass(
-            compiled.vf_prior_var[rows], vf_table[rows], *fv))
-        assert _bits(engine.fv_messages(compiled, *vf, rows)) == _bits(
-            helpers.padded_factor_pass(compiled, fv_table, rows, *vf))
-        assert _bits(engine.vf_messages(compiled, fv[0], None, rows)) == _bits(
-            helpers.padded_variable_pass(compiled.vf_prior_var[rows], vf_table[rows], fv[0]))
+    for rows in (rng.permutation(count)[:rng.integers(0, count + 1)], np.arange(start, count)):
+        vf_rows, fv_rows = vf_pass.order[rows], fv_pass.order[rows]  # their canonical positions
+        assert _bits(engine.vf_messages(compiled, *fv_in_pass, rows)) == _bits(
+            variable_pass(*fv, rows=vf_rows))
+        assert _bits(engine.fv_messages(compiled, *vf_in_pass, rows)) == _bits(
+            factor_pass(*vf, rows=fv_rows))
+        assert _bits(engine.vf_messages(compiled, fv_in_pass[0], None, rows)) == _bits(
+            variable_pass(fv[0], rows=vf_rows))
 
 
-def _canonical_sweep(compiled, prec, mean):
-    """A sweep by the passes over canonical arrays: (vf_prec, vf_mean, fv_prec, fv_mean)."""
-    vf = engine.vf_messages(compiled, prec, mean)
-    return (*vf, *engine.fv_messages(compiled, *vf))
+def _in_order(pair, reads):
+    """A pair of canonical arrays (or None) in the pass order of ``reads``."""
+    return tuple(None if a is None else a[reads.order] for a in pair)
+
+
+def _padded_passes(compiled):
+    """The reference passes over the padded tables, canonical order in and
+    out: (variable, factor, belief), the first two over ``rows`` if given."""
+    graph, columns = compiled.graph, compiled.columns
+    _, vf_table, fv_table, belief_table = helpers.padded_reads(graph)
+    vf_prior_var = columns.prior_var[graph.edge_var[graph.vf_to_fv]]
+
+    def variable(fv_prec, fv_mean=None, rows=slice(None)):
+        return helpers.padded_variable_pass(vf_prior_var[rows], vf_table[rows], fv_prec, fv_mean)
+
+    def factor(vf_prec, vf_mean=None, rows=slice(None)):
+        return helpers.padded_factor_pass(compiled, fv_table, rows, vf_prec, vf_mean)
+
+    def belief(fv_prec, fv_mean):
+        return helpers.padded_variable_pass(columns.prior_var, belief_table, fv_prec, fv_mean)
+
+    return variable, factor, belief
+
+
+def _canonical_sweep(passes, prec, mean):
+    """A sweep by the padded reference passes: (vf_prec, vf_mean, fv_prec, fv_mean)."""
+    variable, factor, _ = passes
+    vf = variable(prec, mean)
+    return (*vf, *factor(*vf))
 
 
 def _canonical_run(graph, model, start, max_iters, log_rows=None):
-    """``run`` spelled out over canonical arrays: the canonical passes and
+    """``run`` spelled out over canonical arrays: the padded passes and
     ``step_status`` per sweep.  ``log_rows`` gets the rows ``simulate`` logs
     per tick: the variable messages, then the factor messages agent by agent."""
-    compiled = engine.compile_model(graph, model)
+    passes = _padded_passes(engine.compile_model(graph, model))
     agents, _, _ = build_agents(graph, model)
     fv_order = np.concatenate([agent.fv_rows for agent in agents] or [np.zeros(0, int)])
     state = init_messages(graph, model, start)
     status = STATUS_MAX_ITERS
     for tick in range(1, max_iters + 1):
         vf_prec, vf_mean, prec, mean = _canonical_sweep(
-            compiled, state.precisions.array, state.means.array)
+            passes, state.precisions.array, state.means.array)
         new = engine._state(graph, prec, mean, tick)
         if log_rows is not None:
             for edges, prec, mean in ((graph.vf_edges, vf_prec, vf_mean), (
@@ -311,8 +337,8 @@ def _state_bits(state, beliefs, status):
          max_iters=500)  # diverges
 def test_pass_order_loops_give_the_bits_of_canonical_sweeps(model, start, seed, max_iters):
     # run, the synchronous simulate and the fixed point keep their messages in
-    # pass order; each must give the bits of the loop over canonical arrays,
-    # whose passes read the canonical tables and parameters.
+    # pass order; each must give the bits of the loop spelled out over
+    # canonical arrays with the padded reference passes.
     graph = build_factor_graph(model)
     strategy = STARTS[start](graph, seed)
     result = run(graph, model, strategy, max_iters=max_iters)
@@ -331,11 +357,11 @@ def test_pass_order_loops_give_the_bits_of_canonical_sweeps(model, start, seed, 
                 state, beliefs, status)
         assert log_path.read_text().splitlines() == log_rows
 
-    compiled = engine.compile_model(graph, model)
+    passes = _padded_passes(engine.compile_model(graph, model))
     prec = init_messages(graph, model, strategy).precisions.array
     iterations = 0
     while True:
-        _, _, new_prec, _ = _canonical_sweep(compiled, prec, None)
+        _, _, new_prec, _ = _canonical_sweep(passes, prec, None)
         iterations += 1
         delta, prec = engine.max_delta(prec, new_prec), new_prec
         if delta < engine.DEFAULT_TOLERANCE:
@@ -344,7 +370,93 @@ def test_pass_order_loops_give_the_bits_of_canonical_sweeps(model, start, seed, 
     assert point.iterations == iterations
     assert point.factor_to_variable.array.tobytes() == prec.tobytes()
     assert point.variable_to_factor.array.tobytes() == (
-        engine.vf_messages(compiled, prec, None)[0].tobytes())
+        passes[0](prec)[0].tobytes())
+
+
+def _canonical_ticks(model, seed, max_ticks, log_rows):
+    """The random-sequential schedule spelled out in canonical order: per
+    tick, one seeded-random agent's ``build_agents`` rows recomputed by the
+    padded reference passes.  Returns (fv_prec, fv_mean, belief precisions,
+    belief means, ticks, status, messages sent); ``log_rows`` gets the rows
+    ``simulate`` logs."""
+    graph = build_factor_graph(model)
+    variable, factor, belief = _padded_passes(engine.compile_model(graph, model))
+    agents, _, _ = build_agents(graph, model)
+    count = len(graph.edge_var)
+    fv_prec, fv_mean = np.zeros(count), np.zeros(count)
+
+    def log(tick, edges, prec, mean):
+        log_rows.extend(f"{tick},{sender},{receiver},{p:.17g},{m:.17g}" for (
+            sender, receiver), p, m in zip(edges, prec.tolist(), mean.tolist()))
+
+    tick, status, sent = 0, STATUS_CONVERGED, 0
+    if agents:
+        vf_prec, vf_mean = variable(fv_prec, fv_mean)
+        sent = count
+        log(0, graph.vf_edges, vf_prec, vf_mean)
+        rng = random.Random(seed)
+        quiet, status = set(), STATUS_MAX_ITERS
+        for tick in range(1, max_ticks + 1):
+            k = rng.randrange(len(agents))
+            vf_rows, fv_rows = agents[k].vf_rows, agents[k].fv_rows
+            new_vf = variable(fv_prec, fv_mean, rows=vf_rows)
+            moved = max(engine.max_delta(vf_prec[vf_rows], new_vf[0]),
+                        engine.max_delta(vf_mean[vf_rows], new_vf[1]))
+            vf_prec[vf_rows], vf_mean[vf_rows] = new_vf
+            new_fv = factor(vf_prec, vf_mean, rows=fv_rows)
+            moved = max(moved, engine.max_delta(fv_prec[fv_rows], new_fv[0]),
+                        engine.max_delta(fv_mean[fv_rows], new_fv[1]))
+            fv_prec[fv_rows], fv_mean[fv_rows] = new_fv
+            sent += len(vf_rows) + len(fv_rows)
+            log(tick, [graph.vf_edges[r] for r in vf_rows], *new_vf)
+            log(tick, [graph.fv_edges[r] for r in fv_rows], *new_fv)
+            quiet = quiet | {k} if moved < engine.DEFAULT_TOLERANCE else set()
+            if not ((np.abs(new_fv[1]) <= engine.DIVERGENCE_GUARD).all()
+                    and np.isfinite(new_fv[0]).all()):
+                status = STATUS_DIVERGED
+                break
+            if len(quiet) == len(agents):
+                status = STATUS_CONVERGED
+                break
+    return (fv_prec, fv_mean, *belief(fv_prec, fv_mean), tick, status, sent)
+
+
+@given(model=st.one_of(scoped_models(), models()), seed=SEEDS,
+       max_ticks=st.sampled_from([1, 2, 1000]))
+@example(model=LinearGaussianModel(), seed=0, max_ticks=1000)
+@example(model=LinearGaussianModel((Variable("x1", 1.0), Variable("x2", 2.0))), seed=0,
+         max_ticks=1000)
+@example(model=LinearGaussianModel(
+    (Variable("x1", 1.0), Variable("x2", 2.0), Variable("x3", 0.5), Variable("x4", 3.0)),
+    (Factor("f1", {"x1": 1.0}, 1.0, 0.5),
+     Factor("f2", {"x3": -2.0, "x1": 1.0, "x2": 0.5}, 0.5, 1.0),
+     Factor("f3", {"x4": 1.0, "x2": -1.0}, 1.0, 2.0),
+     Factor("f4", {"x2": 1.5, "x3": 1.0}, 2.0, -1.0), Factor("f5", {}, 1.0, 2.0))),
+    seed=3, max_ticks=1000)
+@example(model=LinearGaussianModel((Variable("x1", 1.0),), (Factor("f1", {"x1": 2.0}, 1.0, 3.0),)),
+         seed=2, max_ticks=1)
+@example(model=generate_model(KIND_RANDOM_LOOPY, 6, 113, (-6.0, 6.0)), seed=11,
+         max_ticks=5000)  # diverges under synchronous sweeps, converges here
+@example(model=helpers.overflow_model(), seed=3, max_ticks=1000)  # diverges
+def test_random_sequential_ticks_match_a_canonical_tick_loop(model, seed, max_ticks):
+    # The ticks keep both message arrays in pass order and recompute an
+    # agent's rows as pass positions; they must give the bits of the same
+    # schedule spelled out over canonical arrays with the padded passes.
+    log_rows = ["tick,sender,receiver,precision,mean"]
+    prec, mean, belief_prec, belief_mean, ticks, status, sent = _canonical_ticks(
+        model, seed, max_ticks, log_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path = Path(tmp) / "traffic.csv"
+        for path in (None, log_path):
+            sim = simulate(model, Schedule.random_sequential(seed), max_ticks=max_ticks,
+                           log_path=path)
+            assert (sim.ticks, sim.status, sim.messages_sent) == (ticks, status, sent)
+            assert _bits((sim.state.precisions.array, sim.state.means.array)) == _bits(
+                (prec, mean))
+            assert _bits((sim.beliefs.variances.array, sim.beliefs.means.array)) == _bits(
+                (1.0 / belief_prec, belief_mean))
+            assert sim.state.iteration == sim.beliefs.iteration == ticks
+        assert log_path.read_text().splitlines() == log_rows
 
 
 def relabelled(model, seed):
