@@ -226,9 +226,11 @@ class CompiledModel:
     ``pass_prior_var`` per row of ``tables.vf_pass``; ``pass_coeff`` (the
     target's coefficient), ``pass_noise_var`` and ``pass_obs`` per row of
     ``tables.fv_pass``, and ``pass_read_coeff``, the coefficient of each
-    read, per column of it; each is built on first read.  ``prior_var`` is
-    per variable and ``coeff`` per ``fv_edges`` position, the model's own
-    columns.
+    read, per column of it.  Each is built on first read, together with
+    the one that reads along the same gathered index: ``pass_prior_var``
+    with ``pass_read_coeff``, ``pass_noise_var`` with ``pass_obs``.
+    ``prior_var`` is per variable and ``coeff`` per ``fv_edges`` position,
+    the model's own columns.
     """
 
     graph: FactorGraph
@@ -246,9 +248,26 @@ class CompiledModel:
     def coeff(self) -> np.ndarray:
         return self.columns.edge_coeff
 
+    def _lay_out_vf_pass(self) -> None:
+        """Cache ``pass_prior_var`` and ``pass_read_coeff``, both read along
+        the ``fv_edges`` position of each ``vf_pass`` row, gathered once."""
+        edge = self.graph.vf_to_fv[self.tables.vf_pass.order]
+        by_vf_pass = self.coeff[edge]
+        vars(self).update(
+            pass_prior_var=self.prior_var[self.graph.edge_var[edge]],
+            pass_read_coeff=tuple(by_vf_pass[col] for col in self.tables.fv_pass.columns))
+
+    def _lay_out_fv_pass(self) -> None:
+        """Cache ``pass_noise_var`` and ``pass_obs``, both read along the
+        factor of each ``fv_pass`` row, gathered once."""
+        factor = self.graph.edge_factor[self.tables.fv_pass.order]
+        vars(self).update(pass_noise_var=self.columns.noise_var[factor],
+                          pass_obs=self.columns.obs[factor])
+
     @cached_property
     def pass_prior_var(self) -> np.ndarray:
-        return self.prior_var[self.graph.edge_var[self.graph.vf_to_fv[self.tables.vf_pass.order]]]
+        self._lay_out_vf_pass()
+        return vars(self)["pass_prior_var"]
 
     @cached_property
     def pass_coeff(self) -> np.ndarray:
@@ -256,16 +275,18 @@ class CompiledModel:
 
     @cached_property
     def pass_noise_var(self) -> np.ndarray:
-        return self.columns.noise_var[self.graph.edge_factor[self.tables.fv_pass.order]]
+        self._lay_out_fv_pass()
+        return vars(self)["pass_noise_var"]
 
     @cached_property
     def pass_obs(self) -> np.ndarray:
-        return self.columns.obs[self.graph.edge_factor[self.tables.fv_pass.order]]
+        self._lay_out_fv_pass()
+        return vars(self)["pass_obs"]
 
     @cached_property
     def pass_read_coeff(self) -> tuple[np.ndarray, ...]:
-        by_vf_pass = self.coeff[self.graph.vf_to_fv[self.tables.vf_pass.order]]
-        return tuple(by_vf_pass[col] for col in self.tables.fv_pass.columns)
+        self._lay_out_vf_pass()
+        return vars(self)["pass_read_coeff"]
 
 
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:

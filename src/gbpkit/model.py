@@ -12,12 +12,14 @@ graph that message passing runs on.
 
 A model holds its values as given, one tuple per field (``ModelFields``);
 its :class:`Variable` and :class:`Factor` items are built from those only
-when read.  A file is parsed straight into the fields: :func:`model_from_dict`
-checks its shape, and :func:`find_violations`, shared with models built
-from items, checks the values, whole fields first and items one by one only
-if a check fails.  Every consumer reads a model's parameters and edges from
-one set of arrays, ``LinearGaussianModel.columns``, built on first use after
-that one validation: once per model object.
+when read.  A file is parsed straight into the fields, by json's C parser
+alone unless a colon count leaves a repeated key possible
+(:func:`loads_model`): :func:`model_from_dict` checks its shape, and
+:func:`find_violations`, shared with models built from items, checks the
+values, whole fields first and items one by one only if a check fails.
+Every consumer reads a model's parameters and edges from one set of
+arrays, ``LinearGaussianModel.columns``, built on first use after that one
+validation: once per model object.
 """
 from __future__ import annotations
 
@@ -102,6 +104,14 @@ class ModelFields:
         return tuple(chain.from_iterable(map(methodcaller("values"), self.coeffs)))
 
     @cached_property
+    def numbers(self) -> tuple[np.ndarray, ...]:
+        """``prior_var``, ``noise_var``, ``obs`` and ``coeff_values`` as float
+        arrays.  Read only once the values are known to be numbers (a string
+        would be parsed); an int beyond the float range raises OverflowError."""
+        return tuple(np.array(values, dtype=float)
+                     for values in (self.prior_var, self.noise_var, self.obs, self.coeff_values))
+
+    @cached_property
     def coeff_var(self) -> np.ndarray | None:
         """Per coefficient in ``coeff_values`` order, the position of its variable
         in ``variable_ids``; None if an id is empty or repeated, or a key names no
@@ -157,15 +167,15 @@ class LinearGaussianModel:
         sizes = np.fromiter(map(len, f.coeffs), np.intp, len(f.coeffs))
         edge_factor = np.repeat(np.arange(len(f.coeffs)), sizes)
         edge_var = f.coeff_var  # mapped by the validation's reference check
-        edge_coeff = np.array(f.coeff_values, dtype=float)
+        prior_var, noise_var, obs, edge_coeff = f.numbers  # converted by the validation, if whole
         # coeffs may list a scope in any order; a stable sort of nearly sorted keys is fast
         fv = np.argsort(edge_factor * len(f.variable_ids) + edge_var, kind="stable")
         return ModelColumns(
             variable_ids=f.variable_ids,
             factor_ids=f.factor_ids,
-            prior_var=np.array(f.prior_var, dtype=float),
-            noise_var=np.array(f.noise_var, dtype=float),
-            obs=np.array(f.obs, dtype=float),
+            prior_var=prior_var,
+            noise_var=noise_var,
+            obs=obs,
             edge_factor=edge_factor,
             edge_var=edge_var[fv],
             edge_coeff=edge_coeff[fv],
@@ -395,15 +405,16 @@ def _is_number(x) -> bool:
 
 
 def _fields_pass(f: ModelFields) -> bool:
-    """Whether each field passes as a whole: a type set, then a float array,
-    and the references, checked by mapping them (``ModelFields.coeff_var``).
-    False means that some item needs a look, not that one is invalid."""
-    numbers = (f.prior_var, f.noise_var, f.obs, f.coeff_values)
+    """Whether each field passes as a whole: a type set, then a float array
+    (``ModelFields.numbers``), and the references, checked by mapping them
+    (``ModelFields.coeff_var``).  False means that some item needs a look,
+    not that one is invalid."""
     if not (set(map(type, chain(f.variable_ids, f.factor_ids))) <= {str}
-            and set(map(type, chain(*numbers))) <= {int, float}):  # bool is not int here
+            and set(map(type, chain(f.prior_var, f.noise_var, f.obs, f.coeff_values)))
+            <= {int, float}):  # bool is not int here
         return False
     try:
-        prior, noise, obs, coeff = (np.array(values, dtype=float) for values in numbers)
+        prior, noise, obs, coeff = f.numbers
     except OverflowError:  # an int beyond the float range
         return False
     factors = set(f.factor_ids)
@@ -638,8 +649,8 @@ def _records(raw, name: str, keys: tuple[str, ...], problems: list[str]) -> list
     return _columns(raw, keys, itemgetter)
 
 
-def model_from_dict(data: dict) -> LinearGaussianModel:
-    """Parse and validate; raises InvalidModelError on any shape problem."""
+def _fields_from_dict(data: dict) -> ModelFields:
+    """The fields of a parsed file; raises InvalidModelError on any shape problem."""
     if not isinstance(data, dict):
         raise InvalidModelError(["top level must be an object"])
     problems: list[str] = []
@@ -650,10 +661,36 @@ def model_from_dict(data: dict) -> LinearGaussianModel:
     factors = _records(data.get("factors"), "factors", _FACTOR_KEYS, problems)
     if problems:
         raise InvalidModelError(problems)
-    return validate_model(LinearGaussianModel(fields=ModelFields(*variables, *factors)))
+    return ModelFields(*variables, *factors)
+
+
+def model_from_dict(data: dict) -> LinearGaussianModel:
+    """Parse and validate; raises InvalidModelError on any shape problem."""
+    return validate_model(LinearGaussianModel(fields=_fields_from_dict(data)))
 
 
 def loads_model(text: str) -> LinearGaussianModel:
+    """Parse and validate a model file; raises InvalidModelError on any
+    problem, a repeated key in any object included.
+
+    The text is parsed without a hook, in C.  Outside strings JSON writes
+    ':' only after a key, and a repeated key leaves one entry, so the
+    entries of the parsed objects are at most the keys of the text, and
+    those at most its colons.  When the entries of the objects that the
+    shape check reads equal the colons, no key repeats, and the fields are
+    validated.  Otherwise, or if that parse or the shape check fails, the
+    text is parsed again with a duplicate-key hook, whose outcome is the
+    result: a repeated key is reported ahead of any later fault.
+    """
+    try:
+        f = _fields_from_dict(json.loads(text))
+        # The top level holds 2 entries, a variable 2, a factor 4 plus its coeffs.
+        entries = 2 + 2 * len(f.variable_ids) + 4 * len(f.factor_ids) + len(f.coeff_values)
+        unrepeated = entries == text.count(":")
+    except (ValueError, RecursionError, TypeError):  # TypeError: bytes count no ':'
+        unrepeated = False
+    if unrepeated:
+        return validate_model(LinearGaussianModel(fields=f))
     try:
         data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as err:

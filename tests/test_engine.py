@@ -389,6 +389,15 @@ class TestOneReadForm:
             "pass_prior_var", "pass_coeff", "pass_noise_var", "pass_obs", "pass_read_coeff"}
 
 
+def test_arrays_along_one_pass_index_are_laid_out_together(loop_model, loop_graph):
+    compiled = engine.compile_model(loop_graph, loop_model)
+    compiled.pass_obs
+    assert {"pass_obs", "pass_noise_var"} <= set(vars(compiled))
+    assert "pass_prior_var" not in vars(compiled)
+    compiled.pass_prior_var
+    assert {"pass_prior_var", "pass_read_coeff"} <= set(vars(compiled))
+
+
 def _cached_properties(cls) -> set[str]:
     return {name for name, value in vars(cls).items()
             if isinstance(value, functools.cached_property)}

@@ -32,6 +32,7 @@ from gbpkit import (
     simulate,
     with_observations,
 )
+from gbpkit import model as model_module
 from gbpkit.generate import KINDS
 from gbpkit.model import dumps_model, loads_model, model_from_dict
 
@@ -116,6 +117,17 @@ class TestLoadedModels:
         with pytest.raises(InvalidModelError) as refused:
             loads_model(text)
         assert refused.value.violations == [f"duplicate key {key!r} in object"]
+
+    def test_a_file_without_repeats_is_parsed_without_the_hook(self, monkeypatch):
+        def hook(pairs):
+            raise AssertionError("the duplicate-key hook ran")
+
+        monkeypatch.setattr(model_module, "_reject_duplicate_keys", hook)
+        model = generate_model("random-loopy", 300, 7)
+        assert loads_model(dumps_model(model)) == model
+        # An id with a colon leaves the colon count above the key count: the hook parse runs.
+        with pytest.raises(AssertionError, match="hook ran"):
+            loads_model(dumps_model(model).replace('"x1"', '"x:1"'))
 
     def test_empty_model(self):
         loaded = _assert_same_load('{"variables": [], "factors": []}')

@@ -8,7 +8,7 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Seven more properties guard how the package gets there: the certificate's
+Eight more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; the walk-summability interval contains
 the dense radius of |I - R| and never decides wrong; relabelling or
@@ -19,12 +19,16 @@ passes over the jagged edge tables give the bits of the padded tables
 they replaced; the loops that keep messages in pass order (``run``, the
 synchronous ``simulate`` and its log, the fixed point, the
 random-sequential ticks and theirs) give the bits of the same loops
-spelled out over canonical arrays; and the sparse oracle agrees with a
-dense inverse and solve.
+spelled out over canonical arrays; the sparse oracle agrees with a
+dense inverse and solve; and a model file parsed by json alone, its
+repeated keys ruled out by a colon count, gives the model or the
+violations that a parse checking every object for repeated keys gives.
 
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
 """
+import json
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -70,7 +74,15 @@ from gbpkit import (
 )
 from gbpkit import analysis, oracle
 from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
-from gbpkit.model import sparse_gmrf
+from gbpkit.model import (
+    InvalidModelError,
+    _reject_duplicate_keys,
+    dumps_model,
+    loads_model,
+    model_from_dict,
+    model_to_dict,
+    sparse_gmrf,
+)
 from gbpkit.network import build_agents
 
 import helpers
@@ -582,3 +594,118 @@ def test_selected_inverse_matches_the_dense_inverse(matrix, order):
     variance = oracle._selected_inverse_diagonal(lu.U.tocsr())[lu.perm_c]
     expected = np.diag(np.linalg.inv(matrix.toarray()))
     assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
+
+
+class _Object(list):
+    """A JSON object as its (key, value) pairs, so that a key may repeat."""
+
+
+def _as_pairs(node):
+    if isinstance(node, dict):
+        return _Object((key, _as_pairs(value)) for key, value in node.items())
+    if isinstance(node, list):
+        return [_as_pairs(value) for value in node]
+    return node
+
+
+def _objects(node):
+    """Every object in ``node``, outermost first."""
+    if isinstance(node, _Object):
+        yield node
+        node = [value for _, value in node]
+    if isinstance(node, list):
+        for value in node:
+            yield from _objects(value)
+
+
+def _written(node, item, key) -> str:
+    """``node`` as JSON text, pair by pair, with the given separators."""
+    if isinstance(node, _Object):
+        return "{" + item.join(json.dumps(k) + key + _written(v, item, key) for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + item.join(_written(value, item, key) for value in node) + "]"
+    return json.dumps(node)
+
+
+# json writes this id character as the escape \u00a7, which model_texts turns into
+# \u003a, an escaped colon: a ':' in the parsed id that the text does not show.
+ESCAPED = "§"
+SPOILED_VALUES = [-1.0, 0, "1", True, None, math.inf, 10**400, [], {}]
+
+
+@st.composite
+def model_texts(draw):
+    """Model files as text.  A generated model whose ids may hold ':' or its
+    escape \\u003a, either written by ``dumps_model`` or compact, or written
+    pair by pair with a key repeated in one drawn object (the top level, a
+    record or a ``coeffs``), an item perhaps spoiled, trailing text, or a
+    top level that is not an object."""
+    model = draw(st.one_of(models(), scoped_models()))
+    mark = draw(st.sampled_from(["", ":", ESCAPED]))
+
+    def renamed(name):
+        return name[:1] + mark + name[1:]
+
+    data = model_to_dict(model)
+    data = {
+        "variables": [{**v, "id": renamed(v["id"])} for v in data["variables"]],
+        "factors": [{**f, "id": renamed(f["id"]),
+                     "coeffs": {renamed(k): c for k, c in f["coeffs"].items()}}
+                    for f in data["factors"]],
+    }
+    if draw(st.booleans()):
+        text = draw(st.sampled_from([dumps_model(model_from_dict(data)),
+                                     json.dumps(data, separators=(",", ":"))]))
+    else:
+        top = _as_pairs(data)
+        objects = [obj for obj in _objects(top) if obj]
+        if draw(st.booleans()):
+            obj = draw(st.sampled_from(objects))
+            k = draw(st.integers(0, len(obj) - 1))
+            key, value = obj[k]
+            value = draw(st.sampled_from([value, 1.5, "x1"]))
+            obj.insert(draw(st.integers(0, len(obj))), (key, value))
+        if draw(st.booleans()):
+            obj = draw(st.sampled_from(objects))
+            k = draw(st.integers(0, len(obj) - 1))
+            if draw(st.booleans()):
+                del obj[k]
+            else:
+                obj[k] = (obj[k][0], draw(st.sampled_from(SPOILED_VALUES)))
+        top = draw(st.sampled_from([top, [top], top[0][1]]))
+        text = _written(top, *draw(st.sampled_from([(",", ":"), (", ", ": "), (",\n ", ": ")])))
+        text += draw(st.sampled_from(["", "\n", " x", "}", ",{}"]))
+    return text.replace(json.dumps(ESCAPED)[1:-1], "\\u003a")
+
+
+def _hook_outcome(text: str):
+    """What the loader gives when every object goes through the duplicate-key
+    hook: the fields of the model, or the violations."""
+    try:
+        data = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+    except json.JSONDecodeError as err:
+        return "invalid", [f"parse error at line {err.lineno} column {err.colno}: {err.msg}"]
+    except ValueError as err:
+        return "invalid", [str(err)]
+    return _load_outcome(model_from_dict, data)
+
+
+def _load_outcome(load, source):
+    try:
+        fields = load(source).fields
+    except InvalidModelError as err:
+        return "invalid", err.violations
+    return "model", fields, repr(fields)  # repr tells ints from floats and keeps coeffs' order
+
+
+@given(text=model_texts())
+@example(text='{"variables": [], "variables": []} x')
+@example(text='{"variables": [], "factors": [], "variables": []}')
+@example(text='{"variables": [{"id": "x1", "prior_var": 1.0, "id": "x:1"}], "factors": []}')
+@example(text='{"variables": [{"id": "x:1", "prior_var": 1.0}], "factors": []}')
+@example(text='{"variables": [{"id": "x1", "prior_var": -1.0}], "factors": [], "factors": []}')
+@example(text='[{"a": 1, "a": 2}, [[[')
+@example(text=b'{"variables": [{"id": "x1", "prior_var": 1}], "factors": [], "factors": []}')
+@example(text='[{"a": 1, "a": 2}, ' + "[" * 100_000)  # too deep for json: a RecursionError
+def test_the_fast_parse_gives_the_outcome_of_the_hook_parse(text):
+    assert _load_outcome(loads_model, text) == _hook_outcome(text)
