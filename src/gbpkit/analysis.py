@@ -236,6 +236,54 @@ def fixed_point_precisions(
     )
 
 
+def _flat(arrays, dtype=np.intp) -> np.ndarray:
+    """The arrays end to end; an empty ``dtype`` array when there are none."""
+    return np.concatenate(arrays or (np.zeros(0, dtype),))
+
+
+def _by_row(rows: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    """For row ``rows[p]`` reading ``columns[k][p]``, per column k longer than
+    p: CSR row pointers over ``len(rows)`` rows, and the order that sorts the
+    reads, flattened column after column, by row (each row's in column order)."""
+    row_of = _flat([rows[:len(col)] for col in columns])
+    return (np.append(0, np.cumsum(np.bincount(row_of, minlength=len(rows)))),
+            np.argsort(row_of, kind="stable"))
+
+
+def _scale_values(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> np.ndarray:
+    """A's entries c_{k,j} / (J*_{j->f_n} M_{k,j}), flattened column after
+    column of vf_pass."""
+    vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
+    star = fixed_point.variable_to_factor.array[vf_pass.order]
+    # M_{k,j} on every factor-to-variable edge f_k -> j, in fv_pass order.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_kj, _ = engine._factor_sums(fv_pass.columns, compiled.pass_vf_coeff, star, None,
+                                      compiled.pass_noise_var.copy(), None)
+    inv_out = 1.0 / star
+    return _flat([inv_out[:len(k)] * compiled.pass_coeff[k] / m_kj[k] for k in vf_pass.columns],
+                 float)
+
+
+def _scale_matrix(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> csr_array:
+    """A[row, k] = c_{k,j} / (J*_{j->f_n} M_{k,j}) over the row's other factors k."""
+    vf_pass = compiled.tables.vf_pass
+    values = _scale_values(compiled, fixed_point)  # its temporaries freed before the layout's
+    indptr, by_row = _by_row(vf_pass.order, vf_pass.columns)
+    dim = len(vf_pass.order)
+    return csr_array((values[by_row], _flat(vf_pass.columns)[by_row], indptr), shape=(dim, dim))
+
+
+def _coupling_matrix(compiled: engine.CompiledModel) -> csr_array:
+    """B[k, z] = c_{k,z} over f_k's other variables z: the coefficients laid
+    out per variable-to-factor message z -> f_k, gathered once through the reads."""
+    vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
+    dim = len(vf_pass.order)
+    indptr, by_row = _by_row(np.arange(dim), fv_pass.columns)
+    reads = _flat(fv_pass.columns)[by_row]
+    return csr_array((compiled.pass_vf_coeff[reads], vf_pass.order[reads], indptr),
+                     shape=(dim, dim))
+
+
 def build_mean_system(
     graph: FactorGraph, model: LinearGaussianModel, fixed_point: FixedPoint
 ) -> MeanUpdateSystem:
@@ -250,38 +298,11 @@ def build_mean_system(
         b[row]      = sum over those f_k of c_{k,j} * obs_k / (J*_{j->f_n} * M_{k,j})
     """
     compiled = engine.compile_model(graph, model)
-    vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
-    dim = len(graph.edge_var)
-
-    def scale_entries():
-        """Per column of vf_pass, A's entries c_{k,j} / (J*_{j->f_n} M_{k,j})."""
-        star = fixed_point.variable_to_factor.array[vf_pass.order]
-        # M_{k,j} on every factor-to-variable edge f_k -> j, in fv_pass order.
-        with np.errstate(over="ignore", invalid="ignore"):
-            m_kj, _ = engine._factor_sums(
-                zip(compiled.pass_read_coeff, engine._reading(fv_pass.columns, star, None)),
-                compiled.pass_noise_var.copy(), None)
-        inv_out = 1.0 / star
-        return [inv_out[:len(k)] * compiled.pass_coeff[k] / m_kj[k] for k in vf_pass.columns]
-
-    def incidence(rows, columns, values):
-        """E x E CSR whose row ``rows[p]`` holds ``values[k][p]`` at ``columns[k][p]``
-        for each column k longer than p, in column order."""
-        none = rows[:0]
-        row_of = np.concatenate([rows[:len(col)] for col in columns] or [none])
-        by_row = np.argsort(row_of, kind="stable")  # each row's reads stay in column order
-        indptr = np.append(0, np.cumsum(np.bincount(row_of, minlength=dim)))
-        cols = np.concatenate(columns or (none,))[by_row]
-        data = np.concatenate(values or (np.zeros(0),))[by_row]
-        return csr_array((data, cols, indptr), shape=(dim, dim))
-
-    # Q = A @ B: A[row, k] = c_{k,j} / (J*_{j->f_n} M_{k,j}) over the row's
-    # other factors k, B[k, z] = c_{k,z} over f_k's other variables z.  Rows
-    # and columns of Q are vf_edges positions; the inner index runs in
-    # fv_pass order, and each entry of Q is one term, whatever that order.
-    scale = incidence(vf_pass.order, vf_pass.columns, scale_entries())
-    sparse = scale @ incidence(np.arange(dim), [vf_pass.order[z] for z in fv_pass.columns],
-                               compiled.pass_read_coeff)
+    # Q = A @ B (see _scale_matrix and _coupling_matrix).  Rows and columns
+    # of Q are vf_edges positions; the inner index runs in fv_pass order,
+    # and each entry of Q is one term, whatever that order.
+    scale = _scale_matrix(compiled, fixed_point)
+    sparse = scale @ _coupling_matrix(compiled)
     sparse.eliminate_zeros()
     sparse.sort_indices()
     return MeanUpdateSystem(sparse=sparse, offset=scale @ compiled.pass_obs, graph=graph)

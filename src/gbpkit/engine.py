@@ -13,15 +13,19 @@ are derived from the stored factor-to-variable state each sweep:
 
 The two kernels below are the only place these formulas live.  They
 work on float64 arrays, one entry per message, with the rows sorted by
-descending width: the engine, the analysis and the simulator feed them
-one jagged column of the graph's edge tables (:class:`~gbpkit.model.Reads`)
-at a time, and a column k covers only the rows wider than k, so it adds
-into the leading entries of the accumulators.  Every message therefore
-adds its terms one at a time in canonical neighbour order, and no row
-adds anything past its own reads, whichever rows are computed with it.
-The per-edge functions pass the same kernels length-1 arrays, so every
-path agrees bit for bit and two runs over the same model are identical.
-The kernels silence numpy's overflow and invalid-value warnings.  A pass
+descending width.  Each term a row adds (prec * mean; c_j^2 / prec and
+c_j * mean, with c_j the coefficient of the message read) depends on the
+message read alone, so a kernel forms it once per message of the other
+pass, then gathers it one jagged column of the graph's edge tables
+(:class:`~gbpkit.model.Reads`) at a time.  A column k covers only the
+rows wider than k, so it adds into the leading entries of the
+accumulators.  Every message therefore adds its terms one at a time in
+canonical neighbour order, and no row adds anything past its own reads,
+whichever rows are computed with it.  A row subset and the per-edge
+functions gather their reads first and form the same terms from them,
+and an elementwise product commutes exactly with a gather, so every path
+agrees bit for bit and two runs over the same model are identical.  The
+kernels silence numpy's overflow and invalid-value warnings.  A pass
 given means of None computes the precisions alone, with the same bits,
 since the precision recursion never reads a mean.
 
@@ -42,15 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .model import EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns
+from .model import EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, Positions
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
-Column = tuple[np.ndarray, np.ndarray | None]  # one jagged column's (precisions, means)
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max-iters"
@@ -107,10 +110,12 @@ class ArrayMapping(Mapping):
     ``positions`` is one of the graph's own maps (``edge_tables.fv_position``,
     ``edge_tables.vf_position`` or ``variable_order``), so keys iterate in
     canonical order; values are Python floats, so a view equals the dict of
-    its items.  ``array`` is copied first unless it owns its data.
+    its items.  ``array`` is copied first unless it owns its data.  A
+    lookup reads through the positions' own dict, built by the graph's
+    maps on the first lookup of any view.
     """
 
-    __slots__ = ("array", "positions")
+    __slots__ = ("array", "positions", "_index")
 
     def __init__(self, array, positions: Mapping):
         self.array = np.require(array, dtype=float, requirements="O")
@@ -118,7 +123,13 @@ class ArrayMapping(Mapping):
         self.positions = positions
 
     def __getitem__(self, key) -> float:
-        return self.array.item(self.positions[key])
+        try:
+            index = self._index
+        except AttributeError:
+            positions = self.positions
+            index = self._index = positions.index if isinstance(positions, Positions) \
+                else positions
+        return self.array.item(index[key])
 
     def __iter__(self) -> Iterator:
         return iter(self.positions)
@@ -173,46 +184,62 @@ def check_limits(tolerance: float, budget: int, budget_name: str = "max_iters") 
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
+def _add_reads(acc: np.ndarray, term: np.ndarray, columns, subtract: bool = False) -> np.ndarray:
+    """``acc[:n] += term[col]`` (or ``-=``) for each column ``col`` of n reads,
+    in column order: a column covers the leading rows, as many as it reads.
+    A column is an index array or a slice of ``term``.  Returns ``acc``."""
+    for col in columns:
+        read = term[col]
+        head = acc[:len(read)]
+        if subtract:
+            head -= read
+        else:
+            head += read
+    return acc
+
+
 @_QUIET
-def _variable_message(prior_var: np.ndarray, incoming: Iterable[Column], means: bool = True):
-    """Prior combined with the incoming (precision, mean) columns, per row.
+def _variable_message(prior_var: np.ndarray, columns, prec: np.ndarray, mean: np.ndarray | None):
+    """Prior combined with the incoming (precision, mean) messages that each
+    column reads, per row.
 
     Over a variable's other factors this is its message to the remaining
-    one; over all of them, the belief's precision and mean.  Each column
-    covers the leading rows, as many as it is long, and adds into
-    ``acc[:len(column)]``.  With ``means=False`` the incoming means are not
+    one; over all of them, the belief's precision and mean.  The products
+    ``prec * mean`` are formed once per incoming message, before the
+    columns gather them.  With means of None the incoming means are not
     read and the mean is None.
     """
-    precision = 1.0 / prior_var
-    weighted = np.zeros_like(precision) if means else None
-    for msg_precision, msg_mean in incoming:
-        precision[:len(msg_precision)] += msg_precision
-        if means:
-            weighted[:len(msg_precision)] += msg_precision * msg_mean
-    return precision, weighted / precision if means else None
+    precision = _add_reads(1.0 / prior_var, prec, columns)
+    if mean is None:
+        return precision, None
+    return precision, _add_reads(np.zeros_like(precision), prec * mean, columns) / precision
 
 
-def _factor_sums(others: Iterable[tuple[np.ndarray, Column]], total_var: np.ndarray,
-                 residual: np.ndarray | None):
+def _factor_sums(columns, coeff: np.ndarray, prec: np.ndarray, mean: np.ndarray | None,
+                 total_var: np.ndarray, residual: np.ndarray | None):
     """Observation variance and residual given the other scope variables.
 
-    ``others`` yields (coeff, (precision, mean)) columns per other
-    variable, each covering the leading rows as :func:`_variable_message`'s
-    do.  Their terms are added in place into ``total_var``, given as the
-    noise variances, and ``residual``, given as the observations, so
-    callers pass arrays of their own.  A ``residual`` of None leaves the
-    means unread.
+    ``coeff``, ``prec`` and ``mean`` hold each read message's coefficient
+    and (precision, mean), and each column reads them as
+    :func:`_variable_message`'s do.  The terms ``coeff**2 / prec`` are
+    formed once per message and added in place into ``total_var``, given
+    as the noise variances; then ``coeff * mean`` is subtracted from
+    ``residual``, given as the observations, so callers pass arrays of
+    their own and one term array is alive at a time.  A ``residual`` of
+    None leaves the means unread.  Callers silence numpy's warnings.
     """
-    for coeff, (msg_precision, msg_mean) in others:
-        total_var[:len(coeff)] += coeff * coeff / msg_precision
-        if residual is not None:
-            residual[:len(coeff)] -= coeff * msg_mean
+    term = coeff * coeff
+    term /= prec
+    total_var = _add_reads(total_var, term, columns)
+    del term
+    if residual is not None:
+        residual = _add_reads(residual, coeff * mean, columns, subtract=True)
     return total_var, residual
 
 
 @_QUIET
-def _factor_message(target_coeff, others: Iterable[tuple[np.ndarray, Column]], total_var, residual):
-    total_var, residual = _factor_sums(others, total_var, residual)
+def _factor_message(target_coeff, columns, coeff, prec, mean, total_var, residual):
+    total_var, residual = _factor_sums(columns, coeff, prec, mean, total_var, residual)
     mean = None if residual is None else residual / target_coeff
     return target_coeff * target_coeff / total_var, mean
 
@@ -223,14 +250,16 @@ class CompiledModel:
 
     The full passes read parameters laid out in their own row order (see
     :class:`~gbpkit.model.EdgeTables`), so a sweep gathers none:
-    ``pass_prior_var`` per row of ``tables.vf_pass``; ``pass_coeff`` (the
-    target's coefficient), ``pass_noise_var`` and ``pass_obs`` per row of
-    ``tables.fv_pass``, and ``pass_read_coeff``, the coefficient of each
-    read, per column of it.  Each is built on first read, together with
-    the one that reads along the same gathered index: ``pass_prior_var``
-    with ``pass_read_coeff``, ``pass_noise_var`` with ``pass_obs``.
-    ``prior_var`` is per variable and ``coeff`` per ``fv_edges`` position,
-    the model's own columns.
+    ``pass_prior_var`` and ``pass_vf_coeff``, the coefficient c_{f,j} of
+    each variable-to-factor message j -> f, per row of ``tables.vf_pass``;
+    ``pass_coeff`` (the target's coefficient), ``pass_noise_var`` and
+    ``pass_obs`` per row of ``tables.fv_pass``.  A read's coefficient
+    belongs to the message read, so the factor pass folds it into that
+    message's terms once, before its columns gather them.  Each array is
+    built on first read, together with the one that reads along the same
+    gathered index: ``pass_prior_var`` with ``pass_vf_coeff``,
+    ``pass_noise_var`` with ``pass_obs``.  ``prior_var`` is per variable
+    and ``coeff`` per ``fv_edges`` position, the model's own columns.
     """
 
     graph: FactorGraph
@@ -249,13 +278,11 @@ class CompiledModel:
         return self.columns.edge_coeff
 
     def _lay_out_vf_pass(self) -> None:
-        """Cache ``pass_prior_var`` and ``pass_read_coeff``, both read along
+        """Cache ``pass_prior_var`` and ``pass_vf_coeff``, both read along
         the ``fv_edges`` position of each ``vf_pass`` row, gathered once."""
         edge = self.graph.vf_to_fv[self.tables.vf_pass.order]
-        by_vf_pass = self.coeff[edge]
-        vars(self).update(
-            pass_prior_var=self.prior_var[self.graph.edge_var[edge]],
-            pass_read_coeff=tuple(by_vf_pass[col] for col in self.tables.fv_pass.columns))
+        vars(self).update(pass_prior_var=self.prior_var[self.graph.edge_var[edge]],
+                          pass_vf_coeff=self.coeff[edge])
 
     def _lay_out_fv_pass(self) -> None:
         """Cache ``pass_noise_var`` and ``pass_obs``, both read along the
@@ -284,9 +311,9 @@ class CompiledModel:
         return vars(self)["pass_obs"]
 
     @cached_property
-    def pass_read_coeff(self) -> tuple[np.ndarray, ...]:
+    def pass_vf_coeff(self) -> np.ndarray:
         self._lay_out_vf_pass()
-        return vars(self)["pass_read_coeff"]
+        return vars(self)["pass_vf_coeff"]
 
 
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
@@ -312,14 +339,12 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
     return compiled
 
 
-def _reading(columns, prec: np.ndarray, mean: np.ndarray | None) -> Iterator[Column]:
-    """Per jagged column, the (precisions, means) it reads; means None when ``mean`` is."""
-    return ((prec[col], None if mean is None else mean[col]) for col in columns)
-
-
-def _at(array: np.ndarray, index, own: bool = False) -> np.ndarray:
-    """``array[index]``; for all rows (None), ``array`` itself, or a copy to add into if ``own``."""
-    return (array.copy() if own else array) if index is None else array[index]
+def _at(array: np.ndarray | None, index, own: bool = False) -> np.ndarray | None:
+    """``array[index]``; for all rows (None), ``array`` itself, or a copy to add
+    into if ``own``.  An array of None (means not read) stays None."""
+    if array is None or index is None:
+        return array.copy() if own else array
+    return array[index]
 
 
 def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None,
@@ -329,28 +354,31 @@ def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarra
 
     Here and in :func:`fv_messages`, arrays are in pass order (see
     :class:`~gbpkit.model.EdgeTables`).  Rows of None compute the whole
-    pass and gather no parameter; any positions, in any order, go through
-    the jagged view of their own rows and come back in ``rows`` order, so
-    a row's bits do not depend on which rows are computed with it.  Means
-    of None give the precisions alone, the same bits, and means None.
+    pass and gather no parameter: each read term is formed once per
+    message of the other pass and gathered by the columns.  Any positions,
+    in any order, go through the jagged view of their own rows and come
+    back in ``rows`` order: their reads are gathered first and the same
+    terms formed from them, so a tick costs what its rows read, and a
+    row's bits do not depend on which rows are computed with it.  Means of
+    None give the precisions alone, the same bits, and means None.
     """
-    position, place, columns = compiled.tables.vf_pass.select(rows)
-    prec, mean = _variable_message(_at(compiled.pass_prior_var, position),
-                                   _reading(columns, fv_prec, fv_mean), fv_mean is not None)
-    return _at(prec, place), None if mean is None else _at(mean, place)
+    position, place, reads, columns = compiled.tables.vf_pass.select(rows)
+    prec, mean = _variable_message(_at(compiled.pass_prior_var, position), columns,
+                                   _at(fv_prec, reads), _at(fv_mean, reads))
+    return _at(prec, place), _at(mean, place)
 
 
 def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None,
                 rows=None):
     """Factor-to-variable (precisions, means) of the ``fv_pass`` positions
     ``rows``, from the variable-to-factor ones in ``vf_pass`` order."""
-    position, place, columns, coeffs = compiled.tables.fv_pass.select(
-        rows, compiled.pass_read_coeff)
+    position, place, reads, columns = compiled.tables.fv_pass.select(rows)
     obs = None if vf_mean is None else _at(compiled.pass_obs, position, own=True)
-    prec, mean = _factor_message(_at(compiled.pass_coeff, position),
-                                 zip(coeffs, _reading(columns, vf_prec, vf_mean)),
+    prec, mean = _factor_message(_at(compiled.pass_coeff, position), columns,
+                                 _at(compiled.pass_vf_coeff, reads), _at(vf_prec, reads),
+                                 _at(vf_mean, reads),
                                  _at(compiled.pass_noise_var, position, own=True), obs)
-    return _at(prec, place), None if mean is None else _at(mean, place)
+    return _at(prec, place), _at(mean, place)
 
 
 def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
@@ -391,8 +419,8 @@ def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: in
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
     reads = compiled.tables.belief_reads
-    precision, belief_mean = _variable_message(compiled.prior_var[reads.order],
-                                               _reading(reads.columns, prec, mean))
+    precision, belief_mean = _variable_message(compiled.prior_var[reads.order], reads.columns,
+                                               prec, mean)
     return BeliefSet(
         variances=ArrayMapping((1.0 / precision)[reads.rank], graph.variable_order),
         means=ArrayMapping(belief_mean[reads.rank], graph.variable_order),
@@ -409,11 +437,10 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     nothing else has been learned.  Every post-first-sweep iterate lies in
     between regardless of initialization.
     """
-    denom = compiled.pass_noise_var.copy()
-    prior = compiled.pass_prior_var
+    coeff = compiled.pass_vf_coeff
     with np.errstate(over="ignore", invalid="ignore"):
-        for coeff, col in zip(compiled.pass_read_coeff, compiled.tables.fv_pass.columns):
-            denom[:len(col)] += coeff * coeff * prior[col]
+        denom = _add_reads(compiled.pass_noise_var.copy(), coeff * coeff * compiled.pass_prior_var,
+                           compiled.tables.fv_pass.columns)
         target = compiled.pass_coeff * compiled.pass_coeff
         rank = compiled.tables.fv_pass.rank
         return (target / denom)[rank], (target / compiled.pass_noise_var)[rank]
@@ -458,16 +485,21 @@ def _one(array: np.ndarray, position: int) -> np.ndarray:
     return array[[position]]  # a copy, which the kernels may add into
 
 
-def _vf_message_at(compiled: CompiledModel, state: MessageState, position: int) -> Column:
+def _singly(count: int) -> list[slice]:
+    """Columns of one read each, for one row that reads ``count`` messages."""
+    return [slice(k, k + 1) for k in range(count)]
+
+
+def _vf_message_at(compiled: CompiledModel, state: MessageState,
+                   position: int) -> tuple[np.ndarray, np.ndarray]:
     """The kernel on one row, fed its reads one by one, in order, as length-1
-    arrays: ``vf_pass`` row ``position``, its reads mapped to canonical
+    columns: ``vf_pass`` row ``position``, its reads mapped to canonical
     positions by the other pass's ``order``."""
     tables = compiled.tables
-    prec, mean = state.precisions.array, state.means.array
-    incoming = [(_one(prec, k), _one(mean, k))
-                for k in tables.fv_pass.order[tables.vf_pass.row(position)]]
+    reads = tables.fv_pass.order[tables.vf_pass.row(position)]
     return _variable_message(_one(compiled.pass_prior_var, tables.vf_pass.rank[position]),
-                             incoming)
+                             _singly(len(reads)), state.precisions.array[reads],
+                             state.means.array[reads])
 
 
 def variable_to_factor(
@@ -497,10 +529,13 @@ def factor_to_variable(
     compiled = compile_model(graph, model)
     tables = compiled.tables
     position = tables.fv_position[edge]
-    others = [(_one(compiled.coeff, graph.vf_to_fv[k]), _vf_message_at(compiled, state, k))
-              for k in tables.vf_pass.order[tables.fv_pass.row(position)]]
+    reads = tables.vf_pass.order[tables.fv_pass.row(position)]
+    others = np.zeros((2, len(reads)))  # their (precisions, means), one row at a time
+    for k, read in enumerate(reads.tolist()):
+        others[:, k:k + 1] = _vf_message_at(compiled, state, read)
     p = tables.fv_pass.rank[position]
-    precision, mean = _factor_message(_one(compiled.coeff, position), others,
+    precision, mean = _factor_message(_one(compiled.coeff, position), _singly(len(reads)),
+                                      compiled.coeff[graph.vf_to_fv[reads]], *others,
                                       _one(compiled.pass_noise_var, p),
                                       _one(compiled.pass_obs, p))
     return precision.item(), mean.item()

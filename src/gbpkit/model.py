@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter, itemgetter, methodcaller
 from typing import Iterable, Mapping, Sequence
 
@@ -203,23 +203,26 @@ class Reads:
         p = self.rank[r]
         return np.array([c[p] for c in self.columns if p < len(c)], dtype=np.intp)
 
-    def select(self, rows=None, *parallel):
+    def select(self, rows=None):
         """The rows at the positions ``rows`` (an index array) as a jagged
-        view of their own: the positions sorted, so by descending width;
-        ``place``, which puts values computed in that order back in ``rows``
-        order (``values[place]``); and the rows' part of ``columns`` and of
-        each ``parallel`` tuple of per-column arrays.  Rows of None (all)
-        give None for both and the columns themselves, gathering nothing."""
+        view of their own: (position, place, reads, columns).  ``position``
+        is the positions sorted, so by descending width; ``place`` puts
+        values computed in that order back in ``rows`` order
+        (``values[place]``); ``reads`` is the rows' reads, column after
+        column, and ``columns`` are slices of ``reads``, so the read values
+        are gathered once, by ``reads``.  Rows of None (all) give None for
+        the first three and the columns themselves, gathering nothing."""
         if rows is None:
-            return None, None, self.columns, *parallel
+            return None, None, None, self.columns
         by_position = rows.argsort(kind="stable")
         position = rows[by_position]
         # Per column k, the rows wider than k: a prefix of the positions.
-        counts = position.searchsorted([len(column) for column in self.columns]).tolist()
-        heads = [position[:count] for count in counts if count]
-        cut = [[array[head] for array, head in zip(arrays, heads)]
-               for arrays in (self.columns, *parallel)]
-        return position, by_position.argsort(), *cut
+        counts = [count for count in position.searchsorted(
+            [len(column) for column in self.columns]).tolist() if count]
+        cut = [column[position[:count]] for column, count in zip(self.columns, counts)]
+        stops = list(accumulate(counts, initial=0))
+        return (position, by_position.argsort(), np.concatenate(cut or [position[:0]]),
+                list(map(slice, stops, stops[1:])))
 
 
 def _ranked(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,13 +324,14 @@ class FactorGraph:
                            lambda rows, k: members[start[rows] + k + (k >= slot[rows])], ranked)
 
         first = np.cumsum(degree) - degree
+        vf_rank_by_fv = np.empty_like(vf_rank)  # vf_to_fv inverted by a scatter, in O(E)
+        vf_rank_by_fv[vf_to_fv] = vf_rank
         return EdgeTables(
             fv_position=Positions(self, "fv_edges"),
             vf_position=Positions(self, "vf_edges"),
             # A read is the edge's rank in the other pass: its position in that output.
             vf_pass=others(var_of, fv_rank[vf_to_fv], degree, (vf_order, vf_rank)),
-            fv_pass=others(self.edge_factor, vf_rank[np.argsort(vf_to_fv)], scope,
-                           (fv_order, fv_rank)),
+            fv_pass=others(self.edge_factor, vf_rank_by_fv, scope, (fv_order, fv_rank)),
             belief_reads=_jagged(degree, lambda rows, k: vf_to_fv[first[rows] + k]),
         )
 
@@ -340,11 +344,12 @@ class Positions(Mapping):
         self.graph, self.name = graph, name
 
     @cached_property
-    def _index(self) -> dict:
+    def index(self) -> dict:
+        """The map as a dict, built on first read."""
         return {key: k for k, key in enumerate(self)}
 
     def __getitem__(self, key) -> int:
-        return self._index[key]
+        return self.index[key]
 
     def __iter__(self):
         return iter(getattr(self.graph, self.name))
@@ -669,6 +674,19 @@ def model_from_dict(data: dict) -> LinearGaussianModel:
     return validate_model(LinearGaussianModel(fields=_fields_from_dict(data)))
 
 
+def _entries(value) -> int:
+    """The entries of every object in a parsed JSON value, counted without recursion."""
+    count, pending = 0, [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            count += len(item)
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)
+    return count
+
+
 def loads_model(text: str) -> LinearGaussianModel:
     """Parse and validate a model file; raises InvalidModelError on any
     problem, a repeated key in any object included.
@@ -678,15 +696,23 @@ def loads_model(text: str) -> LinearGaussianModel:
     entries of the parsed objects are at most the keys of the text, and
     those at most its colons.  When the entries of the objects that the
     shape check reads equal the colons, no key repeats, and the fields are
-    validated.  Otherwise, or if that parse or the shape check fails, the
-    text is parsed again with a duplicate-key hook, whose outcome is the
-    result: a repeated key is reported ahead of any later fault.
+    validated.  When the shape check refuses the parse and the entries of
+    all its objects equal the colons, the hook parse would build the same
+    objects, so its refusal is raised.  Otherwise, or if the parse fails,
+    the text is parsed again with a duplicate-key hook, whose outcome is
+    the result: a repeated key is reported ahead of any later fault.
     """
     try:
-        f = _fields_from_dict(json.loads(text))
+        data = json.loads(text)
+        colons = text.count(":")
+        f = _fields_from_dict(data)
         # The top level holds 2 entries, a variable 2, a factor 4 plus its coeffs.
         entries = 2 + 2 * len(f.variable_ids) + 4 * len(f.factor_ids) + len(f.coeff_values)
-        unrepeated = entries == text.count(":")
+        unrepeated = entries == colons
+    except InvalidModelError:  # refused for its shape
+        if _entries(data) == colons:
+            raise
+        unrepeated = False
     except (ValueError, RecursionError, TypeError):  # TypeError: bytes count no ':'
         unrepeated = False
     if unrepeated:

@@ -24,10 +24,10 @@ class ExactPosterior:
         return {vid: k for k, vid in enumerate(self.variable_ids)}
 
     def mean_of(self, var_id: str) -> float:
-        return float(self.mean[self._positions[var_id]])
+        return self.mean.item(self._positions[var_id])
 
     def variance_of(self, var_id: str) -> float:
-        return float(self.variance[self._positions[var_id]])
+        return self.variance.item(self._positions[var_id])
 
 
 # Rows with more than this many entries past the diagonal and every ancestor

@@ -291,3 +291,53 @@ def padded_factor_pass(compiled, table, rows, vf_prec, vf_mean=None):
                 residual = residual - coeff[k] * mean[k]
         target = columns.edge_coeff[rows]
         return target * target / total_var, None if residual is None else residual / target
+
+
+# --- the envelope and the mean system, one read at a time -------------------
+#
+# Each read forms its own term from the coefficient and the precision (or
+# prior variance) it reads, in canonical neighbour order.  The engine and the
+# analysis form each term once per message instead; these are the reference.
+
+
+def per_read_edge_bounds(compiled):
+    """(lower, upper) of :func:`gbpkit.engine.edge_bounds` per ``fv_edges``
+    position; pads read a 0.0 coefficient and a prior variance of 1.0."""
+    columns, graph = compiled.columns, compiled.graph
+    _, _, fv_reads, _ = padded_reads(graph)
+    coeff = np.append(columns.edge_coeff[graph.vf_to_fv], 0.0)
+    prior = np.append(columns.prior_var[graph.edge_var[graph.vf_to_fv]], 1.0)
+    noise = columns.noise_var[graph.edge_factor]
+    denom = noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in fv_reads.T:
+            denom = denom + coeff[k] * coeff[k] * prior[k]
+        target = columns.edge_coeff * columns.edge_coeff
+        return target / denom, target / noise
+
+
+def per_read_mean_system(compiled, star):
+    """Q, dense, and b of :func:`gbpkit.analysis.build_mean_system`, entry by
+    entry, from the variable-to-factor precisions ``star`` in canonical order."""
+    columns, graph = compiled.columns, compiled.graph
+    pad, vf_reads, fv_reads, _ = padded_reads(graph)
+    dim = len(graph.edge_var)
+    coeff = columns.edge_coeff
+    vf_coeff = coeff[graph.vf_to_fv]
+    obs = columns.obs[graph.edge_factor]
+
+    def reads(table, row):
+        return [k for k in table[row].tolist() if k != pad]
+
+    m = columns.noise_var[graph.edge_factor]  # M_{k,j} per factor-to-variable edge f_k -> j
+    for e in range(dim):
+        for z in reads(fv_reads, e):
+            m[e] = m[e] + vf_coeff[z] * vf_coeff[z] / star[z]
+    q, b = np.zeros((dim, dim)), np.zeros(dim)
+    for row in range(dim):
+        for e in reads(vf_reads, row):
+            a = 1.0 / star[row] * coeff[e] / m[e]
+            b[row] = b[row] + a * obs[e]
+            for z in reads(fv_reads, e):
+                q[row, z] = a * vf_coeff[z]
+    return q, b

@@ -386,7 +386,7 @@ class TestOneReadForm:
 
     def test_compiled_model_caches_the_pass_arrays_only(self):
         assert _cached_properties(engine.CompiledModel) == {
-            "pass_prior_var", "pass_coeff", "pass_noise_var", "pass_obs", "pass_read_coeff"}
+            "pass_prior_var", "pass_coeff", "pass_noise_var", "pass_obs", "pass_vf_coeff"}
 
 
 def test_arrays_along_one_pass_index_are_laid_out_together(loop_model, loop_graph):
@@ -395,7 +395,7 @@ def test_arrays_along_one_pass_index_are_laid_out_together(loop_model, loop_grap
     assert {"pass_obs", "pass_noise_var"} <= set(vars(compiled))
     assert "pass_prior_var" not in vars(compiled)
     compiled.pass_prior_var
-    assert {"pass_prior_var", "pass_read_coeff"} <= set(vars(compiled))
+    assert {"pass_prior_var", "pass_vf_coeff"} <= set(vars(compiled))
 
 
 def _cached_properties(cls) -> set[str]:

@@ -125,9 +125,15 @@ class TestLoadedModels:
         monkeypatch.setattr(model_module, "_reject_duplicate_keys", hook)
         model = generate_model("random-loopy", 300, 7)
         assert loads_model(dumps_model(model)) == model
+        # A file refused for its shape, every key counted, is refused by the fast parse.
+        with pytest.raises(InvalidModelError) as refused:
+            loads_model(dumps_model(model).replace('"prior_var"', '"prior"', 1))
+        assert refused.value.violations == ["variables[0]: expected keys id, prior_var"]
         # An id with a colon leaves the colon count above the key count: the hook parse runs.
         with pytest.raises(AssertionError, match="hook ran"):
             loads_model(dumps_model(model).replace('"x1"', '"x:1"'))
+        with pytest.raises(AssertionError, match="hook ran"):
+            loads_model('{"variables": [{"id": "x:1"}], "factors": []}')
 
     def test_empty_model(self):
         loaded = _assert_same_load('{"variables": [], "factors": []}')

@@ -122,11 +122,11 @@ class TestAgentAssignment:
             for agent in agents:
                 assert agent.factor_neighbors == graph.variable_neighbors[agent.variable_id]
                 # A tick's rows are pass positions; so are the reads, in the other pass.
-                _, _, columns = tables.vf_pass.select(tables.vf_pass.rank[agent.vf_rows])
-                for k in [k for col in columns for k in tables.fv_pass.order[col].tolist()]:
+                _, _, reads, _ = tables.vf_pass.select(tables.vf_pass.rank[agent.vf_rows])
+                for k in tables.fv_pass.order[reads].tolist():
                     assert graph.fv_edges[k][1] == agent.variable_id
-                _, _, columns = tables.fv_pass.select(tables.fv_pass.rank[agent.fv_rows])
-                for k in [k for col in columns for k in tables.vf_pass.order[col].tolist()]:
+                _, _, reads, _ = tables.fv_pass.select(tables.fv_pass.rank[agent.fv_rows])
+                for k in tables.vf_pass.order[reads].tolist():
                     assert graph.vf_edges[k][1] in agent.hosted_factors
             for rows, edges in (("vf_rows", graph.vf_edges), ("fv_rows", graph.fv_edges)):
                 owned = sorted(k for agent in agents for k in getattr(agent, rows).tolist())

@@ -235,6 +235,9 @@ class TestLimits:
         posterior = dense_posterior(loop_model)
         with pytest.raises(KeyError):
             posterior.mean_of("nope")
+        with pytest.raises(KeyError):
+            posterior.variance_of("nope")
+        assert type(posterior.mean_of("x1")) is float and type(posterior.variance_of("x1")) is float
 
     def test_invalid_model_rejected(self):
         model = LinearGaussianModel(

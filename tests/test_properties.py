@@ -269,6 +269,21 @@ def test_jagged_passes_match_the_padded_reference(model, seed):
             variable_pass(fv[0], rows=vf_rows))
 
 
+@given(model=st.one_of(scoped_models(), models()))
+@example(model=generate_model(KIND_RANDOM_LOOPY, 30, 7, (-6.0, 6.0)))
+@example(model=LinearGaussianModel())
+def test_envelope_and_mean_system_match_the_per_read_forms(model):
+    # Terms formed once per message and then gathered give the bits of terms
+    # formed at every read: the envelope, and Q and b at the fixed point.
+    graph = build_factor_graph(model)
+    compiled = engine.compile_model(graph, model)
+    assert _bits(engine.edge_bounds(compiled)) == _bits(helpers.per_read_edge_bounds(compiled))
+    point = fixed_point_precisions(graph, model)
+    system = analysis.build_mean_system(graph, model, point)
+    q, b = helpers.per_read_mean_system(compiled, point.variable_to_factor.array)
+    assert _bits((system.sparse.toarray(), system.offset)) == _bits((q, b))
+
+
 def _in_order(pair, reads):
     """A pair of canonical arrays (or None) in the pass order of ``reads``."""
     return tuple(None if a is None else a[reads.order] for a in pair)
@@ -707,5 +722,7 @@ def _load_outcome(load, source):
 @example(text='[{"a": 1, "a": 2}, [[[')
 @example(text=b'{"variables": [{"id": "x1", "prior_var": 1}], "factors": [], "factors": []}')
 @example(text='[{"a": 1, "a": 2}, ' + "[" * 100_000)  # too deep for json: a RecursionError
+@example(text='{"variables": [], "factors": [], "extra": {"a": [{"b": 1, "b": 2}]}}')
+@example(text=b'{"variables": [{"id": "x1"}], "factors": []}')
 def test_the_fast_parse_gives_the_outcome_of_the_hook_parse(text):
     assert _load_outcome(loads_model, text) == _hook_outcome(text)
