@@ -9,28 +9,8 @@ converge, and cross-check everything against an exact solver:
     result = run(graph, model)
     cert = certify(graph, model)
 """
-from .analysis import (
-    BASIS_SPECTRAL,
-    BASIS_TOPOLOGY,
-    Bounds,
-    ConvergenceCertificate,
-    FixedPoint,
-    MeanUpdateSystem,
-    TracePoint,
-    WalkSummability,
-    VERDICT_CONVERGES,
-    VERDICT_DIVERGES,
-    VERDICT_INCONCLUSIVE,
-    build_mean_system,
-    certify,
-    fixed_point_precisions,
-    part_metric,
-    precision_bounds,
-    rate_trace,
-    spectral_radius,
-    trace_to_csv,
-    walk_summability,
-)
+import importlib as _importlib
+
 from .engine import (
     BeliefSet,
     InitStrategy,
@@ -70,7 +50,50 @@ from .model import (
     validate_model,
     with_observations,
 )
-from .oracle import ExactPosterior, dense_posterior
 from .network import Agent, Schedule, SimulationResult, simulate
 
 __version__ = "0.1.0"
+
+# The analysis and the oracle run on scipy, which takes most of a small
+# command's time to import; their names load on first access (PEP 562),
+# so a process that only solves or simulates never imports it.
+_LAZY = {
+    "analysis": (
+        "BASIS_SPECTRAL",
+        "BASIS_TOPOLOGY",
+        "Bounds",
+        "ConvergenceCertificate",
+        "FixedPoint",
+        "MeanUpdateSystem",
+        "TracePoint",
+        "WalkSummability",
+        "VERDICT_CONVERGES",
+        "VERDICT_DIVERGES",
+        "VERDICT_INCONCLUSIVE",
+        "build_mean_system",
+        "certify",
+        "fixed_point_precisions",
+        "part_metric",
+        "precision_bounds",
+        "rate_trace",
+        "spectral_radius",
+        "trace_to_csv",
+        "walk_summability",
+    ),
+    "oracle": ("ExactPosterior", "dense_posterior"),
+}
+_LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = [name for name in globals() if not name.startswith("_")] + [*_LAZY, *_LAZY_SOURCE]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_LAZY_SOURCE[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

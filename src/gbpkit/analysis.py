@@ -8,12 +8,13 @@ evolve as v <- -Q v + b, so the means settle if and only if the spectral
 radius of Q is below one.  ``certify`` packages both facts and does the
 least work that decides: topology on forests and single-loop graphs, else
 a Collatz-Wielandt upper bound on rho(|Q|) >= rho(Q), and only when that
-bound cannot decide, a dense eigensolve.  A radius the verdict did not
-need is computed on first read of ``mean_spectral_radius``.  The GMRF's
-walk-summability, a comparison with the other factorization that no
-verdict reads, is not computed by ``certify`` at all: it is computed on
-first read of ``walk_summability``.  The bound and walk-summability run
-the same Perron power loop (:func:`_perron_iterates`).
+bound cannot decide, a dense eigensolve.  Three fields of the certificate
+are computed on first read instead: Q itself (``mean_system``) where
+topology decided, a radius the verdict did not need
+(``mean_spectral_radius``), and the GMRF's walk-summability
+(``walk_summability``), a comparison with the other factorization that
+no verdict reads.  The bound and walk-summability run the same Perron
+power loop (:func:`_perron_iterates`).
 """
 from __future__ import annotations
 
@@ -153,16 +154,25 @@ def _model_walk(cert: "ConvergenceCertificate") -> WalkSummability:
     return walk_summability(sparse_gmrf(cert.model))
 
 
+def _graph_mean_system(cert: "ConvergenceCertificate") -> MeanUpdateSystem:
+    if cert.graph is None or cert.model is None:
+        raise ValueError("mean_system was not given and the certificate holds no graph "
+                         "or no model")
+    return build_mean_system(cert.graph, cert.model, cert.fixed_point)
+
+
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     """What ``certify`` found, and which path decided the verdict.
 
     ``mean_radius_bound`` is the Collatz-Wielandt upper bound on rho(Q)
     when one was computed (multi-loop graphs only).
-    Two fields are given at construction or computed on first read:
-    ``mean_spectral_radius``, rho(Q) (``certify`` gives it only when the
-    dense path decided), and ``walk_summability``, from ``model``
-    (``certify`` never gives it; no verdict reads it).
+    Three fields are given at construction or computed on first read:
+    ``mean_system``, Q and b, from ``graph``, ``model`` and
+    ``fixed_point`` (``certify`` gives it only on multi-loop graphs, where
+    the verdict reads it); ``mean_spectral_radius``, rho(Q) (``certify``
+    gives it only when the dense path decided); and ``walk_summability``,
+    from ``model`` (``certify`` never gives it; no verdict reads it).
     ``dataclasses.replace`` reads each unless it is passed, as None to
     keep the copy lazy.
     """
@@ -170,13 +180,14 @@ class ConvergenceCertificate:
     topology: TopologyReport
     bounds: Bounds
     fixed_point: FixedPoint
-    mean_system: MeanUpdateSystem
     verdict: str
     basis: str | None
+    mean_system: MeanUpdateSystem = _LazyField(_graph_mean_system)
     walk_summability: WalkSummability = _LazyField(_model_walk)
     mean_spectral_radius: float = _LazyField(lambda cert: spectral_radius(cert.mean_system.sparse))
     mean_radius_bound: float | None = None
     model: LinearGaussianModel | None = field(default=None, repr=False, compare=False)
+    graph: FactorGraph | None = field(default=None, repr=False, compare=False)
 
     def __repr__(self) -> str:
         # The generated repr would read, and so compute, the lazy fields;
@@ -564,7 +575,7 @@ def certify(
     by the first of three paths that can:
 
       * forests and single-loop graphs converge by structure alone, and
-        neither the bound nor the radius is computed;
+        neither Q, the bound nor the radius is computed;
       * otherwise a Collatz-Wielandt upper bound on rho(Q) (see
         :func:`_radius_bound`) below 1 - 1e-9 certifies convergence, with
         the spectral basis, and is kept as ``mean_radius_bound``;
@@ -572,18 +583,21 @@ def certify(
         numerical margin around 1 mapped to "inconclusive".
 
     The bound is never below rho(Q), so the verdict is the one the dense
-    radius gives.  A radius the verdict did not need is computed on first
-    read of ``mean_spectral_radius``.  Walk-summability is not computed
-    here: the certificate keeps ``model`` and computes it on first read
-    of ``walk_summability``, so a caller who never reads it never pays.
+    radius gives.  The certificate keeps ``graph`` and ``model``, and
+    computes what the verdict did not need on first read: Q where
+    topology decided (``mean_system``), a radius the verdict did not need
+    (``mean_spectral_radius``) and walk-summability, which no verdict
+    reads; a caller who never reads them never pays.
     """
     topology = classify_topology(graph)
     bounds = precision_bounds(graph, model)
     fixed_point = fixed_point_precisions(graph, model, tolerance)
-    mean_system = build_mean_system(graph, model, fixed_point)
+
+    by_topology = topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP)
+    mean_system = None if by_topology else build_mean_system(graph, model, fixed_point)
 
     rho = bound = None
-    if topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP):
+    if by_topology:
         verdict, basis = VERDICT_CONVERGES, BASIS_TOPOLOGY
     elif (bound := _radius_bound(mean_system.sparse)) < 1.0 - SPECTRAL_MARGIN:
         verdict, basis = VERDICT_CONVERGES, BASIS_SPECTRAL
@@ -604,4 +618,5 @@ def certify(
         mean_spectral_radius=rho,
         mean_radius_bound=bound,
         model=model,
+        graph=graph,
     )

@@ -3,7 +3,9 @@
 Subcommands: solve, analyze, trace, generate, simulate.  ``analyze`` maps
 its verdict onto the exit code (0 converges, 2 diverges, 3 inconclusive)
 so CI scripts can gate on it; every command exits 1 on a usage, file or
-validation problem.
+validation problem.  The analysis and the oracle, which run on scipy,
+are imported by the commands that use them, so ``solve`` and
+``simulate`` without ``--oracle`` never import scipy.
 """
 from __future__ import annotations
 
@@ -11,10 +13,13 @@ import argparse
 import sys
 from contextlib import ExitStack
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analysis, engine, generate, network
+from . import engine, generate, network
 from .model import InvalidModelError, build_factor_graph, load_model, save_model
-from .oracle import dense_posterior
+
+if TYPE_CHECKING:
+    from . import analysis
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,10 +117,19 @@ def _print_beliefs(beliefs: engine.BeliefSet, posterior=None) -> None:
         print(f"max |variance - oracle_var|: {_fmt(worst_var)}")
 
 
+def _oracle_posterior(args, model):
+    """The exact posterior if ``--oracle`` was given, else None."""
+    if not args.oracle:
+        return None
+    from .oracle import dense_posterior
+
+    return dense_posterior(model)
+
+
 def cmd_solve(args) -> int:
     model = _require_model(args)
     # Before the run, so a model the oracle refuses fails fast.
-    posterior = dense_posterior(model) if args.oracle else None
+    posterior = _oracle_posterior(args, model)
     graph = build_factor_graph(model)
     result = engine.run(
         graph, model,
@@ -129,6 +143,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     model = _require_model(args)
     graph = build_factor_graph(model)
     cert = analysis.certify(graph, model, tolerance=args.tol)
@@ -157,6 +173,8 @@ def cmd_analyze(args) -> int:
 
 def _radius_line(cert: analysis.ConvergenceCertificate) -> str:
     """The path that decided the verdict, without computing a radius it did not need."""
+    from . import analysis
+
     if cert.basis == analysis.BASIS_TOPOLOGY:
         return "not computed (topology decides)"
     bound = cert.mean_radius_bound
@@ -166,6 +184,8 @@ def _radius_line(cert: analysis.ConvergenceCertificate) -> str:
 
 
 def cmd_trace(args) -> int:
+    from . import analysis
+
     model = _require_model(args)
     graph = build_factor_graph(model)
     out = args.out if args.out is not None else Path("trace.csv")
@@ -222,7 +242,7 @@ def cmd_simulate(args) -> int:
     else:
         schedule = network.Schedule.synchronous()
     # Before the run, so a model the oracle refuses fails fast.
-    posterior = dense_posterior(model) if args.oracle else None
+    posterior = _oracle_posterior(args, model)
     result = network.simulate(
         model, schedule, tolerance=args.tol, max_ticks=args.max_iters,
         log_path=args.log,

@@ -29,11 +29,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter, methodcaller
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import connected_components
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 TOPOLOGY_FOREST = "forest"
 TOPOLOGY_SINGLE_LOOP = "forest-plus-single-loop"
@@ -504,6 +505,8 @@ def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     model whose terms overflow (a coefficient near 1e160, say) is refused
     with ``ValueError`` rather than given a non-finite J or h.
     """
+    from scipy.sparse import csr_array  # scipy loads only on the paths that need it
+
     columns = model.columns
     n_vars = len(columns.variable_ids)
     factor, var, coeff = columns.edge_factor, columns.edge_var, columns.edge_coeff
@@ -563,6 +566,9 @@ def classify_topology(graph: FactorGraph) -> TopologyReport:
     tree; anything beyond that is multi-loop.  Components are listed by
     their lowest node, variables numbered before factors.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n_vars, n_edges = len(graph.variable_ids), len(graph.edge_var)
     n_nodes = n_vars + len(graph.factor_ids)
     var, fac = graph.edge_var, graph.edge_factor

@@ -748,6 +748,25 @@ def loopy_certificate():
     return certify(build_factor_graph(model), model)
 
 
+def same_mean_system(a, b):
+    """Q and b hold the same bits."""
+    return (np.array_equal(a.sparse.indptr, b.sparse.indptr)
+            and np.array_equal(a.sparse.indices, b.sparse.indices)
+            and a.sparse.data.tobytes() == b.sparse.data.tobytes()
+            and a.offset.tobytes() == b.offset.tobytes())
+
+
+def topology_certificate(kind="tree"):
+    """A certificate that topology decides, built with Q refused."""
+    model = generate_model(kind, 200, 7)
+    graph = build_factor_graph(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "build_mean_system", pytest.fail)
+        cert = certify(graph, model)
+    assert cert.basis == BASIS_TOPOLOGY
+    return cert
+
+
 class TestLazyCertificate:
     """``certify`` runs the dense eigensolve only when nothing cheaper decides."""
 
@@ -851,6 +870,48 @@ class TestLazyCertificate:
                                    mean_spectral_radius=None, model=None)
         with pytest.raises(ValueError, match="no model"):
             cert.walk_summability
+
+    @pytest.mark.parametrize("kind", ["tree", "single-loop-plus-forest"])
+    def test_topology_builds_q_on_first_read(self, kind):
+        cert = topology_certificate(kind)
+        assert vars(cert)["mean_system"] is None
+        assert "mean_system=None" in repr(cert) and "graph=" not in repr(cert)
+        first = cert.mean_system
+        assert cert.mean_system is first
+        assert same_mean_system(first, build_mean_system(cert.graph, cert.model,
+                                                         cert.fixed_point))
+        assert cert.mean_spectral_radius == spectral_radius(first.sparse)
+
+    def test_multi_loop_builds_q_once(self, monkeypatch):
+        real = analysis.build_mean_system
+        built = []
+
+        def counting(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(analysis, "build_mean_system", counting)
+        cert = loopy_certificate()
+        assert len(built) == 1 and vars(cert)["mean_system"] is built[0]
+        cert.mean_spectral_radius
+        assert len(built) == 1
+
+    def test_mean_system_stays_lazy_through_replace(self, monkeypatch):
+        cert = topology_certificate()
+        monkeypatch.setattr(analysis, "build_mean_system", pytest.fail)
+        lazy = dataclasses.replace(cert, mean_system=None, mean_spectral_radius=None,
+                                   walk_summability=None, basis=None)
+        assert vars(lazy)["mean_system"] is None
+        assert lazy.graph is cert.graph and lazy.model is cert.model
+        monkeypatch.undo()
+        assert same_mean_system(lazy.mean_system, cert.mean_system)
+
+    def test_mean_system_without_a_graph_is_refused(self):
+        cert = dataclasses.replace(topology_certificate(), mean_system=None,
+                                   mean_spectral_radius=None, walk_summability=None,
+                                   graph=None)
+        with pytest.raises(ValueError, match="no graph"):
+            cert.mean_system
 
     def test_replace_of_a_lazy_certificate_reads_the_radius(self):
         cert = loopy_certificate()

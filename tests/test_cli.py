@@ -471,6 +471,47 @@ class TestErrorPaths:
         assert done.stdout == ""
 
 
+def imported_modules(*argv):
+    """Run ``python -X importtime -m gbpkit`` on ``argv``; the names of the
+    modules the process imported, from the import-time report on stderr."""
+    import gbpkit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gbpkit.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gbpkit", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["simulate", "--schedule", "synchronous"],
+    ])
+    def test_solve_and_simulate_import_no_scipy(self, argv, model_file):
+        modules = imported_modules(*argv, "--model", str(model_file))
+        assert "gbpkit.network" in modules
+        assert not [name for name in modules if name.split(".")[0] == "scipy"]
+
+    def test_analyze_imports_scipy(self, model_file):
+        assert "scipy.sparse" in imported_modules("analyze", "--model", str(model_file))
+
+    def test_package_names_load_on_first_access(self):
+        import gbpkit
+        from gbpkit import analysis, oracle
+
+        star = {}
+        exec("from gbpkit import *", star)
+        assert star["certify"] is analysis.certify and star["analysis"] is analysis
+        assert star["dense_posterior"] is oracle.dense_posterior
+        assert set(gbpkit.__all__) <= set(dir(gbpkit))
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            gbpkit.missing
+
+
 class TestGenerateAnalyzeSolvePipeline:
     def test_single_loop_seeds_certify_and_solve(self, tmp_path, capsys):
         # end-to-end invariant: every generated single-loop model is
