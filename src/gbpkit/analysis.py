@@ -14,18 +14,17 @@ topology decided, a radius the verdict did not need
 (``mean_spectral_radius``), and the GMRF's walk-summability
 (``walk_summability``), a comparison with the other factorization that
 no verdict reads.  The bound and walk-summability run the same Perron
-power loop (:func:`_perron_iterates`).
+power loop (:func:`_perron_iterates`).  Only the functions that build a
+sparse matrix import scipy: the fixed point and the trace run on numpy alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import engine
 from .model import (
@@ -38,6 +37,9 @@ from .model import (
     classify_topology,
     sparse_gmrf,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 Edge = tuple[str, str]
 
@@ -77,7 +79,7 @@ class FixedPoint:
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class MeanUpdateSystem:
     """Linear system v <- -Q @ v + offset over variable-to-factor means.
 
@@ -161,7 +163,7 @@ def _graph_mean_system(cert: "ConvergenceCertificate") -> MeanUpdateSystem:
     return build_mean_system(cert.graph, cert.model, cert.fixed_point)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class ConvergenceCertificate:
     """What ``certify`` found, and which path decided the verdict.
 
@@ -174,7 +176,7 @@ class ConvergenceCertificate:
     gives it only when the dense path decided); and ``walk_summability``,
     from ``model`` (``certify`` never gives it; no verdict reads it).
     ``dataclasses.replace`` reads each unless it is passed, as None to
-    keep the copy lazy.
+    keep the copy lazy.  ``==`` and ``hash`` go by identity: they compute nothing.
     """
 
     topology: TopologyReport
@@ -186,8 +188,8 @@ class ConvergenceCertificate:
     walk_summability: WalkSummability = _LazyField(_model_walk)
     mean_spectral_radius: float = _LazyField(lambda cert: spectral_radius(cert.mean_system.sparse))
     mean_radius_bound: float | None = None
-    model: LinearGaussianModel | None = field(default=None, repr=False, compare=False)
-    graph: FactorGraph | None = field(default=None, repr=False, compare=False)
+    model: LinearGaussianModel | None = field(default=None, repr=False)
+    graph: FactorGraph | None = field(default=None, repr=False)
 
     def __repr__(self) -> str:
         # The generated repr would read, and so compute, the lazy fields;
@@ -277,6 +279,7 @@ def _scale_values(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> np
 
 def _scale_matrix(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> csr_array:
     """A[row, k] = c_{k,j} / (J*_{j->f_n} M_{k,j}) over the row's other factors k."""
+    from scipy.sparse import csr_array  # scipy loads only on the paths that need it
     vf_pass = compiled.tables.vf_pass
     values = _scale_values(compiled, fixed_point)  # its temporaries freed before the layout's
     indptr, by_row = _by_row(vf_pass.order, vf_pass.columns)
@@ -287,6 +290,7 @@ def _scale_matrix(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> cs
 def _coupling_matrix(compiled: engine.CompiledModel) -> csr_array:
     """B[k, z] = c_{k,z} over f_k's other variables z: the coefficients laid
     out per variable-to-factor message z -> f_k, gathered once through the reads."""
+    from scipy.sparse import csr_array
     vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
     dim = len(vf_pass.order)
     indptr, by_row = _by_row(np.arange(dim), fv_pass.columns)
@@ -332,6 +336,7 @@ def spectral_radius(matrix) -> float:
     where a whole-matrix eigensolve of a defective nilpotent matrix can
     return eps**(1/m) for nilpotency index m.
     """
+    from scipy.sparse import csgraph, csr_array
     csr = csr_array(matrix, dtype=float, copy=True)  # never edit the caller's arrays
     if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
         raise ValueError("expected a square matrix")
@@ -339,7 +344,7 @@ def spectral_radius(matrix) -> float:
     csr.eliminate_zeros()
     if not np.all(np.isfinite(csr.data)):
         raise ValueError("matrix has non-finite entries")
-    _, labels = connected_components(csr, connection="strong")
+    _, labels = csgraph.connected_components(csr, connection="strong")
     sizes = np.bincount(labels)
     single = sizes[labels] == 1
     radius = float(np.max(np.abs(csr.diagonal()[single]), initial=0.0))
@@ -372,6 +377,7 @@ def walk_summability(gmrf: GMRFModel) -> WalkSummability:
     between.  A walk matrix with a non-finite entry, or whose Rayleigh
     product overflows, is refused with ``ValueError``.
     """
+    from scipy.sparse import csr_array
     info = csr_array(gmrf.information_matrix, dtype=float, copy=True)
     info.sum_duplicates()
     info.eliminate_zeros()

@@ -3,9 +3,10 @@
 Subcommands: solve, analyze, trace, generate, simulate.  ``analyze`` maps
 its verdict onto the exit code (0 converges, 2 diverges, 3 inconclusive)
 so CI scripts can gate on it; every command exits 1 on a usage, file or
-validation problem.  The analysis and the oracle, which run on scipy,
-are imported by the commands that use them, so ``solve`` and
-``simulate`` without ``--oracle`` never import scipy.
+validation problem.  The analysis and the oracle are imported by the
+commands that use them, and scipy only where a sparse matrix is built, so
+``generate``, ``trace``, and ``solve`` and ``simulate`` without
+``--oracle`` never import scipy.
 """
 from __future__ import annotations
 

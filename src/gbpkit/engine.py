@@ -258,8 +258,8 @@ class CompiledModel:
     message's terms once, before its columns gather them.  Each array is
     built on first read, together with the one that reads along the same
     gathered index: ``pass_prior_var`` with ``pass_vf_coeff``,
-    ``pass_noise_var`` with ``pass_obs``.  ``prior_var`` is per variable
-    and ``coeff`` per ``fv_edges`` position, the model's own columns.
+    ``pass_noise_var`` with ``pass_obs``.  ``columns`` holds the model's own
+    arrays: ``prior_var`` per variable, ``edge_coeff`` per ``fv_edges`` position.
     """
 
     graph: FactorGraph
@@ -269,20 +269,12 @@ class CompiledModel:
     def tables(self) -> EdgeTables:
         return self.graph.edge_tables
 
-    @property
-    def prior_var(self) -> np.ndarray:
-        return self.columns.prior_var
-
-    @property
-    def coeff(self) -> np.ndarray:
-        return self.columns.edge_coeff
-
     def _lay_out_vf_pass(self) -> None:
         """Cache ``pass_prior_var`` and ``pass_vf_coeff``, both read along
         the ``fv_edges`` position of each ``vf_pass`` row, gathered once."""
         edge = self.graph.vf_to_fv[self.tables.vf_pass.order]
-        vars(self).update(pass_prior_var=self.prior_var[self.graph.edge_var[edge]],
-                          pass_vf_coeff=self.coeff[edge])
+        vars(self).update(pass_prior_var=self.columns.prior_var[self.graph.edge_var[edge]],
+                          pass_vf_coeff=self.columns.edge_coeff[edge])
 
     def _lay_out_fv_pass(self) -> None:
         """Cache ``pass_noise_var`` and ``pass_obs``, both read along the
@@ -298,7 +290,7 @@ class CompiledModel:
 
     @cached_property
     def pass_coeff(self) -> np.ndarray:
-        return self.coeff[self.tables.fv_pass.order]
+        return self.columns.edge_coeff[self.tables.fv_pass.order]
 
     @cached_property
     def pass_noise_var(self) -> np.ndarray:
@@ -419,8 +411,8 @@ def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: in
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
     reads = compiled.tables.belief_reads
-    precision, belief_mean = _variable_message(compiled.prior_var[reads.order], reads.columns,
-                                               prec, mean)
+    precision, belief_mean = _variable_message(compiled.columns.prior_var[reads.order],
+                                               reads.columns, prec, mean)
     return BeliefSet(
         variances=ArrayMapping((1.0 / precision)[reads.rank], graph.variable_order),
         means=ArrayMapping(belief_mean[reads.rank], graph.variable_order),
@@ -534,8 +526,9 @@ def factor_to_variable(
     for k, read in enumerate(reads.tolist()):
         others[:, k:k + 1] = _vf_message_at(compiled, state, read)
     p = tables.fv_pass.rank[position]
-    precision, mean = _factor_message(_one(compiled.coeff, position), _singly(len(reads)),
-                                      compiled.coeff[graph.vf_to_fv[reads]], *others,
+    coeff = compiled.columns.edge_coeff
+    precision, mean = _factor_message(_one(coeff, position), _singly(len(reads)),
+                                      coeff[graph.vf_to_fv[reads]], *others,
                                       _one(compiled.pass_noise_var, p),
                                       _one(compiled.pass_obs, p))
     return precision.item(), mean.item()

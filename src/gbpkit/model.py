@@ -375,7 +375,7 @@ def _neighbors(ids, group, member_ids, members) -> dict[str, tuple[str, ...]]:
     return {key: tuple(names[start:stop]) for key, (start, stop) in zip(ids, _runs(group, len(ids)))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class GMRFModel:
     """Information form of the posterior: precision matrix J and potential h.
 
@@ -492,6 +492,11 @@ def build_factor_graph(model: LinearGaussianModel) -> FactorGraph:
                        columns.edge_var, vf_to_fv)
 
 
+def _ranges(starts, counts):
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, end to end."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
 def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     """Information form of the posterior, J as a canonical CSR array.
 
@@ -517,8 +522,7 @@ def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     size = np.bincount(factor, minlength=len(columns.factor_ids))
     pairs = size[factor]
     first = np.repeat(np.arange(len(factor)), pairs)
-    offset = (np.cumsum(size) - size)[factor] - (np.cumsum(pairs) - pairs)
-    second = np.repeat(offset, pairs) + np.arange(len(first))
+    second = _ranges((np.cumsum(size) - size)[factor], pairs)
     cells = var[first] * n_vars + var[second]
 
     # Every diagonal cell gets a slot, for its prior.  add.at is unbuffered:

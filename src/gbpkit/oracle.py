@@ -6,12 +6,12 @@ import numpy as np
 from scipy.linalg.lapack import dpotri
 from scipy.sparse.linalg import splu
 
-from .model import TOPOLOGY_MULTI_LOOP, LinearGaussianModel, classify_topology, sparse_gmrf
+from .model import TOPOLOGY_MULTI_LOOP, LinearGaussianModel, _ranges, classify_topology, sparse_gmrf
 
 MAX_VARIABLES = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class ExactPosterior:
     """Posterior means and marginal variances in canonical variable order."""
 
@@ -53,11 +53,6 @@ _FLAT_WIDTH = 8
 # at k = 8.  A chain, whose tree has n/2 levels of 1-2 rows, took about 3x
 # the row-by-row time with every level flat.
 _FLAT_ROWS = 8
-
-
-def _ranges(starts, counts):
-    """The ranges starts[i], ..., starts[i] + counts[i] - 1, end to end."""
-    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def _selected_inverse_diagonal(upper) -> np.ndarray:

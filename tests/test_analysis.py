@@ -32,6 +32,7 @@ from gbpkit import (
     build_mean_system,
     certify,
     classify_topology,
+    dense_posterior,
     fixed_point_precisions,
     generate_model,
     generate_random_loopy,
@@ -765,6 +766,29 @@ def topology_certificate(kind="tree"):
         cert = certify(graph, model)
     assert cert.basis == BASIS_TOPOLOGY
     return cert
+
+
+class TestIdentityEquality:
+    """Records that hold arrays compare and hash by identity, computing nothing."""
+
+    def test_records_compare_and_hash_by_identity(self):
+        lazy = ("mean_system", "walk_summability", "mean_spectral_radius")
+        for kind in ("tree", "random-loopy"):
+            model = generate_model(kind, 200, 7)
+            graph = build_factor_graph(model)
+            a, b = certify(graph, model), certify(graph, model)
+            unset = [name for name in lazy if vars(a)[name] is None]
+            assert "walk_summability" in unset and "mean_spectral_radius" in unset
+            assert (a == a, a == b, a != b) == (True, False, True)
+            assert hash(a) == hash(a) and len({a, b}) == 2
+            assert [vars(a)[name] for name in unset] == [None] * len(unset)
+
+        fixed_point = fixed_point_precisions(graph, model)
+        for build in (sparse_gmrf, lingauss_to_gmrf, dense_posterior,
+                      lambda model: build_mean_system(graph, model, fixed_point)):
+            a, b = build(model), build(model)
+            assert (a == a, a == b) == (True, False)
+            assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestLazyCertificate:

@@ -496,6 +496,16 @@ class TestImports:
         assert "gbpkit.network" in modules
         assert not [name for name in modules if name.split(".")[0] == "scipy"]
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--compare-inits"],
+        ["generate", "--kind", "random-loopy", "--size", "30", "--seed", "7"],
+    ])
+    def test_trace_and_generate_import_no_scipy(self, argv, model_file, tmp_path):
+        model = ["--model", str(model_file)] if argv[0] == "trace" else []
+        modules = imported_modules(*argv, *model, "--out", str(tmp_path / "out"))
+        assert list(tmp_path.glob("out*"))
+        assert not [name for name in modules if name.split(".")[0] == "scipy"]
+
     def test_analyze_imports_scipy(self, model_file):
         assert "scipy.sparse" in imported_modules("analyze", "--model", str(model_file))
 
