@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .model import EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, Positions
+from .model import (EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, Positions,
+                    _to_float)
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
@@ -255,57 +255,22 @@ class CompiledModel:
     ``pass_coeff`` (the target's coefficient), ``pass_noise_var`` and
     ``pass_obs`` per row of ``tables.fv_pass``.  A read's coefficient
     belongs to the message read, so the factor pass folds it into that
-    message's terms once, before its columns gather them.  Each array is
-    built on first read, together with the one that reads along the same
-    gathered index: ``pass_prior_var`` with ``pass_vf_coeff``,
-    ``pass_noise_var`` with ``pass_obs``.  ``columns`` holds the model's own
-    arrays: ``prior_var`` per variable, ``edge_coeff`` per ``fv_edges`` position.
+    message's terms once, before its columns gather them.  ``columns``
+    holds the model's own arrays: ``prior_var`` per variable,
+    ``edge_coeff`` per ``fv_edges`` position.
     """
 
     graph: FactorGraph
     columns: ModelColumns
+    pass_prior_var: np.ndarray
+    pass_vf_coeff: np.ndarray
+    pass_coeff: np.ndarray
+    pass_noise_var: np.ndarray
+    pass_obs: np.ndarray
 
     @property
     def tables(self) -> EdgeTables:
         return self.graph.edge_tables
-
-    def _lay_out_vf_pass(self) -> None:
-        """Cache ``pass_prior_var`` and ``pass_vf_coeff``, both read along
-        the ``fv_edges`` position of each ``vf_pass`` row, gathered once."""
-        edge = self.graph.vf_to_fv[self.tables.vf_pass.order]
-        vars(self).update(pass_prior_var=self.columns.prior_var[self.graph.edge_var[edge]],
-                          pass_vf_coeff=self.columns.edge_coeff[edge])
-
-    def _lay_out_fv_pass(self) -> None:
-        """Cache ``pass_noise_var`` and ``pass_obs``, both read along the
-        factor of each ``fv_pass`` row, gathered once."""
-        factor = self.graph.edge_factor[self.tables.fv_pass.order]
-        vars(self).update(pass_noise_var=self.columns.noise_var[factor],
-                          pass_obs=self.columns.obs[factor])
-
-    @cached_property
-    def pass_prior_var(self) -> np.ndarray:
-        self._lay_out_vf_pass()
-        return vars(self)["pass_prior_var"]
-
-    @cached_property
-    def pass_coeff(self) -> np.ndarray:
-        return self.columns.edge_coeff[self.tables.fv_pass.order]
-
-    @cached_property
-    def pass_noise_var(self) -> np.ndarray:
-        self._lay_out_fv_pass()
-        return vars(self)["pass_noise_var"]
-
-    @cached_property
-    def pass_obs(self) -> np.ndarray:
-        self._lay_out_fv_pass()
-        return vars(self)["pass_obs"]
-
-    @cached_property
-    def pass_vf_coeff(self) -> np.ndarray:
-        self._lay_out_vf_pass()
-        return vars(self)["pass_vf_coeff"]
 
 
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
@@ -326,7 +291,18 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
             or not np.array_equal(columns.edge_factor, graph.edge_factor)
             or not np.array_equal(columns.edge_var, graph.edge_var)):
         raise ValueError("model does not match the graph: different ids or edges")
-    compiled = CompiledModel(graph=graph, columns=columns)
+    tables = graph.edge_tables
+    # The vf pair reads along each vf_pass row's fv_edges position, the fv
+    # pair along each fv_pass row's factor: one gather each.
+    edge = graph.vf_to_fv[tables.vf_pass.order]
+    factor = graph.edge_factor[tables.fv_pass.order]
+    compiled = CompiledModel(
+        graph=graph, columns=columns,
+        pass_prior_var=columns.prior_var[graph.edge_var[edge]],
+        pass_vf_coeff=columns.edge_coeff[edge],
+        pass_coeff=columns.edge_coeff[tables.fv_pass.order],
+        pass_noise_var=columns.noise_var[factor],
+        pass_obs=columns.obs[factor])
     vars(graph)["_compiled"] = (model, compiled)
     return compiled
 
@@ -444,7 +420,8 @@ def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str,
     if unknown:
         raise ValueError(f"explicit init references unknown edges: {sorted(unknown)}")
     bad = sorted(
-        edge for edge, value in given.items() if not (math.isfinite(value) and value >= low)
+        edge for edge, value in given.items()
+        if not (math.isfinite(number := _to_float(value, math.nan)) and number >= low)
     )
     if bad:
         raise ValueError(f"explicit init has invalid {name} at {bad}: precisions must be "

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
@@ -410,6 +411,17 @@ def _is_number(x) -> bool:
         return False
 
 
+def _to_float(x, otherwise):
+    """``float(x)`` for a real number other than a bool; ``otherwise`` for
+    anything else, and for an int beyond the float range."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    return otherwise
+
+
 def _fields_pass(f: ModelFields) -> bool:
     """Whether each field passes as a whole: a type set, then a float array
     (``ModelFields.numbers``), and the references, checked by mapping them
@@ -598,7 +610,9 @@ def with_observations(
     """Copy of the model with factor observations replaced.
 
     Accepts either a sequence in canonical factor order or a mapping from
-    factor id; a mapping may be partial.
+    factor id; a mapping may be partial.  Real numbers become floats; any
+    other value, and an int beyond the float range, is kept for
+    :func:`find_violations` to refuse.
     """
     fields = model.fields
     if isinstance(observations, Mapping):
@@ -608,7 +622,8 @@ def with_observations(
         observations = map(observations.get, fields.factor_ids, fields.obs)
     elif len(observations) != len(fields.obs):
         raise ValueError(f"expected {len(fields.obs)} observations, got {len(observations)}")
-    return LinearGaussianModel(fields=replace(fields, obs=tuple(map(float, observations))))
+    obs = tuple(_to_float(x, x) for x in observations)
+    return LinearGaussianModel(fields=replace(fields, obs=obs))
 
 
 # --- file format ------------------------------------------------------------

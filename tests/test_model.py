@@ -450,6 +450,22 @@ class TestObservationSwap:
         with pytest.raises(KeyError):
             with_observations(loop_model, {"nope": 0.0})
 
+    @pytest.mark.parametrize("value", [True, np.True_, "1.5", "abc", None, 10**400],
+                             ids=["bool", "numpy-bool", "numeric-str", "str", "None", "big-int"])
+    def test_non_numbers_are_refused_by_the_validator(self, loop_model, value):
+        for swapped in (with_observations(loop_model, [1.0, value, 3.0]),
+                        with_observations(loop_model, {"f2": value})):
+            with pytest.raises(InvalidModelError, match="factor 'f2': obs must be a finite number"):
+                validate_model(swapped)
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.1, -1e-300, 2.5e300]), np.array([1, -2, 3]), np.array([0.1, 2, -3], np.float32),
+        [1, -2, 3]], ids=["float64", "int64", "float32", "int"])
+    def test_numbers_convert_to_the_same_float_bits(self, loop_model, values):
+        obs = [f.obs for f in with_observations(loop_model, values).factors]
+        assert [type(x) for x in obs] == [float] * 3
+        assert np.array(obs).tobytes() == np.array([float(x) for x in values]).tobytes()
+
 
 class TestFileFormat:
     def test_round_trip_is_bit_exact(self, tmp_path, loop_model):
