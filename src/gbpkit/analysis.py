@@ -271,7 +271,7 @@ def _scale_values(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> np
     # M_{k,j} on every factor-to-variable edge f_k -> j, in fv_pass order.
     with np.errstate(over="ignore", invalid="ignore"):
         m_kj, _ = engine._factor_sums(fv_pass.columns, compiled.pass_vf_coeff, star, None,
-                                      compiled.pass_noise_var.copy(), None)
+                                      compiled.pass_noise_obs)
     inv_out = 1.0 / star
     return _flat([inv_out[:len(k)] * compiled.pass_coeff[k] / m_kj[k] for k in vf_pass.columns],
                  float)
@@ -320,7 +320,8 @@ def build_mean_system(
     sparse = scale @ _coupling_matrix(compiled)
     sparse.eliminate_zeros()
     sparse.sort_indices()
-    return MeanUpdateSystem(sparse=sparse, offset=scale @ compiled.pass_obs, graph=graph)
+    return MeanUpdateSystem(sparse=sparse, offset=scale @ compiled.pass_noise_obs.imag,
+                            graph=graph)
 
 
 def spectral_radius(matrix) -> float:

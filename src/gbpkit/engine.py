@@ -12,22 +12,26 @@ are derived from the stored factor-to-variable state each sweep:
                               mean = (obs - sum c_j * mean_{j->f}) / c_i.
 
 The two kernels below are the only place these formulas live.  They
-work on float64 arrays, one entry per message, with the rows sorted by
-descending width.  Each term a row adds (prec * mean; c_j^2 / prec and
-c_j * mean, with c_j the coefficient of the message read) depends on the
-message read alone, so a kernel forms it once per message of the other
-pass, then gathers it one jagged column of the graph's edge tables
-(:class:`~gbpkit.model.Reads`) at a time.  A column k covers only the
-rows wider than k, so it adds into the leading entries of the
-accumulators.  Every message therefore adds its terms one at a time in
-canonical neighbour order, and no row adds anything past its own reads,
-whichever rows are computed with it.  A row subset and the per-edge
-functions gather their reads first and form the same terms from them,
-and an elementwise product commutes exactly with a gather, so every path
-agrees bit for bit and two runs over the same model are identical.  The
-kernels silence numpy's overflow and invalid-value warnings.  A pass
-given means of None computes the precisions alone, with the same bits,
-since the precision recursion never reads a mean.
+take float64 arrays, one entry per message, with the rows sorted by
+descending width.  Each pair of terms a row adds (prec and prec * mean;
+c_j^2 / prec and -c_j * mean, with c_j the coefficient of the message
+read) depends on the message read alone, so a kernel forms it once per
+message of the other pass, as the real and imaginary parts of one
+complex128 term, then gathers it one jagged column of the graph's edge
+tables (:class:`~gbpkit.model.Reads`) at a time: one gather and one add
+serve both halves of a message.  Complex addition adds part by part, and
+x - y is x + (-y), so each part gets the sums that float arrays would.
+A column k covers only the rows wider than k, so it adds into the
+leading entries of the accumulators.  Every message therefore adds its
+terms one at a time in canonical neighbour order, and no row adds
+anything past its own reads, whichever rows are computed with it.  A row
+subset and the per-edge functions gather their reads first and form the
+same terms from them, and an elementwise product commutes exactly with a
+gather, so every path agrees bit for bit and two runs over the same
+model are identical.  The kernels silence numpy's overflow and
+invalid-value warnings.  A pass given means of None sums the precisions
+alone over float64 arrays, with the same bits, since the precision
+recursion never reads a mean.
 
 Messages stay in the order their pass computes them, its pass order,
 and each pass reads the other's output in that order, with parameters
@@ -184,17 +188,15 @@ def check_limits(tolerance: float, budget: int, budget_name: str = "max_iters") 
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
-def _add_reads(acc: np.ndarray, term: np.ndarray, columns, subtract: bool = False) -> np.ndarray:
-    """``acc[:n] += term[col]`` (or ``-=``) for each column ``col`` of n reads,
-    in column order: a column covers the leading rows, as many as it reads.
-    A column is an index array or a slice of ``term``.  Returns ``acc``."""
+def _add_reads(acc: np.ndarray, term: np.ndarray, columns) -> np.ndarray:
+    """``acc[:n] += term[col]`` for each column ``col`` of n reads, in column
+    order: a column covers the leading rows, as many as it reads.  A column
+    is an index array or a slice of ``term``.  Returns ``acc``."""
     for col in columns:
         read = term[col]
         head = acc[:len(read)]
-        if subtract:
-            head -= read
-        else:
-            head += read
+        head += read
+        del read  # freed before the next column's gather
     return acc
 
 
@@ -204,42 +206,56 @@ def _variable_message(prior_var: np.ndarray, columns, prec: np.ndarray, mean: np
     column reads, per row.
 
     Over a variable's other factors this is its message to the remaining
-    one; over all of them, the belief's precision and mean.  The products
-    ``prec * mean`` are formed once per incoming message, before the
-    columns gather them.  With means of None the incoming means are not
-    read and the mean is None.
+    one; over all of them, the belief's precision and mean.  Each incoming
+    message's two terms, its precision and ``prec * mean``, are formed once
+    as the parts of one complex128 term, so each column gathers and adds
+    both at once.  Each part is written on its own: a complex product such
+    as ``1j * x`` would not keep signed zeros or infinities.  With means of
+    None the incoming means are not read, the precisions are summed alone
+    with the same bits, and the mean is None.
     """
-    precision = _add_reads(1.0 / prior_var, prec, columns)
     if mean is None:
-        return precision, None
-    return precision, _add_reads(np.zeros_like(precision), prec * mean, columns) / precision
+        return _add_reads(1.0 / prior_var, prec, columns), None
+    term = np.empty(len(prec), complex)
+    term.real = prec
+    np.multiply(prec, mean, out=term.imag)
+    acc = np.zeros(len(prior_var), complex)
+    np.divide(1.0, prior_var, out=acc.real)
+    _add_reads(acc, term, columns)
+    precision = acc.real.copy()  # contiguous, for the next pass's gathers
+    return precision, acc.imag / precision
 
 
 def _factor_sums(columns, coeff: np.ndarray, prec: np.ndarray, mean: np.ndarray | None,
-                 total_var: np.ndarray, residual: np.ndarray | None):
-    """Observation variance and residual given the other scope variables.
+                 noise_obs: np.ndarray):
+    """Observation variance and residual given the other scope variables:
+    ``noise_var + sum coeff**2 / prec`` and ``obs - sum coeff * mean`` per
+    row, given ``noise_obs``, the complex ``noise_var + obs * 1j`` per row.
 
     ``coeff``, ``prec`` and ``mean`` hold each read message's coefficient
     and (precision, mean), and each column reads them as
-    :func:`_variable_message`'s do.  The terms ``coeff**2 / prec`` are
-    formed once per message and added in place into ``total_var``, given
-    as the noise variances; then ``coeff * mean`` is subtracted from
-    ``residual``, given as the observations, so callers pass arrays of
-    their own and one term array is alive at a time.  A ``residual`` of
-    None leaves the means unread.  Callers silence numpy's warnings.
+    :func:`_variable_message`'s do.  Each message's terms,
+    ``coeff**2 / prec`` and ``(-coeff) * mean``, are formed once as the
+    parts of one complex term; adding the negated product subtracts, bit
+    for bit, since x - y is x + (-y).  The sums come back as the parts of
+    one accumulator, a copy of ``noise_obs``.  Means of None sum the
+    variances alone, with the same bits, and give a residual of None.
+    Callers silence numpy's warnings.
     """
-    term = coeff * coeff
-    term /= prec
-    total_var = _add_reads(total_var, term, columns)
-    del term
-    if residual is not None:
-        residual = _add_reads(residual, coeff * mean, columns, subtract=True)
-    return total_var, residual
+    if mean is None:
+        term = coeff * coeff
+        term /= prec
+        return _add_reads(noise_obs.real.copy(), term, columns), None
+    term = np.empty(len(coeff), complex)
+    np.divide(coeff * coeff, prec, out=term.real)
+    np.multiply(-coeff, mean, out=term.imag)
+    acc = _add_reads(noise_obs.copy(), term, columns)
+    return acc.real, acc.imag
 
 
 @_QUIET
-def _factor_message(target_coeff, columns, coeff, prec, mean, total_var, residual):
-    total_var, residual = _factor_sums(columns, coeff, prec, mean, total_var, residual)
+def _factor_message(target_coeff, columns, coeff, prec, mean, noise_obs):
+    total_var, residual = _factor_sums(columns, coeff, prec, mean, noise_obs)
     mean = None if residual is None else residual / target_coeff
     return target_coeff * target_coeff / total_var, mean
 
@@ -252,8 +268,9 @@ class CompiledModel:
     :class:`~gbpkit.model.EdgeTables`), so a sweep gathers none:
     ``pass_prior_var`` and ``pass_vf_coeff``, the coefficient c_{f,j} of
     each variable-to-factor message j -> f, per row of ``tables.vf_pass``;
-    ``pass_coeff`` (the target's coefficient), ``pass_noise_var`` and
-    ``pass_obs`` per row of ``tables.fv_pass``.  A read's coefficient
+    ``pass_coeff`` (the target's coefficient) and ``pass_noise_obs``, the
+    complex ``noise_var + obs * 1j`` that the factor pass starts its two
+    sums from, per row of ``tables.fv_pass``.  A read's coefficient
     belongs to the message read, so the factor pass folds it into that
     message's terms once, before its columns gather them.  ``columns``
     holds the model's own arrays: ``prior_var`` per variable,
@@ -265,8 +282,7 @@ class CompiledModel:
     pass_prior_var: np.ndarray
     pass_vf_coeff: np.ndarray
     pass_coeff: np.ndarray
-    pass_noise_var: np.ndarray
-    pass_obs: np.ndarray
+    pass_noise_obs: np.ndarray
 
     @property
     def tables(self) -> EdgeTables:
@@ -296,22 +312,23 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
     # pair along each fv_pass row's factor: one gather each.
     edge = graph.vf_to_fv[tables.vf_pass.order]
     factor = graph.edge_factor[tables.fv_pass.order]
+    noise_obs = np.empty(len(factor), complex)
+    noise_obs.real, noise_obs.imag = columns.noise_var[factor], columns.obs[factor]
     compiled = CompiledModel(
         graph=graph, columns=columns,
         pass_prior_var=columns.prior_var[graph.edge_var[edge]],
         pass_vf_coeff=columns.edge_coeff[edge],
         pass_coeff=columns.edge_coeff[tables.fv_pass.order],
-        pass_noise_var=columns.noise_var[factor],
-        pass_obs=columns.obs[factor])
+        pass_noise_obs=noise_obs)
     vars(graph)["_compiled"] = (model, compiled)
     return compiled
 
 
-def _at(array: np.ndarray | None, index, own: bool = False) -> np.ndarray | None:
-    """``array[index]``; for all rows (None), ``array`` itself, or a copy to add
-    into if ``own``.  An array of None (means not read) stays None."""
+def _at(array: np.ndarray | None, index) -> np.ndarray | None:
+    """``array[index]``; for all rows (None), ``array`` itself.  An array of
+    None (means not read) stays None."""
     if array is None or index is None:
-        return array.copy() if own else array
+        return array
     return array[index]
 
 
@@ -341,11 +358,9 @@ def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarra
     """Factor-to-variable (precisions, means) of the ``fv_pass`` positions
     ``rows``, from the variable-to-factor ones in ``vf_pass`` order."""
     position, place, reads, columns = compiled.tables.fv_pass.select(rows)
-    obs = None if vf_mean is None else _at(compiled.pass_obs, position, own=True)
     prec, mean = _factor_message(_at(compiled.pass_coeff, position), columns,
                                  _at(compiled.pass_vf_coeff, reads), _at(vf_prec, reads),
-                                 _at(vf_mean, reads),
-                                 _at(compiled.pass_noise_var, position, own=True), obs)
+                                 _at(vf_mean, reads), _at(compiled.pass_noise_obs, position))
     return _at(prec, place), _at(mean, place)
 
 
@@ -360,10 +375,10 @@ def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarr
     return prec[rank], None if mean is None else mean[rank]
 
 
+@_QUIET
 def max_delta(old: np.ndarray, new: np.ndarray) -> float:
     """Largest |new - old| entry, NaN entries skipped, 0.0 when empty."""
-    with np.errstate(invalid="ignore"):
-        return float(np.fmax.reduce(np.abs(new - old), initial=0.0))
+    return float(np.fmax.reduce(np.abs(new - old), initial=0.0))
 
 
 def _diverged(precisions: np.ndarray, means: np.ndarray) -> bool:
@@ -405,13 +420,13 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     nothing else has been learned.  Every post-first-sweep iterate lies in
     between regardless of initialization.
     """
-    coeff = compiled.pass_vf_coeff
+    coeff, noise_obs = compiled.pass_vf_coeff, compiled.pass_noise_obs
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = _add_reads(compiled.pass_noise_var.copy(), coeff * coeff * compiled.pass_prior_var,
+        denom = _add_reads(noise_obs.real.copy(), coeff * coeff * compiled.pass_prior_var,
                            compiled.tables.fv_pass.columns)
         target = compiled.pass_coeff * compiled.pass_coeff
         rank = compiled.tables.fv_pass.rank
-        return (target / denom)[rank], (target / compiled.pass_noise_var)[rank]
+        return (target / denom)[rank], (target / noise_obs.real)[rank]
 
 
 def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float):
@@ -506,8 +521,7 @@ def factor_to_variable(
     coeff = compiled.columns.edge_coeff
     precision, mean = _factor_message(_one(coeff, position), _singly(len(reads)),
                                       coeff[graph.vf_to_fv[reads]], *others,
-                                      _one(compiled.pass_noise_var, p),
-                                      _one(compiled.pass_obs, p))
+                                      _one(compiled.pass_noise_obs, p))
     return precision.item(), mean.item()
 
 
@@ -563,6 +577,8 @@ def sweeps(compiled: CompiledModel, prec, mean, tolerance: float, max_iters: int
         yield iteration, vf_prec, vf_mean, new_prec, new_mean, outcome
         if outcome is not None:
             return
+        # Freed before the next variable pass unless the caller keeps them.
+        del vf_prec, vf_mean
         prec, mean = new_prec, new_mean
 
 
@@ -579,7 +595,7 @@ def run(
     prec, mean = _in_pass_order(
         compiled, init_messages(graph, model, strategy or InitStrategy.zero()))
     for iteration, _, _, prec, mean, outcome in sweeps(compiled, prec, mean, tolerance, max_iters):
-        pass
+        del _  # the variable messages, freed before the next sweep
     rank = compiled.tables.fv_pass.rank
     prec, mean = prec[rank], mean[rank]
     return RunResult(

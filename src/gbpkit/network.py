@@ -179,6 +179,7 @@ def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
         if log is not None:
             _log_rows(log, tick, graph.vf_edges, vf_prec[vf_pass.rank], vf_mean[vf_pass.rank])
             _log_rows(log, tick, fv_edges, prec[fv_logged], mean[fv_logged])
+        del vf_prec, vf_mean  # freed before the next sweep's variable pass
     return (prec[fv_pass.rank], mean[fv_pass.rank], tick, outcome or engine.STATUS_MAX_ITERS,
             tick * 2 * len(graph.edge_var))
 

@@ -486,6 +486,33 @@ def test_random_sequential_ticks_match_a_canonical_tick_loop(model, seed, max_ti
         assert log_path.read_text().splitlines() == log_rows
 
 
+def test_negative_zero_observations_keep_the_bits_of_the_subtracting_reference():
+    # The factor pass adds (-c) * mean where the padded reference passes
+    # subtract c * mean: x - y is x + (-y) in IEEE 754, signed zeros
+    # included.  Observations of -0.0 on a unary and a pairwise factor,
+    # negative coefficients among them, give every message mean a zero of
+    # either sign; run and both simulate schedules must keep each sign.
+    model = LinearGaussianModel(
+        (Variable("x1", 1.0), Variable("x2", 2.0)),
+        (Factor("f1", {"x1": 2.0}, 1.0, -0.0), Factor("f2", {"x1": 1.0, "x2": -1.5}, 0.5, -0.0)))
+    graph = build_factor_graph(model)
+    reference = _canonical_run(graph, model, InitStrategy.zero(), engine.DEFAULT_MAX_ITERS)
+    signs = np.signbit(reference[0].means.array)
+    assert signs.any() and not signs.all()
+    result = run(graph, model, InitStrategy.zero())
+    sim = simulate(model, Schedule.synchronous())
+    for state, beliefs, status in ((result.state, result.beliefs, result.status),
+                                   (sim.state, sim.beliefs, sim.status)):
+        assert _state_bits(state, beliefs, status) == _state_bits(*reference)
+    prec, mean, belief_prec, belief_mean, ticks, status, _ = _canonical_ticks(model, 3, 1000, [])
+    assert np.signbit(mean).any()
+    sim = simulate(model, Schedule.random_sequential(3), max_ticks=1000)
+    assert (sim.ticks, sim.status) == (ticks, status) and status == STATUS_CONVERGED
+    assert _bits((sim.state.precisions.array, sim.state.means.array)) == _bits((prec, mean))
+    assert _bits((sim.beliefs.variances.array, sim.beliefs.means.array)) == _bits(
+        (1.0 / belief_prec, belief_mean))
+
+
 def relabelled(model, seed):
     """The model with variables and factors renamed, shuffled, and each
     factor's coefficients listed in a shuffled order."""
