@@ -411,6 +411,7 @@ def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> Beli
     )
 
 
+@_QUIET
 def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge envelope (lower, upper) of the factor-to-variable precision recursion.
 
@@ -421,12 +422,11 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     between regardless of initialization.
     """
     coeff, noise_obs = compiled.pass_vf_coeff, compiled.pass_noise_obs
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = _add_reads(noise_obs.real.copy(), coeff * coeff * compiled.pass_prior_var,
-                           compiled.tables.fv_pass.columns)
-        target = compiled.pass_coeff * compiled.pass_coeff
-        rank = compiled.tables.fv_pass.rank
-        return (target / denom)[rank], (target / noise_obs.real)[rank]
+    denom = _add_reads(noise_obs.real.copy(), coeff * coeff * compiled.pass_prior_var,
+                       compiled.tables.fv_pass.columns)
+    target = compiled.pass_coeff * compiled.pass_coeff
+    rank = compiled.tables.fv_pass.rank
+    return (target / denom)[rank], (target / noise_obs.real)[rank]
 
 
 def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float):
@@ -465,25 +465,17 @@ def init_messages(
     return _state(graph, precisions, means, 0)
 
 
-def _one(array: np.ndarray, position: int) -> np.ndarray:
-    return array[[position]]  # a copy, which the kernels may add into
-
-
-def _singly(count: int) -> list[slice]:
-    """Columns of one read each, for one row that reads ``count`` messages."""
-    return [slice(k, k + 1) for k in range(count)]
-
-
 def _vf_message_at(compiled: CompiledModel, state: MessageState,
                    position: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel on one row, fed its reads one by one, in order, as length-1
-    columns: ``vf_pass`` row ``position``, its reads mapped to canonical
-    positions by the other pass's ``order``."""
+    """The kernel on ``vf_pass`` row ``position`` alone, through the row's
+    own view (:meth:`~gbpkit.model.Reads.select`): its reads one by one, in
+    order, as length-1 columns, mapped to canonical positions by the other
+    pass's ``order``."""
     tables = compiled.tables
-    reads = tables.fv_pass.order[tables.vf_pass.row(position)]
-    return _variable_message(_one(compiled.pass_prior_var, tables.vf_pass.rank[position]),
-                             _singly(len(reads)), state.precisions.array[reads],
-                             state.means.array[reads])
+    row, _, reads, columns = tables.vf_pass.select(tables.vf_pass.rank[[position]])
+    reads = tables.fv_pass.order[reads]
+    return _variable_message(compiled.pass_prior_var[row], columns,
+                             state.precisions.array[reads], state.means.array[reads])
 
 
 def variable_to_factor(
@@ -513,15 +505,13 @@ def factor_to_variable(
     compiled = compile_model(graph, model)
     tables = compiled.tables
     position = tables.fv_position[edge]
-    reads = tables.vf_pass.order[tables.fv_pass.row(position)]
+    row, _, reads, columns = tables.fv_pass.select(tables.fv_pass.rank[[position]])
     others = np.zeros((2, len(reads)))  # their (precisions, means), one row at a time
-    for k, read in enumerate(reads.tolist()):
+    for k, read in enumerate(tables.vf_pass.order[reads].tolist()):
         others[:, k:k + 1] = _vf_message_at(compiled, state, read)
-    p = tables.fv_pass.rank[position]
-    coeff = compiled.columns.edge_coeff
-    precision, mean = _factor_message(_one(coeff, position), _singly(len(reads)),
-                                      coeff[graph.vf_to_fv[reads]], *others,
-                                      _one(compiled.pass_noise_obs, p))
+    precision, mean = _factor_message(compiled.pass_coeff[row], columns,
+                                      compiled.pass_vf_coeff[reads], *others,
+                                      compiled.pass_noise_obs[row])
     return precision.item(), mean.item()
 
 

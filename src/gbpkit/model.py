@@ -193,17 +193,13 @@ class Reads:
     k-th read of each of the first ``len(columns[k])`` rows of ``order``,
     the rows wider than k, so the columns shrink and hold no padding
     (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., 3.4).
-    Row r reads ``columns[k][rank[r]]`` for each column k that long.
+    Row r reads ``columns[k][rank[r]]`` for each column k that long, and
+    :meth:`select` views any rows, a single one included, on their own.
     """
 
     order: np.ndarray
     rank: np.ndarray
     columns: tuple[np.ndarray, ...]
-
-    def row(self, r: int) -> np.ndarray:
-        """Row r's reads, in order."""
-        p = self.rank[r]
-        return np.array([c[p] for c in self.columns if p < len(c)], dtype=np.intp)
 
     def select(self, rows=None):
         """The rows at the positions ``rows`` (an index array) as a jagged
@@ -405,10 +401,7 @@ class TopologyReport:
 
 
 def _is_number(x) -> bool:
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
+    return math.isfinite(_to_float(x, math.nan))
 
 
 def _to_float(x, otherwise):
@@ -754,7 +747,7 @@ def loads_model(text: str) -> LinearGaussianModel:
 
 
 def dumps_model(model: LinearGaussianModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    return json.dumps(model_to_dict(model), indent=2, default=float) + "\n"
 
 
 def load_model(path) -> LinearGaussianModel:

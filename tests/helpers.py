@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 
 import numpy as np
@@ -130,8 +131,11 @@ def superlu_factor(matrix, order="MMD_AT_PLUS_A"):
 
 
 def _reference_is_number(x) -> bool:
+    """A real number other than a bool whose float is finite."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
     try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        return math.isfinite(float(x))
     except OverflowError:
         return False
 

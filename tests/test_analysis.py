@@ -24,6 +24,7 @@ from gbpkit import (
     TOPOLOGY_SINGLE_LOOP,
     VERDICT_CONVERGES,
     VERDICT_DIVERGES,
+    VERDICT_INCONCLUSIVE,
     BASIS_SPECTRAL,
     BASIS_TOPOLOGY,
     ConvergenceCertificate,
@@ -684,6 +685,21 @@ class TestCertify:
     def test_certify_never_builds_the_dense_q(self, loop_graph, loop_model):
         cert = certify(loop_graph, loop_model)
         assert "matrix" not in vars(cert.mean_system)
+
+    @pytest.mark.parametrize("rho, verdict, basis", [
+        (1.0 - 2e-9, VERDICT_CONVERGES, BASIS_SPECTRAL),
+        (1.0 - 1e-9, VERDICT_INCONCLUSIVE, None),
+        (1.0 + 1e-9, VERDICT_INCONCLUSIVE, None),
+        (1.0 + 2e-9, VERDICT_DIVERGES, None),
+    ])
+    def test_radius_within_the_margin_of_one_is_inconclusive(self, monkeypatch, rho, verdict,
+                                                              basis):
+        """README: a radius within 1e-9 of 1 decides nothing."""
+        monkeypatch.setattr(analysis, "_radius_bound", lambda matrix: 1.0)
+        monkeypatch.setattr(analysis, "spectral_radius", lambda matrix: rho)
+        model = generate_random_loopy(6, seed=3)
+        cert = certify(build_factor_graph(model), model)
+        assert (cert.verdict, cert.basis, cert.mean_spectral_radius) == (verdict, basis, rho)
 
 
 class TestRadiusBound:

@@ -91,6 +91,10 @@ class TestInitStrategies:
         with pytest.raises(ValueError, match="unknown edges"):
             init_messages(loop_graph, loop_model, InitStrategy.explicit({("f9", "x1"): 1.0}))
 
+    def test_unknown_strategy_kind_rejected(self, loop_graph, loop_model):
+        with pytest.raises(ValueError, match="unknown init strategy kind 'middle'"):
+            init_messages(loop_graph, loop_model, InitStrategy("middle"))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0", None, 10**400])
     def test_explicit_non_finite_rejected(self, loop_graph, loop_model, value):
         edge = ("f2", "x1")

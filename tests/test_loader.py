@@ -9,7 +9,9 @@ the same order.
 import copy
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -261,3 +263,30 @@ def test_huge_ints_are_reported_not_raised():
     ]
     # The largest ints below the float range still pass.
     assert find_violations(LinearGaussianModel((Variable("x1", 2**1023),), ())) == []
+
+
+def test_real_numbers_of_any_type_validate_and_save_as_floats(tmp_path):
+    """A number is a real number other than a bool, finite as a float, as
+    ``with_observations`` and explicit init take it: numpy scalars and
+    fractions validate, and a saved model loads back to the same arrays."""
+    model = LinearGaussianModel(
+        (Variable("x1", np.float32(2.0)), Variable("x2", Fraction(1, 3))),
+        (Factor("f1", {"x1": np.int64(3), "x2": Fraction(-2, 7)}, np.float32(0.1),
+                np.float32(-1.5)),
+         Factor("f2", {"x2": 1}, Fraction(5, 3), np.int64(4))))
+    assert find_violations(model) == helpers.reference_find_violations(model) == []
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    _same_columns(load_model(path).columns, model.columns)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1.0", None, math.nan, math.inf, -math.inf,
+                                   HUGE, np.float32(math.inf), Fraction(HUGE, 3)])
+def test_non_numbers_keep_their_messages(value):
+    model = LinearGaussianModel((Variable("x1", value),), (Factor("f1", {"x1": value}, value, value),))
+    assert find_violations(model) == helpers.reference_find_violations(model) == [
+        "variable 'x1': prior_var must be a positive finite number",
+        "factor 'f1': noise_var must be a positive finite number",
+        "factor 'f1': obs must be a finite number",
+        "factor 'f1': coefficient for 'x1' must be a finite number",
+    ]

@@ -207,6 +207,11 @@ class TestFactorGraph:
         assert "edge_tables" not in vars(graph)
         assert graph.edge_tables is graph.edge_tables
 
+    def test_position_maps_are_as_long_as_what_they_index(self, loop_graph):
+        tables = loop_graph.edge_tables
+        assert len(tables.fv_position) == len(tables.vf_position) == 7
+        assert len(loop_graph.variable_order) == 4
+
     @pytest.mark.parametrize("kind", ["loop", *KINDS])
     def test_edge_tables_match_neighbor_walk(self, loop_model, kind):
         model = loop_model if kind == "loop" else generate_model(kind, 60, seed=4)
@@ -216,7 +221,7 @@ class TestFactorGraph:
         for reads in (tables.vf_pass, tables.fv_pass, tables.belief_reads):
             # The jagged columns: rows by descending width, ties in row
             # order, and column k as long as the count of rows wider than k.
-            width = [len(reads.row(r)) for r in range(len(reads.order))]
+            width = [len(reads.select(reads.rank[[r]])[2]) for r in range(len(reads.order))]
             assert reads.order.tolist() == sorted(range(len(width)), key=lambda r: -width[r])
             assert reads.rank[reads.order].tolist() == list(range(len(width)))
             assert [len(col) for col in reads.columns] == [
@@ -225,7 +230,7 @@ class TestFactorGraph:
         def named(edges, reads, r, order=None):
             """Row r's reads as edges; a pass's reads are positions in the
             other pass's ``order``."""
-            row = reads.row(r)
+            row = reads.select(reads.rank[[r]])[2]
             return [edges[k] for k in (row if order is None else order[row])]
 
         for k, (vid, fid) in enumerate(graph.vf_edges):

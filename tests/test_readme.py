@@ -2,7 +2,7 @@
 import re
 from pathlib import Path
 
-from gbpkit import analysis
+from gbpkit import analysis, engine
 from gbpkit.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -29,3 +29,11 @@ def test_power_iteration_budget_matches_the_code():
     budgets = re.findall(r"at most (\d+) power iterations", text)
     # One for the Collatz-Wielandt bound, one for walk-summability.
     assert budgets == [str(analysis.BOUND_MAX_ITERS)] * 2
+
+
+def test_status_thresholds_match_the_code():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert [float(x) for x in re.findall(r"`--tol` or more \(default (\S+)\)", text)] == [
+        engine.DEFAULT_TOLERANCE]
+    assert [float(x) for x in re.findall(r"passes (\S+) \(`DIVERGENCE_GUARD`\)", text)] == [
+        engine.DIVERGENCE_GUARD]
