@@ -222,7 +222,9 @@ def fixed_point_precisions(
     Starts from the lower envelope by default, the fastest of the
     monotone-from-below initializations.  The budget is generous because
     the recursion contracts geometrically; hitting it indicates a bug, not
-    a hard instance, hence the RuntimeError.
+    a hard instance, hence the RuntimeError.  The stop test skips NaN, so
+    precisions that overflowed can settle: a fixed point holding a
+    non-finite precision is refused with ValueError.
     """
     engine.check_limits(tolerance, max_iters)
     compiled = engine.compile_model(graph, model)
@@ -242,6 +244,8 @@ def fixed_point_precisions(
             raise RuntimeError("precision fixed point did not settle within the budget")
 
     vf_prec, _ = engine.vf_messages(compiled, prec, None)
+    if not (np.isfinite(prec).all() and np.isfinite(vf_prec).all()):
+        raise ValueError("precision fixed point has non-finite entries")
     return FixedPoint(
         factor_to_variable=engine.ArrayMapping(prec[tables.fv_pass.rank], tables.fv_position),
         variable_to_factor=engine.ArrayMapping(vf_prec[tables.vf_pass.rank], tables.vf_position),
@@ -578,8 +582,9 @@ def certify(
 ) -> ConvergenceCertificate:
     """Full convergence certificate for a model.
 
-    Precisions always settle, so the verdict is about the means, decided
-    by the first of three paths that can:
+    Precisions always settle (an overflowed fixed point is refused with
+    ValueError), so the verdict is about the means, decided by the first
+    of three paths that can:
 
       * forests and single-loop graphs converge by structure alone, and
         neither Q, the bound nor the radius is computed;

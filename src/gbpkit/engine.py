@@ -400,6 +400,14 @@ def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: in
     return MessageState(ArrayMapping(prec, positions), ArrayMapping(mean, positions), iteration)
 
 
+def _finish(graph, compiled: CompiledModel, prec, mean,
+            iteration: int) -> tuple[BeliefSet, MessageState]:
+    """How every run ends: beliefs and state of ``fv_pass``-order messages, in canonical order."""
+    rank = compiled.tables.fv_pass.rank
+    prec, mean = prec[rank], mean[rank]
+    return _beliefs(graph, compiled, prec, mean, iteration), _state(graph, prec, mean, iteration)
+
+
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
     reads = compiled.tables.belief_reads
     precision, belief_mean = _variable_message(compiled.columns.prior_var[reads.order],
@@ -586,10 +594,5 @@ def run(
         compiled, init_messages(graph, model, strategy or InitStrategy.zero()))
     for iteration, _, _, prec, mean, outcome in sweeps(compiled, prec, mean, tolerance, max_iters):
         del _  # the variable messages, freed before the next sweep
-    rank = compiled.tables.fv_pass.rank
-    prec, mean = prec[rank], mean[rank]
-    return RunResult(
-        beliefs=_beliefs(graph, compiled, prec, mean, iteration),
-        state=_state(graph, prec, mean, iteration),
-        status=outcome or STATUS_MAX_ITERS,
-    )
+    return RunResult(*_finish(graph, compiled, prec, mean, iteration),
+                     status=outcome or STATUS_MAX_ITERS)

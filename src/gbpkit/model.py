@@ -13,8 +13,8 @@ graph that message passing runs on.
 A model holds its values as given, one tuple per field (``ModelFields``);
 its :class:`Variable` and :class:`Factor` items are built from those only
 when read.  A file is parsed straight into the fields, by json's C parser
-alone unless a colon count leaves a repeated key possible
-(:func:`loads_model`): :func:`model_from_dict` checks its shape, and
+alone unless its shape is refused or a colon count leaves a repeated key
+possible (:func:`loads_model`): :func:`model_from_dict` checks its shape, and
 :func:`find_violations`, shared with models built from items, checks the
 values, whole fields first and items one by one only if a check fails.
 Every consumer reads a model's parameters and edges from one set of
@@ -692,19 +692,6 @@ def model_from_dict(data: dict) -> LinearGaussianModel:
     return validate_model(LinearGaussianModel(fields=_fields_from_dict(data)))
 
 
-def _entries(value) -> int:
-    """The entries of every object in a parsed JSON value, counted without recursion."""
-    count, pending = 0, [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, dict):
-            count += len(item)
-            pending.extend(item.values())
-        elif isinstance(item, list):
-            pending.extend(item)
-    return count
-
-
 def loads_model(text: str) -> LinearGaussianModel:
     """Parse and validate a model file; raises InvalidModelError on any
     problem, a repeated key in any object included.
@@ -714,24 +701,17 @@ def loads_model(text: str) -> LinearGaussianModel:
     entries of the parsed objects are at most the keys of the text, and
     those at most its colons.  When the entries of the objects that the
     shape check reads equal the colons, no key repeats, and the fields are
-    validated.  When the shape check refuses the parse and the entries of
-    all its objects equal the colons, the hook parse would build the same
-    objects, so its refusal is raised.  Otherwise, or if the parse fails,
-    the text is parsed again with a duplicate-key hook, whose outcome is
-    the result: a repeated key is reported ahead of any later fault.
+    validated.  Otherwise, or if the parse or the shape check fails, the
+    text is parsed again with a duplicate-key hook, whose outcome is the
+    result: a repeated key is reported ahead of any later fault.
     """
     try:
-        data = json.loads(text)
-        colons = text.count(":")
-        f = _fields_from_dict(data)
+        f = _fields_from_dict(json.loads(text))
         # The top level holds 2 entries, a variable 2, a factor 4 plus its coeffs.
         entries = 2 + 2 * len(f.variable_ids) + 4 * len(f.factor_ids) + len(f.coeff_values)
-        unrepeated = entries == colons
-    except InvalidModelError:  # refused for its shape
-        if _entries(data) == colons:
-            raise
-        unrepeated = False
-    except (ValueError, RecursionError, TypeError):  # TypeError: bytes count no ':'
+        unrepeated = entries == text.count(":")
+    # InvalidModelError, a shape refusal, is a ValueError; TypeError: bytes count no ':'.
+    except (ValueError, RecursionError, TypeError):
         unrepeated = False
     if unrepeated:
         return validate_model(LinearGaussianModel(fields=f))

@@ -12,9 +12,10 @@ them in :class:`Agent` records.
 
 Both schedules keep the messages in pass order (see
 :class:`~gbpkit.model.EdgeTables`), write each tick's messages to the
-event log in canonical order as they send them, and put the messages
-they return in canonical order once; nothing of the log is kept in
-memory.  The synchronous schedule iterates the engine's own sweep loop
+event log in canonical order as they send them, keeping none in memory,
+and end as :func:`gbpkit.engine.run` does: a :class:`SimulationResult`
+is a :class:`~gbpkit.engine.RunResult` plus the messages sent.  The
+synchronous schedule iterates the engine's own sweep loop
 (:func:`gbpkit.engine.sweeps`), adding only the log and the message
 count, so its results (messages, beliefs, tick count, status) equal an
 engine run bit for bit.  The random-sequential schedule recomputes one
@@ -71,12 +72,14 @@ class Agent:
 
 
 @dataclass(frozen=True)
-class SimulationResult:
-    beliefs: engine.BeliefSet
-    ticks: int
-    status: str
+class SimulationResult(engine.RunResult):
+    """A run plus the messages sent; a tick is an iteration."""
+
     messages_sent: int
-    state: engine.MessageState
+
+    @property
+    def ticks(self) -> int:
+        return self.state.iteration
 
 
 def _hosting(graph: FactorGraph):
@@ -155,13 +158,8 @@ def simulate(
             outcome = _run_random_sequential(graph, compiled, schedule.seed, tolerance,
                                              max_ticks, log)
     prec, mean, tick, status, sent = outcome
-    return SimulationResult(
-        beliefs=engine._beliefs(graph, compiled, prec, mean, tick),
-        ticks=tick,
-        status=status,
-        messages_sent=sent,
-        state=engine._state(graph, prec, mean, tick),
-    )
+    return SimulationResult(*engine._finish(graph, compiled, prec, mean, tick), status=status,
+                            messages_sent=sent)
 
 
 def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
@@ -180,8 +178,7 @@ def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
             _log_rows(log, tick, graph.vf_edges, vf_prec[vf_pass.rank], vf_mean[vf_pass.rank])
             _log_rows(log, tick, fv_edges, prec[fv_logged], mean[fv_logged])
         del vf_prec, vf_mean  # freed before the next sweep's variable pass
-    return (prec[fv_pass.rank], mean[fv_pass.rank], tick, outcome or engine.STATUS_MAX_ITERS,
-            tick * 2 * len(graph.edge_var))
+    return prec, mean, tick, outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var)
 
 
 def _replace_rows(prec, mean, rows, new_prec, new_mean) -> float:
@@ -231,4 +228,4 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
         if len(quiet) == len(vf_runs):
             status = engine.STATUS_CONVERGED
             break
-    return fv_prec[fv_pass.rank], fv_mean[fv_pass.rank], tick, status, sent
+    return fv_prec, fv_mean, tick, status, sent

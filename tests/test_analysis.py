@@ -21,6 +21,7 @@ from gbpkit import (
     InitStrategy,
     LinearGaussianModel,
     STATUS_CONVERGED,
+    STATUS_DIVERGED,
     TOPOLOGY_SINGLE_LOOP,
     VERDICT_CONVERGES,
     VERDICT_DIVERGES,
@@ -201,6 +202,24 @@ class TestFixedPoint:
         for model in (loop_model, edgeless):
             with pytest.raises(ValueError, match="max_iters must be at least 1"):
                 fixed_point_precisions(build_factor_graph(model), model, max_iters=0)
+
+    @pytest.mark.parametrize("model", [
+        # f1 -> x1 overflows to inf while f1 -> x2 reads 0: a forest.
+        helpers.overflow_model(),
+        # Every precision turns NaN, and the NaN-skipping stop test settles.
+        LinearGaussianModel(tuple(Variable(f"x{k}", 1.0) for k in (1, 2, 3)), (
+            Factor("f1", {"x1": 1e200, "x2": 1e200}, 1.0, 0.0),
+            Factor("f2", {"x2": 1.0, "x3": 1.0}, 1.0, 0.0),
+            Factor("f3", {"x3": 1.0, "x1": 1.0}, 1.0, 0.0),
+            Factor("f4", {"x1": 1.0, "x2": 1.0, "x3": 1.0}, 1.0, 0.0))),
+    ], ids=["forest-1e160", "loopy-1e200"])
+    def test_overflowed_precisions_are_refused(self, model):
+        graph = build_factor_graph(model)
+        with pytest.raises(ValueError, match="precision fixed point has non-finite entries"):
+            fixed_point_precisions(graph, model)
+        with pytest.raises(ValueError, match="precision fixed point has non-finite entries"):
+            certify(graph, model)
+        assert run(graph, model).status == STATUS_DIVERGED
 
 
 class TestMeanSystem:

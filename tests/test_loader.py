@@ -9,6 +9,7 @@ the same order.
 import copy
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -127,15 +128,20 @@ class TestLoadedModels:
         monkeypatch.setattr(model_module, "_reject_duplicate_keys", hook)
         model = generate_model("random-loopy", 300, 7)
         assert loads_model(dumps_model(model)) == model
-        # A file refused for its shape, every key counted, is refused by the fast parse.
-        with pytest.raises(InvalidModelError) as refused:
+        # A file refused for its shape is parsed again with the hook.
+        with pytest.raises(AssertionError, match="hook ran"):
             loads_model(dumps_model(model).replace('"prior_var"', '"prior"', 1))
-        assert refused.value.violations == ["variables[0]: expected keys id, prior_var"]
         # An id with a colon leaves the colon count above the key count: the hook parse runs.
         with pytest.raises(AssertionError, match="hook ran"):
             loads_model(dumps_model(model).replace('"x1"', '"x:1"'))
         with pytest.raises(AssertionError, match="hook ran"):
             loads_model('{"variables": [{"id": "x:1"}], "factors": []}')
+
+    def test_a_file_refused_for_its_shape_names_the_item(self):
+        text = dumps_model(generate_model("random-loopy", 300, 7))
+        with pytest.raises(InvalidModelError) as refused:
+            loads_model(text.replace('"prior_var"', '"prior"', 1))
+        assert refused.value.violations == ["variables[0]: expected keys id, prior_var"]
 
     def test_empty_model(self):
         loaded = _assert_same_load('{"variables": [], "factors": []}')
@@ -251,6 +257,82 @@ def test_tuple_built_models_match_the_reference(data):
                     for item in items("factors", ["id", "coeffs", "noise_var", "obs"]))
     model = LinearGaussianModel(variables, factors)
     assert find_violations(model) == helpers.reference_find_violations(model)
+
+
+# --- the fast parse against the hook parse: a property over mutated texts ---
+
+def _colon_id(data: dict, items: list, k: int) -> None:
+    """Put a ':' into item k's id, and into the coefficient keys that name it."""
+    old = items[k]["id"]
+    items[k]["id"] = new = old[:1] + ":" + old[1:]
+    for factor in data["factors"]:
+        if isinstance(factor, dict) and isinstance(factor.get("coeffs"), dict):
+            factor["coeffs"] = {new if key == old else key: c
+                                for key, c in factor["coeffs"].items()}
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid model file with a few of: a renamed, missing or extra key, an
+    item that is not an object, a ``coeffs`` that is not an object, a ':'
+    inside an id, and a repeated key spliced into the text."""
+    data = _base(draw(st.integers(1, 4)), draw(st.integers(0, 4)))
+    for _ in range(draw(st.integers(0, 3))):
+        items = data[draw(st.sampled_from(["variables", "factors"] if data["factors"]
+                                          else ["variables"]))]
+        k = draw(st.integers(0, len(items) - 1))
+        change = draw(st.sampled_from(["rename", "drop", "extra", "not-object", "coeffs",
+                                       "colon"]))
+        if not isinstance(items[k], dict) or not items[k]:
+            continue
+        if change in ("rename", "drop"):
+            key = draw(st.sampled_from(sorted(items[k])))
+            value = items[k].pop(key)
+            if change == "rename":
+                items[k][draw(st.sampled_from([key[:-1], key.upper(), "id", "obs"]))] = value
+        elif change == "extra":
+            items[k]["extra"] = 1
+        elif change == "not-object":
+            items[k] = draw(st.sampled_from([[], "x1", 1.0, None]))
+        elif change == "coeffs" and "coeffs" in items[k]:
+            items[k]["coeffs"] = draw(st.sampled_from([[], "x1", None, 1.0]))
+        elif change == "colon" and isinstance(items[k].get("id"), str):
+            _colon_id(data, items, k)
+    if draw(st.booleans()):
+        data[draw(st.sampled_from(["variables", "factors", "Variables"]))] = \
+            data.pop(draw(st.sampled_from(["variables", "factors"])))
+    text = json.dumps(data, indent=draw(st.sampled_from([None, 2])))
+    if draw(st.booleans()):  # repeat an object's first key, before it
+        starts = list(re.finditer(r'\{\s*("[^"]*"): ', text))
+        first = draw(st.sampled_from(starts))
+        value = draw(st.sampled_from(["1.5", '"x1"', "{}", "[]", "null"]))
+        text = text[:first.start() + 1] + f"{first[1]}: {value}, " + text[first.start() + 1:]
+    return text
+
+
+def _text_outcome(load, text: str):
+    try:
+        fields = load(text).fields
+    except InvalidModelError as err:
+        return "invalid", err.violations
+    return "model", fields, repr(fields)  # repr tells ints from floats and keeps coeffs' order
+
+
+def _hook_parse(text: str):
+    """The loader with every object through the duplicate-key hook."""
+    try:
+        data = json.loads(text, object_pairs_hook=model_module._reject_duplicate_keys)
+    except ValueError as err:
+        raise InvalidModelError([str(err)]) from err
+    return model_from_dict(data)
+
+
+@given(mutated_texts())
+@example('{"variables": [{"id": "x1", "prior": 1.0}], "factors": []}')
+@example('{"variables": [{"id": "x:1", "prior_var": 1.0}], "factors": [], "factors": []}')
+@example('{"variables": [{"id": "x1", "id": "x1"}], "factors": []}')
+def test_a_refused_shape_gives_the_violations_of_the_hook_parse(text):
+    assert _text_outcome(loads_model, text) == _text_outcome(_hook_parse, text)
 
 
 def test_huge_ints_are_reported_not_raised():

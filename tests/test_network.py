@@ -9,6 +9,7 @@ from gbpkit import (
     STATUS_MAX_ITERS,
     Factor,
     LinearGaussianModel,
+    RunResult,
     STATUS_CONVERGED,
     Schedule,
     Variable,
@@ -210,6 +211,13 @@ class TestSynchronousSchedule:
         monkeypatch.setattr(network, "Agent", _no_agents)
         sim = simulate(loop_model, schedule)
         assert sim.status == STATUS_CONVERGED
+
+    @pytest.mark.parametrize("schedule", [Schedule.synchronous(), Schedule.random_sequential(5)])
+    @pytest.mark.parametrize("max_ticks", [3, 10000])
+    def test_a_simulation_is_a_run(self, loop_model, schedule, max_ticks):
+        sim = simulate(loop_model, schedule, max_ticks=max_ticks)
+        assert isinstance(sim, RunResult)
+        assert sim.ticks == sim.state.iteration == sim.beliefs.iteration > 0
 
     def test_matches_engine_bitwise(self, loop_graph, loop_model):
         engine_result = run(loop_graph, loop_model)
