@@ -218,34 +218,32 @@ def fixed_point_precisions(
 ) -> FixedPoint:
     """Iterate the precision recursion to its unique fixed point.
 
-    The recursion never reads the means, so only precisions are swept.
-    Starts from the lower envelope by default, the fastest of the
-    monotone-from-below initializations.  The budget is generous because
-    the recursion contracts geometrically; hitting it indicates a bug, not
-    a hard instance, hence the RuntimeError.  The stop test skips NaN, so
-    precisions that overflowed can settle: a fixed point holding a
-    non-finite precision is refused with ValueError.
+    The recursion never reads the means, so ``engine.sweeps`` sweeps the
+    precisions alone until their largest change is below ``tolerance``,
+    from the lower envelope by default, the fastest of the
+    monotone-from-below starts.  The budget is generous because the
+    recursion contracts geometrically; hitting it indicates a bug, not a
+    hard instance, hence the RuntimeError.  The stop test skips NaN, so
+    overflowed precisions can settle: ValueError refuses a fixed point
+    with a non-finite precision, or a zero factor-to-variable one, which
+    only underflow or overflow give.
     """
     engine.check_limits(tolerance, max_iters)
     compiled = engine.compile_model(graph, model)
     tables = compiled.tables
-    # Swept in pass order (see engine.sweeps); the delta is a max, in any order.
     prec, _ = engine._in_pass_order(compiled, engine.init_messages(
         graph, model, init or engine.InitStrategy.lower_bound()))
-    iterations = 0
-    while True:
-        new_prec, _ = engine.fv_messages(compiled, *engine.vf_messages(compiled, prec, None))
-        iterations += 1
-        delta = engine.max_delta(prec, new_prec)
-        prec = new_prec
-        if delta < tolerance:
-            break
-        if iterations >= max_iters:
-            raise RuntimeError("precision fixed point did not settle within the budget")
-
+    for iterations, _, _, prec, _, outcome in engine.sweeps(
+            compiled, prec, None,
+            lambda old, _, new, __: engine.max_delta(old, new) < tolerance or None, max_iters):
+        pass  # the unpacking drops the variable messages before the next sweep
+    if outcome is None:
+        raise RuntimeError("precision fixed point did not settle within the budget")
     vf_prec, _ = engine.vf_messages(compiled, prec, None)
     if not (np.isfinite(prec).all() and np.isfinite(vf_prec).all()):
         raise ValueError("precision fixed point has non-finite entries")
+    if not prec.all():
+        raise ValueError("precision fixed point has zero entries")
     return FixedPoint(
         factor_to_variable=engine.ArrayMapping(prec[tables.fv_pass.rank], tables.fv_position),
         variable_to_factor=engine.ArrayMapping(vf_prec[tables.vf_pass.rank], tables.vf_position),
@@ -544,24 +542,26 @@ def rate_trace(
     Recording starts after the first sweep (where every precision is
     strictly positive whatever the start).  The reference fixed point is
     iterated to a much tighter delta than requested so that distances
-    near the 1e-14 floor are still meaningful.  The trace stops once the
-    distance drops below the requested tolerance or below the floor,
-    whichever is larger; a tolerance of 0 or below means the floor.
+    near the 1e-14 floor are still meaningful.  Sweeps of ``engine.sweeps``,
+    in pass order, run past the divergence guard until the distance drops
+    below the requested tolerance or below the floor, whichever is larger
+    (a tolerance of 0 or below means the floor).
     """
     # max() keeps a NaN first argument, so NaN is refused here.
     stop = engine.check_limits(max(tolerance, TRACE_FLOOR), max_iters)
     reference = fixed_point_precisions(graph, model, tolerance=1e-15)
-    target = reference.factor_to_variable.array.tolist()
     compiled = engine.compile_model(graph, model)
-    state = engine.init_messages(graph, model, strategy or engine.InitStrategy.zero())
-    prec, mean = state.precisions.array, state.means.array
+    order = compiled.tables.fv_pass.order
+    target = reference.factor_to_variable.array[order].tolist()
+    edges = [graph.fv_edges[k] for k in order.tolist()]
+    prec, mean = engine._in_pass_order(compiled, engine.init_messages(
+        graph, model, strategy or engine.InitStrategy.zero()))
     points: list[TracePoint] = []
-    for iteration in range(1, max_iters + 1):
-        prec, new_mean = engine.sweep_arrays(compiled, prec, mean)
-        mean_delta = engine.max_delta(mean, new_mean)
+    for iteration, _, _, prec, new_mean, _ in engine.sweeps(compiled, prec, mean,
+                                                            lambda *_: None, max_iters):
+        distance = _part_distance(edges, prec.tolist(), target)
+        points.append(TracePoint(iteration, distance, engine.max_delta(mean, new_mean)))
         mean = new_mean
-        distance = _part_distance(graph.fv_edges, prec.tolist(), target)
-        points.append(TracePoint(iteration=iteration, distance=distance, mean_delta=mean_delta))
         if distance < stop:
             break
     return points

@@ -38,17 +38,18 @@ and each pass reads the other's output in that order, with parameters
 laid out once per compiled model (:class:`CompiledModel`).  The one pass
 pair, :func:`vf_messages` and :func:`fv_messages`, computes all rows or
 any subset, as a random-sequential tick needs.  One generator,
-:func:`sweeps`, owns the synchronous loop; :func:`run`, the simulator
-and the precision fixed point put back in canonical order, once per run,
-only what they keep.  The public :func:`sweep` and :func:`sweep_arrays`
-take and return canonical order around the same passes, and
-:func:`factor_to_variable` keeps a per-edge path, one row at a time, for
-tests.
+:func:`sweeps`, is the one synchronous loop, ended by its caller's stop
+test: :func:`run`, the simulator, the precision fixed point and the rate
+trace iterate it, and put back in canonical order only what they keep.
+The public :func:`sweep` takes and returns canonical order around the
+same passes, and :func:`factor_to_variable` keeps a per-edge path, one
+row at a time, for tests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -364,17 +365,6 @@ def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarra
     return _at(prec, place), _at(mean, place)
 
 
-def sweep_arrays(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None):
-    """:func:`sweep` on factor-to-variable (precisions, means) arrays in
-    canonical order; means of None sweep the precisions alone (see
-    :func:`vf_messages`).  The passes of :func:`sweeps`, with the arrays
-    put in pass order and back."""
-    order, rank = compiled.tables.fv_pass.order, compiled.tables.fv_pass.rank
-    vf = vf_messages(compiled, fv_prec[order], None if fv_mean is None else fv_mean[order])
-    prec, mean = fv_messages(compiled, *vf)
-    return prec[rank], None if mean is None else mean[rank]
-
-
 @_QUIET
 def max_delta(old: np.ndarray, new: np.ndarray) -> float:
     """Largest |new - old| entry, NaN entries skipped, 0.0 when empty."""
@@ -527,8 +517,9 @@ def sweep(graph: FactorGraph, model: LinearGaussianModel, state: MessageState) -
     """One synchronous round: all variable-to-factor messages from the
     previous state, then all factor-to-variable messages from those."""
     compiled = compile_model(graph, model)
-    prec, mean = sweep_arrays(compiled, state.precisions.array, state.means.array)
-    return _state(graph, prec, mean, state.iteration + 1)
+    prec, mean = fv_messages(compiled, *vf_messages(compiled, *_in_pass_order(compiled, state)))
+    rank = compiled.tables.fv_pass.rank
+    return _state(graph, prec[rank], mean[rank], state.iteration + 1)
 
 
 def compute_beliefs(
@@ -560,18 +551,18 @@ def _in_pass_order(compiled: CompiledModel, state: MessageState):
     return state.precisions.array[order], state.means.array[order]
 
 
-def sweeps(compiled: CompiledModel, prec, mean, tolerance: float, max_iters: int):
+def sweeps(compiled: CompiledModel, prec, mean, stop, max_iters: int):
     """Sweep from factor-to-variable (precisions, means) in ``fv_pass`` order
-    until an outcome (see :func:`step_status`) or ``max_iters`` sweeps,
-    yielding per sweep (iteration, vf_prec, vf_mean, fv_prec, fv_mean,
-    outcome or None).  Every array stays in its pass's order (see
-    :class:`~gbpkit.model.EdgeTables`): the stop test takes a max and an
-    all, which do not depend on order, so callers restore canonical order
-    only for what they keep, with the tables' ``rank``."""
+    until ``stop(old_prec, old_mean, new_prec, new_mean)`` is not None or
+    ``max_iters`` sweeps, yielding per sweep (iteration, vf_prec, vf_mean,
+    fv_prec, fv_mean, outcome or None); means of None sweep the precisions
+    alone.  Arrays stay in pass order (:class:`~gbpkit.model.EdgeTables`),
+    which a stop test of maxima and alls does not see: callers put back in
+    canonical order, with the tables' ``rank``, only what they keep."""
     for iteration in range(1, max_iters + 1):
         vf_prec, vf_mean = vf_messages(compiled, prec, mean)
         new_prec, new_mean = fv_messages(compiled, vf_prec, vf_mean)
-        outcome = _status(prec, mean, new_prec, new_mean, tolerance)
+        outcome = stop(prec, mean, new_prec, new_mean)
         yield iteration, vf_prec, vf_mean, new_prec, new_mean, outcome
         if outcome is not None:
             return
@@ -592,7 +583,8 @@ def run(
     compiled = compile_model(graph, model)
     prec, mean = _in_pass_order(
         compiled, init_messages(graph, model, strategy or InitStrategy.zero()))
-    for iteration, _, _, prec, mean, outcome in sweeps(compiled, prec, mean, tolerance, max_iters):
+    for iteration, _, _, prec, mean, outcome in sweeps(
+            compiled, prec, mean, partial(_status, tolerance=tolerance), max_iters):
         del _  # the variable messages, freed before the next sweep
     return RunResult(*_finish(graph, compiled, prec, mean, iteration),
                      status=outcome or STATUS_MAX_ITERS)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -172,8 +173,7 @@ def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
         fv_logged = fv_pass.rank[fv_order]
     zeros = np.zeros(len(graph.edge_var))  # in any order
     for tick, vf_prec, vf_mean, prec, mean, outcome in engine.sweeps(
-        compiled, zeros, zeros, tolerance, max_ticks
-    ):
+            compiled, zeros, zeros, partial(engine._status, tolerance=tolerance), max_ticks):
         if log is not None:
             _log_rows(log, tick, graph.vf_edges, vf_prec[vf_pass.rank], vf_mean[vf_pass.rank])
             _log_rows(log, tick, fv_edges, prec[fv_logged], mean[fv_logged])

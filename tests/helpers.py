@@ -82,6 +82,16 @@ def overflow_model() -> LinearGaussianModel:
                                (Factor("f1", {"x1": 1e160, "x2": 1.0}, 1.0, 1.0),))
 
 
+def underflow_model() -> LinearGaussianModel:
+    """A valid loopy model whose coefficient squared underflows: the fixed-point
+    precision f1 -> x1 is 0.0, and ``run`` ends ``diverged`` after one sweep."""
+    return LinearGaussianModel(tuple(Variable(f"x{k}", 1.0) for k in (1, 2, 3)), (
+        Factor("f1", {"x1": 1e-170, "x2": 1.0}, 1.0, 1.0),
+        Factor("f2", {"x2": 1.0, "x3": 1.0}, 1.0, 0.0),
+        Factor("f3", {"x3": 1.0, "x1": 1.0}, 1.0, 0.0),
+        Factor("f4", {"x1": 1.0, "x2": 1.0, "x3": 1.0}, 1.0, 0.0)))
+
+
 def bipartite_diameter(graph: FactorGraph) -> int:
     """Longest shortest path over the bipartite node set, in edges."""
     nodes = [("v", vid) for vid in graph.variable_ids]

@@ -50,6 +50,7 @@ from gbpkit import (
     trace_to_csv,
     variable_to_factor,
     walk_summability,
+    with_observations,
 )
 from gbpkit import analysis
 from gbpkit.generate import KINDS
@@ -171,14 +172,14 @@ class TestFixedPoint:
             model = generate_model(kind, 2000, seed)
             graph = build_factor_graph(model)
             compiled = analysis.engine.compile_model(graph, model)
-            prec, mean = precision_bounds(graph, model).lower.array, np.zeros(len(graph.fv_edges))
-            iterations = 0
+            state = init_messages(graph, model, InitStrategy.lower_bound())
             while True:
-                new_prec, mean = analysis.engine.sweep_arrays(compiled, prec, mean)
-                iterations += 1
-                delta, prec = analysis.engine.max_delta(prec, new_prec), new_prec
+                new = sweep(graph, model, state)
+                delta = analysis.engine.max_delta(state.precisions.array, new.precisions.array)
+                state = new
                 if delta < analysis.engine.DEFAULT_TOLERANCE:
                     break
+            prec, iterations = state.precisions.array, state.iteration
             vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
             vf_prec, _ = analysis.engine.vf_messages(compiled, prec[fv_pass.order], None)
             vf_prec = vf_prec[vf_pass.rank]
@@ -221,6 +222,34 @@ class TestFixedPoint:
             certify(graph, model)
         assert run(graph, model).status == STATUS_DIVERGED
 
+    def test_underflowed_precisions_are_refused(self):
+        # c**2 = 1e-340 rounds to 0, so f1 -> x1 settles at precision 0.0:
+        # a recursion that is not the model's.  run's guard still reads the
+        # message's mean, near 1e170, as divergence.
+        model = helpers.underflow_model()
+        graph = build_factor_graph(model)
+        for analyse in (fixed_point_precisions, certify):
+            with pytest.raises(ValueError, match="^precision fixed point has zero entries$"):
+                analyse(graph, model)
+        assert run(graph, model).status == STATUS_DIVERGED
+
+    @pytest.mark.parametrize("model", [helpers.loop_model(),
+                                       generate_model("random-loopy", 200, 3)],
+                             ids=["loop", "random-loopy"])
+    def test_budget_boundary(self, model):
+        # The budget counts sweeps: the k sweeps that settle fit in k, not k - 1.
+        graph = build_factor_graph(model)
+        settled = fixed_point_precisions(graph, model)
+        k = settled.iterations
+        assert k >= 2
+        exact = fixed_point_precisions(graph, model, max_iters=k)
+        assert exact.iterations == k
+        for got, want in ((exact.factor_to_variable, settled.factor_to_variable),
+                          (exact.variable_to_factor, settled.variable_to_factor)):
+            assert got.array.tobytes() == want.array.tobytes()
+        with pytest.raises(RuntimeError, match="budget"):
+            fixed_point_precisions(graph, model, max_iters=k - 1)
+
 
 class TestMeanSystem:
     def test_loop_zero_pattern(self, loop_graph, loop_model):
@@ -249,10 +278,12 @@ class TestMeanSystem:
 
     def test_sparse_q_is_canonical_and_its_dense_view_matches(self):
         # The pattern has two couplings; through f1's coefficients of
-        # 1e-200 one of them underflows to 0.0, which the CSR must not store.
+        # 1e-160 and x2's prior variance of 1e-10 one of them underflows to
+        # 0.0, which the CSR must not store.  Every precision stays positive
+        # (1e-320 on f1's messages), so the fixed point is not refused.
         tiny = LinearGaussianModel(
-            (Variable("x1", 1.0), Variable("x2", 1.0), Variable("x3", 1.0)),
-            (Factor("f1", {"x1": 1e-200, "x2": 1e-200}, 1.0, 1.0),
+            (Variable("x1", 1.0), Variable("x2", 1e-10), Variable("x3", 1.0)),
+            (Factor("f1", {"x1": 1e-160, "x2": 1e-160}, 1.0, 1.0),
              Factor("f2", {"x2": 1.0, "x3": 1.0}, 1.0, 2.0)),
         )
         graph = build_factor_graph(tiny)
@@ -638,6 +669,21 @@ class TestRateTrace:
     def test_zero_budget_rejected(self, loop_graph, loop_model):
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             rate_trace(loop_graph, loop_model, max_iters=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_divergent_means_do_not_end_the_trace(self, kind):
+        # Observations 1e12 times larger send every mean past run's guard
+        # in one sweep, but the precisions never read them: the trace must
+        # give the unscaled model's points, bit for bit.
+        model = generate_model(kind, 200, 3)
+        graph = build_factor_graph(model)
+        scaled = with_observations(model, [factor.obs * 1e12 for factor in model.factors])
+        diverged = run(graph, scaled)
+        assert (diverged.status, diverged.state.iteration) == (STATUS_DIVERGED, 1)
+        points = [[(p.iteration, p.distance.hex()) for p in rate_trace(graph, m)]
+                  for m in (model, scaled)]
+        assert len(points[0]) > 1
+        assert points[1] == points[0]
 
     def test_lower_start_no_slower_than_zero(self, loop_graph, loop_model):
         from_zero = rate_trace(loop_graph, loop_model, InitStrategy.zero())

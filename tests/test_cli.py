@@ -432,6 +432,17 @@ class TestErrorPaths:
         assert captured.err == f"error: {refused} has non-finite entries\n"
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_fixed_point_is_one_error(self, tmp_path, capsys):
+        # A valid model whose coefficient squared underflows: the fixed
+        # point's precision f1 -> x1 is 0.0, and analyze refuses it.
+        path = tmp_path / "tiny.json"
+        save_model(helpers.underflow_model(), path)
+        assert main(["analyze", "--model", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: precision fixed point has zero entries\n"
+        assert captured.out == ""
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"variables": [')

@@ -24,9 +24,11 @@ from gbpkit import (
     STATUS_DIVERGED,
     STATUS_MAX_ITERS,
     Schedule,
+    TOPOLOGY_MULTI_LOOP,
     Variable,
     build_factor_graph,
     certify,
+    classify_topology,
     compute_beliefs,
     dense_posterior,
     factor_to_variable,
@@ -161,13 +163,15 @@ class TestSingleEdgeMessages:
         fv = rng.uniform(0.1, 2.0, len(graph.fv_edges)), rng.normal(size=len(graph.fv_edges))
         vf = engine.vf_messages(compiled, *fv)
         full_fv = engine.fv_messages(compiled, *vf)
-        swept = engine.sweep_arrays(compiled, fv[0][rank], fv[1][rank])
-        assert all(np.array_equal(a, b[rank]) for a, b in zip(swept, full_fv))
+        swept = sweep(graph, model, engine._state(graph, fv[0][rank], fv[1][rank], 0))
+        assert all(np.array_equal(a.array, b[rank]) for a, b in zip(
+            (swept.precisions, swept.means), full_fv))
         # Means of None skip the mean terms; the precisions keep their bits,
         # so run, the fixed point and rate_trace follow one trajectory.
+        _, _, _, *sweep_only = next(engine.sweeps(compiled, fv[0], None, lambda *_: None, 1))
         for only, whole in ((engine.vf_messages(compiled, fv[0], None), vf[0]),
                             (engine.fv_messages(compiled, vf[0], None), full_fv[0]),
-                            (engine.sweep_arrays(compiled, fv[0][rank], None), full_fv[0][rank])):
+                            (sweep_only, full_fv[0])):
             assert only[0].tobytes() == whole.tobytes() and only[1] is None
         for size in (0, 1, 7, len(graph.fv_edges)):
             rows = rng.permutation(len(graph.fv_edges))[:size]
@@ -412,7 +416,8 @@ def test_one_sweep_allocates_at_most_a_fixed_number_of_edge_arrays(kind, size):
     graph = build_factor_graph(model)
     compiled = engine.compile_model(graph, model)
     count = len(graph.edge_var)
-    steps = engine.sweeps(compiled, np.zeros(count), np.zeros(count), 1e-10, 2)
+    steps = engine.sweeps(compiled, np.zeros(count), np.zeros(count),
+                          functools.partial(engine._status, tolerance=1e-10), 2)
     next(steps)
     tracemalloc.start()
     try:
@@ -422,6 +427,60 @@ def test_one_sweep_allocates_at_most_a_fixed_number_of_edge_arrays(kind, size):
     finally:
         tracemalloc.stop()
     assert peak <= SWEEP_PEAK_ARRAYS * 8 * count
+
+
+# A precision-only sweep, as the fixed point runs it, keeps to float64: the
+# variable pass's output, the factor pass's term and accumulator, and one
+# column's gathered terms.
+PRECISION_SWEEP_PEAK_ARRAYS = 4.5
+
+
+@pytest.mark.parametrize("kind, size", [("tree", 2000), ("random-loopy", 1000)])
+def test_one_precision_only_sweep_allocates_float64_edge_arrays_only(kind, size):
+    model = generate_model(kind, size, seed=7)
+    graph = build_factor_graph(model)
+    compiled = engine.compile_model(graph, model)
+    count = len(graph.edge_var)
+    steps = engine.sweeps(compiled, np.zeros(count), None, lambda *_: None, 2)
+    next(steps)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert next(steps)[4] is None
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= PRECISION_SWEEP_PEAK_ARRAYS * 8 * count
+
+
+def test_every_synchronous_loop_iterates_sweeps(monkeypatch, loop_graph, loop_model):
+    # run, the synchronous simulator, the fixed point (and so certify) and
+    # the rate trace all sweep through engine.sweeps, one sweep per step.
+    counts = []
+    sweeps = engine.sweeps
+
+    def counting(*args):
+        counts.append(0)
+        for step in sweeps(*args):
+            counts[-1] += 1
+            yield step
+
+    monkeypatch.setattr(engine, "sweeps", counting)
+    loopy = generate_model("random-loopy", 40, 5)
+    loopy_graph = build_factor_graph(loopy)
+    assert classify_topology(loopy_graph).kind == TOPOLOGY_MULTI_LOOP
+    for graph, model in ((loop_graph, loop_model), (loopy_graph, loopy)):
+        counts.clear()
+        result = run(graph, model)
+        sim = simulate(model, Schedule.synchronous())
+        point = fixed_point_precisions(graph, model)
+        cert = certify(graph, model)
+        reference = fixed_point_precisions(graph, model, tolerance=1e-15)
+        points = rate_trace(graph, model)
+        assert counts == [result.state.iteration, sim.ticks, point.iterations,
+                          cert.fixed_point.iterations, reference.iterations,
+                          reference.iterations, len(points)]
+        assert result.status == sim.status == STATUS_CONVERGED and len(points) > 1
 
 
 def _cached_properties(cls) -> set[str]:

@@ -69,6 +69,7 @@ from gbpkit import (
     run,
     simulate,
     spectral_radius,
+    sweep,
     walk_summability,
     with_observations,
 )
@@ -138,11 +139,10 @@ def test_iterates_after_the_first_sweep_stay_in_the_envelope(model, start, seed)
     bounds = precision_bounds(graph, model)
     lower = bounds.lower.array
     upper = bounds.upper.array
-    compiled = engine.compile_model(graph, model)
     state = init_messages(graph, model, STARTS[start](graph, seed))
-    prec, mean = state.precisions.array, state.means.array
     for _ in range(25):
-        prec, mean = engine.sweep_arrays(compiled, prec, mean)
+        state = sweep(graph, model, state)
+        prec = state.precisions.array
         assert np.all(prec >= lower * (1.0 - ENVELOPE_RTOL))
         assert np.all(prec <= upper * (1.0 + ENVELOPE_RTOL))
 
