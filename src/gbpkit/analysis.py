@@ -34,6 +34,7 @@ from .model import (
     TOPOLOGY_FOREST,
     TOPOLOGY_SINGLE_LOOP,
     TopologyReport,
+    _sorted_by,
     classify_topology,
     sparse_gmrf,
 )
@@ -262,7 +263,7 @@ def _by_row(rows: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
     reads, flattened column after column, by row (each row's in column order)."""
     row_of = _flat([rows[:len(col)] for col in columns])
     return (np.append(0, np.cumsum(np.bincount(row_of, minlength=len(rows)))),
-            np.argsort(row_of, kind="stable"))
+            _sorted_by(row_of, len(rows)))
 
 
 def _scale_values(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> np.ndarray:
@@ -354,7 +355,7 @@ def spectral_radius(matrix) -> float:
     # A stable sort by label puts each component's nodes in one run, in
     # ascending index order; only the multi-node runs are kept.
     cyclic = sizes > 1
-    nodes = np.argsort(labels, kind="stable")
+    nodes = _sorted_by(labels, len(sizes))
     nodes = nodes[cyclic[labels[nodes]]]
     grouped = csr[nodes][:, nodes]
     stops = np.cumsum(sizes[cyclic])

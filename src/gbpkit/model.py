@@ -223,9 +223,22 @@ class Reads:
                 list(map(slice, stops, stops[1:])))
 
 
+def _sorted_by(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The stable order of ``keys``, integers in [0, ``bound``), ``bound``
+    at most 2**32, in O(len(keys)).  numpy's stable sort of 16-bit keys is a
+    radix sort (Cormen et al., *Introduction to Algorithms*, 8.3): one pass
+    for ``bound`` up to 2**16, else two passes, least significant digit
+    first, on the low 16 bits and then the high 16 bits."""
+    order = keys.astype(np.uint16).argsort(kind="stable")  # the cast keeps the low 16 bits
+    if bound > 1 << 16:
+        order = order[(keys[order] >> 16).astype(np.uint16).argsort(kind="stable")]
+    return order
+
+
 def _ranked(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows by descending width, ties in row order, and its inverse."""
-    order = np.argsort(-width, kind="stable")
+    top = int(width.max(initial=0))
+    order = _sorted_by(top - width, top + 1)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return order, rank
@@ -492,7 +505,7 @@ def build_factor_graph(model: LinearGaussianModel) -> FactorGraph:
     """
     columns = model.columns
     # A stable sort by variable keeps each variable's factors in canonical order.
-    vf_to_fv = np.argsort(columns.edge_var, kind="stable")
+    vf_to_fv = _sorted_by(columns.edge_var, len(columns.variable_ids))
     return FactorGraph(columns.variable_ids, columns.factor_ids, columns.edge_factor,
                        columns.edge_var, vf_to_fv)
 
@@ -575,13 +588,16 @@ def classify_topology(graph: FactorGraph) -> TopologyReport:
     tree; anything beyond that is multi-loop.  Components are listed by
     their lowest node, variables numbered before factors.
     """
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csr_matrix  # int32 indices when they fit, as csgraph uses
     from scipy.sparse.csgraph import connected_components
 
-    n_vars, n_edges = len(graph.variable_ids), len(graph.edge_var)
+    n_vars, var = len(graph.variable_ids), graph.edge_var
     n_nodes = n_vars + len(graph.factor_ids)
-    var, fac = graph.edge_var, graph.edge_factor
-    adjacency = csr_matrix((np.ones(n_edges), (var, n_vars + fac)), shape=(n_nodes, n_nodes))
+    # Factor rows list their scopes, as the edges are sorted by factor;
+    # variable rows are empty, and components ignore direction.
+    scope = np.bincount(graph.edge_factor, minlength=len(graph.factor_ids))
+    indptr = np.concatenate([np.zeros(n_vars + 1, np.intp), np.cumsum(scope)])
+    adjacency = csr_matrix((np.ones(len(var)), var, indptr), shape=(n_nodes, n_nodes))
     count, labels = connected_components(adjacency, directed=False)
     edges, nodes = np.bincount(labels[var], minlength=count), np.bincount(labels, minlength=count)
     first_node = np.unique(labels, return_index=True)[1]

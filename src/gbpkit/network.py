@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import engine
-from .model import FactorGraph, LinearGaussianModel, _ids, _runs, build_factor_graph
+from .model import FactorGraph, LinearGaussianModel, _ids, _runs, _sorted_by, build_factor_graph
 
 SCHEDULE_SYNCHRONOUS = "synchronous"
 SCHEDULE_RANDOM_SEQUENTIAL = "random-sequential"
@@ -89,13 +89,14 @@ def _hosting(graph: FactorGraph):
     stably, so each run keeps canonical order."""
     n_vars = len(graph.variable_ids)
     host = np.zeros(len(graph.factor_ids), dtype=np.intp)
-    # fv_edges is sorted by factor, then variable: a factor's first edge goes
-    # to its lowest-indexed scope variable.
-    scoped, first_edge = np.unique(graph.edge_factor, return_index=True)
-    host[scoped] = graph.edge_var[first_edge]
+    # fv_edges is sorted by factor, then variable: a factor's run of edges
+    # starts at its lowest-indexed scope variable.
+    scope = np.bincount(graph.edge_factor, minlength=len(host))
+    scoped = scope > 0
+    host[scoped] = graph.edge_var[(np.cumsum(scope) - scope)[scoped]]
     host[:n_vars] = np.arange(min(n_vars, len(host)))
     edge_host = host[graph.edge_factor]
-    return (host, np.argsort(edge_host, kind="stable"),
+    return (host, _sorted_by(edge_host, n_vars),
             _runs(graph.edge_var, n_vars), _runs(edge_host, n_vars))
 
 
@@ -109,7 +110,7 @@ def build_agents(
     variables there are no agents, and no factor gets a host entry.
     """
     host, fv_order, vf_runs, fv_runs = _hosting(graph)
-    hosted_ids = _ids(graph.factor_ids, np.argsort(host, kind="stable"))
+    hosted_ids = _ids(graph.factor_ids, _sorted_by(host, max(len(graph.variable_ids), 1)))
     agents = [
         Agent(vid, graph.variable_neighbors[vid], tuple(hosted_ids[f_start:f_stop]),
               np.arange(vf_start, vf_stop), fv_order[fv_start:fv_stop])

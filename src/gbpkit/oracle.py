@@ -6,7 +6,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotri
 from scipy.sparse.linalg import splu
 
-from .model import TOPOLOGY_MULTI_LOOP, LinearGaussianModel, _ranges, classify_topology, sparse_gmrf
+from .model import (TOPOLOGY_MULTI_LOOP, LinearGaussianModel, _ranges, _sorted_by,
+                    classify_topology, sparse_gmrf)
 
 MAX_VARIABLES = 2000
 
@@ -111,7 +112,7 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
             raise np.linalg.LinAlgError(f"J is not positive definite: dpotri info {info}")
         z[slots] = inverse[r, c]
     outside = np.flatnonzero(~in_t[:dim])
-    order = outside[np.argsort(depth[outside], kind="stable")]
+    order = outside[_sorted_by(depth[outside], len(depth))]  # a depth is below the row count
     start, rows_in_order = 0, order.tolist()
     for stop in np.cumsum(np.bincount(depth[order])).tolist():
         if stop - start < _FLAT_ROWS:

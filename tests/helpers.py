@@ -355,3 +355,43 @@ def per_read_mean_system(compiled, star):
             for z in reads(fv_reads, e):
                 q[row, z] = a * vf_coeff[z]
     return q, b
+
+
+# --- the edge tables, rebuilt with numpy's comparison sort -------------------
+
+
+def reference_edge_tables(graph: FactorGraph):
+    """(vf_to_fv, {name: (order, rank, columns)}) of ``graph``'s edge tables,
+    derived row by row from the edge arrays with ``np.argsort(kind="stable")``
+    where the package orders small integer keys by radix."""
+    vf_to_fv = np.argsort(graph.edge_var, kind="stable")
+    own_fv, own_vf = vf_to_fv.tolist(), np.argsort(vf_to_fv, kind="stable").tolist()
+    var_of, factor_of = graph.edge_var.tolist(), graph.edge_factor.tolist()
+    into = [[] for _ in graph.variable_ids]  # fv_edges positions, in canonical factor order
+    for p in own_fv:
+        into[var_of[p]].append(p)
+    scope = [[] for _ in graph.factor_ids]  # vf_edges positions, in canonical variable order
+    for p, f in enumerate(factor_of):
+        scope[f].append(own_vf[p])
+    # Row k of vf_pass is vf_edges[k]; row p of fv_pass is fv_edges[p].
+    vf_rows = [[q for q in into[var_of[p]] if q != p] for p in own_fv]
+    fv_rows = [[q for q in scope[f] if q != own_vf[p]] for p, f in enumerate(factor_of)]
+
+    def ranked(rows):
+        order = np.argsort(-np.array([len(row) for row in rows], dtype=np.intp), kind="stable")
+        return order, np.argsort(order, kind="stable")
+
+    def table(rows, order, rank):
+        width = max(map(len, rows), default=0)
+        columns = tuple(np.array([rows[r][k] for r in order.tolist() if len(rows[r]) > k],
+                                 dtype=np.intp) for k in range(width))
+        return order, rank, columns
+
+    (vf_order, vf_rank), (fv_order, fv_rank) = ranked(vf_rows), ranked(fv_rows)
+    # A pass reads the other pass's output, so its reads are ranks in that pass.
+    vf_ranks, fv_ranks = vf_rank.tolist(), fv_rank.tolist()
+    return vf_to_fv, {
+        "vf_pass": table([[fv_ranks[q] for q in row] for row in vf_rows], vf_order, vf_rank),
+        "fv_pass": table([[vf_ranks[q] for q in row] for row in fv_rows], fv_order, fv_rank),
+        "belief_reads": table(into, *ranked(into)),
+    }

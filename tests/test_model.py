@@ -31,7 +31,7 @@ from gbpkit import (
 )
 from gbpkit import model as model_module
 from gbpkit.generate import KINDS
-from gbpkit.model import dumps_model, loads_model
+from gbpkit.model import ModelFields, dumps_model, loads_model
 
 import helpers
 
@@ -244,6 +244,30 @@ class TestFactorGraph:
         for i, vid in enumerate(graph.variable_ids):
             into = [(g, vid) for g in graph.variable_neighbors[vid]]
             assert named(graph.fv_edges, tables.belief_reads, i) == into
+
+    def test_tables_above_two_to_the_sixteen_variables_match_the_comparison_sort(self):
+        # 70,000 variables listed in a shuffled order, joined as a chain: every
+        # key of vf_to_fv and of the hosting exceeds one radix digit.
+        size = 70_000
+        ids = tuple(f"x{k}" for k in np.random.default_rng(7).permutation(size).tolist())
+        model = LinearGaussianModel(fields=ModelFields(
+            variable_ids=ids, prior_var=(1.0,) * size,
+            factor_ids=tuple(f"f{k}" for k in range(size - 1)),
+            coeffs=tuple({ids[k + 1]: 0.5, ids[k]: 1.0} for k in range(size - 1)),
+            noise_var=(1.0,) * (size - 1), obs=(1.0,) * (size - 1)))
+        graph = build_factor_graph(model)
+        vf_to_fv, expected = helpers.reference_edge_tables(graph)
+
+        def same(got, want):
+            return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        assert same(graph.vf_to_fv, vf_to_fv)
+        for name, (order, rank, columns) in expected.items():
+            reads = getattr(graph.edge_tables, name)
+            assert same(reads.order, order) and same(reads.rank, rank), name
+            assert len(reads.columns) == len(columns), name
+            assert all(map(same, reads.columns, columns)), name
+        assert classify_topology(graph) == model_module.TopologyReport(TOPOLOGY_FOREST, (0,))
 
 
 class TestInformationForm:

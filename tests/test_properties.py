@@ -8,7 +8,7 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Eight more properties guard how the package gets there: the certificate's
+Nine more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; the walk-summability interval contains
 the dense radius of |I - R| and never decides wrong; relabelling or
@@ -20,7 +20,8 @@ they replaced; the loops that keep messages in pass order (``run``, the
 synchronous ``simulate`` and its log, the fixed point, the
 random-sequential ticks and theirs) give the bits of the same loops
 spelled out over canonical arrays; the sparse oracle agrees with a
-dense inverse and solve; and a model file parsed by json alone, its
+dense inverse and solve; the radix order of small integer keys is
+numpy's stable argsort, byte for byte; and a model file parsed by json alone, its
 repeated keys ruled out by a colon count, gives the model or the
 violations that a parse checking every object for repeated keys gives.
 
@@ -74,6 +75,7 @@ from gbpkit import (
     with_observations,
 )
 from gbpkit import analysis, oracle
+from gbpkit import model as model_module
 from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
 from gbpkit.model import (
     InvalidModelError,
@@ -484,6 +486,22 @@ def test_random_sequential_ticks_match_a_canonical_tick_loop(model, seed, max_ti
                 (1.0 / belief_prec, belief_mean))
             assert sim.state.iteration == sim.beliefs.iteration == ticks
         assert log_path.read_text().splitlines() == log_rows
+
+
+@pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**20, 2**32])
+@given(values=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 2**16), max_size=300))
+@example(values=[0], picks=[])
+@example(values=[2**32 - 1], picks=[3])
+def test_radix_order_is_the_stable_argsort(bound, values, picks):
+    # Keys from a few values, so most of them tie: the drawn values, each
+    # one digit higher (the same low 16 bits), and the ends of the range.
+    pool = np.array(values + [v + 2**16 for v in values] + [0, bound - 1], dtype=np.int64) % bound
+    keys = pool[np.array(picks, dtype=np.intp) % len(pool)]
+    for dtype in (np.int64, np.int32) if bound <= 2**31 else (np.int64,):
+        order = model_module._sorted_by(keys.astype(dtype), bound)
+        expected = np.argsort(keys.astype(dtype), kind="stable")
+        assert order.dtype == expected.dtype and order.tobytes() == expected.tobytes()
 
 
 def test_negative_zero_observations_keep_the_bits_of_the_subtracting_reference():
