@@ -273,7 +273,7 @@ def _scale_values(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> np
     star = fixed_point.variable_to_factor.array[vf_pass.order]
     # M_{k,j} on every factor-to-variable edge f_k -> j, in fv_pass order.
     with np.errstate(over="ignore", invalid="ignore"):
-        m_kj, _ = engine._factor_sums(fv_pass.columns, compiled.pass_vf_coeff, star, None,
+        m_kj, _ = engine._factor_sums(fv_pass.columns, compiled.pass_neg_vf_coeff, star, None,
                                       compiled.pass_noise_obs)
     inv_out = 1.0 / star
     return _flat([inv_out[:len(k)] * compiled.pass_coeff[k] / m_kj[k] for k in vf_pass.columns],
@@ -298,8 +298,9 @@ def _coupling_matrix(compiled: engine.CompiledModel) -> csr_array:
     dim = len(vf_pass.order)
     indptr, by_row = _by_row(np.arange(dim), fv_pass.columns)
     reads = _flat(fv_pass.columns)[by_row]
-    return csr_array((compiled.pass_vf_coeff[reads], vf_pass.order[reads], indptr),
-                     shape=(dim, dim))
+    coeff = compiled.pass_neg_vf_coeff[reads]
+    np.negative(coeff, out=coeff)  # back to c, exactly
+    return csr_array((coeff, vf_pass.order[reads], indptr), shape=(dim, dim))
 
 
 def build_mean_system(

@@ -35,12 +35,18 @@ recursion never reads a mean.
 
 Messages stay in the order their pass computes them, its pass order,
 and each pass reads the other's output in that order, with parameters
-laid out once per compiled model (:class:`CompiledModel`).  The one pass
-pair, :func:`vf_messages` and :func:`fv_messages`, computes all rows or
-any subset, as a random-sequential tick needs.  One generator,
-:func:`sweeps`, is the one synchronous loop, ended by its caller's stop
-test: :func:`run`, the simulator, the precision fixed point and the rate
-trace iterate it, and put back in canonical order only what they keep.
+laid out once per compiled model (:class:`CompiledModel`) in the form the
+kernels read them, prior precisions and negated read coefficients, so
+no loop recomputes what a run never changes.  The one pass pair,
+:func:`vf_messages` and :func:`fv_messages`, computes all rows or any
+subset, as a random-sequential tick needs, through a jagged view that a
+caller may build once and pass again.  One generator, :func:`sweeps`, is
+the one synchronous loop, ended by its caller's stop test: :func:`run`,
+the simulator, the precision fixed point and the rate trace iterate it,
+and put back in canonical order only what they keep.  The stop test of
+:func:`run` takes the mean delta first and the precision delta only
+when the mean delta is below the tolerance: the precisions settle
+first, so the mean delta alone keeps a run going in almost every sweep.
 The public :func:`sweep` takes and returns canonical order around the
 same passes, and :func:`factor_to_variable` keeps a per-edge path, one
 row at a time, for tests.
@@ -202,9 +208,16 @@ def _add_reads(acc: np.ndarray, term: np.ndarray, columns) -> np.ndarray:
 
 
 @_QUIET
-def _variable_message(prior_var: np.ndarray, columns, prec: np.ndarray, mean: np.ndarray | None):
-    """Prior combined with the incoming (precision, mean) messages that each
-    column reads, per row.
+def _inverse(values: np.ndarray) -> np.ndarray:
+    """``1.0 / values``, in place: a subnormal prior variance has an infinite precision."""
+    return np.divide(1.0, values, out=values)
+
+
+@_QUIET
+def _variable_message(prior_prec: np.ndarray, columns, prec: np.ndarray,
+                      mean: np.ndarray | None):
+    """Prior precision ``prior_prec`` (1 / prior_var, per row) combined with
+    the incoming (precision, mean) messages that each column reads, per row.
 
     Over a variable's other factors this is its message to the remaining
     one; over all of them, the belief's precision and mean.  Each incoming
@@ -216,72 +229,76 @@ def _variable_message(prior_var: np.ndarray, columns, prec: np.ndarray, mean: np
     with the same bits, and the mean is None.
     """
     if mean is None:
-        return _add_reads(1.0 / prior_var, prec, columns), None
+        return _add_reads(prior_prec.copy(), prec, columns), None
     term = np.empty(len(prec), complex)
     term.real = prec
     np.multiply(prec, mean, out=term.imag)
-    acc = np.zeros(len(prior_var), complex)
-    np.divide(1.0, prior_var, out=acc.real)
+    acc = np.zeros(len(prior_prec), complex)
+    acc.real = prior_prec
     _add_reads(acc, term, columns)
     precision = acc.real.copy()  # contiguous, for the next pass's gathers
     return precision, acc.imag / precision
 
 
-def _factor_sums(columns, coeff: np.ndarray, prec: np.ndarray, mean: np.ndarray | None,
+def _factor_sums(columns, neg_coeff: np.ndarray, prec: np.ndarray, mean: np.ndarray | None,
                  noise_obs: np.ndarray):
     """Observation variance and residual given the other scope variables:
     ``noise_var + sum coeff**2 / prec`` and ``obs - sum coeff * mean`` per
     row, given ``noise_obs``, the complex ``noise_var + obs * 1j`` per row.
 
-    ``coeff``, ``prec`` and ``mean`` hold each read message's coefficient
-    and (precision, mean), and each column reads them as
-    :func:`_variable_message`'s do.  Each message's terms,
-    ``coeff**2 / prec`` and ``(-coeff) * mean``, are formed once as the
-    parts of one complex term; adding the negated product subtracts, bit
-    for bit, since x - y is x + (-y).  The sums come back as the parts of
-    one accumulator, a copy of ``noise_obs``.  Means of None sum the
-    variances alone, with the same bits, and give a residual of None.
-    Callers silence numpy's warnings.
+    ``neg_coeff``, ``prec`` and ``mean`` hold each read message's negated
+    coefficient -coeff and (precision, mean), and each column reads them
+    as :func:`_variable_message`'s do.  Each message's terms,
+    ``(-coeff)**2 / prec`` and ``(-coeff) * mean``, are formed once as the
+    parts of one complex term: (-c)**2 is c**2 exactly, and adding the
+    negated product subtracts, bit for bit, since x - y is x + (-y).  The
+    sums come back as the parts of one accumulator, a copy of
+    ``noise_obs``.  Means of None sum the variances alone, with the same
+    bits, and give a residual of None.  Callers silence numpy's warnings.
     """
     if mean is None:
-        term = coeff * coeff
+        term = neg_coeff * neg_coeff
         term /= prec
         return _add_reads(noise_obs.real.copy(), term, columns), None
-    term = np.empty(len(coeff), complex)
-    np.divide(coeff * coeff, prec, out=term.real)
-    np.multiply(-coeff, mean, out=term.imag)
+    term = np.empty(len(neg_coeff), complex)
+    np.divide(neg_coeff * neg_coeff, prec, out=term.real)
+    np.multiply(neg_coeff, mean, out=term.imag)
     acc = _add_reads(noise_obs.copy(), term, columns)
     return acc.real, acc.imag
 
 
 @_QUIET
-def _factor_message(target_coeff, columns, coeff, prec, mean, noise_obs):
-    total_var, residual = _factor_sums(columns, coeff, prec, mean, noise_obs)
+def _factor_message(target_coeff, columns, neg_coeff, prec, mean, noise_obs):
+    total_var, residual = _factor_sums(columns, neg_coeff, prec, mean, noise_obs)
     mean = None if residual is None else residual / target_coeff
     return target_coeff * target_coeff / total_var, mean
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class CompiledModel:
-    """A model's parameters laid out along its graph's edge tables.
+    """A model's parameters laid out along its graph's edge tables, in the
+    form the passes read them, so a run computes none of them again.
 
     The full passes read parameters laid out in their own row order (see
     :class:`~gbpkit.model.EdgeTables`), so a sweep gathers none:
-    ``pass_prior_var`` and ``pass_vf_coeff``, the coefficient c_{f,j} of
-    each variable-to-factor message j -> f, per row of ``tables.vf_pass``;
+    ``pass_prior_prec``, the prior precision 1 / prior_var_j, and
+    ``pass_neg_vf_coeff``, the negated coefficient -c_{f,j} of each
+    variable-to-factor message j -> f, per row of ``tables.vf_pass``;
     ``pass_coeff`` (the target's coefficient) and ``pass_noise_obs``, the
     complex ``noise_var + obs * 1j`` that the factor pass starts its two
     sums from, per row of ``tables.fv_pass``.  A read's coefficient
     belongs to the message read, so the factor pass folds it into that
-    message's terms once, before its columns gather them.  ``columns``
-    holds the model's own arrays: ``prior_var`` per variable,
+    message's terms once, before its columns gather them; it squares the
+    negated one, which gives c**2 exactly.  The target's square stays per
+    pass: two more E-sized arrays cost more peak memory than they save.
+    ``columns`` holds the model's own arrays: ``prior_var`` per variable,
     ``edge_coeff`` per ``fv_edges`` position.
     """
 
     graph: FactorGraph
     columns: ModelColumns
-    pass_prior_var: np.ndarray
-    pass_vf_coeff: np.ndarray
+    pass_prior_prec: np.ndarray
+    pass_neg_vf_coeff: np.ndarray
     pass_coeff: np.ndarray
     pass_noise_obs: np.ndarray
 
@@ -315,10 +332,11 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
     factor = graph.edge_factor[tables.fv_pass.order]
     noise_obs = np.empty(len(factor), complex)
     noise_obs.real, noise_obs.imag = columns.noise_var[factor], columns.obs[factor]
+    prior_prec = _inverse(columns.prior_var[graph.edge_var[edge]])
+    neg_vf_coeff = columns.edge_coeff[edge]
+    np.negative(neg_vf_coeff, out=neg_vf_coeff)
     compiled = CompiledModel(
-        graph=graph, columns=columns,
-        pass_prior_var=columns.prior_var[graph.edge_var[edge]],
-        pass_vf_coeff=columns.edge_coeff[edge],
+        graph=graph, columns=columns, pass_prior_prec=prior_prec, pass_neg_vf_coeff=neg_vf_coeff,
         pass_coeff=columns.edge_coeff[tables.fv_pass.order],
         pass_noise_obs=noise_obs)
     vars(graph)["_compiled"] = (model, compiled)
@@ -334,7 +352,7 @@ def _at(array: np.ndarray | None, index) -> np.ndarray | None:
 
 
 def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None,
-                rows=None):
+                rows=None, view=None):
     """Variable-to-factor (precisions, means) of the ``vf_pass`` positions
     ``rows``, from the factor-to-variable ones in ``fv_pass`` order.
 
@@ -345,22 +363,25 @@ def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarra
     in any order, go through the jagged view of their own rows and come
     back in ``rows`` order: their reads are gathered first and the same
     terms formed from them, so a tick costs what its rows read, and a
-    row's bits do not depend on which rows are computed with it.  Means of
-    None give the precisions alone, the same bits, and means None.
+    row's bits do not depend on which rows are computed with it.  A
+    ``view``, ``Reads.select(rows)`` of the pass's table, stands in for
+    ``rows``, so a caller computing the same rows again builds it once.
+    Means of None give the precisions alone, the same bits, and means None.
     """
-    position, place, reads, columns = compiled.tables.vf_pass.select(rows)
-    prec, mean = _variable_message(_at(compiled.pass_prior_var, position), columns,
+    position, place, reads, columns = view or compiled.tables.vf_pass.select(rows)
+    prec, mean = _variable_message(_at(compiled.pass_prior_prec, position), columns,
                                    _at(fv_prec, reads), _at(fv_mean, reads))
     return _at(prec, place), _at(mean, place)
 
 
 def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None,
-                rows=None):
+                rows=None, view=None):
     """Factor-to-variable (precisions, means) of the ``fv_pass`` positions
-    ``rows``, from the variable-to-factor ones in ``vf_pass`` order."""
-    position, place, reads, columns = compiled.tables.fv_pass.select(rows)
+    ``rows``, or of the ``view`` of them, from the variable-to-factor ones
+    in ``vf_pass`` order."""
+    position, place, reads, columns = view or compiled.tables.fv_pass.select(rows)
     prec, mean = _factor_message(_at(compiled.pass_coeff, position), columns,
-                                 _at(compiled.pass_vf_coeff, reads), _at(vf_prec, reads),
+                                 _at(compiled.pass_neg_vf_coeff, reads), _at(vf_prec, reads),
                                  _at(vf_mean, reads), _at(compiled.pass_noise_obs, position))
     return _at(prec, place), _at(mean, place)
 
@@ -373,14 +394,18 @@ def max_delta(old: np.ndarray, new: np.ndarray) -> float:
 
 def _diverged(precisions: np.ndarray, means: np.ndarray) -> bool:
     """A mean past the guard, or any non-finite precision or mean: an overflow
-    that the NaN-skipping deltas would otherwise read as convergence."""
-    return not ((np.abs(means) <= DIVERGENCE_GUARD).all() and np.isfinite(precisions).all())
+    that the NaN-skipping deltas would otherwise read as convergence.  A NaN
+    mean makes the maximum NaN, which fails the test."""
+    return not (np.abs(means).max(initial=0.0) <= DIVERGENCE_GUARD
+                and np.isfinite(precisions).all())
 
 
 def _status(old_prec, old_mean, new_prec, new_mean, tolerance: float) -> str | None:
+    """Diverged, converged once both deltas are below ``tolerance``, or None;
+    the precision delta is taken only when the mean delta is below it."""
     if _diverged(new_prec, new_mean):
         return STATUS_DIVERGED
-    if max(max_delta(old_prec, new_prec), max_delta(old_mean, new_mean)) < tolerance:
+    if max_delta(old_mean, new_mean) < tolerance and max_delta(old_prec, new_prec) < tolerance:
         return STATUS_CONVERGED
     return None
 
@@ -400,7 +425,7 @@ def _finish(graph, compiled: CompiledModel, prec, mean,
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
     reads = compiled.tables.belief_reads
-    precision, belief_mean = _variable_message(compiled.columns.prior_var[reads.order],
+    precision, belief_mean = _variable_message(_inverse(compiled.columns.prior_var[reads.order]),
                                                reads.columns, prec, mean)
     return BeliefSet(
         variances=ArrayMapping((1.0 / precision)[reads.rank], graph.variable_order),
@@ -419,8 +444,12 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     nothing else has been learned.  Every post-first-sweep iterate lies in
     between regardless of initialization.
     """
-    coeff, noise_obs = compiled.pass_vf_coeff, compiled.pass_noise_obs
-    denom = _add_reads(noise_obs.real.copy(), coeff * coeff * compiled.pass_prior_var,
+    graph, noise_obs = compiled.graph, compiled.pass_noise_obs
+    # c**2 * prior_var, per vf_pass row: the prior variance, not its inverse, keeps the bits.
+    prior_var = compiled.columns.prior_var[
+        graph.edge_var[graph.vf_to_fv[compiled.tables.vf_pass.order]]]
+    coeff = compiled.pass_neg_vf_coeff
+    denom = _add_reads(noise_obs.real.copy(), coeff * coeff * prior_var,
                        compiled.tables.fv_pass.columns)
     target = compiled.pass_coeff * compiled.pass_coeff
     rank = compiled.tables.fv_pass.rank
@@ -472,7 +501,7 @@ def _vf_message_at(compiled: CompiledModel, state: MessageState,
     tables = compiled.tables
     row, _, reads, columns = tables.vf_pass.select(tables.vf_pass.rank[[position]])
     reads = tables.fv_pass.order[reads]
-    return _variable_message(compiled.pass_prior_var[row], columns,
+    return _variable_message(compiled.pass_prior_prec[row], columns,
                              state.precisions.array[reads], state.means.array[reads])
 
 
@@ -508,7 +537,7 @@ def factor_to_variable(
     for k, read in enumerate(tables.vf_pass.order[reads].tolist()):
         others[:, k:k + 1] = _vf_message_at(compiled, state, read)
     precision, mean = _factor_message(compiled.pass_coeff[row], columns,
-                                      compiled.pass_vf_coeff[reads], *others,
+                                      compiled.pass_neg_vf_coeff[reads], *others,
                                       compiled.pass_noise_obs[row])
     return precision.item(), mean.item()
 

@@ -22,7 +22,8 @@ engine run bit for bit.  The random-sequential schedule recomputes one
 seeded-random agent's rows per tick, in place: the pass positions of its
 runs (the tables' ``rank``), through a jagged view of those rows alone
 (:meth:`gbpkit.model.Reads.select`), so a tick's cost follows the
-agent's size, not the graph's.
+agent's size, not the graph's.  An agent's rows and views are built on
+its first tick and kept for the rest of the run.
 """
 from __future__ import annotations
 
@@ -182,9 +183,11 @@ def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
     return prec, mean, tick, outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var)
 
 
-def _replace_rows(prec, mean, rows, new_prec, new_mean) -> float:
-    """Write the rows' new messages in place; return the largest change."""
-    moved = max(engine.max_delta(prec[rows], new_prec), engine.max_delta(mean[rows], new_mean))
+def _replace_rows(prec, mean, rows, new_prec, new_mean, tolerance: float) -> bool:
+    """Write the rows' new messages in place; return whether any moved by
+    ``tolerance`` or more, the means tested first, as ``engine._status`` does."""
+    moved = not (engine.max_delta(mean[rows], new_mean) < tolerance
+                 and engine.max_delta(prec[rows], new_prec) < tolerance)
     prec[rows], mean[rows] = new_prec, new_mean
     return moved
 
@@ -204,24 +207,28 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
 
     rng = random.Random(seed)
     quiet: set[int] = set()
+    views: list[tuple | None] = [None] * len(vf_runs)  # per agent, built on its first tick
     status = engine.STATUS_MAX_ITERS
     for tick in range(1, max_ticks + 1):
         k = rng.randrange(len(vf_runs))
         vf_run, fv_run = slice(*vf_runs[k]), slice(*fv_runs[k])
-        vf_rows, fv_rows = vf_pass.rank[vf_run], fv_pass.rank[fv_order[fv_run]]
-        new_vf = engine.vf_messages(compiled, fv_prec, fv_mean, vf_rows)
-        moved = _replace_rows(vf_prec, vf_mean, vf_rows, *new_vf)
-        new_fv = engine.fv_messages(compiled, vf_prec, vf_mean, fv_rows)
-        moved = max(moved, _replace_rows(fv_prec, fv_mean, fv_rows, *new_fv))
+        if views[k] is None:
+            vf_rows, fv_rows = vf_pass.rank[vf_run], fv_pass.rank[fv_order[fv_run]]
+            views[k] = vf_rows, fv_rows, vf_pass.select(vf_rows), fv_pass.select(fv_rows)
+        vf_rows, fv_rows, vf_view, fv_view = views[k]
+        new_vf = engine.vf_messages(compiled, fv_prec, fv_mean, view=vf_view)
+        moved = _replace_rows(vf_prec, vf_mean, vf_rows, *new_vf, tolerance)
+        new_fv = engine.fv_messages(compiled, vf_prec, vf_mean, view=fv_view)
+        moved |= _replace_rows(fv_prec, fv_mean, fv_rows, *new_fv, tolerance)
         sent += len(vf_rows) + len(fv_rows)
         if log is not None:
             _log_rows(log, tick, graph.vf_edges[vf_run], *new_vf)
             _log_rows(log, tick, [graph.fv_edges[r] for r in fv_order[fv_run]], *new_fv)
 
-        if moved < tolerance:
-            quiet.add(k)
-        else:
+        if moved:
             quiet = set()
+        else:
+            quiet.add(k)
         # Only this agent's factor messages changed; the rest passed before.
         if engine._diverged(*new_fv):
             status = engine.STATUS_DIVERGED

@@ -14,21 +14,27 @@ MAX_VARIABLES = 2000
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class ExactPosterior:
-    """Posterior means and marginal variances in canonical variable order."""
+    """Posterior means and marginal variances in canonical variable order.
+    ``mean_of`` and ``variance_of`` read dicts of Python floats, each built
+    on its first lookup."""
 
     mean: np.ndarray
     variance: np.ndarray
     variable_ids: tuple[str, ...]
 
     @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {vid: k for k, vid in enumerate(self.variable_ids)}
+    def _means(self) -> dict[str, float]:
+        return dict(zip(self.variable_ids, self.mean.tolist()))
+
+    @cached_property
+    def _variances(self) -> dict[str, float]:
+        return dict(zip(self.variable_ids, self.variance.tolist()))
 
     def mean_of(self, var_id: str) -> float:
-        return self.mean.item(self._positions[var_id])
+        return self._means[var_id]
 
     def variance_of(self, var_id: str) -> float:
-        return self.variance.item(self._positions[var_id])
+        return self._variances[var_id]
 
 
 # Rows with more than this many entries past the diagonal and every ancestor

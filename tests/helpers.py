@@ -9,7 +9,9 @@ import numpy as np
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
-from gbpkit import Factor, FactorGraph, InvalidModelError, LinearGaussianModel, Variable
+from gbpkit import (STATUS_CONVERGED, STATUS_DIVERGED, Factor, FactorGraph, InvalidModelError,
+                    LinearGaussianModel, Variable)
+from gbpkit.engine import DIVERGENCE_GUARD
 from gbpkit.model import ModelColumns
 
 SQRT2 = math.sqrt(2.0)
@@ -355,6 +357,33 @@ def per_read_mean_system(compiled, star):
             for z in reads(fv_reads, e):
                 q[row, z] = a * vf_coeff[z]
     return q, b
+
+
+# --- the stop test as one rule -----------------------------------------------
+#
+# The engine tests the mean delta first and the precision delta only when the
+# mean delta is below the tolerance, and reads the guard off the largest mean.
+# These are the rule it replaced: every element compared, both deltas taken.
+
+
+def reference_diverged(precisions, means) -> bool:
+    """A mean past the guard, or any non-finite precision or mean."""
+    return not ((np.abs(means) <= DIVERGENCE_GUARD).all() and np.isfinite(precisions).all())
+
+
+def reference_delta(old, new) -> float:
+    """Largest |new - old| entry, NaN entries skipped, 0.0 when empty."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.fmax.reduce(np.abs(new - old), initial=0.0))
+
+
+def reference_status(old_prec, old_mean, new_prec, new_mean, tolerance):
+    """Diverged, converged when the larger delta is below ``tolerance``, or None."""
+    if reference_diverged(new_prec, new_mean):
+        return STATUS_DIVERGED
+    if max(reference_delta(old_prec, new_prec), reference_delta(old_mean, new_mean)) < tolerance:
+        return STATUS_CONVERGED
+    return None
 
 
 # --- the edge tables, rebuilt with numpy's comparison sort -------------------

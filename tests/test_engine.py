@@ -396,7 +396,7 @@ class TestOneReadForm:
 
     def test_compiled_model_holds_the_pass_arrays_only(self):
         assert [f.name for f in dataclasses.fields(engine.CompiledModel)] == [
-            "graph", "columns", "pass_prior_var", "pass_vf_coeff", "pass_coeff",
+            "graph", "columns", "pass_prior_prec", "pass_neg_vf_coeff", "pass_coeff",
             "pass_noise_obs"]
         assert not _cached_properties(engine.CompiledModel)
 

@@ -1,4 +1,5 @@
 """Agent simulation: assignment, locality, schedules, engine parity, event log."""
+import random
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from gbpkit import (
 from gbpkit.engine import compile_model, fv_messages, vf_messages
 from gbpkit import network
 from gbpkit.generate import KINDS, generate_random_loopy
+from gbpkit.model import Reads
 from gbpkit.network import build_agents
 
 import helpers
@@ -294,6 +296,34 @@ class TestRandomSequentialSchedule:
         sim = simulate(helpers.overflow_model(), Schedule.random_sequential(3))
         assert sim.status == STATUS_DIVERGED
         assert np.isinf(sim.state.precisions.array).any()
+
+    def test_each_agent_view_is_built_once_per_run(self, monkeypatch):
+        # A tick reads its agent's jagged views, built through Reads.select
+        # on the agent's first tick and kept: one select per table per agent
+        # ticked, however often it is ticked.
+        model = _with_overflow(generate_model("random-loopy", 60, seed=4))
+        graphs, calls = [], []
+        select = Reads.select
+
+        def counted(self, rows=None):
+            if rows is not None:
+                calls.append((id(self), tuple(rows.tolist())))
+            return select(self, rows)
+
+        monkeypatch.setattr(network, "build_factor_graph",
+                            lambda model: graphs.append(build_factor_graph(model)) or graphs[-1])
+        monkeypatch.setattr(Reads, "select", counted)
+        sim = simulate(model, Schedule.random_sequential(seed=5), max_ticks=300)
+        (graph,) = graphs
+        rng = random.Random(5)
+        ticked = {rng.randrange(len(graph.variable_ids)) for _ in range(sim.ticks)}
+        assert sim.ticks == 300 and len(ticked) < 300
+        agents, _, _ = build_agents(graph, model)
+        vf_pass, fv_pass = graph.edge_tables.vf_pass, graph.edge_tables.fv_pass
+        assert sorted(calls) == sorted(
+            view for k in ticked for view in (
+                (id(vf_pass), tuple(vf_pass.rank[agents[k].vf_rows].tolist())),
+                (id(fv_pass), tuple(fv_pass.rank[agents[k].fv_rows].tolist()))))
 
     def test_single_agent_model(self):
         model = LinearGaussianModel(

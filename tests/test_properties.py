@@ -8,7 +8,7 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Nine more properties guard how the package gets there: the certificate's
+Ten more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; the walk-summability interval contains
 the dense radius of |I - R| and never decides wrong; relabelling or
@@ -19,7 +19,9 @@ passes over the jagged edge tables give the bits of the padded tables
 they replaced; the loops that keep messages in pass order (``run``, the
 synchronous ``simulate`` and its log, the fixed point, the
 random-sequential ticks and theirs) give the bits of the same loops
-spelled out over canonical arrays; the sparse oracle agrees with a
+spelled out over canonical arrays; the stop tests, which skip the
+precision delta once the mean delta decides, give the outcome of the
+rule that takes both; the sparse oracle agrees with a
 dense inverse and solve; the radix order of small integer keys is
 numpy's stable argsort, byte for byte; and a model file parsed by json alone, its
 repeated keys ruled out by a colon count, gives the model or the
@@ -74,7 +76,7 @@ from gbpkit import (
     walk_summability,
     with_observations,
 )
-from gbpkit import analysis, oracle
+from gbpkit import analysis, network, oracle
 from gbpkit import model as model_module
 from gbpkit.generate import KIND_RANDOM_LOOPY, KIND_SINGLE_LOOP, KIND_TREE, KINDS
 from gbpkit.model import (
@@ -318,9 +320,10 @@ def _canonical_sweep(passes, prec, mean):
 
 
 def _canonical_run(graph, model, start, max_iters, log_rows=None):
-    """``run`` spelled out over canonical arrays: the padded passes and
-    ``step_status`` per sweep.  ``log_rows`` gets the rows ``simulate`` logs
-    per tick: the variable messages, then the factor messages agent by agent."""
+    """``run`` spelled out over canonical arrays: the padded passes and the
+    stop test's one rule (``helpers.reference_status``) per sweep.
+    ``log_rows`` gets the rows ``simulate`` logs per tick: the variable
+    messages, then the factor messages agent by agent."""
     passes = _padded_passes(engine.compile_model(graph, model))
     agents, _, _ = build_agents(graph, model)
     fv_order = np.concatenate([agent.fv_rows for agent in agents] or [np.zeros(0, int)])
@@ -336,7 +339,9 @@ def _canonical_run(graph, model, start, max_iters, log_rows=None):
                     new.means.array[fv_order])):
                 log_rows.extend(f"{tick},{sender},{receiver},{p:.17g},{m:.17g}" for (
                     sender, receiver), p, m in zip(edges, prec.tolist(), mean.tolist()))
-        outcome = engine.step_status(state, new, engine.DEFAULT_TOLERANCE)
+        outcome = helpers.reference_status(state.precisions.array, state.means.array,
+                                           new.precisions.array, new.means.array,
+                                           engine.DEFAULT_TOLERANCE)
         state = new
         if outcome is not None:
             status = outcome
@@ -440,8 +445,7 @@ def _canonical_ticks(model, seed, max_ticks, log_rows):
             log(tick, [graph.vf_edges[r] for r in vf_rows], *new_vf)
             log(tick, [graph.fv_edges[r] for r in fv_rows], *new_fv)
             quiet = quiet | {k} if moved < engine.DEFAULT_TOLERANCE else set()
-            if not ((np.abs(new_fv[1]) <= engine.DIVERGENCE_GUARD).all()
-                    and np.isfinite(new_fv[0]).all()):
+            if helpers.reference_diverged(*new_fv):
                 status = STATUS_DIVERGED
                 break
             if len(quiet) == len(agents):
@@ -486,6 +490,53 @@ def test_random_sequential_ticks_match_a_canonical_tick_loop(model, seed, max_ti
                 (1.0 / belief_prec, belief_mean))
             assert sim.state.iteration == sim.beliefs.iteration == ticks
         assert log_path.read_text().splitlines() == log_rows
+
+
+GUARD = engine.DIVERGENCE_GUARD
+# Entries where a stop test that skips work could read differently: signed
+# zeros, means at and on either side of the guard, and, in an array drawn
+# from the second pool, NaN and the infinities.
+FINITE_STOP_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-11, GUARD, -GUARD, math.nextafter(GUARD, 0.0),
+                     math.nextafter(GUARD, math.inf), -math.nextafter(GUARD, math.inf)]),
+    st.floats(-2 * GUARD, 2 * GUARD))
+STOP_ENTRIES = st.one_of(FINITE_STOP_ENTRIES, st.sampled_from([math.nan, math.inf, -math.inf]),
+                         st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def stop_arrays(draw):
+    """(old_prec, old_mean, new_prec, new_mean) of one length, empty
+    included; each new entry is the old one or a fresh draw, so both deltas
+    fall below a tolerance often enough to converge."""
+    size = draw(st.integers(0, 5))
+
+    def entries():
+        pool = draw(st.sampled_from([FINITE_STOP_ENTRIES, STOP_ENTRIES]))
+        return np.array(draw(st.lists(pool, min_size=size, max_size=size)), dtype=float)
+
+    old = [entries() for _ in range(2)]
+    new = [np.where(draw(st.lists(st.booleans(), min_size=size, max_size=size)), array, entries())
+           for array in old]
+    return (*old, *new)
+
+
+@given(arrays=stop_arrays(), tolerance=st.sampled_from([1e-10, 2e-11, 1.0, GUARD]))
+@example(arrays=(np.zeros(0),) * 4, tolerance=1e-10)
+@example(arrays=(np.zeros(1), np.zeros(1), np.ones(1), np.full(1, math.nan)), tolerance=1e-10)
+def test_stop_tests_give_the_outcome_of_the_one_rule(arrays, tolerance):
+    # The engine tests the mean delta first and takes the precision delta
+    # only when the mean delta is below the tolerance; the random-sequential
+    # quiet test skips the same way.  Both must decide as the rule that
+    # takes the larger of the two deltas.
+    old_prec, old_mean, new_prec, new_mean = arrays
+    assert engine._diverged(new_prec, new_mean) == helpers.reference_diverged(new_prec, new_mean)
+    assert engine._status(*arrays, tolerance) == helpers.reference_status(*arrays, tolerance)
+    prec, mean = old_prec.copy(), old_mean.copy()
+    moved = network._replace_rows(prec, mean, np.arange(len(prec)), new_prec, new_mean, tolerance)
+    assert moved == (not max(helpers.reference_delta(old_prec, new_prec),
+                             helpers.reference_delta(old_mean, new_mean)) < tolerance)
+    assert _bits((prec, mean)) == _bits((new_prec, new_mean))
 
 
 @pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**20, 2**32])
