@@ -230,12 +230,16 @@ def fixed_point_precisions(
     only underflow or overflow give.
     """
     engine.check_limits(tolerance, max_iters)
+    start = engine.init_messages(graph, model, init or engine.InitStrategy.lower_bound())
+    return _settled(graph, model, start.precisions.array, tolerance, max_iters)
+
+
+def _settled(graph, model, start: np.ndarray, tolerance: float, max_iters: int) -> FixedPoint:
+    """:func:`fixed_point_precisions` from ``start``, limits checked, in canonical edge order."""
     compiled = engine.compile_model(graph, model)
     tables = compiled.tables
-    prec, _ = engine._in_pass_order(compiled, engine.init_messages(
-        graph, model, init or engine.InitStrategy.lower_bound()))
     for iterations, _, _, prec, _, outcome in engine.sweeps(
-            compiled, prec, None,
+            compiled, start[tables.fv_pass.order], None,
             lambda old, _, new, __: engine.max_delta(old, new) < tolerance or None, max_iters):
         pass  # the unpacking drops the variable messages before the next sweep
     if outcome is None:
@@ -605,7 +609,8 @@ def certify(
     """
     topology = classify_topology(graph)
     bounds = precision_bounds(graph, model)
-    fixed_point = fixed_point_precisions(graph, model, tolerance)
+    engine.check_limits(tolerance, FIXED_POINT_MAX_ITERS)
+    fixed_point = _settled(graph, model, bounds.lower.array, tolerance, FIXED_POINT_MAX_ITERS)
 
     by_topology = topology.kind in (TOPOLOGY_FOREST, TOPOLOGY_SINGLE_LOOP)
     mean_system = None if by_topology else build_mean_system(graph, model, fixed_point)

@@ -101,21 +101,17 @@ def _require_model(args):
 
 
 def _print_beliefs(beliefs: engine.BeliefSet, posterior=None) -> None:
-    oracle = "" if posterior is None else f" {'oracle_mean':>20} {'oracle_var':>20}"
-    print(f"{'variable':<12} {'mean':>20} {'variance':>20}{oracle}")
-    worst_mean = 0.0
-    worst_var = 0.0
-    for vid in beliefs.means:
-        mean, variance = beliefs.means[vid], beliefs.variances[vid]
-        if posterior is not None:
-            exact_mean, exact_var = posterior.mean_of(vid), posterior.variance_of(vid)
-            worst_mean = max(worst_mean, abs(mean - exact_mean))
-            worst_var = max(worst_var, abs(variance - exact_var))
-            oracle = f" {_fmt(exact_mean):>20} {_fmt(exact_var):>20}"
-        print(f"{vid:<12} {_fmt(mean):>20} {_fmt(variance):>20}{oracle}")
-    if posterior is not None:
-        print(f"max |mean - oracle_mean|: {_fmt(worst_mean)}")
-        print(f"max |variance - oracle_var|: {_fmt(worst_var)}")
+    """The belief table, with the oracle's columns and deviations if given, in one write."""
+    ours = [beliefs.means.array, beliefs.variances.array]
+    exact = [] if posterior is None else [posterior.mean, posterior.variance]
+    names = ("mean", "variance", "oracle_mean", "oracle_var")[:len(ours + exact)]
+    head = f"{'variable':<12}" + "".join(f" {name:>20}" for name in names)
+    row = "{:<12}" + " {:>20.12g}" * len(names)
+    lines = [head, *map(row.format, beliefs.means, *(a.tolist() for a in ours + exact))]
+    for label, a, b in zip(("mean - oracle_mean", "variance - oracle_var"), ours, exact):
+        # max_delta skips a NaN deviation, from a diverged run, as Python's max did
+        lines.append(f"max |{label}|: {_fmt(engine.max_delta(b, a))}")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _oracle_posterior(args, model):

@@ -39,27 +39,19 @@ class ExactPosterior:
 
 # Rows with more than this many entries past the diagonal and every ancestor
 # of those make T, the top of the elimination tree that one dpotri inverts
-# (see _selected_inverse_diagonal); the rest share one flat step per tree
-# level, which pays for every pair of a row's entries.  Fastest of 15 calls
-# of the recursion in ms, the caps alternated call by call, three sweeps, on
-# one core on 1000-variable random-loopy models:
-#     seed   cap 8        cap 16       cap 32
-#     7      3.61-3.80    3.95-4.15    4.67-4.86
-#     1      4.40-4.56    4.45-4.50    5.11-5.29
-#     3      4.29-4.66    4.46-4.63    5.00-5.20
-# At n = 2000 (seeds 7 and 1) 8 and 16 were within 4%, 32 took 1.1-1.15x.
-# T holds 254-290 rows at n = 1000 with cap 8; on a tree it is empty.
+# (see _selected_inverse_diagonal); the rest go level by level, which pays
+# for every pair of a row's entries.  Fastest of 15 calls of the recursion
+# in ms, one cap per process, four processes per cap in alternating cap
+# order, on one core on random-loopy models (min-max over the processes):
+#     n     seed   cap 4       cap 8       cap 12      cap 16      cap 32
+#     1000  7      2.21-2.26   1.38-1.40   1.36-1.40   1.42-1.43   1.67-2.03
+#     1000  1      2.47-2.66   1.52-1.83   1.51-1.52   1.55-1.61   2.10-2.14
+#     1000  3      2.38-2.62   1.54-1.57   1.52-1.53   1.54-1.63   1.76-2.09
+#     2000  7      8.39-9.51   5.76-6.22   5.61-6.03   5.63-6.20   5.97-6.68
+#     2000  1      9.02-10.49  6.24-6.46   6.08-6.88   5.69-6.38   6.26-6.85
+# 8 stays: 12 and 16 save a few percent at most, and with 12 none of the
+# 50 models the oracle's property draws has a T (4 have one with 8).
 _FLAT_WIDTH = 8
-
-# A level with fewer rows than this goes one row at a time: the flat step
-# costs some twenty array operations whatever its size, about what six rows
-# of 1-2 entries cost one by one.  Measured on one core (median of 15) on
-# 2000-variable "spiders", k paths joined at one end, whose minimum-degree
-# elimination trees have about 2000/k levels of k rows: the two schedules
-# take the same time at k = 6, the flat step 1.3x longer at k = 4 and 0.78x
-# at k = 8.  A chain, whose tree has n/2 levels of 1-2 rows, took about 3x
-# the row-by-row time with every level flat.
-_FLAT_ROWS = 8
 
 
 def _selected_inverse_diagonal(upper) -> np.ndarray:
@@ -75,11 +67,13 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     diagonal).  T, the rows wider than _FLAT_WIDTH and all their ancestors,
     holds the structure of each of its rows, so U[T, not T] = 0 and Z[T, T]
     is the inverse of U_TT^T D_T^-1 U_TT: one dpotri on D_T^-1/2 U_TT, once
-    a T of more than MAX_VARIABLES has been refused.  The rows outside T go
-    one tree level per step, from the roots down: a level of at least
-    _FLAT_ROWS of them as flat (row, a, b) products summed by bincount, a
-    smaller one a row at a time, each pair searched in z.  Work |T|^3 plus
-    sum |S_j|^2 outside T, memory O(nnz + |T|^2); no T on pairwise forests.
+    a T of more than MAX_VARIABLES has been refused.  A row outside T is at
+    level L when L of its ancestors are outside T: a path up the tree that
+    enters T stays in it, so a level reads only T and lower levels.  The
+    slots of every row outside T and of each Z[a, b] it reads are laid out
+    once; a level is then a gather, two products summed by bincount and two
+    scatters.  Work |T|^3 plus sum |S_j|^2 outside T, memory O(nnz + |T|^2);
+    no T on pairwise forests, 254-290 rows on 1000-variable random-loopy ones.
     """
     dim = upper.shape[0]
     keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
@@ -94,15 +88,20 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
         keys = np.union1d(keys, missing)
     values = np.bincount(np.searchsorted(keys, given), upper.data, len(keys))
     coeffs, inverse_pivot = -values / values[diagonal][rows], 1.0 / values[diagonal]
-    first, bounds = diagonal + 1, np.append(diagonal, len(keys)).tolist()
+    first = diagonal + 1
     width = np.append(diagonal[1:], len(keys)) - first
-    # Depths in the elimination tree by pointer jumping; row dim stands above the roots.
-    # T starts as the wide rows; jumps of 1, 2, 4, ... add their ancestors, structures included.
-    up = np.append(np.where(width > 0, cols[np.minimum(first, len(keys) - 1)], dim), dim)
-    depth, in_t = (up != dim).astype(np.intp), np.append(width > _FLAT_WIDTH, False)
-    while np.any(up != dim):
-        depth += depth[up]
+    # Row dim stands above the roots.  T starts as the wide rows; jumps of
+    # 1, 2, 4, ... up the tree add their ancestors, structures included.
+    parent = np.append(np.where(width > 0, cols[np.minimum(first, len(keys) - 1)], dim), dim)
+    up, in_t = parent, np.append(width > _FLAT_WIDTH, False)
+    while np.any(up[in_t] != dim):
         in_t[up[in_t]] = True
+        up = up[up]
+    # Levels by the same jumps on the parents cut where they enter T.
+    up = np.where(in_t[parent], dim, parent)
+    level = (up != dim).astype(np.intp)
+    while np.any(up != dim):
+        level += level[up]
         up = up[up]
     tops, z = np.flatnonzero(in_t[:dim]), np.zeros(len(keys))
     if len(tops) > MAX_VARIABLES:
@@ -117,38 +116,34 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
         if info:
             raise np.linalg.LinAlgError(f"J is not positive definite: dpotri info {info}")
         z[slots] = inverse[r, c]
-    outside = np.flatnonzero(~in_t[:dim])
-    order = outside[_sorted_by(depth[outside], len(depth))]  # a depth is below the row count
-    start, rows_in_order = 0, order.tolist()
-    for stop in np.cumsum(np.bincount(depth[order])).tolist():
-        if stop - start < _FLAT_ROWS:
-            one, narrow = rows_in_order[start:stop], order[:0]
-        else:
-            one, narrow = (), order[start:stop]
-        start = stop
-        for j in one:
-            s, u = cols[bounds[j] + 1:bounds[j + 1]], coeffs[bounds[j] + 1:bounds[j + 1]]
-            if len(s) <= 1:
-                row = u * z[diagonal[s]]
-            else:
-                grid = s[:, None] * dim + s
-                row = u @ z[np.searchsorted(keys, np.minimum(grid, grid.T))]
-            z[bounds[j] + 1:bounds[j + 1]] = row
-            z[bounds[j]] = inverse_pivot[j] + u @ row
-        if len(narrow):
-            # Slot k of a row pairs with each slot i of that row, i in order.
-            w = width[narrow]
-            slots = _ranges(first[narrow], w)
-            s, u = cols[slots], coeffs[slots]
-            pairs = np.repeat(w, w)
-            k = np.repeat(np.arange(len(slots)), pairs)
-            i = _ranges(np.repeat(np.cumsum(w) - w, w), pairs)
-            a, b = s[i], s[k]
-            found = z[np.searchsorted(keys, np.minimum(a * dim + b, b * dim + a))]
-            row = np.bincount(k, u[i] * found, len(slots))
-            z[slots] = row
-            z[diagonal[narrow]] = inverse_pivot[narrow] + np.bincount(
-                np.repeat(np.arange(len(narrow)), w), u * row, len(narrow))
+    del rows, values, parent, up  # freed before the layout below
+    order = np.flatnonzero(~in_t[:dim])
+    order = order[_sorted_by(level[order], dim + 1)]  # a level is below the row count
+    level, w = level[order], width[order]
+    counts, slot_end, pair_end = np.bincount(level), np.cumsum(w), np.cumsum(w * w)
+    stops = np.cumsum(counts)
+    # The layout: each row's slots end to end, level after level, then the
+    # pairs (k, i) of each row's slots, k major, i in order.  Z[s_i, s_i] is
+    # on the diagonal; Z[s_i, s_k] = Z[s_k, s_i], i < k, is searched once.
+    starts, slots = slot_end - w, _ranges(first[order], w)
+    s, u, span, head = cols[slots], coeffs[slots], np.repeat(w, w), np.repeat(starts, w)
+    place = np.arange(len(slots)) - head
+    grid = np.repeat(pair_end - w * w, w) + place * span  # where slot k's pairs start
+    found = np.repeat(diagonal[s], span)  # Z[s_k, s_k], kept where i = k
+    i, k = _ranges(head, place), np.repeat(np.arange(len(slots)), place)
+    found[grid[k] + place[i]] = found[grid[i] + place[k]] = np.searchsorted(keys, s[i] * dim + s[k])
+    weight = u[_ranges(head, span)]
+    del s, head, place, grid, i, k  # freed before the numbering below
+    # Slots and rows are numbered from the start of their level.
+    begin = stops - counts  # each level's first row
+    into = np.repeat(_ranges(starts - starts[begin][level], w), span)
+    row_of = np.repeat(np.arange(len(order)) - begin[level], w)
+    at, pivot = diagonal[order], inverse_pivot[order]
+    r0 = s0 = p0 = 0
+    for r1, s1, p1 in np.stack([stops, slot_end[stops - 1], pair_end[stops - 1]], 1).tolist():
+        z[slots[s0:s1]] = row = np.bincount(into[p0:p1], weight[p0:p1] * z[found[p0:p1]], s1 - s0)
+        z[at[r0:r1]] = pivot[r0:r1] + np.bincount(row_of[s0:s1], u[s0:s1] * row, r1 - r0)
+        r0, s0, p0 = r1, s1, p1
     return z[diagonal]
 
 
@@ -162,7 +157,7 @@ def dense_posterior(model: LinearGaussianModel) -> ExactPosterior:
     that order with diagonal pivots, refused (``LinAlgError``) on a row
     exchange, a pivot <= 0 or a failed dpotri on the top of its elimination
     tree.  Means by the LU solve against h; variances by
-    :func:`_selected_inverse_diagonal` (0.2-0.3 s, 40 MiB at n = 10^5: README).
+    :func:`_selected_inverse_diagonal` (82-102 ms, 38 MiB at n = 10^5: README).
     """
     dim = len(model.fields.variable_ids)
     if dim > MAX_VARIABLES and (np.bincount(model.columns.edge_factor).max(initial=0) > 2 or

@@ -134,6 +134,31 @@ def superlu_factor(matrix, order="MMD_AT_PLUS_A"):
     return lu
 
 
+def row_by_row_inverse_diagonal(upper) -> np.ndarray:
+    """The Takahashi recursion one row at a time, last row first: the
+    unoptimised reference for ``oracle._selected_inverse_diagonal``."""
+    dim = upper.shape[0]
+    keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
+    while True:
+        rows, cols = np.divmod(keys, dim)
+        diagonal = np.searchsorted(keys, np.arange(dim) * (dim + 1))
+        off = cols != rows
+        need = cols[np.minimum(diagonal + 1, len(keys) - 1)][rows[off]] * dim + cols[off]
+        missing = need[keys[np.searchsorted(keys, need)] != need]
+        if not len(missing):
+            break
+        keys = np.union1d(keys, missing)
+    values = np.bincount(np.searchsorted(keys, given), upper.data, len(keys))
+    coeffs, bounds = -values / values[diagonal][rows], np.append(diagonal, len(keys)).tolist()
+    z = np.zeros((dim, dim))
+    for j in reversed(range(dim)):
+        s, u = cols[bounds[j] + 1:bounds[j + 1]], coeffs[bounds[j] + 1:bounds[j + 1]]
+        row = u @ z[s[:, None], s]
+        z[j, s] = z[s, j] = row
+        z[j, j] = 1.0 / values[bounds[j]] + u @ row
+    return np.diagonal(z).copy()
+
+
 # --- the item-by-item loader, kept as the reference for the columnar one -----
 #
 # ``reference_model_from_dict`` and ``reference_find_violations`` build and
@@ -384,6 +409,32 @@ def reference_status(old_prec, old_mean, new_prec, new_mean, tolerance):
     if max(reference_delta(old_prec, new_prec), reference_delta(old_mean, new_mean)) < tolerance:
         return STATUS_CONVERGED
     return None
+
+
+# --- the belief table, one variable at a time --------------------------------
+
+
+def reference_print_beliefs(beliefs, posterior=None) -> None:
+    """``cli._print_beliefs`` as it was: one ``print`` and four lookups per
+    variable, the worst deviations folded with Python's ``max``."""
+    def fmt(value):
+        return format(value, ".12g")
+
+    oracle = "" if posterior is None else f" {'oracle_mean':>20} {'oracle_var':>20}"
+    print(f"{'variable':<12} {'mean':>20} {'variance':>20}{oracle}")
+    worst_mean = 0.0
+    worst_var = 0.0
+    for vid in beliefs.means:
+        mean, variance = beliefs.means[vid], beliefs.variances[vid]
+        if posterior is not None:
+            exact_mean, exact_var = posterior.mean_of(vid), posterior.variance_of(vid)
+            worst_mean = max(worst_mean, abs(mean - exact_mean))
+            worst_var = max(worst_var, abs(variance - exact_var))
+            oracle = f" {fmt(exact_mean):>20} {fmt(exact_var):>20}"
+        print(f"{vid:<12} {fmt(mean):>20} {fmt(variance):>20}{oracle}")
+    if posterior is not None:
+        print(f"max |mean - oracle_mean|: {fmt(worst_mean)}")
+        print(f"max |variance - oracle_var|: {fmt(worst_var)}")
 
 
 # --- the edge tables, rebuilt with numpy's comparison sort -------------------

@@ -52,7 +52,7 @@ from gbpkit import (
     walk_summability,
     with_observations,
 )
-from gbpkit import analysis
+from gbpkit import analysis, engine
 from gbpkit.generate import KINDS
 
 import helpers
@@ -197,6 +197,23 @@ class TestFixedPoint:
     def test_nan_tolerance_rejected(self, loop_graph, loop_model):
         with pytest.raises(ValueError, match="tolerance"):
             fixed_point_precisions(loop_graph, loop_model, tolerance=math.nan)
+
+    def test_limits_checked_before_the_start(self, loop_graph, loop_model, monkeypatch):
+        # A bad tolerance or budget is refused before the start is built:
+        # no edge_bounds for the lower envelope, and an explicit start that
+        # is also bad does not hide the limits' error.
+        bad_start = InitStrategy.explicit({("f_nope", "x_nope"): 1.0})
+        calls, edge_bounds = [], engine.edge_bounds
+        monkeypatch.setattr(engine, "edge_bounds",
+                            lambda compiled: (calls.append(compiled), edge_bounds(compiled))[1])
+        for init in (None, bad_start):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                fixed_point_precisions(loop_graph, loop_model, tolerance=-1.0, init=init)
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                fixed_point_precisions(loop_graph, loop_model, init=init, max_iters=0)
+        assert calls == []
+        with pytest.raises(ValueError, match="unknown edges"):
+            fixed_point_precisions(loop_graph, loop_model, init=bad_start)
 
     def test_zero_budget_rejected(self, loop_graph, loop_model):
         edgeless = LinearGaussianModel((Variable("x1", 4.0),), ())
@@ -750,6 +767,23 @@ class TestCertify:
     def test_certify_never_builds_the_dense_q(self, loop_graph, loop_model):
         cert = certify(loop_graph, loop_model)
         assert "matrix" not in vars(cert.mean_system)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_edge_bounds_computed_once(self, kind, monkeypatch):
+        # The fixed point starts from the certificate's own lower envelope,
+        # with the bits of fixed_point_precisions' default start.
+        model = generate_model(kind, 40, seed=3)
+        graph = build_factor_graph(model)
+        expected = fixed_point_precisions(graph, model)
+        calls, edge_bounds = [], engine.edge_bounds
+        monkeypatch.setattr(engine, "edge_bounds",
+                            lambda compiled: (calls.append(compiled), edge_bounds(compiled))[1])
+        fixed_point = certify(graph, model).fixed_point
+        assert len(calls) == 1
+        assert fixed_point.iterations == expected.iterations
+        for got, want in ((fixed_point.factor_to_variable, expected.factor_to_variable),
+                          (fixed_point.variable_to_factor, expected.variable_to_factor)):
+            assert got.array.tobytes() == want.array.tobytes()
 
     @pytest.mark.parametrize("rho, verdict, basis", [
         (1.0 - 2e-9, VERDICT_CONVERGES, BASIS_SPECTRAL),

@@ -2,12 +2,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gbpkit import (
@@ -15,6 +17,7 @@ from gbpkit import (
     LinearGaussianModel,
     VERDICT_INCONCLUSIVE,
     Variable,
+    build_factor_graph,
     dense_posterior,
     engine,
     generate_model,
@@ -23,7 +26,9 @@ from gbpkit import (
     network,
     save_model,
 )
+from gbpkit import cli
 from gbpkit.cli import EXIT_DIVERGES, EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, main
+from gbpkit.oracle import ExactPosterior
 
 import helpers
 
@@ -42,6 +47,46 @@ def divergent_file(tmp_path):
     path = tmp_path / "divergent.json"
     save_model(generate_random_loopy(6, seed=113, coeff_range=(-6.0, 6.0)), path)
     return path
+
+
+class TestBeliefTable:
+    """The one-write table has the bytes of the per-variable loop it replaced."""
+
+    @staticmethod
+    def both(capsys, beliefs, posterior):
+        cli._print_beliefs(beliefs, posterior)
+        ours = capsys.readouterr().out
+        helpers.reference_print_beliefs(beliefs, posterior)
+        return ours, capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(helpers.loop_model(), id="loop"),
+        pytest.param(generate_tree(50, 3), id="tree"),
+        pytest.param(generate_model("random-loopy", 6, 113, (-6.0, 6.0)), id="diverged"),
+        pytest.param(LinearGaussianModel(), id="empty")])
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_run_tables(self, model, oracle, capsys):
+        result = engine.run(build_factor_graph(model), model, max_iters=500)
+        posterior = dense_posterior(model) if oracle else None
+        ours, reference = self.both(capsys, result.beliefs, posterior)
+        assert ours == reference
+
+    def test_non_finite_beliefs(self, capsys):
+        # NaN first and in the middle, which max passes over, -0.0, inf, and
+        # a difference that overflows to inf.
+        graph = build_factor_graph(generate_tree(6, 1))
+        means = np.array([math.nan, 1.5, -0.0, math.nan, 4.0, 2.0])
+        variances = np.array([0.0, math.inf, 1e308, 0.25, math.nan, 1e-300])
+        beliefs = engine.BeliefSet(
+            variances=engine.ArrayMapping(variances, graph.variable_order),
+            means=engine.ArrayMapping(means, graph.variable_order), iteration=4)
+        posterior = ExactPosterior(mean=np.array([1.0, -2.0, 0.0, 3.0, 1.0, 2.0]),
+                                   variance=np.array([0.5, 0.5, -1e308, 0.5, 0.5, 0.5]),
+                                   variable_ids=graph.variable_ids)
+        ours, reference = self.both(capsys, beliefs, posterior)
+        assert ours == reference
+        assert ours.splitlines()[-2:] == ["max |mean - oracle_mean|: 3.5",
+                                          "max |variance - oracle_var|: inf"]
 
 
 class TestSolve:

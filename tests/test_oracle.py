@@ -1,6 +1,7 @@
 """Reference solver: closed forms, residual invariants, limits, and the
-level-by-level Takahashi recursion against a dense inverse and the row loop.
-The hypothesis property of the recursion is in ``test_properties.py``."""
+level-by-level Takahashi recursion against a dense inverse and the row loop
+(``helpers.row_by_row_inverse_diagonal``).  The hypothesis properties of the
+recursion are in ``test_properties.py``."""
 import tracemalloc
 from types import SimpleNamespace
 
@@ -247,40 +248,15 @@ class TestLimits:
             dense_posterior(model)
 
 
-def row_by_row_inverse_diagonal(upper) -> np.ndarray:
-    """The Takahashi recursion one row at a time, last row first: the
-    unoptimised reference for ``oracle._selected_inverse_diagonal``."""
-    dim = upper.shape[0]
-    keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
-    while True:
-        rows, cols = np.divmod(keys, dim)
-        diagonal = np.searchsorted(keys, np.arange(dim) * (dim + 1))
-        off = cols != rows
-        need = cols[np.minimum(diagonal + 1, len(keys) - 1)][rows[off]] * dim + cols[off]
-        missing = need[keys[np.searchsorted(keys, need)] != need]
-        if not len(missing):
-            break
-        keys = np.union1d(keys, missing)
-    values = np.bincount(np.searchsorted(keys, given), upper.data, len(keys))
-    coeffs, bounds = -values / values[diagonal][rows], np.append(diagonal, len(keys)).tolist()
-    z = np.zeros((dim, dim))
-    for j in reversed(range(dim)):
-        s, u = cols[bounds[j] + 1:bounds[j + 1]], coeffs[bounds[j] + 1:bounds[j + 1]]
-        row = u @ z[s[:, None], s]
-        z[j, s] = z[s, j] = row
-        z[j, j] = 1.0 / values[bounds[j]] + u @ row
-    return np.diagonal(z).copy()
-
-
 class TestSelectedInverse:
     """The level-by-level recursion against a dense inverse and the row loop."""
 
     def test_wide_and_narrow_rows_in_one_level(self):
         # In the natural order rows 0 to m - 1 all have row m as parent, so
-        # they make one level of m = _FLAT_ROWS rows: row 0 spans the clique
-        # on m, m + 1, ... (wider than the flat step takes), the others hold
-        # column m alone and go through the flat step together.
-        rows = oracle._FLAT_ROWS
+        # they make one level of m = 8 rows: row 0 spans the clique on m,
+        # m + 1, ... (wider than the level step takes, so it joins T with its
+        # ancestors), the others hold column m alone and share level 0.
+        rows = 8
         dim = rows + oracle._FLAT_WIDTH + 2
         rng = np.random.default_rng(3)
         pattern = np.zeros((dim, dim), dtype=bool)
@@ -332,12 +308,13 @@ class TestSelectedInverse:
         *(pytest.param("random-loopy", 1000, seed, id=f"random-loopy-1000-{seed}")
           for seed in (1, 3, 11))])
     def test_matches_the_row_loop(self, model, size, seed):
-        # A chain's elimination tree has about n/2 levels of 1-2 rows, which
-        # go one row at a time; the generated kinds' levels go mostly flat,
-        # and random-loopy's wide rows and their ancestors make T, the dense
-        # top (271-290 rows at n = 1000, 522 at n = 2000).
+        # A chain's elimination tree has about n/2 levels of 1-2 rows, one
+        # step each; the generated forests' trees have 16-20 levels at
+        # n = 2000, and random-loopy's wide rows and their ancestors make T,
+        # the dense top (271-290 rows at n = 1000, 522 at n = 2000), with
+        # 5-7 levels below it.
         model = helpers.chain_model(size) if model == "chain" else generate_model(model, size, seed)
         upper = helpers.superlu_factor(sparse_gmrf(model).information_matrix).U.tocsr()
-        expected = row_by_row_inverse_diagonal(upper)
+        expected = helpers.row_by_row_inverse_diagonal(upper)
         variance = oracle._selected_inverse_diagonal(upper)
         assert np.all(np.abs(variance - expected) <= 1e-14 * expected)

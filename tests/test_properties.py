@@ -8,7 +8,7 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Ten more properties guard how the package gets there: the certificate's
+Eleven more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; the walk-summability interval contains
 the dense radius of |I - R| and never decides wrong; relabelling or
@@ -22,7 +22,8 @@ random-sequential ticks and theirs) give the bits of the same loops
 spelled out over canonical arrays; the stop tests, which skip the
 precision delta once the mean delta decides, give the outcome of the
 rule that takes both; the sparse oracle agrees with a
-dense inverse and solve; the radix order of small integer keys is
+dense inverse and solve, and its level-by-level recursion with the
+row-by-row loop on narrow rows hanging below wide ones; the radix order of small integer keys is
 numpy's stable argsort, byte for byte; and a model file parsed by json alone, its
 repeated keys ruled out by a colon count, gives the model or the
 violations that a parse checking every object for repeated keys gives.
@@ -705,6 +706,39 @@ def test_selected_inverse_matches_the_dense_inverse(matrix, order):
     variance = oracle._selected_inverse_diagonal(lu.U.tocsr())[lu.perm_c]
     expected = np.diag(np.linalg.inv(matrix.toarray()))
     assert np.all(np.abs(variance - expected) <= 1e-12 * expected)
+
+
+@st.composite
+def hanging_rows(draw):
+    """A sparse diagonally dominant J: a clique last, of 10 rows or more
+    when the first rows are wider than the level step takes, and up to 40
+    rows before it, each joined to a few of the next eight rows, so that paths
+    of narrow rows hang below the top at several depths, and maybe to the
+    clique."""
+    clique, before = draw(st.sampled_from([0, 5, 10, 12, 16])), draw(st.integers(0, 40))
+    dim = before + clique
+    pattern = np.zeros((dim, dim), dtype=bool)
+    pattern[before:, before:] = True
+    for j in range(before):
+        pattern[j, [min(j + step, dim - 1) for step in draw(st.lists(st.integers(1, 8),
+                                                                      max_size=3))]] = True
+        if clique and draw(st.booleans()):
+            pattern[j, before + draw(st.integers(0, clique - 1))] = True
+    pattern |= pattern.T
+    np.fill_diagonal(pattern, False)
+    rng = np.random.default_rng(draw(SEEDS))
+    upper = np.triu(np.where(pattern, rng.uniform(-1.0, 1.0, (dim, dim)), 0.0), 1)
+    matrix = upper + upper.T
+    np.fill_diagonal(matrix, np.abs(matrix).sum(axis=1) + rng.uniform(0.1, 2.0, dim))
+    return matrix
+
+
+@given(matrix=hanging_rows())
+def test_selected_inverse_matches_the_row_loop(matrix):
+    upper = helpers.superlu_factor(matrix, "NATURAL").U.tocsr()
+    expected = helpers.row_by_row_inverse_diagonal(upper)
+    variance = oracle._selected_inverse_diagonal(upper)
+    assert np.all(np.abs(variance - expected) <= 1e-14 * expected)
 
 
 class _Object(list):
