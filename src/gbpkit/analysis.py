@@ -34,6 +34,7 @@ from .model import (
     TOPOLOGY_FOREST,
     TOPOLOGY_SINGLE_LOOP,
     TopologyReport,
+    _canonical,
     _sorted_by,
     classify_topology,
     sparse_gmrf,
@@ -250,8 +251,10 @@ def _settled(graph, model, start: np.ndarray, tolerance: float, max_iters: int) 
     if not prec.all():
         raise ValueError("precision fixed point has zero entries")
     return FixedPoint(
-        factor_to_variable=engine.ArrayMapping(prec[tables.fv_pass.rank], tables.fv_position),
-        variable_to_factor=engine.ArrayMapping(vf_prec[tables.vf_pass.rank], tables.vf_position),
+        factor_to_variable=engine.ArrayMapping(_canonical(tables.fv_pass.order, prec),
+                                               tables.fv_position),
+        variable_to_factor=engine.ArrayMapping(_canonical(tables.vf_pass.order, vf_prec),
+                                               tables.vf_position),
         iterations=iterations,
     )
 

@@ -61,7 +61,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .model import (EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, Positions,
-                    _to_float)
+                    _canonical, _to_float)
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
@@ -418,18 +418,18 @@ def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: in
 def _finish(graph, compiled: CompiledModel, prec, mean,
             iteration: int) -> tuple[BeliefSet, MessageState]:
     """How every run ends: beliefs and state of ``fv_pass``-order messages, in canonical order."""
-    rank = compiled.tables.fv_pass.rank
-    prec, mean = prec[rank], mean[rank]
+    order = compiled.tables.fv_pass.order
+    prec, mean = _canonical(order, prec), _canonical(order, mean)
     return _beliefs(graph, compiled, prec, mean, iteration), _state(graph, prec, mean, iteration)
 
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
-    reads = compiled.tables.belief_reads
+    reads = graph.belief_reads
     precision, belief_mean = _variable_message(_inverse(compiled.columns.prior_var[reads.order]),
                                                reads.columns, prec, mean)
     return BeliefSet(
-        variances=ArrayMapping((1.0 / precision)[reads.rank], graph.variable_order),
-        means=ArrayMapping(belief_mean[reads.rank], graph.variable_order),
+        variances=ArrayMapping(_canonical(reads.order, 1.0 / precision), graph.variable_order),
+        means=ArrayMapping(_canonical(reads.order, belief_mean), graph.variable_order),
         iteration=iteration,
     )
 
@@ -452,8 +452,8 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     denom = _add_reads(noise_obs.real.copy(), coeff * coeff * prior_var,
                        compiled.tables.fv_pass.columns)
     target = compiled.pass_coeff * compiled.pass_coeff
-    rank = compiled.tables.fv_pass.rank
-    return (target / denom)[rank], (target / noise_obs.real)[rank]
+    order = compiled.tables.fv_pass.order
+    return _canonical(order, target / denom), _canonical(order, target / noise_obs.real)
 
 
 def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float):
@@ -547,8 +547,8 @@ def sweep(graph: FactorGraph, model: LinearGaussianModel, state: MessageState) -
     previous state, then all factor-to-variable messages from those."""
     compiled = compile_model(graph, model)
     prec, mean = fv_messages(compiled, *vf_messages(compiled, *_in_pass_order(compiled, state)))
-    rank = compiled.tables.fv_pass.rank
-    return _state(graph, prec[rank], mean[rank], state.iteration + 1)
+    order = compiled.tables.fv_pass.order
+    return _state(graph, _canonical(order, prec), _canonical(order, mean), state.iteration + 1)
 
 
 def compute_beliefs(
@@ -587,7 +587,7 @@ def sweeps(compiled: CompiledModel, prec, mean, stop, max_iters: int):
     fv_prec, fv_mean, outcome or None); means of None sweep the precisions
     alone.  Arrays stay in pass order (:class:`~gbpkit.model.EdgeTables`),
     which a stop test of maxima and alls does not see: callers put back in
-    canonical order, with the tables' ``rank``, only what they keep."""
+    canonical order, through the tables' ``order``, only what they keep."""
     for iteration in range(1, max_iters + 1):
         vf_prec, vf_mean = vf_messages(compiled, prec, mean)
         new_prec, new_mean = fv_messages(compiled, vf_prec, vf_mean)

@@ -189,17 +189,22 @@ class Reads:
     """Rows of edge positions of varying width, stored by jagged diagonals.
 
     ``order`` lists the rows by descending width, ties in row order, and
-    ``rank`` inverts it (row r is ``order[rank[r]]``).  Column k holds the
-    k-th read of each of the first ``len(columns[k])`` rows of ``order``,
-    the rows wider than k, so the columns shrink and hold no padding
-    (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., 3.4).
-    Row r reads ``columns[k][rank[r]]`` for each column k that long, and
-    :meth:`select` views any rows, a single one included, on their own.
+    ``rank``, built on first read, inverts it (row r is ``order[rank[r]]``).
+    Column k holds the k-th read of each of the first ``len(columns[k])``
+    rows of ``order``, the rows wider than k, so the columns shrink and hold
+    no padding (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd
+    ed., 3.4).  Row r reads ``columns[k][rank[r]]`` for each column k that
+    long, and :meth:`select` views any rows, a single one included, on
+    their own.  Values computed in ``order`` go back to row order through
+    ``order`` itself (:func:`_canonical`), which needs no ``rank``.
     """
 
     order: np.ndarray
-    rank: np.ndarray
     columns: tuple[np.ndarray, ...]
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        return _canonical(self.order, np.arange(len(self.order)))
 
     def select(self, rows=None):
         """The rows at the positions ``rows`` (an index array) as a jagged
@@ -235,21 +240,26 @@ def _sorted_by(keys: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
-def _ranked(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows by descending width, ties in row order, and its inverse."""
+def _canonical(order: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, listed in ``order``, back in row order: one scatter,
+    ``out[order] = values``, the same values as ``values[rank]``."""
+    out = np.empty_like(values)
+    out[order] = values
+    return out
+
+
+def _by_width(width: np.ndarray) -> np.ndarray:
+    """Rows by descending width, ties in row order."""
     top = int(width.max(initial=0))
-    order = _sorted_by(top - width, top + 1)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return order, rank
+    return _sorted_by(top - width, top + 1)
 
 
-def _jagged(width: np.ndarray, read, ranked=None) -> Reads:
+def _jagged(width: np.ndarray, read, order=None) -> Reads:
     """Rows of the given widths; ``read(rows, k)`` is the k-th read of each of ``rows``.
-    ``ranked`` is ``_ranked(width)`` when the caller has it already."""
-    order, rank = ranked or _ranked(width)
+    ``order`` is ``_by_width(width)`` when the caller has it already."""
+    order = _by_width(width) if order is None else order
     heights = len(width) - np.cumsum(np.bincount(width, minlength=1))[:-1]
-    return Reads(order, rank, tuple(read(order[:h], k) for k, h in enumerate(heights.tolist())))
+    return Reads(order, tuple(read(order[:h], k) for k, h in enumerate(heights.tolist())))
 
 
 @dataclass(frozen=True)
@@ -261,17 +271,17 @@ class EdgeTables:
     Row k of ``vf_pass`` is ``vf_edges[k]``, and reads its variable's other
     factors; row k of ``fv_pass`` is ``fv_edges[k]``, and reads its factor's
     other variables.  Each column holds positions in the other pass's order,
-    so a sweep reads the other pass's output as it was computed.  Row i of
-    ``belief_reads`` holds the ``fv_edges`` positions into variable i.  Every
-    row lists its reads in canonical neighbour order.  ``fv_position`` and
+    so a sweep reads the other pass's output as it was computed.  Every row
+    lists its reads in canonical neighbour order.  ``fv_position`` and
     ``vf_position`` map each directed edge to its position (:class:`Positions`).
+    The tables hold what a sweep reads; the beliefs' reads are the graph's
+    (:attr:`FactorGraph.belief_reads`).
     """
 
     fv_position: Mapping[tuple[str, str], int]
     vf_position: Mapping[tuple[str, str], int]
     vf_pass: Reads
     fv_pass: Reads
-    belief_reads: Reads
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
@@ -324,27 +334,36 @@ class FactorGraph:
         var_of = self.edge_var[vf_to_fv]
         degree = np.bincount(var_of, minlength=len(self.variable_ids))
         scope = np.bincount(self.edge_factor, minlength=len(self.factor_ids))
-        vf_order, vf_rank = _ranked(degree[var_of] - 1)
-        fv_order, fv_rank = _ranked(scope[self.edge_factor] - 1)
+        vf_order = _by_width(degree[var_of] - 1)
+        fv_order = _by_width(scope[self.edge_factor] - 1)
 
-        def others(group, members, sizes, ranked):
+        def others(group, members, sizes, order):
             """Per member of each sorted group, the group's other members."""
             start = (np.cumsum(sizes) - sizes)[group]
             slot = np.arange(len(group)) - start
             return _jagged(sizes[group] - 1,
-                           lambda rows, k: members[start[rows] + k + (k >= slot[rows])], ranked)
+                           lambda rows, k: members[start[rows] + k + (k >= slot[rows])], order)
 
-        first = np.cumsum(degree) - degree
-        vf_rank_by_fv = np.empty_like(vf_rank)  # vf_to_fv inverted by a scatter, in O(E)
-        vf_rank_by_fv[vf_to_fv] = vf_rank
+        # A read is the edge's rank in the other pass: its position in that
+        # output.  Both ranks are scattered here, in O(E), and kept by neither table.
+        positions = np.arange(len(vf_to_fv))
+        fv_rank = _canonical(fv_order, positions)
+        vf_rank_by_fv = _canonical(vf_to_fv[vf_order], positions)  # indexed by fv_edges position
         return EdgeTables(
             fv_position=Positions(self, "fv_edges"),
             vf_position=Positions(self, "vf_edges"),
-            # A read is the edge's rank in the other pass: its position in that output.
-            vf_pass=others(var_of, fv_rank[vf_to_fv], degree, (vf_order, vf_rank)),
-            fv_pass=others(self.edge_factor, vf_rank_by_fv, scope, (fv_order, fv_rank)),
-            belief_reads=_jagged(degree, lambda rows, k: vf_to_fv[first[rows] + k]),
+            vf_pass=others(var_of, fv_rank[vf_to_fv], degree, vf_order),
+            fv_pass=others(self.edge_factor, vf_rank_by_fv, scope, fv_order),
         )
+
+    @cached_property
+    def belief_reads(self) -> Reads:
+        """Row i holds the ``fv_edges`` positions into variable i, in canonical
+        factor order: what the beliefs read once a run's sweeps are done,
+        built on first read."""
+        degree = np.bincount(self.edge_var, minlength=len(self.variable_ids))
+        first = np.cumsum(degree) - degree
+        return _jagged(degree, lambda rows, k: self.vf_to_fv[first[rows] + k])
 
 
 class Positions(Mapping):

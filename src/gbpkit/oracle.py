@@ -76,17 +76,18 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     no T on pairwise forests, 254-290 rows on 1000-variable random-loopy ones.
     """
     dim = upper.shape[0]
-    keys = given = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
+    keys = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
+    values = upper.data  # U's values ride with their keys; an added key holds 0.0
     while True:
         rows, cols = np.divmod(keys, dim)
         diagonal = np.searchsorted(keys, np.arange(dim) * (dim + 1))
         off = cols != rows
         need = cols[np.minimum(diagonal + 1, len(keys) - 1)][rows[off]] * dim + cols[off]
-        missing = need[keys[np.searchsorted(keys, need)] != need]
+        missing = np.unique(need[keys[np.searchsorted(keys, need)] != need])
         if not len(missing):
             break
-        keys = np.union1d(keys, missing)
-    values = np.bincount(np.searchsorted(keys, given), upper.data, len(keys))
+        at = np.searchsorted(keys, missing)
+        keys, values = np.insert(keys, at, missing), np.insert(values, at, 0.0)
     coeffs, inverse_pivot = -values / values[diagonal][rows], 1.0 / values[diagonal]
     first = diagonal + 1
     width = np.append(diagonal[1:], len(keys)) - first
@@ -165,7 +166,8 @@ def dense_posterior(model: LinearGaussianModel) -> ExactPosterior:
         raise ValueError(f"model has {dim} variables and more than one loop or a factor over "
                          f"more than two of them; the oracle caps such models at {MAX_VARIABLES}")
     gmrf = sparse_gmrf(model)
-    lu = splu(gmrf.information_matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    # J is exactly symmetric, so its CSR arrays are its CSC: J.T, no copy.
+    lu = splu(gmrf.information_matrix.T, permc_spec="MMD_AT_PLUS_A",
               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c) or not np.all(lu.U.diagonal() > 0):
         raise np.linalg.LinAlgError("J is not positive definite: row exchange or pivot <= 0")

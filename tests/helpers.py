@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -17,6 +18,18 @@ from gbpkit.model import ModelColumns
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak, in bytes, of what it allocated and
+    held at once, as ``tracemalloc`` counts from the call's start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def loop_model(observations=(1.0, 2.0, 3.0)) -> LinearGaussianModel:

@@ -218,7 +218,7 @@ class TestFactorGraph:
         graph = build_factor_graph(model)
         tables = graph.edge_tables
 
-        for reads in (tables.vf_pass, tables.fv_pass, tables.belief_reads):
+        for reads in (tables.vf_pass, tables.fv_pass, graph.belief_reads):
             # The jagged columns: rows by descending width, ties in row
             # order, and column k as long as the count of rows wider than k.
             width = [len(reads.select(reads.rank[[r]])[2]) for r in range(len(reads.order))]
@@ -243,7 +243,7 @@ class TestFactorGraph:
             assert tables.fv_position[(fid, vid)] == k
         for i, vid in enumerate(graph.variable_ids):
             into = [(g, vid) for g in graph.variable_neighbors[vid]]
-            assert named(graph.fv_edges, tables.belief_reads, i) == into
+            assert named(graph.fv_edges, graph.belief_reads, i) == into
 
     def test_tables_above_two_to_the_sixteen_variables_match_the_comparison_sort(self):
         # 70,000 variables listed in a shuffled order, joined as a chain: every
@@ -263,7 +263,7 @@ class TestFactorGraph:
 
         assert same(graph.vf_to_fv, vf_to_fv)
         for name, (order, rank, columns) in expected.items():
-            reads = getattr(graph.edge_tables, name)
+            reads = getattr(graph if name == "belief_reads" else graph.edge_tables, name)
             assert same(reads.order, order) and same(reads.rank, rank), name
             assert len(reads.columns) == len(columns), name
             assert all(map(same, reads.columns, columns)), name

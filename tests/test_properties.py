@@ -8,7 +8,7 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Eleven more properties guard how the package gets there: the certificate's
+Twelve more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; the walk-summability interval contains
 the dense radius of |I - R| and never decides wrong; relabelling or
@@ -23,8 +23,11 @@ spelled out over canonical arrays; the stop tests, which skip the
 precision delta once the mean delta decides, give the outcome of the
 rule that takes both; the sparse oracle agrees with a
 dense inverse and solve, and its level-by-level recursion with the
-row-by-row loop on narrow rows hanging below wide ones; the radix order of small integer keys is
-numpy's stable argsort, byte for byte; and a model file parsed by json alone, its
+row-by-row loop on narrow rows hanging below wide ones, fill that cancels
+exactly included; the radix order of small integer keys is
+numpy's stable argsort, byte for byte; values in a table's order go back
+to row order by a scatter through the order with the bytes of a gather
+through its inverse; and a model file parsed by json alone, its
 repeated keys ruled out by a colon count, gives the model or the
 violations that a parse checking every object for repeated keys gives.
 
@@ -556,6 +559,31 @@ def test_radix_order_is_the_stable_argsort(bound, values, picks):
         assert order.dtype == expected.dtype and order.tobytes() == expected.tobytes()
 
 
+@st.composite
+def pass_order_values(draw):
+    """Row widths of a jagged table and one float per row, NaN, infinities
+    and signed zeros among them."""
+    width = draw(st.lists(st.integers(0, 6), max_size=40))
+    return width, draw(st.lists(st.floats(), min_size=len(width), max_size=len(width)))
+
+
+@given(table=pass_order_values())
+@example(table=([], []))
+@example(table=([2], [-0.0]))
+def test_canonical_scatter_is_the_rank_gather(table):
+    # Values listed in a table's order go back to row order by one scatter
+    # through ``order``; it must give the bytes of the gather through the
+    # inverse permutation, here argsort's, not the table's own rank.
+    width, values = table
+    reads = model_module._jagged(np.array(width, dtype=np.intp), lambda rows, k: rows)
+    rank = np.argsort(reads.order)
+    for array in (np.array(values, dtype=float), np.array(values, dtype=float) * (1 - 2j),
+                  np.arange(len(width))):
+        got = model_module._canonical(reads.order, array)
+        assert got.dtype == array.dtype and got.tobytes() == array[rank].tobytes()
+    assert reads.rank.tobytes() == rank.tobytes()
+
+
 def test_negative_zero_observations_keep_the_bits_of_the_subtracting_reference():
     # The factor pass adds (-c) * mean where the padded reference passes
     # subtract c * mean: x - y is x + (-y) in IEEE 754, signed zeros
@@ -714,7 +742,9 @@ def hanging_rows(draw):
     when the first rows are wider than the level step takes, and up to 40
     rows before it, each joined to a few of the next eight rows, so that paths
     of narrow rows hang below the top at several depths, and maybe to the
-    clique."""
+    clique.  Maybe row 0 is joined to rows 1 and 2 alone, by 1/2 each, its
+    pivot 2 and J[1, 2] 1/8: eliminating row 0 cancels U[1, 2] exactly, so
+    U drops a slot that row 0 reads and the closure loop adds it back."""
     clique, before = draw(st.sampled_from([0, 5, 10, 12, 16])), draw(st.integers(0, 40))
     dim = before + clique
     pattern = np.zeros((dim, dim), dtype=bool)
@@ -729,7 +759,14 @@ def hanging_rows(draw):
     rng = np.random.default_rng(draw(SEEDS))
     upper = np.triu(np.where(pattern, rng.uniform(-1.0, 1.0, (dim, dim)), 0.0), 1)
     matrix = upper + upper.T
+    cancel = dim > 2 and draw(st.booleans())
+    if cancel:
+        matrix[0], matrix[:, 0] = 0.0, 0.0
+        matrix[0, [1, 2]] = matrix[[1, 2], 0] = 0.5
+        matrix[1, 2] = matrix[2, 1] = 0.125
     np.fill_diagonal(matrix, np.abs(matrix).sum(axis=1) + rng.uniform(0.1, 2.0, dim))
+    if cancel:
+        matrix[0, 0] = 2.0
     return matrix
 
 
