@@ -206,9 +206,9 @@ class ConvergenceCertificate:
 
 
 def precision_bounds(graph: FactorGraph, model: LinearGaussianModel) -> Bounds:
-    lower, upper = engine.edge_bounds(engine.compile_model(graph, model))
-    positions = graph.edge_tables.fv_position
-    return Bounds(engine.ArrayMapping(lower, positions), engine.ArrayMapping(upper, positions))
+    lower, upper = engine.edge_bounds(graph, engine.compile_model(graph, model))
+    return Bounds(engine.ArrayMapping(lower, graph, "fv_edges"),
+                  engine.ArrayMapping(upper, graph, "fv_edges"))
 
 
 def fixed_point_precisions(
@@ -239,10 +239,10 @@ def _settled(graph, model, start: np.ndarray, tolerance: float, max_iters: int) 
     """:func:`fixed_point_precisions` from ``start``, limits checked, in canonical edge order."""
     compiled = engine.compile_model(graph, model)
     tables = compiled.tables
-    for iterations, _, _, prec, _, outcome in engine.sweeps(
+    for iterations, prec, _, outcome in engine.sweeps(
             compiled, start[tables.fv_pass.order], None,
             lambda old, _, new, __: engine.max_delta(old, new) < tolerance or None, max_iters):
-        pass  # the unpacking drops the variable messages before the next sweep
+        pass
     if outcome is None:
         raise RuntimeError("precision fixed point did not settle within the budget")
     vf_prec, _ = engine.vf_messages(compiled, prec, None)
@@ -252,9 +252,9 @@ def _settled(graph, model, start: np.ndarray, tolerance: float, max_iters: int) 
         raise ValueError("precision fixed point has zero entries")
     return FixedPoint(
         factor_to_variable=engine.ArrayMapping(_canonical(tables.fv_pass.order, prec),
-                                               tables.fv_position),
+                                               graph, "fv_edges"),
         variable_to_factor=engine.ArrayMapping(_canonical(tables.vf_pass.order, vf_prec),
-                                               tables.vf_position),
+                                               graph, "vf_edges"),
         iterations=iterations,
     )
 
@@ -566,8 +566,8 @@ def rate_trace(
     prec, mean = engine._in_pass_order(compiled, engine.init_messages(
         graph, model, strategy or engine.InitStrategy.zero()))
     points: list[TracePoint] = []
-    for iteration, _, _, prec, new_mean, _ in engine.sweeps(compiled, prec, mean,
-                                                            lambda *_: None, max_iters):
+    for iteration, prec, new_mean, _ in engine.sweeps(compiled, prec, mean,
+                                                      lambda *_: None, max_iters):
         distance = _part_distance(edges, prec.tolist(), target)
         points.append(TracePoint(iteration, distance, engine.max_delta(mean, new_mean)))
         mean = new_mean

@@ -60,8 +60,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .model import (EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, Positions,
-                    _canonical, _to_float)
+from .model import (EdgeTables, FactorGraph, LinearGaussianModel, ModelColumns, _canonical,
+                    _to_float)
 
 Edge = tuple[str, str]
 ScalarMessage = tuple[float, float]  # (precision, mean)
@@ -115,35 +115,42 @@ class InitStrategy:
         return cls(INIT_EXPLICIT, precisions=precisions, means=means)
 
 
+# Each of the graph's key sequences, and the graph's map of its keys to their positions.
+_POSITIONS = dict(variable_ids="variable_order", fv_edges="fv_position", vf_edges="vf_position")
+
+
 class ArrayMapping(Mapping):
     """Read-only mapping: ``positions[key]`` indexes a non-writeable float64 array.
 
-    ``positions`` is one of the graph's own maps (``edge_tables.fv_position``,
-    ``edge_tables.vf_position`` or ``variable_order``), so keys iterate in
-    canonical order; values are Python floats, so a view equals the dict of
-    its items.  ``array`` is copied first unless it owns its data.  A
-    lookup reads through the positions' own dict, built by the graph's
-    maps on the first lookup of any view.
+    The keys are ``getattr(graph, name)``, one of the graph's key sequences
+    (``fv_edges``, ``vf_edges`` or ``variable_ids``), so they iterate in
+    canonical order; ``positions`` is the graph's map of them
+    (``fv_position``, ``vf_position`` or ``variable_order``), which every
+    view of the graph shares, built on the first lookup of any of them.
+    Values are Python floats, so a view equals the dict of its items.
+    ``array`` is copied first unless it owns its data.
     """
 
-    __slots__ = ("array", "positions", "_index")
+    __slots__ = ("array", "graph", "name", "_index")
 
-    def __init__(self, array, positions: Mapping):
+    def __init__(self, array, graph: FactorGraph, name: str):
         self.array = np.require(array, dtype=float, requirements="O")
         self.array.flags.writeable = False
-        self.positions = positions
+        self.graph, self.name = graph, name
+
+    @property
+    def positions(self) -> Mapping:
+        return getattr(self.graph, _POSITIONS[self.name])
 
     def __getitem__(self, key) -> float:
         try:
             index = self._index
         except AttributeError:
-            positions = self.positions
-            index = self._index = positions.index if isinstance(positions, Positions) \
-                else positions
+            index = self._index = self.positions
         return self.array.item(index[key])
 
     def __iter__(self) -> Iterator:
-        return iter(self.positions)
+        return iter(getattr(self.graph, self.name))
 
     def __len__(self) -> int:
         return len(self.array)
@@ -152,7 +159,7 @@ class ArrayMapping(Mapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
     def __reduce__(self):  # copies and unpickled views are read-only too
-        return type(self), (self.array, self.positions)
+        return type(self), (self.array, self.graph, self.name)
 
 
 @dataclass
@@ -283,7 +290,8 @@ class CompiledModel:
     :class:`~gbpkit.model.EdgeTables`), so a sweep gathers none:
     ``pass_prior_prec``, the prior precision 1 / prior_var_j, and
     ``pass_neg_vf_coeff``, the negated coefficient -c_{f,j} of each
-    variable-to-factor message j -> f, per row of ``tables.vf_pass``;
+    variable-to-factor message j -> f, per row of ``tables.vf_pass`` (the
+    graph's :class:`~gbpkit.model.EdgeTables`; no field holds the graph);
     ``pass_coeff`` (the target's coefficient) and ``pass_noise_obs``, the
     complex ``noise_var + obs * 1j`` that the factor pass starts its two
     sums from, per row of ``tables.fv_pass``.  A read's coefficient
@@ -295,16 +303,12 @@ class CompiledModel:
     ``edge_coeff`` per ``fv_edges`` position.
     """
 
-    graph: FactorGraph
+    tables: EdgeTables
     columns: ModelColumns
     pass_prior_prec: np.ndarray
     pass_neg_vf_coeff: np.ndarray
     pass_coeff: np.ndarray
     pass_noise_obs: np.ndarray
-
-    @property
-    def tables(self) -> EdgeTables:
-        return self.graph.edge_tables
 
 
 def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledModel:
@@ -336,7 +340,7 @@ def compile_model(graph: FactorGraph, model: LinearGaussianModel) -> CompiledMod
     neg_vf_coeff = columns.edge_coeff[edge]
     np.negative(neg_vf_coeff, out=neg_vf_coeff)
     compiled = CompiledModel(
-        graph=graph, columns=columns, pass_prior_prec=prior_prec, pass_neg_vf_coeff=neg_vf_coeff,
+        tables=tables, columns=columns, pass_prior_prec=prior_prec, pass_neg_vf_coeff=neg_vf_coeff,
         pass_coeff=columns.edge_coeff[tables.fv_pass.order],
         pass_noise_obs=noise_obs)
     vars(graph)["_compiled"] = (model, compiled)
@@ -352,34 +356,32 @@ def _at(array: np.ndarray | None, index) -> np.ndarray | None:
 
 
 def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarray | None,
-                rows=None, view=None):
-    """Variable-to-factor (precisions, means) of the ``vf_pass`` positions
-    ``rows``, from the factor-to-variable ones in ``fv_pass`` order.
+                view=None):
+    """Variable-to-factor (precisions, means) of every ``vf_pass`` row, or
+    of the rows of ``view``, from the factor-to-variable ones in ``fv_pass`` order.
 
     Here and in :func:`fv_messages`, arrays are in pass order (see
-    :class:`~gbpkit.model.EdgeTables`).  Rows of None compute the whole
-    pass and gather no parameter: each read term is formed once per
-    message of the other pass and gathered by the columns.  Any positions,
-    in any order, go through the jagged view of their own rows and come
-    back in ``rows`` order: their reads are gathered first and the same
-    terms formed from them, so a tick costs what its rows read, and a
-    row's bits do not depend on which rows are computed with it.  A
-    ``view``, ``Reads.select(rows)`` of the pass's table, stands in for
-    ``rows``, so a caller computing the same rows again builds it once.
-    Means of None give the precisions alone, the same bits, and means None.
+    :class:`~gbpkit.model.EdgeTables`).  A whole pass gathers no
+    parameter: each read term is formed once per message of the other
+    pass and gathered by the columns.  A ``view``, ``Reads.select(rows)``
+    of the pass's table for any positions in any order, computes those
+    rows alone and gives them back in ``rows`` order: their reads are
+    gathered first and the same terms formed from them, so a tick costs
+    what its rows read, and a row's bits do not depend on which rows are
+    computed with it.  Means of None give the precisions alone, the same
+    bits, and means None.
     """
-    position, place, reads, columns = view or compiled.tables.vf_pass.select(rows)
+    position, place, reads, columns = view or (None, None, None, compiled.tables.vf_pass.columns)
     prec, mean = _variable_message(_at(compiled.pass_prior_prec, position), columns,
                                    _at(fv_prec, reads), _at(fv_mean, reads))
     return _at(prec, place), _at(mean, place)
 
 
 def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarray | None,
-                rows=None, view=None):
-    """Factor-to-variable (precisions, means) of the ``fv_pass`` positions
-    ``rows``, or of the ``view`` of them, from the variable-to-factor ones
-    in ``vf_pass`` order."""
-    position, place, reads, columns = view or compiled.tables.fv_pass.select(rows)
+                view=None):
+    """Factor-to-variable (precisions, means) of every ``fv_pass`` row, or
+    of the rows of ``view``, from the variable-to-factor ones in ``vf_pass`` order."""
+    position, place, reads, columns = view or (None, None, None, compiled.tables.fv_pass.columns)
     prec, mean = _factor_message(_at(compiled.pass_coeff, position), columns,
                                  _at(compiled.pass_neg_vf_coeff, reads), _at(vf_prec, reads),
                                  _at(vf_mean, reads), _at(compiled.pass_noise_obs, position))
@@ -400,19 +402,23 @@ def _diverged(precisions: np.ndarray, means: np.ndarray) -> bool:
                 and np.isfinite(precisions).all())
 
 
+def _moved(old_prec, old_mean, new_prec, new_mean, tolerance: float) -> bool:
+    """Whether a delta is ``tolerance`` or more, or NaN; the precision delta
+    is taken only when the mean delta is below ``tolerance``."""
+    return not (max_delta(old_mean, new_mean) < tolerance
+                and max_delta(old_prec, new_prec) < tolerance)
+
+
 def _status(old_prec, old_mean, new_prec, new_mean, tolerance: float) -> str | None:
-    """Diverged, converged once both deltas are below ``tolerance``, or None;
-    the precision delta is taken only when the mean delta is below it."""
+    """Diverged, converged once no message has moved (:func:`_moved`), or None."""
     if _diverged(new_prec, new_mean):
         return STATUS_DIVERGED
-    if max_delta(old_mean, new_mean) < tolerance and max_delta(old_prec, new_prec) < tolerance:
-        return STATUS_CONVERGED
-    return None
+    return None if _moved(old_prec, old_mean, new_prec, new_mean, tolerance) else STATUS_CONVERGED
 
 
 def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: int) -> MessageState:
-    positions = graph.edge_tables.fv_position
-    return MessageState(ArrayMapping(prec, positions), ArrayMapping(mean, positions), iteration)
+    return MessageState(ArrayMapping(prec, graph, "fv_edges"),
+                        ArrayMapping(mean, graph, "fv_edges"), iteration)
 
 
 def _finish(graph, compiled: CompiledModel, prec, mean,
@@ -428,23 +434,23 @@ def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> Beli
     precision, belief_mean = _variable_message(_inverse(compiled.columns.prior_var[reads.order]),
                                                reads.columns, prec, mean)
     return BeliefSet(
-        variances=ArrayMapping(_canonical(reads.order, 1.0 / precision), graph.variable_order),
-        means=ArrayMapping(_canonical(reads.order, belief_mean), graph.variable_order),
+        variances=ArrayMapping(_canonical(reads.order, 1.0 / precision), graph, "variable_ids"),
+        means=ArrayMapping(_canonical(reads.order, belief_mean), graph, "variable_ids"),
         iteration=iteration,
     )
 
 
 @_QUIET
-def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
+def edge_bounds(graph: FactorGraph, compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge envelope (lower, upper) of the factor-to-variable precision recursion.
 
     Upper: c_i^2 / noise_var, the precision when the other scope variables
     are known exactly.  Lower: c_i^2 divided by the noise variance plus the
     full prior variance of every other scope variable, the precision when
     nothing else has been learned.  Every post-first-sweep iterate lies in
-    between regardless of initialization.
+    between regardless of initialization.  ``compiled`` is ``graph``'s.
     """
-    graph, noise_obs = compiled.graph, compiled.pass_noise_obs
+    noise_obs = compiled.pass_noise_obs
     # c**2 * prior_var, per vf_pass row: the prior variance, not its inverse, keeps the bits.
     prior_var = compiled.columns.prior_var[
         graph.edge_var[graph.vf_to_fv[compiled.tables.vf_pass.order]]]
@@ -457,7 +463,7 @@ def edge_bounds(compiled: CompiledModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _explicit_values(graph: FactorGraph, given: Mapping[Edge, float], name: str, low: float):
-    positions = graph.edge_tables.fv_position
+    positions = graph.fv_position
     unknown = [edge for edge in given if edge not in positions]
     if unknown:
         raise ValueError(f"explicit init references unknown edges: {sorted(unknown)}")
@@ -478,7 +484,7 @@ def init_messages(
     if strategy.kind == INIT_ZERO:
         precisions = np.zeros(len(graph.edge_var))
     elif strategy.kind in (INIT_LOWER, INIT_UPPER):
-        lower, upper = edge_bounds(compile_model(graph, model))
+        lower, upper = edge_bounds(graph, compile_model(graph, model))
         precisions = lower if strategy.kind == INIT_LOWER else upper
     elif strategy.kind == INIT_EXPLICIT:
         precisions = _explicit_values(graph, strategy.precisions or {}, "precisions", 0.0)
@@ -513,7 +519,7 @@ def variable_to_factor(
 ) -> ScalarMessage:
     """Message for a directed (variable, factor) edge from the current state."""
     compiled = compile_model(graph, model)
-    precision, mean = _vf_message_at(compiled, state, compiled.tables.vf_position[edge])
+    precision, mean = _vf_message_at(compiled, state, graph.vf_position[edge])
     return precision.item(), mean.item()
 
 
@@ -531,7 +537,7 @@ def factor_to_variable(
     """
     compiled = compile_model(graph, model)
     tables = compiled.tables
-    position = tables.fv_position[edge]
+    position = graph.fv_position[edge]
     row, _, reads, columns = tables.fv_pass.select(tables.fv_pass.rank[[position]])
     others = np.zeros((2, len(reads)))  # their (precisions, means), one row at a time
     for k, read in enumerate(tables.vf_pass.order[reads].tolist()):
@@ -583,20 +589,18 @@ def _in_pass_order(compiled: CompiledModel, state: MessageState):
 def sweeps(compiled: CompiledModel, prec, mean, stop, max_iters: int):
     """Sweep from factor-to-variable (precisions, means) in ``fv_pass`` order
     until ``stop(old_prec, old_mean, new_prec, new_mean)`` is not None or
-    ``max_iters`` sweeps, yielding per sweep (iteration, vf_prec, vf_mean,
-    fv_prec, fv_mean, outcome or None); means of None sweep the precisions
-    alone.  Arrays stay in pass order (:class:`~gbpkit.model.EdgeTables`),
-    which a stop test of maxima and alls does not see: callers put back in
+    ``max_iters`` sweeps, yielding per sweep (iteration, fv_prec, fv_mean,
+    outcome or None); means of None sweep the precisions alone.  The
+    variable messages are freed once the factor pass has read them.
+    Arrays stay in pass order (:class:`~gbpkit.model.EdgeTables`), which a
+    stop test of maxima and alls does not see: callers put back in
     canonical order, through the tables' ``order``, only what they keep."""
     for iteration in range(1, max_iters + 1):
-        vf_prec, vf_mean = vf_messages(compiled, prec, mean)
-        new_prec, new_mean = fv_messages(compiled, vf_prec, vf_mean)
+        new_prec, new_mean = fv_messages(compiled, *vf_messages(compiled, prec, mean))
         outcome = stop(prec, mean, new_prec, new_mean)
-        yield iteration, vf_prec, vf_mean, new_prec, new_mean, outcome
+        yield iteration, new_prec, new_mean, outcome
         if outcome is not None:
             return
-        # Freed before the next variable pass unless the caller keeps them.
-        del vf_prec, vf_mean
         prec, mean = new_prec, new_mean
 
 
@@ -612,8 +616,8 @@ def run(
     compiled = compile_model(graph, model)
     prec, mean = _in_pass_order(
         compiled, init_messages(graph, model, strategy or InitStrategy.zero()))
-    for iteration, _, _, prec, mean, outcome in sweeps(
+    for iteration, prec, mean, outcome in sweeps(
             compiled, prec, mean, partial(_status, tolerance=tolerance), max_iters):
-        del _  # the variable messages, freed before the next sweep
+        pass
     return RunResult(*_finish(graph, compiled, prec, mean, iteration),
                      status=outcome or STATUS_MAX_ITERS)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter, methodcaller
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -206,17 +207,14 @@ class Reads:
     def rank(self) -> np.ndarray:
         return _canonical(self.order, np.arange(len(self.order)))
 
-    def select(self, rows=None):
+    def select(self, rows):
         """The rows at the positions ``rows`` (an index array) as a jagged
         view of their own: (position, place, reads, columns).  ``position``
         is the positions sorted, so by descending width; ``place`` puts
         values computed in that order back in ``rows`` order
         (``values[place]``); ``reads`` is the rows' reads, column after
         column, and ``columns`` are slices of ``reads``, so the read values
-        are gathered once, by ``reads``.  Rows of None (all) give None for
-        the first three and the columns themselves, gathering nothing."""
-        if rows is None:
-            return None, None, None, self.columns
+        are gathered once, by ``reads``."""
         by_position = rows.argsort(kind="stable")
         position = rows[by_position]
         # Per column k, the rows wider than k: a prefix of the positions.
@@ -272,14 +270,11 @@ class EdgeTables:
     factors; row k of ``fv_pass`` is ``fv_edges[k]``, and reads its factor's
     other variables.  Each column holds positions in the other pass's order,
     so a sweep reads the other pass's output as it was computed.  Every row
-    lists its reads in canonical neighbour order.  ``fv_position`` and
-    ``vf_position`` map each directed edge to its position (:class:`Positions`).
-    The tables hold what a sweep reads; the beliefs' reads are the graph's
-    (:attr:`FactorGraph.belief_reads`).
+    lists its reads in canonical neighbour order.  The tables hold what a
+    sweep reads, arrays only; the beliefs' reads and the id-keyed maps are
+    the graph's (:class:`FactorGraph`).
     """
 
-    fv_position: Mapping[tuple[str, str], int]
-    vf_position: Mapping[tuple[str, str], int]
     vf_pass: Reads
     fv_pass: Reads
 
@@ -294,8 +289,11 @@ class FactorGraph:
     those positions in ``vf_edges`` order, first on the variable then on the
     factor.  Every iteration in the engine and the simulator walks these
     orderings, which is what makes runs reproducible bit for bit.  The
-    id-keyed attributes (the edge lists, ``variable_order`` and the neighbour
-    tuples) are built from the arrays on first read.
+    id-keyed attributes (the edge lists, the neighbour tuples and the
+    read-only maps ``variable_order``, ``fv_position`` and ``vf_position``
+    of each key to its position) are built from the arrays on first read.
+    What the graph caches holds ids, ints and arrays, never the graph, so
+    a dropped graph is freed at once, with its tables.
     """
 
     variable_ids: tuple[str, ...]
@@ -304,9 +302,21 @@ class FactorGraph:
     edge_var: np.ndarray
     vf_to_fv: np.ndarray
 
+    def __reduce__(self):  # the fields alone: a mappingproxy does not pickle, and caches rebuild
+        return type(self), (self.variable_ids, self.factor_ids, self.edge_factor,
+                            self.edge_var, self.vf_to_fv)
+
     @cached_property
     def variable_order(self) -> Mapping[str, int]:
-        return Positions(self, "variable_ids")
+        return _positions(self.variable_ids)
+
+    @cached_property
+    def fv_position(self) -> Mapping[tuple[str, str], int]:
+        return _positions(self.fv_edges)
+
+    @cached_property
+    def vf_position(self) -> Mapping[tuple[str, str], int]:
+        return _positions(self.vf_edges)
 
     @cached_property
     def fv_edges(self) -> tuple[tuple[str, str], ...]:
@@ -350,8 +360,6 @@ class FactorGraph:
         fv_rank = _canonical(fv_order, positions)
         vf_rank_by_fv = _canonical(vf_to_fv[vf_order], positions)  # indexed by fv_edges position
         return EdgeTables(
-            fv_position=Positions(self, "fv_edges"),
-            vf_position=Positions(self, "vf_edges"),
             vf_pass=others(var_of, fv_rank[vf_to_fv], degree, vf_order),
             fv_pass=others(self.edge_factor, vf_rank_by_fv, scope, fv_order),
         )
@@ -366,26 +374,9 @@ class FactorGraph:
         return _jagged(degree, lambda rows, k: self.vf_to_fv[first[rows] + k])
 
 
-class Positions(Mapping):
-    """Each key of ``getattr(graph, name)`` mapped to its position there, a
-    read-only map that builds nothing id-keyed until it is first read."""
-
-    def __init__(self, graph: FactorGraph, name: str):
-        self.graph, self.name = graph, name
-
-    @cached_property
-    def index(self) -> dict:
-        """The map as a dict, built on first read."""
-        return {key: k for k, key in enumerate(self)}
-
-    def __getitem__(self, key) -> int:
-        return self.index[key]
-
-    def __iter__(self):
-        return iter(getattr(self.graph, self.name))
-
-    def __len__(self) -> int:
-        return len(getattr(self.graph, self.name))
+def _positions(keys) -> Mapping:
+    """Each of ``keys`` mapped to its position there, read-only."""
+    return MappingProxyType({key: k for k, key in enumerate(keys)})
 
 
 def _ids(ids: tuple[str, ...], index: np.ndarray) -> list[str]:

@@ -16,7 +16,8 @@ event log in canonical order as they send them, keeping none in memory,
 and end as :func:`gbpkit.engine.run` does: a :class:`SimulationResult`
 is a :class:`~gbpkit.engine.RunResult` plus the messages sent.  The
 synchronous schedule iterates the engine's own sweep loop
-(:func:`gbpkit.engine.sweeps`), adding only the log and the message
+(:func:`gbpkit.engine.sweeps`), adding only the log, which computes each
+tick's variable messages again from the same inputs, and the message
 count, so its results (messages, beliefs, tick count, status) equal an
 engine run bit for bit.  The random-sequential schedule recomputes one
 seeded-random agent's rows per tick, in place: the pass positions of its
@@ -173,21 +174,23 @@ def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
         _, fv_order, _, _ = _hosting(graph)
         fv_edges = [graph.fv_edges[k] for k in fv_order]
         fv_logged = fv_pass.rank[fv_order]
-    zeros = np.zeros(len(graph.edge_var))  # in any order
-    for tick, vf_prec, vf_mean, prec, mean, outcome in engine.sweeps(
-            compiled, zeros, zeros, partial(engine._status, tolerance=tolerance), max_ticks):
+    # The log computes a tick's variable messages again, from the previous tick's messages.
+    prec = mean = np.zeros(len(graph.edge_var))  # in any order; not held past the first tick
+    for tick, new_prec, new_mean, outcome in engine.sweeps(
+            compiled, prec, mean, partial(engine._status, tolerance=tolerance), max_ticks):
         if log is not None:
+            vf_prec, vf_mean = engine.vf_messages(compiled, prec, mean)
             _log_rows(log, tick, graph.vf_edges, vf_prec[vf_pass.rank], vf_mean[vf_pass.rank])
-            _log_rows(log, tick, fv_edges, prec[fv_logged], mean[fv_logged])
-        del vf_prec, vf_mean  # freed before the next sweep's variable pass
+            _log_rows(log, tick, fv_edges, new_prec[fv_logged], new_mean[fv_logged])
+            del vf_prec, vf_mean  # freed before the next sweep's variable pass
+        prec, mean = new_prec, new_mean
     return prec, mean, tick, outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var)
 
 
 def _replace_rows(prec, mean, rows, new_prec, new_mean, tolerance: float) -> bool:
-    """Write the rows' new messages in place; return whether any moved by
-    ``tolerance`` or more, the means tested first, as ``engine._status`` does."""
-    moved = not (engine.max_delta(mean[rows], new_mean) < tolerance
-                 and engine.max_delta(prec[rows], new_prec) < tolerance)
+    """Write the rows' new messages in place; return whether any moved, by
+    the rule of ``engine._status`` (:func:`gbpkit.engine._moved`)."""
+    moved = engine._moved(prec[rows], mean[rows], new_prec, new_mean, tolerance)
     prec[rows], mean[rows] = new_prec, new_mean
     return moved
 

@@ -1,9 +1,11 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import gc
 import math
 import numbers
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -30,6 +32,22 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def freed_without_gc(build) -> bool:
+    """Whether the graph that ``build()`` returns is freed once dropped, with
+    the cyclic garbage collector off: reference counts alone free it only
+    if nothing it holds refers back to it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        graph = build()
+        dropped = weakref.ref(graph)
+        del graph
+        return dropped() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def loop_model(observations=(1.0, 2.0, 3.0)) -> LinearGaussianModel:
@@ -328,11 +346,11 @@ def padded_variable_pass(prior_var, table, fv_prec, fv_mean=None):
         return precision, None if mean is None else weighted / precision
 
 
-def padded_factor_pass(compiled, table, rows, vf_prec, vf_mean=None):
+def padded_factor_pass(graph, compiled, table, rows, vf_prec, vf_mean=None):
     """(precisions, means or None) of the ``fv_edges`` positions ``rows`` over
     the padded ``table``; pads read a 0.0 coefficient, 1.0 and 0.0.  The
     parameters come from the model's own columns, in canonical order."""
-    columns, graph = compiled.columns, compiled.graph
+    columns = compiled.columns
     coeff = np.append(columns.edge_coeff[graph.vf_to_fv], 0.0)
     prec = np.append(vf_prec, 1.0)
     mean = None if vf_mean is None else np.append(vf_mean, 0.0)
@@ -354,10 +372,10 @@ def padded_factor_pass(compiled, table, rows, vf_prec, vf_mean=None):
 # analysis form each term once per message instead; these are the reference.
 
 
-def per_read_edge_bounds(compiled):
+def per_read_edge_bounds(graph, compiled):
     """(lower, upper) of :func:`gbpkit.engine.edge_bounds` per ``fv_edges``
     position; pads read a 0.0 coefficient and a prior variance of 1.0."""
-    columns, graph = compiled.columns, compiled.graph
+    columns = compiled.columns
     _, _, fv_reads, _ = padded_reads(graph)
     coeff = np.append(columns.edge_coeff[graph.vf_to_fv], 0.0)
     prior = np.append(columns.prior_var[graph.edge_var[graph.vf_to_fv]], 1.0)
@@ -370,10 +388,10 @@ def per_read_edge_bounds(compiled):
         return target / denom, target / noise
 
 
-def per_read_mean_system(compiled, star):
+def per_read_mean_system(graph, compiled, star):
     """Q, dense, and b of :func:`gbpkit.analysis.build_mean_system`, entry by
     entry, from the variable-to-factor precisions ``star`` in canonical order."""
-    columns, graph = compiled.columns, compiled.graph
+    columns = compiled.columns
     pad, vf_reads, fv_reads, _ = padded_reads(graph)
     dim = len(graph.edge_var)
     coeff = columns.edge_coeff

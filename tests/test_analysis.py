@@ -205,7 +205,8 @@ class TestFixedPoint:
         bad_start = InitStrategy.explicit({("f_nope", "x_nope"): 1.0})
         calls, edge_bounds = [], engine.edge_bounds
         monkeypatch.setattr(engine, "edge_bounds",
-                            lambda compiled: (calls.append(compiled), edge_bounds(compiled))[1])
+                            lambda graph, compiled: (calls.append(compiled),
+                                                     edge_bounds(graph, compiled))[1])
         for init in (None, bad_start):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 fixed_point_precisions(loop_graph, loop_model, tolerance=-1.0, init=init)
@@ -777,7 +778,8 @@ class TestCertify:
         expected = fixed_point_precisions(graph, model)
         calls, edge_bounds = [], engine.edge_bounds
         monkeypatch.setattr(engine, "edge_bounds",
-                            lambda compiled: (calls.append(compiled), edge_bounds(compiled))[1])
+                            lambda graph, compiled: (calls.append(compiled),
+                                                     edge_bounds(graph, compiled))[1])
         fixed_point = certify(graph, model).fixed_point
         assert len(calls) == 1
         assert fixed_point.iterations == expected.iterations

@@ -78,8 +78,8 @@ class TestBeliefTable:
         means = np.array([math.nan, 1.5, -0.0, math.nan, 4.0, 2.0])
         variances = np.array([0.0, math.inf, 1e308, 0.25, math.nan, 1e-300])
         beliefs = engine.BeliefSet(
-            variances=engine.ArrayMapping(variances, graph.variable_order),
-            means=engine.ArrayMapping(means, graph.variable_order), iteration=4)
+            variances=engine.ArrayMapping(variances, graph, "variable_ids"),
+            means=engine.ArrayMapping(means, graph, "variable_ids"), iteration=4)
         posterior = ExactPosterior(mean=np.array([1.0, -2.0, 0.0, 3.0, 1.0, 2.0]),
                                    variance=np.array([0.5, 0.5, -1e308, 0.5, 0.5, 0.5]),
                                    variable_ids=graph.variable_ids)

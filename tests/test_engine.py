@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import math
 import pickle
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -167,16 +168,18 @@ class TestSingleEdgeMessages:
             (swept.precisions, swept.means), full_fv))
         # Means of None skip the mean terms; the precisions keep their bits,
         # so run, the fixed point and rate_trace follow one trajectory.
-        _, _, _, *sweep_only = next(engine.sweeps(compiled, fv[0], None, lambda *_: None, 1))
+        _, *sweep_only = next(engine.sweeps(compiled, fv[0], None, lambda *_: None, 1))
         for only, whole in ((engine.vf_messages(compiled, fv[0], None), vf[0]),
                             (engine.fv_messages(compiled, vf[0], None), full_fv[0]),
                             (sweep_only, full_fv[0])):
             assert only[0].tobytes() == whole.tobytes() and only[1] is None
         for size in (0, 1, 7, len(graph.fv_edges)):
             rows = rng.permutation(len(graph.fv_edges))[:size]
-            for part, whole in zip(engine.vf_messages(compiled, *fv, rows), vf):
+            view = compiled.tables.vf_pass.select(rows)
+            for part, whole in zip(engine.vf_messages(compiled, *fv, view=view), vf):
                 assert np.array_equal(part, whole[rows])
-            for part, whole in zip(engine.fv_messages(compiled, *vf, rows), full_fv):
+            view = compiled.tables.fv_pass.select(rows)
+            for part, whole in zip(engine.fv_messages(compiled, *vf, view=view), full_fv):
                 assert np.array_equal(part, whole[rows])
 
 
@@ -389,8 +392,7 @@ class TestOneReadForm:
     so a second, canonical copy cannot come back unnoticed."""
 
     def test_edge_tables_hold_the_pass_forms_only(self):
-        assert [f.name for f in dataclasses.fields(EdgeTables)] == [
-            "fv_position", "vf_position", "vf_pass", "fv_pass"]
+        assert [f.name for f in dataclasses.fields(EdgeTables)] == ["vf_pass", "fv_pass"]
         assert not _cached_properties(EdgeTables)
         # A pass form stores its order and columns; its rank and the one
         # other table, the beliefs' reads, are built on first read.
@@ -410,9 +412,65 @@ class TestOneReadForm:
 
     def test_compiled_model_holds_the_pass_arrays_only(self):
         assert [f.name for f in dataclasses.fields(engine.CompiledModel)] == [
-            "graph", "columns", "pass_prior_prec", "pass_neg_vf_coeff", "pass_coeff",
+            "tables", "columns", "pass_prior_prec", "pass_neg_vf_coeff", "pass_coeff",
             "pass_noise_obs"]
         assert not _cached_properties(engine.CompiledModel)
+
+
+class TestOwnership:
+    """Nothing a graph caches refers back to the graph, and its id-keyed
+    maps are built on first read, once per graph."""
+
+    @pytest.mark.parametrize("case", [
+        "run", "certify", "factor_to_variable", "compile_model swap",
+        "simulate synchronous", "simulate random-sequential"])
+    def test_a_dropped_graph_is_freed_without_the_cyclic_gc(self, case):
+        model = generate_model("random-loopy", 40, 5)  # multi-loop: certify builds Q
+        other = with_observations(model, [f.obs + 1.0 for f in model.factors])
+        after = {
+            "run": run,
+            "certify": lambda graph, model: certify(graph, model).mean_system.sparse,
+            "factor_to_variable": lambda graph, model: factor_to_variable(
+                graph, model, init_messages(graph, model, InitStrategy.zero()), graph.fv_edges[0]),
+            "compile_model swap": lambda graph, model: (
+                run(graph, model), engine.compile_model(graph, other)),
+        }
+
+        def build():
+            if case.startswith("simulate"):
+                schedule = (Schedule.synchronous() if case.endswith("synchronous")
+                            else Schedule.random_sequential(3))
+                return simulate(model, schedule, max_ticks=50).state.precisions.graph
+            graph = build_factor_graph(model)
+            after[case](graph, model)
+            return graph
+
+        assert helpers.freed_without_gc(build)
+
+    def test_maps_are_built_on_first_read_and_shared(self):
+        model = generate_model("random-loopy", 40, 5)
+        graph = build_factor_graph(model)
+        result = run(graph, model)
+        cert = certify(graph, model)
+        assert not [name for name, value in vars(graph).items() if isinstance(value, Mapping)]
+        again = run(graph, with_observations(model, [f.obs + 1.0 for f in model.factors]))
+        fixed = cert.fixed_point
+        for views, edges, positions in (
+            ((result.state.means, again.state.precisions, cert.bounds.lower,
+              fixed.factor_to_variable), graph.fv_edges, "fv_position"),
+            ((fixed.variable_to_factor,), graph.vf_edges, "vf_position"),
+            ((result.beliefs.means, again.beliefs.variances), graph.variable_ids,
+             "variable_order"),
+        ):
+            for view in views:
+                view[edges[-1]]
+                assert view._index is getattr(graph, positions)
+        for positions in (graph.variable_order, graph.fv_position, graph.vf_position):
+            key = next(iter(positions))
+            with pytest.raises(TypeError):
+                positions[key] = 0
+            with pytest.raises(TypeError):
+                del positions[key]
 
 
 # E-sized float64 arrays that one sweep may allocate and hold at once: the
@@ -453,7 +511,7 @@ def test_one_precision_only_sweep_allocates_float64_edge_arrays_only(kind, size)
     steps = engine.sweeps(compiled, np.zeros(count), None, lambda *_: None, 2)
     next(steps)
     step, peak = helpers.traced_peak(lambda: next(steps))
-    assert step[4] is None
+    assert step[2] is None
     assert peak <= PRECISION_SWEEP_PEAK_ARRAYS * 8 * count
 
 
@@ -560,8 +618,7 @@ class TestArrayMapping:
         result = run(loop_graph, loop_model)
         bounds = precision_bounds(loop_graph, loop_model)
         fixed = fixed_point_precisions(loop_graph, loop_model)
-        tables = loop_graph.edge_tables
-        fv, vf, variables = tables.fv_position, tables.vf_position, loop_graph.variable_order
+        fv, vf, variables = loop_graph.fv_position, loop_graph.vf_position, loop_graph.variable_order
         views = [
             (result.state.precisions, fv, loop_graph.fv_edges),
             (result.state.means, fv, loop_graph.fv_edges),
@@ -595,7 +652,8 @@ class TestArrayMapping:
 
     def test_a_borrowed_array_is_copied(self):
         base = np.arange(4.0)
-        view = engine.ArrayMapping(base[1:3], {"a": 0, "b": 1})
+        pair = build_factor_graph(LinearGaussianModel((Variable("a", 1.0), Variable("b", 1.0))))
+        view = engine.ArrayMapping(base[1:3], pair, "variable_ids")
         base[1] = 9.0
         assert view == {"a": 1.0, "b": 2.0}
         assert base.flags.writeable

@@ -208,8 +208,7 @@ class TestFactorGraph:
         assert graph.edge_tables is graph.edge_tables
 
     def test_position_maps_are_as_long_as_what_they_index(self, loop_graph):
-        tables = loop_graph.edge_tables
-        assert len(tables.fv_position) == len(tables.vf_position) == 7
+        assert len(loop_graph.fv_position) == len(loop_graph.vf_position) == 7
         assert len(loop_graph.variable_order) == 4
 
     @pytest.mark.parametrize("kind", ["loop", *KINDS])
@@ -236,11 +235,11 @@ class TestFactorGraph:
         for k, (vid, fid) in enumerate(graph.vf_edges):
             others = [(g, vid) for g in graph.variable_neighbors[vid] if g != fid]
             assert named(graph.fv_edges, tables.vf_pass, k, tables.fv_pass.order) == others
-            assert tables.vf_position[(vid, fid)] == k
+            assert graph.vf_position[(vid, fid)] == k
         for k, (fid, vid) in enumerate(graph.fv_edges):
             others = [(z, fid) for z in graph.factor_neighbors[fid] if z != vid]
             assert named(graph.vf_edges, tables.fv_pass, k, tables.vf_pass.order) == others
-            assert tables.fv_position[(fid, vid)] == k
+            assert graph.fv_position[(fid, vid)] == k
         for i, vid in enumerate(graph.variable_ids):
             into = [(g, vid) for g in graph.variable_neighbors[vid]]
             assert named(graph.fv_edges, graph.belief_reads, i) == into

@@ -145,11 +145,12 @@ class TestRoutingGuard:
         them from arrays given in canonical order, results in the rows' order."""
         compiled = compile_model(graph, model)
         vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
-        vf_rows, fv_rows = vf_pass.rank[agent.vf_rows], fv_pass.rank[agent.fv_rows]
+        vf_view = vf_pass.select(vf_pass.rank[agent.vf_rows])
+        fv_view = fv_pass.select(fv_pass.rank[agent.fv_rows])
         return (lambda prec, mean: vf_messages(compiled, prec[fv_pass.order],
-                                               mean[fv_pass.order], vf_rows),
+                                               mean[fv_pass.order], view=vf_view),
                 lambda prec, mean: fv_messages(compiled, prec[vf_pass.order],
-                                               mean[vf_pass.order], fv_rows))
+                                               mean[vf_pass.order], view=fv_view))
 
     def test_non_neighbor_delivery_rejected(self, loop_graph, loop_model):
         agents, _, _ = build_agents(loop_graph, loop_model)

@@ -249,7 +249,7 @@ def test_jagged_passes_match_the_padded_reference(model, seed):
     graph = build_factor_graph(model)
     compiled = engine.compile_model(graph, model)
     vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
-    variable_pass, factor_pass, belief_pass = _padded_passes(compiled)
+    variable_pass, factor_pass, belief_pass = _padded_passes(graph, compiled)
     rng = np.random.default_rng(seed)
     count = len(graph.edge_var)
     fv = rng.uniform(0.1, 2.0, count), rng.normal(size=count)
@@ -269,11 +269,12 @@ def test_jagged_passes_match_the_padded_reference(model, seed):
     start = int(rng.integers(0, count + 1))
     for rows in (rng.permutation(count)[:rng.integers(0, count + 1)], np.arange(start, count)):
         vf_rows, fv_rows = vf_pass.order[rows], fv_pass.order[rows]  # their canonical positions
-        assert _bits(engine.vf_messages(compiled, *fv_in_pass, rows)) == _bits(
+        vf_view, fv_view = vf_pass.select(rows), fv_pass.select(rows)
+        assert _bits(engine.vf_messages(compiled, *fv_in_pass, view=vf_view)) == _bits(
             variable_pass(*fv, rows=vf_rows))
-        assert _bits(engine.fv_messages(compiled, *vf_in_pass, rows)) == _bits(
+        assert _bits(engine.fv_messages(compiled, *vf_in_pass, view=fv_view)) == _bits(
             factor_pass(*vf, rows=fv_rows))
-        assert _bits(engine.vf_messages(compiled, fv_in_pass[0], None, rows)) == _bits(
+        assert _bits(engine.vf_messages(compiled, fv_in_pass[0], None, view=vf_view)) == _bits(
             variable_pass(fv[0], rows=vf_rows))
 
 
@@ -285,10 +286,11 @@ def test_envelope_and_mean_system_match_the_per_read_forms(model):
     # formed at every read: the envelope, and Q and b at the fixed point.
     graph = build_factor_graph(model)
     compiled = engine.compile_model(graph, model)
-    assert _bits(engine.edge_bounds(compiled)) == _bits(helpers.per_read_edge_bounds(compiled))
+    assert _bits(engine.edge_bounds(graph, compiled)) == _bits(
+        helpers.per_read_edge_bounds(graph, compiled))
     point = fixed_point_precisions(graph, model)
     system = analysis.build_mean_system(graph, model, point)
-    q, b = helpers.per_read_mean_system(compiled, point.variable_to_factor.array)
+    q, b = helpers.per_read_mean_system(graph, compiled, point.variable_to_factor.array)
     assert _bits((system.sparse.toarray(), system.offset)) == _bits((q, b))
 
 
@@ -297,10 +299,10 @@ def _in_order(pair, reads):
     return tuple(None if a is None else a[reads.order] for a in pair)
 
 
-def _padded_passes(compiled):
+def _padded_passes(graph, compiled):
     """The reference passes over the padded tables, canonical order in and
     out: (variable, factor, belief), the first two over ``rows`` if given."""
-    graph, columns = compiled.graph, compiled.columns
+    columns = compiled.columns
     _, vf_table, fv_table, belief_table = helpers.padded_reads(graph)
     vf_prior_var = columns.prior_var[graph.edge_var[graph.vf_to_fv]]
 
@@ -308,7 +310,7 @@ def _padded_passes(compiled):
         return helpers.padded_variable_pass(vf_prior_var[rows], vf_table[rows], fv_prec, fv_mean)
 
     def factor(vf_prec, vf_mean=None, rows=slice(None)):
-        return helpers.padded_factor_pass(compiled, fv_table, rows, vf_prec, vf_mean)
+        return helpers.padded_factor_pass(graph, compiled, fv_table, rows, vf_prec, vf_mean)
 
     def belief(fv_prec, fv_mean):
         return helpers.padded_variable_pass(columns.prior_var, belief_table, fv_prec, fv_mean)
@@ -328,7 +330,7 @@ def _canonical_run(graph, model, start, max_iters, log_rows=None):
     stop test's one rule (``helpers.reference_status``) per sweep.
     ``log_rows`` gets the rows ``simulate`` logs per tick: the variable
     messages, then the factor messages agent by agent."""
-    passes = _padded_passes(engine.compile_model(graph, model))
+    passes = _padded_passes(graph, engine.compile_model(graph, model))
     agents, _, _ = build_agents(graph, model)
     fv_order = np.concatenate([agent.fv_rows for agent in agents] or [np.zeros(0, int)])
     state = init_messages(graph, model, start)
@@ -395,7 +397,7 @@ def test_pass_order_loops_give_the_bits_of_canonical_sweeps(model, start, seed, 
                 state, beliefs, status)
         assert log_path.read_text().splitlines() == log_rows
 
-    passes = _padded_passes(engine.compile_model(graph, model))
+    passes = _padded_passes(graph, engine.compile_model(graph, model))
     prec = init_messages(graph, model, strategy).precisions.array
     iterations = 0
     while True:
@@ -418,7 +420,7 @@ def _canonical_ticks(model, seed, max_ticks, log_rows):
     belief means, ticks, status, messages sent); ``log_rows`` gets the rows
     ``simulate`` logs."""
     graph = build_factor_graph(model)
-    variable, factor, belief = _padded_passes(engine.compile_model(graph, model))
+    variable, factor, belief = _padded_passes(graph, engine.compile_model(graph, model))
     agents, _, _ = build_agents(graph, model)
     count = len(graph.edge_var)
     fv_prec, fv_mean = np.zeros(count), np.zeros(count)
