@@ -86,7 +86,8 @@ class MeanUpdateSystem:
     """Linear system v <- -Q @ v + offset over variable-to-factor means.
 
     Q is held as ``sparse``, a CSR array with sorted indices and no
-    stored zeros; ``matrix`` is its dense view, built on first read.
+    stored zeros, its index arrays int32 where they fit; ``matrix`` is its
+    dense view, built on first read.
     Row/column order is ``edges``, the canonical variable-to-factor edge
     list, read from ``graph`` when asked for.  The fixed point solves
     (I + Q) v = offset.
@@ -260,8 +261,15 @@ def _settled(graph, model, start: np.ndarray, tolerance: float, max_iters: int) 
 
 
 def _flat(arrays, dtype=np.intp) -> np.ndarray:
-    """The arrays end to end; an empty ``dtype`` array when there are none."""
-    return np.concatenate(arrays or (np.zeros(0, dtype),))
+    """The arrays end to end, as ``dtype``; an empty one when there are none."""
+    return np.concatenate(arrays or (np.zeros(0, dtype),), dtype=dtype)
+
+
+def _index_dtype(dim: int, nnz: int) -> type:
+    """int32 for the index arrays of a dim x dim CSR with nnz entries when
+    both fit it, as csgraph keeps them, else intp.  scipy's product of two
+    int32 CSRs keeps int32 while its own count fits."""
+    return np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.intp
 
 
 def _by_row(rows: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +302,9 @@ def _scale_matrix(compiled: engine.CompiledModel, fixed_point: FixedPoint) -> cs
     values = _scale_values(compiled, fixed_point)  # its temporaries freed before the layout's
     indptr, by_row = _by_row(vf_pass.order, vf_pass.columns)
     dim = len(vf_pass.order)
-    return csr_array((values[by_row], _flat(vf_pass.columns)[by_row], indptr), shape=(dim, dim))
+    index = _index_dtype(dim, len(by_row))
+    return csr_array((values[by_row], _flat(vf_pass.columns, index)[by_row], indptr.astype(index)),
+                     shape=(dim, dim))
 
 
 def _coupling_matrix(compiled: engine.CompiledModel) -> csr_array:
@@ -304,10 +314,12 @@ def _coupling_matrix(compiled: engine.CompiledModel) -> csr_array:
     vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
     dim = len(vf_pass.order)
     indptr, by_row = _by_row(np.arange(dim), fv_pass.columns)
+    index = _index_dtype(dim, len(by_row))
     reads = _flat(fv_pass.columns)[by_row]
     coeff = compiled.pass_neg_vf_coeff[reads]
     np.negative(coeff, out=coeff)  # back to c, exactly
-    return csr_array((coeff, vf_pass.order[reads], indptr), shape=(dim, dim))
+    return csr_array((coeff, vf_pass.order.astype(index)[reads], indptr.astype(index)),
+                     shape=(dim, dim))
 
 
 def build_mean_system(
@@ -401,17 +413,21 @@ def walk_summability(gmrf: GMRFModel) -> WalkSummability:
     diag = info.diagonal()
     if np.any(diag <= 0):
         raise ValueError("information matrix has a nonpositive diagonal entry")
-    rows = np.repeat(np.arange(dim), np.diff(info.indptr))
-    off = rows != info.indices
+    off = np.repeat(np.arange(dim), np.diff(info.indptr)) != info.indices
     if not off.any():
         return WalkSummability(radius=0.0, lower=0.0, upper=0.0, is_walk_summable=True)
-    rows, cols = rows[off], info.indices[off]
+    # |I - R| in CSR straight from J's: each row holds one stored diagonal
+    # (positive, so kept), and the off-diagonal entries keep their order.
+    indices = info.indices[off]
+    indptr = info.indptr - np.arange(dim + 1, dtype=info.indptr.dtype)
     scale = 1.0 / np.sqrt(diag)
     with np.errstate(over="ignore"):
-        entries = np.abs(info.data[off]) * scale[rows] * scale[cols]
+        entries = np.abs(info.data[off])
+        entries *= np.repeat(scale, np.diff(indptr))
+        entries *= scale[indices]
     if not np.all(np.isfinite(entries)):
         raise ValueError("walk matrix |I - R| has non-finite entries")
-    walk = csr_array((entries, (rows, cols)), shape=(dim, dim))
+    walk = csr_array((entries, indices, indptr), shape=(dim, dim))
     lower, radius, upper = _perron_interval(walk)
     decided = True if upper < 1.0 else False if lower >= 1.0 else None
     return WalkSummability(radius=radius, lower=lower, upper=upper, is_walk_summable=decided)
@@ -475,8 +491,14 @@ def _perron_interval(walk: csr_array) -> tuple[float, float, float]:
 def _widening(terms: np.ndarray) -> np.ndarray:
     """1 + u (2 terms_i + 16) per row i of a matrix with ``terms[i]`` stored
     entries: the factor that widens its Collatz-Wielandt ratios, computed
-    once per matrix (see :func:`_collatz_wielandt`)."""
-    return 1.0 + UNIT_ROUNDOFF * (2 * terms + 16)
+    once per matrix (see :func:`_collatz_wielandt`).  It is formed in one
+    float array, in place; 2 terms_i + 16 is exact in float64, so the bits
+    are those of the integer sum scaled by u."""
+    widening = np.multiply(terms, 2.0)
+    widening += 16.0
+    widening *= UNIT_ROUNDOFF
+    widening += 1.0
+    return widening
 
 
 def _collatz_wielandt(widening: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -489,10 +511,14 @@ def _collatz_wielandt(widening: np.ndarray, x: np.ndarray, y: np.ndarray) -> flo
     that, up to 7 roundoffs of error in the entries themselves (see
     :func:`_perron_interval`), and the division and the widening product.
     An empty matrix gives 0; a ratio over an x_i near the floor may be
-    inf, still a valid bound.
+    inf, still a valid bound.  The ratios y_i / x_i are widened in place,
+    so each call allocates one row-sized array, with the bits of
+    ``y / x * widening``.
     """
     with np.errstate(over="ignore"):
-        return float(np.max(y / x * widening, initial=0.0))
+        ratio = np.divide(y, x)
+        ratio *= widening
+    return float(np.max(ratio, initial=0.0))
 
 
 def _radius_bound(matrix: csr_array) -> float:
@@ -502,8 +528,15 @@ def _radius_bound(matrix: csr_array) -> float:
     follows :func:`_perron_iterates` of |Q|.  Returns the first bound
     below 1 - SPECTRAL_MARGIN, or the smallest of BOUND_MAX_ITERS bounds;
     inf when |Q| x overflows or Q has a non-finite entry.
+
+    ``matrix`` is a canonical CSR (sorted indices, no duplicates), as
+    :func:`build_mean_system` gives Q.  |Q| is one new data array over
+    Q's own ``indices`` and ``indptr``, shared and never written, so
+    Q's arrays are held once; it has the bits of ``abs(matrix)``, which
+    copies all three.
     """
-    walk = abs(matrix)
+    from scipy.sparse import csr_array
+    walk = csr_array((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
     widening = _widening(np.diff(walk.indptr))
     best = math.inf
     for x, y in _perron_iterates(walk):

@@ -13,7 +13,7 @@ from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from gbpkit import (STATUS_CONVERGED, STATUS_DIVERGED, Factor, FactorGraph, InvalidModelError,
-                    LinearGaussianModel, Variable)
+                    LinearGaussianModel, Variable, analysis, engine)
 from gbpkit.engine import DIVERGENCE_GUARD
 from gbpkit.model import ModelColumns
 
@@ -32,6 +32,13 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def edge_arrays(peak: int, count: int) -> float:
+    """A ``traced_peak`` byte count as a number of E-sized float64 arrays,
+    E = ``count``: the unit the memory guards bound, so a failing guard
+    prints the count it measured."""
+    return peak / (8 * count)
 
 
 def freed_without_gc(build) -> bool:
@@ -155,6 +162,39 @@ def dense_walk_radius(info) -> float:
     absolute = np.abs(np.eye(len(info)) - info * scale[:, None] * scale[None, :])
     np.fill_diagonal(absolute, 0.0)
     return float(np.max(np.abs(np.linalg.eigvalsh(absolute))))
+
+
+def abs_radius_bound(matrix) -> float:
+    """``analysis._radius_bound`` by its first form: |Q| as ``abs(matrix)``,
+    which copies Q's ``indices`` and ``indptr`` with its data, the widening
+    formed from the integer counts, and each Collatz-Wielandt ratio as
+    ``y / x * widening``.  The reference for the bits of the shared form."""
+    walk = abs(matrix)
+    widening = 1.0 + analysis.UNIT_ROUNDOFF * (2 * np.diff(walk.indptr) + 16)
+    best = math.inf
+    for x, y in analysis._perron_iterates(walk):
+        with np.errstate(over="ignore"):
+            best = min(best, float(np.max(y / x * widening, initial=0.0)))
+        if best < 1.0 - analysis.SPECTRAL_MARGIN:
+            break
+    return best
+
+
+def intp_mean_system(graph: FactorGraph, model: LinearGaussianModel, fixed_point):
+    """``analysis.build_mean_system``'s (Q, b) with A and B widened to intp
+    index arrays, so the product is formed over 64-bit indices."""
+    from scipy.sparse import csr_array
+    compiled = engine.compile_model(graph, model)
+
+    def wide(matrix):
+        return csr_array((matrix.data, matrix.indices.astype(np.intp),
+                          matrix.indptr.astype(np.intp)), shape=matrix.shape)
+
+    scale = wide(analysis._scale_matrix(compiled, fixed_point))
+    sparse = scale @ wide(analysis._coupling_matrix(compiled))
+    sparse.eliminate_zeros()
+    sparse.sort_indices()
+    return sparse, scale @ compiled.pass_noise_obs.imag
 
 
 def superlu_factor(matrix, order="MMD_AT_PLUS_A"):

@@ -70,8 +70,8 @@ def char_poly_radius(matrix):
     return float(np.max(np.abs(np.roots(coeffs))))
 
 
-def generated_mean_systems():
-    """Q of every generator kind at n=60, seeds 1-3, coefficients +-2 and +-6,
+def generated_models():
+    """Every generator kind at n=60, seeds 1-3, coefficients +-2 and +-6,
     plus the divergent random-loopy instance criterion 9 searches out."""
     models = [
         generate_model(kind, 60, seed, coeff_range=(-c, c))
@@ -80,7 +80,12 @@ def generated_mean_systems():
         for c in (2.0, 6.0)
     ]
     models.append(generate_random_loopy(6, seed=113, coeff_range=(-6.0, 6.0)))
-    for model in models:
+    return models
+
+
+def generated_mean_systems():
+    """Q of every model of :func:`generated_models`."""
+    for model in generated_models():
         graph = build_factor_graph(model)
         yield build_mean_system(graph, model, fixed_point_precisions(graph, model))
 
@@ -311,6 +316,18 @@ class TestMeanSystem:
             assert system.sparse.has_canonical_format
             assert system.matrix.tobytes() == system.sparse.toarray().tobytes()
             assert system.sparse.nnz == np.count_nonzero(system.matrix)
+
+    def test_q_holds_int32_index_arrays_with_the_bits_of_intp_ones(self):
+        # A and B are laid out with int32 index arrays, so their product is
+        # too; the index width changes no entry, order or offset.
+        for model in generated_models():
+            graph = build_factor_graph(model)
+            point = fixed_point_precisions(graph, model)
+            system = build_mean_system(graph, model, point)
+            assert system.sparse.indices.dtype == system.sparse.indptr.dtype == np.int32
+            wide = analysis.MeanUpdateSystem(*helpers.intp_mean_system(graph, model, point), graph)
+            assert wide.sparse.indices.dtype == np.intp
+            assert same_mean_system(system, wide)
 
     def test_tree_system_structurally_nilpotent(self):
         model = helpers.chain_model(5)
@@ -841,6 +858,31 @@ class TestRadiusBound:
     def test_frozen_bits_on_multi_loop_models(self, size, seed, coeff, frozen):
         model = generate_model("random-loopy", size, seed, (-coeff, coeff))
         assert repr(certify(build_factor_graph(model), model).mean_radius_bound) == frozen
+
+
+# E-sized float64 arrays that certify may hold at once after a run on the
+# same graph, as the benchmark's memory pass measures it: the envelope and
+# fixed point it keeps, Q over int32 index arrays and b, then |Q|'s one data
+# array over Q's own index arrays and the Perron loop's row-sized arrays.
+# It reads 19.6 on random-loopy; with |Q| as abs(Q), which copies Q's
+# index arrays, intp indices in A and B, and two temporaries per
+# Collatz-Wielandt ratio, it read 27.8.
+CERTIFY_PEAK_ARRAYS = 21
+
+
+@pytest.mark.parametrize("kind, size", [("random-loopy", 1000)])
+def test_certify_holds_at_most_a_fixed_number_of_edge_arrays(kind, size):
+    # A certify on a small multi-loop model first, so the count leaves out
+    # imports and first-call set-up, as the benchmark's timed pass does.
+    small = generate_model(kind, 30, seed=7)
+    certify(build_factor_graph(small), small)
+    model = generate_model(kind, size, seed=7)
+    graph = build_factor_graph(model)
+    count = len(graph.edge_var)
+    assert run(graph, model).status == STATUS_CONVERGED
+    cert, peak = helpers.traced_peak(lambda: certify(graph, model))
+    assert cert.basis == BASIS_SPECTRAL and cert.mean_radius_bound is not None
+    assert helpers.edge_arrays(peak, count) <= CERTIFY_PEAK_ARRAYS
 
 
 def refuse_eigensolve(matrix):

@@ -493,7 +493,7 @@ def test_one_sweep_allocates_at_most_a_fixed_number_of_edge_arrays(kind, size):
     next(steps)
     step, peak = helpers.traced_peak(lambda: next(steps))
     assert step[-1] is None
-    assert peak <= SWEEP_PEAK_ARRAYS * 8 * count
+    assert helpers.edge_arrays(peak, count) <= SWEEP_PEAK_ARRAYS
 
 
 # A precision-only sweep, as the fixed point runs it, keeps to float64: the
@@ -512,7 +512,7 @@ def test_one_precision_only_sweep_allocates_float64_edge_arrays_only(kind, size)
     next(steps)
     step, peak = helpers.traced_peak(lambda: next(steps))
     assert step[2] is None
-    assert peak <= PRECISION_SWEEP_PEAK_ARRAYS * 8 * count
+    assert helpers.edge_arrays(peak, count) <= PRECISION_SWEEP_PEAK_ARRAYS
 
 
 # E-sized float64 arrays that a whole run from a fresh graph may hold at
@@ -531,7 +531,7 @@ def test_a_run_holds_at_most_a_fixed_number_of_edge_arrays(kind, size):
     count = len(graph.edge_var)
     result, peak = helpers.traced_peak(lambda: run(graph, model))
     assert result.status == STATUS_CONVERGED
-    assert peak <= RUN_PEAK_ARRAYS * 8 * count
+    assert helpers.edge_arrays(peak, count) <= RUN_PEAK_ARRAYS
 
 
 def test_every_synchronous_loop_iterates_sweeps(monkeypatch, loop_graph, loop_model):

@@ -586,6 +586,41 @@ def test_canonical_scatter_is_the_rank_gather(table):
     assert reads.rank.tobytes() == rank.tobytes()
 
 
+CSR_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, 1e300, -1e300, 1.7e308, 5e-324]))
+
+
+@st.composite
+def canonical_csr(draw):
+    """A square CSR with sorted indices and no duplicates, as Q is, over
+    int32 or int64 index arrays: empty rows, stored zeros, NaN and entries
+    whose products overflow among them."""
+    dim = draw(st.integers(0, 7))
+    stored = np.array(draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim)),
+                      dtype=bool).reshape(dim, dim)
+    data = np.array(draw(st.lists(CSR_ENTRIES, min_size=int(stored.sum()),
+                                  max_size=int(stored.sum()))), dtype=float)
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    indptr = np.append(0, np.cumsum(stored.sum(axis=1))).astype(index)
+    return csr_array((data, np.nonzero(stored)[1].astype(index), indptr), shape=(dim, dim))
+
+
+@given(matrix=canonical_csr())
+@example(matrix=csr_array((np.zeros(0), np.zeros(0, np.int32), np.zeros(1, np.int32)),
+                          shape=(0, 0)))
+@example(matrix=csr_array(np.array([[0.0, 1.7e308], [1.7e308, 0.0]])))
+def test_radius_bound_keeps_the_bits_of_the_copying_form(matrix):
+    # |Q| read through Q's own index arrays gives the bits of abs(Q), and
+    # Q's arrays come back unchanged.
+    before = [array.copy() for array in (matrix.data, matrix.indices, matrix.indptr)]
+    got = analysis._radius_bound(matrix)
+    after = (matrix.data, matrix.indices, matrix.indptr)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    expected = helpers.abs_radius_bound(matrix)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 def test_negative_zero_observations_keep_the_bits_of_the_subtracting_reference():
     # The factor pass adds (-c) * mean where the padded reference passes
     # subtract c * mean: x - y is x + (-y) in IEEE 754, signed zeros
