@@ -408,12 +408,22 @@ def walk_summability(gmrf: GMRFModel) -> WalkSummability:
     if not np.all(np.isfinite(info.data)):
         raise ValueError("information matrix has non-finite entries")
     dim = info.shape[0]
-    if info.shape[1] != dim or (info != info.T).nnz:
+    if info.shape[1] != dim:
         raise ValueError("information matrix is not symmetric")
+    # Canonical J is symmetric when its transpose's CSR, J's entries sorted
+    # stably by column, has J's column indices and data: equal indices make
+    # the rows and the columns the same multiset, so the row pointers agree.
+    by_column = _sorted_by(info.indices, dim)  # before the rows, so their peaks do not add
+    rows = np.repeat(np.arange(dim, dtype=_index_dtype(dim, 0)), np.diff(info.indptr))
+    if not (np.array_equal(rows[by_column], info.indices)
+            and np.array_equal(info.data[by_column], info.data)):
+        raise ValueError("information matrix is not symmetric")
+    del by_column
     diag = info.diagonal()
     if np.any(diag <= 0):
         raise ValueError("information matrix has a nonpositive diagonal entry")
-    off = np.repeat(np.arange(dim), np.diff(info.indptr)) != info.indices
+    off = rows != info.indices
+    del rows  # freed before the walk matrix is laid out
     if not off.any():
         return WalkSummability(radius=0.0, lower=0.0, upper=0.0, is_walk_summable=True)
     # |I - R| in CSR straight from J's: each row holds one stored diagonal

@@ -43,10 +43,15 @@ subset, as a random-sequential tick needs, through a jagged view that a
 caller may build once and pass again.  One generator, :func:`sweeps`, is
 the one synchronous loop, ended by its caller's stop test: :func:`run`,
 the simulator, the precision fixed point and the rate trace iterate it,
-and put back in canonical order only what they keep.  The stop test of
-:func:`run` takes the mean delta first and the precision delta only
-when the mean delta is below the tolerance: the precisions settle
-first, so the mean delta alone keeps a run going in almost every sweep.
+and put back in canonical order only what they keep.  A run and both
+schedules of the simulator put their last messages in canonical order
+and drop the pass-order pair before the beliefs are formed.
+The factor pass's sums start from its first column's gather where that
+column reads every row, not from a copy of the noise and observations.
+The stop test of :func:`run` takes the mean delta first and the
+precision delta only when the mean delta is below the tolerance: the
+precisions settle first, so the mean delta alone keeps a run going in
+almost every sweep.
 The public :func:`sweep` takes and returns canonical order around the
 same passes, and :func:`factor_to_variable` keeps a per-edge path, one
 row at a time, for tests.
@@ -127,11 +132,12 @@ class ArrayMapping(Mapping):
     canonical order; ``positions`` is the graph's map of them
     (``fv_position``, ``vf_position`` or ``variable_order``), which every
     view of the graph shares, built on the first lookup of any of them.
-    Values are Python floats, so a view equals the dict of its items.
-    ``array`` is copied first unless it owns its data.
+    Values are Python floats, so a view equals the dict of its items: a
+    lookup indexes a ``memoryview`` of the array, kept beside the map from
+    the first lookup on.  ``array`` is copied first unless it owns its data.
     """
 
-    __slots__ = ("array", "graph", "name", "_index")
+    __slots__ = ("array", "graph", "name", "_index", "_values")
 
     def __init__(self, array, graph: FactorGraph, name: str):
         self.array = np.require(array, dtype=float, requirements="O")
@@ -144,10 +150,10 @@ class ArrayMapping(Mapping):
 
     def __getitem__(self, key) -> float:
         try:
-            index = self._index
+            index, values = self._index, self._values
         except AttributeError:
-            index = self._index = self.positions
-        return self.array.item(index[key])
+            index, values = self._index, self._values = self.positions, memoryview(self.array)
+        return values[index[key]]
 
     def __iter__(self) -> Iterator:
         return iter(getattr(self.graph, self.name))
@@ -214,6 +220,24 @@ def _add_reads(acc: np.ndarray, term: np.ndarray, columns) -> np.ndarray:
     return acc
 
 
+def _sum_reads(base: np.ndarray, term: np.ndarray, columns) -> np.ndarray:
+    """A new array with the bytes of ``_add_reads(base.copy(), term, columns)``.
+
+    When the first column is an index array that reads every row, as when
+    every factor has two variables or more, its gather is the accumulator:
+    ``base`` adds into it in place as the left operand, the same IEEE sums,
+    so ``base`` is not copied.  A shorter first column (a row that reads
+    nothing) and slice columns (a :meth:`~gbpkit.model.Reads.select` view)
+    copy ``base`` first, as does a single row: numpy adds one element in
+    place by its reduction loop, which keeps the right operand of two NaNs."""
+    if (columns and isinstance(columns[0], np.ndarray)
+            and len(columns[0]) == len(base) > 1):
+        acc = term[columns[0]]
+        np.add(base, acc, out=acc)
+        return _add_reads(acc, term, columns[1:])
+    return _add_reads(base.copy(), term, columns)
+
+
 @_QUIET
 def _inverse(values: np.ndarray) -> np.ndarray:
     """``1.0 / values``, in place: a subnormal prior variance has an infinite precision."""
@@ -243,6 +267,7 @@ def _variable_message(prior_prec: np.ndarray, columns, prec: np.ndarray,
     acc = np.zeros(len(prior_prec), complex)
     acc.real = prior_prec
     _add_reads(acc, term, columns)
+    del term  # freed before the outputs are formed
     precision = acc.real.copy()  # contiguous, for the next pass's gathers
     return precision, acc.imag / precision
 
@@ -259,18 +284,19 @@ def _factor_sums(columns, neg_coeff: np.ndarray, prec: np.ndarray, mean: np.ndar
     ``(-coeff)**2 / prec`` and ``(-coeff) * mean``, are formed once as the
     parts of one complex term: (-c)**2 is c**2 exactly, and adding the
     negated product subtracts, bit for bit, since x - y is x + (-y).  The
-    sums come back as the parts of one accumulator, a copy of
-    ``noise_obs``.  Means of None sum the variances alone, with the same
-    bits, and give a residual of None.  Callers silence numpy's warnings.
+    sums come back as the parts of one accumulator that starts from
+    ``noise_obs`` (:func:`_sum_reads`).  Means of None sum the variances
+    alone, with the same bits, and give a residual of None.  Callers
+    silence numpy's warnings.
     """
     if mean is None:
         term = neg_coeff * neg_coeff
         term /= prec
-        return _add_reads(noise_obs.real.copy(), term, columns), None
+        return _sum_reads(noise_obs.real, term, columns), None
     term = np.empty(len(neg_coeff), complex)
     np.divide(neg_coeff * neg_coeff, prec, out=term.real)
     np.multiply(neg_coeff, mean, out=term.imag)
-    acc = _add_reads(noise_obs.copy(), term, columns)
+    acc = _sum_reads(noise_obs, term, columns)
     return acc.real, acc.imag
 
 
@@ -278,7 +304,9 @@ def _factor_sums(columns, neg_coeff: np.ndarray, prec: np.ndarray, mean: np.ndar
 def _factor_message(target_coeff, columns, neg_coeff, prec, mean, noise_obs):
     total_var, residual = _factor_sums(columns, neg_coeff, prec, mean, noise_obs)
     mean = None if residual is None else residual / target_coeff
-    return target_coeff * target_coeff / total_var, mean
+    precision = target_coeff * target_coeff
+    precision /= total_var
+    return precision, mean
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
@@ -391,7 +419,8 @@ def fv_messages(compiled: CompiledModel, vf_prec: np.ndarray, vf_mean: np.ndarra
 @_QUIET
 def max_delta(old: np.ndarray, new: np.ndarray) -> float:
     """Largest |new - old| entry, NaN entries skipped, 0.0 when empty."""
-    return float(np.fmax.reduce(np.abs(new - old), initial=0.0))
+    delta = np.subtract(new, old)
+    return float(np.fmax.reduce(np.abs(delta, out=delta), initial=0.0))
 
 
 def _diverged(precisions: np.ndarray, means: np.ndarray) -> bool:
@@ -421,12 +450,19 @@ def _state(graph: FactorGraph, prec: np.ndarray, mean: np.ndarray, iteration: in
                         ArrayMapping(mean, graph, "fv_edges"), iteration)
 
 
-def _finish(graph, compiled: CompiledModel, prec, mean,
-            iteration: int) -> tuple[BeliefSet, MessageState]:
-    """How every run ends: beliefs and state of ``fv_pass``-order messages, in canonical order."""
+def _canonical_state(graph, compiled: CompiledModel, prec, mean, iteration: int) -> MessageState:
+    """``fv_pass``-order messages as a state, in canonical order.  Every
+    run puts its last messages through this and drops their pass-order
+    arrays before :func:`_finish` forms the beliefs."""
     order = compiled.tables.fv_pass.order
-    prec, mean = _canonical(order, prec), _canonical(order, mean)
-    return _beliefs(graph, compiled, prec, mean, iteration), _state(graph, prec, mean, iteration)
+    return _state(graph, _canonical(order, prec), _canonical(order, mean), iteration)
+
+
+def _finish(graph, compiled: CompiledModel, state: MessageState) -> tuple[BeliefSet, MessageState]:
+    """How every run ends: the beliefs of its last state, already in
+    canonical order (:func:`_canonical_state`), and the state."""
+    return _beliefs(graph, compiled, state.precisions.array, state.means.array,
+                    state.iteration), state
 
 
 def _beliefs(graph, compiled: CompiledModel, prec, mean, iteration: int) -> BeliefSet:
@@ -455,8 +491,7 @@ def edge_bounds(graph: FactorGraph, compiled: CompiledModel) -> tuple[np.ndarray
     prior_var = compiled.columns.prior_var[
         graph.edge_var[graph.vf_to_fv[compiled.tables.vf_pass.order]]]
     coeff = compiled.pass_neg_vf_coeff
-    denom = _add_reads(noise_obs.real.copy(), coeff * coeff * prior_var,
-                       compiled.tables.fv_pass.columns)
+    denom = _sum_reads(noise_obs.real, coeff * coeff * prior_var, compiled.tables.fv_pass.columns)
     target = compiled.pass_coeff * compiled.pass_coeff
     order = compiled.tables.fv_pass.order
     return _canonical(order, target / denom), _canonical(order, target / noise_obs.real)
@@ -553,8 +588,7 @@ def sweep(graph: FactorGraph, model: LinearGaussianModel, state: MessageState) -
     previous state, then all factor-to-variable messages from those."""
     compiled = compile_model(graph, model)
     prec, mean = fv_messages(compiled, *vf_messages(compiled, *_in_pass_order(compiled, state)))
-    order = compiled.tables.fv_pass.order
-    return _state(graph, _canonical(order, prec), _canonical(order, mean), state.iteration + 1)
+    return _canonical_state(graph, compiled, prec, mean, state.iteration + 1)
 
 
 def compute_beliefs(
@@ -619,5 +653,6 @@ def run(
     for iteration, prec, mean, outcome in sweeps(
             compiled, prec, mean, partial(_status, tolerance=tolerance), max_iters):
         pass
-    return RunResult(*_finish(graph, compiled, prec, mean, iteration),
-                     status=outcome or STATUS_MAX_ITERS)
+    state = _canonical_state(graph, compiled, prec, mean, iteration)
+    del prec, mean  # the pass-order pair, freed before the belief pass
+    return RunResult(*_finish(graph, compiled, state), status=outcome or STATUS_MAX_ITERS)

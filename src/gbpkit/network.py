@@ -161,8 +161,8 @@ def simulate(
         else:
             outcome = _run_random_sequential(graph, compiled, schedule.seed, tolerance,
                                              max_ticks, log)
-    prec, mean, tick, status, sent = outcome
-    return SimulationResult(*engine._finish(graph, compiled, prec, mean, tick), status=status,
+    state, status, sent = outcome
+    return SimulationResult(*engine._finish(graph, compiled, state), status=status,
                             messages_sent=sent)
 
 
@@ -184,7 +184,8 @@ def _run_synchronous(graph, compiled, tolerance, max_ticks, log):
             _log_rows(log, tick, fv_edges, new_prec[fv_logged], new_mean[fv_logged])
             del vf_prec, vf_mean  # freed before the next sweep's variable pass
         prec, mean = new_prec, new_mean
-    return prec, mean, tick, outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var)
+    return (engine._canonical_state(graph, compiled, prec, mean, tick),
+            outcome or engine.STATUS_MAX_ITERS, tick * 2 * len(graph.edge_var))
 
 
 def _replace_rows(prec, mean, rows, new_prec, new_mean, tolerance: float) -> bool:
@@ -199,7 +200,8 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
     vf_pass, fv_pass = compiled.tables.vf_pass, compiled.tables.fv_pass
     fv_prec, fv_mean = np.zeros(len(graph.edge_var)), np.zeros(len(graph.edge_var))
     if not graph.variable_ids:
-        return fv_prec, fv_mean, 0, engine.STATUS_CONVERGED, 0
+        state = engine._canonical_state(graph, compiled, fv_prec, fv_mean, 0)
+        return state, engine.STATUS_CONVERGED, 0
     _, fv_order, vf_runs, fv_runs = _hosting(graph)
 
     # Tick 0 flush so every factor has variable messages to read.
@@ -239,4 +241,4 @@ def _run_random_sequential(graph, compiled, seed, tolerance, max_ticks, log):
         if len(quiet) == len(vf_runs):
             status = engine.STATUS_CONVERGED
             break
-    return fv_prec, fv_mean, tick, status, sent
+    return engine._canonical_state(graph, compiled, fv_prec, fv_mean, tick), status, sent

@@ -76,24 +76,28 @@ def _selected_inverse_diagonal(upper) -> np.ndarray:
     no T on pairwise forests, 254-290 rows on 1000-variable random-loopy ones.
     """
     dim = upper.shape[0]
-    keys = np.repeat(np.arange(dim), np.diff(upper.indptr)) * dim + upper.indices
+    rows, cols = np.repeat(np.arange(dim), np.diff(upper.indptr)), upper.indices.astype(np.intp)
+    keys = rows * dim + cols
     values = upper.data  # U's values ride with their keys; an added key holds 0.0
     while True:
-        rows, cols = np.divmod(keys, dim)
         diagonal = np.searchsorted(keys, np.arange(dim) * (dim + 1))
-        off = cols != rows
-        need = cols[np.minimum(diagonal + 1, len(keys) - 1)][rows[off]] * dim + cols[off]
+        # A row's first column past the diagonal, its parent, is in the
+        # parent's row, as its diagonal; only the columns past it can be missing.
+        first_col = cols[np.minimum(diagonal + 1, len(keys) - 1)]
+        past = cols > first_col[rows]
+        need = first_col[rows[past]] * dim + cols[past]
         missing = np.unique(need[keys[np.searchsorted(keys, need)] != need])
         if not len(missing):
             break
         at = np.searchsorted(keys, missing)
         keys, values = np.insert(keys, at, missing), np.insert(values, at, 0.0)
+        rows, cols = np.divmod(keys, dim)
     coeffs, inverse_pivot = -values / values[diagonal][rows], 1.0 / values[diagonal]
     first = diagonal + 1
     width = np.append(diagonal[1:], len(keys)) - first
     # Row dim stands above the roots.  T starts as the wide rows; jumps of
     # 1, 2, 4, ... up the tree add their ancestors, structures included.
-    parent = np.append(np.where(width > 0, cols[np.minimum(first, len(keys) - 1)], dim), dim)
+    parent = np.append(np.where(width > 0, first_col, dim), dim)
     up, in_t = parent, np.append(width > _FLAT_WIDTH, False)
     while np.any(up[in_t] != dim):
         in_t[up[in_t]] = True

@@ -8,7 +8,7 @@
   * On a forest plus one loop the means converge whatever the
     coefficients, to the exact posterior means.
 
-Twelve more properties guard how the package gets there: the certificate's
+Thirteen more properties guard how the package gets there: the certificate's
 cheap Collatz-Wielandt bound never undercuts the dense radius, so it
 decides as the dense rule would; the walk-summability interval contains
 the dense radius of |I - R| and never decides wrong; relabelling or
@@ -27,9 +27,11 @@ row-by-row loop on narrow rows hanging below wide ones, fill that cancels
 exactly included; the radix order of small integer keys is
 numpy's stable argsort, byte for byte; values in a table's order go back
 to row order by a scatter through the order with the bytes of a gather
-through its inverse; and a model file parsed by json alone, its
-repeated keys ruled out by a colon count, gives the model or the
-violations that a parse checking every object for repeated keys gives.
+through its inverse; sums that start from their first column's gather
+give the bytes of sums into a copy of their base; and a model file
+parsed by json alone, its repeated keys ruled out by a colon count, gives
+the model or the violations that a parse checking every object for
+repeated keys gives.
 
 The hypothesis profile in ``conftest.py`` is derandomized with a bounded
 example count, so these run the same examples on every run.
@@ -37,6 +39,7 @@ example count, so these run the same examples on every run.
 import json
 import math
 import random
+import struct
 import tempfile
 from pathlib import Path
 
@@ -584,6 +587,72 @@ def test_canonical_scatter_is_the_rank_gather(table):
         got = model_module._canonical(reads.order, array)
         assert got.dtype == array.dtype and got.tobytes() == array[rank].tobytes()
     assert reads.rank.tobytes() == rank.tobytes()
+
+
+# A quiet NaN with a payload: a sum of two NaNs keeps one operand's,
+# payload and sign included, so the bits show which operand came first.
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
+SUM_ENTRIES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, PAYLOAD_NAN, -PAYLOAD_NAN, math.inf,
+                     -math.inf, 1.7e308]))
+
+
+def _sum_values(draw, dtype, size):
+    parts = [np.array(draw(st.lists(SUM_ENTRIES, min_size=size, max_size=size)), dtype=float)
+             for _ in range(2 if dtype is complex else 1)]
+    if dtype is float:
+        return parts[0]
+    values = np.empty(size, complex)  # parts set one by one keep their bits
+    values.real, values.imag = parts
+    return values
+
+
+@st.composite
+def summed_reads(draw):
+    """(base, term, columns) as the factor pass's sums take them: ``base``
+    per row, rows by descending width, and per column k the reads of the
+    rows wider than k, index arrays into ``term`` or, as a select view has
+    them, slices of it.  Float or complex; a float ``base`` is contiguous
+    or the real part of a complex array, as the noise variances are."""
+    least = draw(st.sampled_from([0, 1]))  # 1: the first column reads every row
+    widths = sorted(draw(st.lists(st.integers(least, 3), min_size=2 * least, max_size=8)),
+                    reverse=True)
+    counts = [sum(width > k for width in widths) for k in range(max(widths, default=0))]
+    dtype = draw(st.sampled_from([float, complex]))
+    base = _sum_values(draw, dtype, len(widths))
+    if dtype is float and draw(st.booleans()):
+        holder = np.zeros(len(widths), complex)
+        holder.real = base
+        base = holder.real
+    term = _sum_values(draw, dtype, draw(st.integers(1 if counts else 0, 6)))
+    columns = [np.array(draw(st.lists(st.integers(0, len(term) - 1), min_size=count,
+                                      max_size=count)), dtype=np.intp) for count in counts]
+    if draw(st.booleans()):
+        reads = np.concatenate(columns or [np.zeros(0, np.intp)])
+        term, stops = term[reads], np.cumsum([0] + counts)
+        columns = list(map(slice, stops, stops[1:]))
+    return base, term, tuple(columns)
+
+
+@given(reads=summed_reads())
+@example(reads=(np.zeros(0), np.zeros(0), ()))
+@example(reads=(np.array([PAYLOAD_NAN]), np.array([-math.nan]), (np.array([0]),)))
+@example(reads=(np.array([PAYLOAD_NAN, 1.0]), np.array([-math.nan]), (np.array([0]),)))
+@example(reads=(np.array([PAYLOAD_NAN, -0.0, math.inf]), np.array([-math.nan, 0.0, -math.inf]),
+                (np.array([0, 1, 2]), np.array([1, 0]))))
+def test_sums_from_the_first_gather_keep_the_bits_of_a_copy(reads):
+    # The factor pass's sums start from the first column's gather when it
+    # reads every row, base added into it as the left operand; otherwise
+    # from a copy of base.  Either way: the bytes of adding every column
+    # into a copy of base, and base itself untouched.
+    base, term, columns = reads
+    before = base.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):  # as the kernels run it
+        got = engine._sum_reads(base, term, columns)
+        expected = engine._add_reads(base.copy(), term, columns)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert base.tobytes() == before and not np.shares_memory(got, base)
 
 
 CSR_ENTRIES = st.one_of(
