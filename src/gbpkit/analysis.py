@@ -35,6 +35,7 @@ from .model import (
     TOPOLOGY_SINGLE_LOOP,
     TopologyReport,
     _canonical,
+    _index_dtype,
     _sorted_by,
     classify_topology,
     sparse_gmrf,
@@ -263,13 +264,6 @@ def _settled(graph, model, start: np.ndarray, tolerance: float, max_iters: int) 
 def _flat(arrays, dtype=np.intp) -> np.ndarray:
     """The arrays end to end, as ``dtype``; an empty one when there are none."""
     return np.concatenate(arrays or (np.zeros(0, dtype),), dtype=dtype)
-
-
-def _index_dtype(dim: int, nnz: int) -> type:
-    """int32 for the index arrays of a dim x dim CSR with nnz entries when
-    both fit it, as csgraph keeps them, else intp.  scipy's product of two
-    int32 CSRs keeps int32 while its own count fits."""
-    return np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.intp
 
 
 def _by_row(rows: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,12 @@ anything past its own reads, whichever rows are computed with it.  A row
 subset and the per-edge functions gather their reads first and form the
 same terms from them, and an elementwise product commutes exactly with a
 gather, so every path agrees bit for bit and two runs over the same
-model are identical.  The kernels silence numpy's overflow and
-invalid-value warnings.  A pass given means of None sums the precisions
+model are identical.  That holds for finite values, so for every
+converged and max-iters run; a NaN may differ.  numpy adds a one-element
+array in place through its reduction loop, which keeps the right operand
+of two NaNs where a longer add keeps the left, so a row computed alone
+can hold another NaN than in a full pass.  The kernels silence numpy's
+overflow and invalid-value warnings.  A pass given means of None sums the precisions
 alone over float64 arrays, with the same bits, since the precision
 recursion never reads a mean.
 
@@ -395,9 +399,9 @@ def vf_messages(compiled: CompiledModel, fv_prec: np.ndarray, fv_mean: np.ndarra
     of the pass's table for any positions in any order, computes those
     rows alone and gives them back in ``rows`` order: their reads are
     gathered first and the same terms formed from them, so a tick costs
-    what its rows read, and a row's bits do not depend on which rows are
-    computed with it.  Means of None give the precisions alone, the same
-    bits, and means None.
+    what its rows read, and a row's finite bits do not depend on which rows
+    are computed with it (a NaN's may: see the module docstring).  Means of
+    None give the precisions alone, the same bits, and means None.
     """
     position, place, reads, columns = view or (None, None, None, compiled.tables.vf_pass.columns)
     prec, mean = _variable_message(_at(compiled.pass_prior_prec, position), columns,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
@@ -103,15 +104,18 @@ class ModelFields:
 
     @cached_property
     def coeff_values(self) -> tuple:
-        """Every factor's coefficients, factor after factor."""
-        return tuple(chain.from_iterable(map(methodcaller("values"), self.coeffs)))
+        """Every factor's coefficients, factor after factor: walked by
+        ``dict.values`` when every ``coeffs`` is exactly a dict, as a file's
+        are; a subclass (an OrderedDict, say) keeps its own ``values``."""
+        values = dict.values if set(map(type, self.coeffs)) <= {dict} else methodcaller("values")
+        return tuple(chain.from_iterable(map(values, self.coeffs)))
 
     @cached_property
     def numbers(self) -> tuple[np.ndarray, ...]:
         """``prior_var``, ``noise_var``, ``obs`` and ``coeff_values`` as float
         arrays.  Read only once the values are known to be numbers (a string
         would be parsed); an int beyond the float range raises OverflowError."""
-        return tuple(np.array(values, dtype=float)
+        return tuple(np.fromiter(values, float, len(values))
                      for values in (self.prior_var, self.noise_var, self.obs, self.coeff_values))
 
     @cached_property
@@ -520,6 +524,13 @@ def build_factor_graph(model: LinearGaussianModel) -> FactorGraph:
                        columns.edge_var, vf_to_fv)
 
 
+def _index_dtype(dim: int, nnz: int) -> type:
+    """int32 for the index arrays of a dim x dim CSR with nnz entries when
+    both fit it, as csgraph keeps them, else intp.  scipy's product of two
+    int32 CSRs keeps int32 while its own count fits."""
+    return np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.intp
+
+
 def _ranges(starts, counts):
     """The ranges starts[i], ..., starts[i] + counts[i] - 1, end to end."""
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
@@ -534,9 +545,10 @@ def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     c_i * (obs / noise_var) to h, in canonical order, so J[i, j] and
     J[j, i] sum the same terms in the same order: J is exactly symmetric.
     J holds one slot per cell some factor or prior touches, sorted by row
-    then column; slots whose terms cancel to 0.0 are dropped.  A valid
-    model whose terms overflow (a coefficient near 1e160, say) is refused
-    with ``ValueError`` rather than given a non-finite J or h.
+    then column, with int32 index arrays where they fit; slots whose terms
+    cancel to 0.0 are dropped.  A valid model whose terms overflow (a
+    coefficient near 1e160, say) is refused with ``ValueError`` rather than
+    given a non-finite J or h.
     """
     from scipy.sparse import csr_array  # scipy loads only on the paths that need it
 
@@ -570,8 +582,9 @@ def sparse_gmrf(model: LinearGaussianModel) -> GMRFModel:
     if not np.all(np.isfinite(potential)):
         raise ValueError("potential has non-finite entries")
     row, col = np.divmod(keys, n_vars)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_vars))])
-    info = csr_array((data, col, indptr), shape=(n_vars, n_vars))
+    index = _index_dtype(n_vars, len(keys))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_vars))], dtype=index)
+    info = csr_array((data, col.astype(index), indptr), shape=(n_vars, n_vars))
     info.eliminate_zeros()
     return GMRFModel(
         information_matrix=info,
@@ -680,21 +693,27 @@ def _columns(items, keys: tuple[str, ...], getter) -> list[tuple]:
 
 def _records(raw, name: str, keys: tuple[str, ...], problems: list[str]) -> list[tuple]:
     """:func:`_columns` of ``raw``, an array of objects with exactly ``keys``
-    (and "coeffs" objects).  Only if a whole-array check fails are the objects
-    checked one by one, each offence added to ``problems``."""
+    (and "coeffs" objects).  The whole-array check is an entry count plus
+    each key's lookup: dicts whose entries total ``len(keys)`` apiece and
+    that each hold every key hold exactly ``keys``.  Only if that check
+    fails are the objects checked one by one, each offence added to
+    ``problems``."""
     if not isinstance(raw, list):
         problems.append(f"'{name}' must be an array")
         return [()] * len(keys)
-    if not (set(map(type, raw)) <= {dict} and set(map(tuple, raw)) <= {keys} and (
-            "coeffs" not in keys or set(map(type, map(itemgetter("coeffs"), raw))) <= {dict})):
-        found = len(problems)
-        for k, item in enumerate(raw):
-            if not isinstance(item, dict) or set(item) != set(keys):
-                problems.append(f"{name}[{k}]: expected keys {', '.join(keys)}")
-            elif not isinstance(item.get("coeffs", {}), dict):
-                problems.append(f"{name}[{k}]: 'coeffs' must be an object")
-        if len(problems) > found:
-            return [()] * len(keys)
+    if set(map(type, raw)) <= {dict} and sum(map(len, raw)) == len(keys) * len(raw):
+        with suppress(KeyError):  # a missing key, and so an extra one elsewhere
+            columns = _columns(raw, keys, itemgetter)
+            if "coeffs" not in keys or set(map(type, columns[keys.index("coeffs")])) <= {dict}:
+                return columns
+    found = len(problems)
+    for k, item in enumerate(raw):
+        if not isinstance(item, dict) or set(item) != set(keys):
+            problems.append(f"{name}[{k}]: expected keys {', '.join(keys)}")
+        elif not isinstance(item.get("coeffs", {}), dict):
+            problems.append(f"{name}[{k}]: 'coeffs' must be an object")
+    if len(problems) > found:
+        return [()] * len(keys)
     return _columns(raw, keys, itemgetter)
 
 

@@ -1,6 +1,7 @@
 """Exact posterior by sparse factorization, the reference the engine is judged against."""
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotri
@@ -15,26 +16,21 @@ MAX_VARIABLES = 2000
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class ExactPosterior:
     """Posterior means and marginal variances in canonical variable order.
-    ``mean_of`` and ``variance_of`` read dicts of Python floats, each built
-    on its first lookup."""
+    ``mean_of`` and ``variance_of`` are the lookups (``__getitem__``) of
+    dicts of Python floats, each built on its first read: an unknown id
+    raises KeyError."""
 
     mean: np.ndarray
     variance: np.ndarray
     variable_ids: tuple[str, ...]
 
     @cached_property
-    def _means(self) -> dict[str, float]:
-        return dict(zip(self.variable_ids, self.mean.tolist()))
+    def mean_of(self) -> Callable[[str], float]:
+        return dict(zip(self.variable_ids, self.mean.tolist())).__getitem__
 
     @cached_property
-    def _variances(self) -> dict[str, float]:
-        return dict(zip(self.variable_ids, self.variance.tolist()))
-
-    def mean_of(self, var_id: str) -> float:
-        return self._means[var_id]
-
-    def variance_of(self, var_id: str) -> float:
-        return self._variances[var_id]
+    def variance_of(self) -> Callable[[str], float]:
+        return dict(zip(self.variable_ids, self.variance.tolist())).__getitem__
 
 
 # Rows with more than this many entries past the diagonal and every ancestor

@@ -180,6 +180,15 @@ def abs_radius_bound(matrix) -> float:
     return best
 
 
+def intp_gmrf(gmrf):
+    """``gmrf`` with J's CSR index arrays widened to intp, the same entries."""
+    from dataclasses import replace
+    from scipy.sparse import csr_array
+    info = gmrf.information_matrix
+    return replace(gmrf, information_matrix=csr_array(
+        (info.data, info.indices.astype(np.intp), info.indptr.astype(np.intp)), shape=info.shape))
+
+
 def intp_mean_system(graph: FactorGraph, model: LinearGaussianModel, fixed_point):
     """``analysis.build_mean_system``'s (Q, b) with A and B widened to intp
     index arrays, so the product is formed over 64-bit indices."""

@@ -571,6 +571,15 @@ class TestWalkInterval:
                 np.array([dense.radius, dense.lower, dense.upper]).tobytes()
             )
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_int32_j_keeps_the_bits_of_an_intp_one(self, kind):
+        for seed in (1, 2, 3):
+            gmrf = sparse_gmrf(generate_model(kind, 120, seed, (-6.0, 6.0)))
+            narrow, wide = walk_summability(gmrf), walk_summability(helpers.intp_gmrf(gmrf))
+            assert narrow == wide
+            assert np.array([narrow.radius, narrow.lower, narrow.upper]).tobytes() == (
+                np.array([wide.radius, wide.lower, wide.upper]).tobytes())
+
     def test_forest_takes_the_larger_component(self):
         # A 3-chain with couplings 0.5 (radius 0.5 * sqrt 2) beside a pair
         # coupled at 0.3 (radius 0.3), listed first.

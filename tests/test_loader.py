@@ -186,6 +186,10 @@ def _base(n_vars: int, n_factors: int) -> dict:
     }
 
 
+class _Record(dict):
+    """A dict subclass, as a model dict built in Python may hold."""
+
+
 @st.composite
 def mutated_dicts(draw):
     """A valid model dict with a few bad values, then perhaps a bad shape."""
@@ -234,6 +238,20 @@ def mutated_dicts(draw):
           "factors": [{"id": "", "coeffs": {"x2": 0.0}, "noise_var": 1.0, "obs": 0.0},
                       {"id": "f1", "coeffs": {"x1": 0, "x2": math.nan}, "noise_var": None,
                        "obs": "0"}]})
+# The entries total 2 per variable and 4 per factor, yet one item lacks a
+# key and another has an extra one: only the key lookups tell.
+@example({"variables": [{"id": "x1"}, {"id": "x2", "prior_var": 1.0, "extra": 1}],
+          "factors": []})
+@example({"variables": [{"id": "x1", "prior_var": 1.0}],
+          "factors": [{"id": "f1", "coeffs": {"x1": 1.0}, "noise_var": 1.0},
+                      {"id": "f2", "coeffs": {"x1": 2.0}, "noise_var": 1.0, "obs": 0.0,
+                       "extra": 1}]})
+@example({"variables": [{"prior_var": 2.0, "id": "x1"}, {"id": "x2", "prior_var": 1.0}],
+          "factors": [{"obs": 0.5, "coeffs": {"x2": 1.0, "x1": -1.0}, "id": "f1",
+                       "noise_var": 1.0}]})
+@example({"variables": [_Record(id="x1", prior_var=1.0)],
+          "factors": [_Record(id="f1", coeffs={"x1": 1.0}, noise_var=1.0, obs=0.0),
+                      {"id": "f2", "coeffs": {"x1": 2.0}, "noise_var": 1.0, "obs": 0.0}]})
 def test_violations_match_the_reference(data):
     expected = _outcome(helpers.reference_model_from_dict, copy.deepcopy(data))
     got = _outcome(model_from_dict, copy.deepcopy(data))

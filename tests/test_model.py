@@ -375,6 +375,18 @@ class TestSparseInformationForm:
             assert sparse.potential.tobytes() == dense.potential.tobytes()
             assert sparse.variable_ids == dense.variable_ids
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sparse_j_holds_int32_index_arrays_with_the_values_of_intp_ones(self, kind):
+        for seed in (1, 2, 3):
+            model = generate_model(kind, 200, seed, (-6.0, 6.0))
+            info = sparse_gmrf(model).information_matrix
+            assert info.indices.dtype == info.indptr.dtype == np.int32
+            # The intp build: the dense scatter's nonzero cells, row by row.
+            rows, cols = np.nonzero(self.dense_scatter(model))
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=info.shape[0]))])
+            assert cols.dtype == indptr.dtype == np.intp
+            assert np.array_equal(info.indices, cols) and np.array_equal(info.indptr, indptr)
+
     def test_cancelled_cell_is_not_stored(self):
         info = sparse_gmrf(self.cancelling_model()).information_matrix
         assert info.toarray()[0, 1] == 0.0

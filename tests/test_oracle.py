@@ -84,6 +84,14 @@ class TestGeneratedModels:
         error = np.max(np.abs(posterior.variance - np.diag(inverse)))
         assert error <= 1e-12 * np.max(np.abs(inverse))
 
+    def test_an_intp_j_gives_the_same_bits(self, kind, bound, monkeypatch):
+        model = generate_model(kind, 300, seed=5, coeff_range=(-bound, bound))
+        narrow = dense_posterior(model)
+        monkeypatch.setattr(oracle, "sparse_gmrf", lambda m: helpers.intp_gmrf(sparse_gmrf(m)))
+        wide = dense_posterior(model)
+        assert narrow.mean.tobytes() == wide.mean.tobytes()
+        assert narrow.variance.tobytes() == wide.variance.tobytes()
+
     def test_variances_are_the_diagonal(self, case):
         _, posterior = case
         variances = [posterior.variance_of(vid) for vid in posterior.variable_ids]
